@@ -221,9 +221,11 @@ def test_planner_overhead_cost(benchmark):
     """A fixed-trial (min == max == 1) planner run on a noisy cell.
 
     Mirrors the ``planner_overhead`` guard kernel (budgeted at 1.05x the
-    plain run of the same cell): forcing exactly one trial isolates the
-    planner's convergence check + merge + digest rehash.
+    plain ``run_cells(..., jobs=1)`` run of the same cell): forcing
+    exactly one trial isolates the planner's convergence check + merge +
+    digest rehash.
     """
+    from repro.core import run_cells
     from repro.metrics import AdaptiveTrialPlanner
     from repro.noise import UniformNoise
     cfg = PtpBenchmarkConfig(message_bytes=1 << 16, partitions=8,
@@ -231,7 +233,11 @@ def test_planner_overhead_cost(benchmark):
                              noise=UniformNoise(4.0))
     planner = AdaptiveTrialPlanner(min_trials=1, max_trials=1)
 
-    result = benchmark(planner.run_cell, cfg)
+    def run():
+        (result,), _ = run_cells([cfg], jobs=1, planner=planner)
+        return result
+
+    result = benchmark(run)
     assert result.trials == 1
     assert result.samples
 
@@ -266,9 +272,8 @@ def _ship_fixture():
 def test_ship_roundtrip_codec(benchmark):
     """Result -> binary wire frame -> queue pickle -> result.
 
-    Mirrors the ``ship_roundtrip_codec`` guard kernel; the guard holds
-    it to <= 0.5x ``ship_roundtrip_dict`` in the same run — the codec
-    must beat the dict-of-lists shape it replaced by at least 2x.
+    Mirrors the ``ship_roundtrip_codec`` guard kernel: the one result
+    format every pool worker and cache entry uses.
     """
     import pickle
     from repro.core.wire import decode_result, encode_result
@@ -277,19 +282,6 @@ def test_ship_roundtrip_codec(benchmark):
     def run():
         frame = pickle.loads(pickle.dumps(encode_result(result)))
         return len(decode_result(config, frame).samples)
-
-    assert benchmark(run) == len(result.samples)
-
-
-def test_ship_roundtrip_dict(benchmark):
-    """The same round trip through the legacy dict fallback shape."""
-    import pickle
-    from repro.core.pool import result_from_shipped, ship_result
-    config, result = _ship_fixture()
-
-    def run():
-        shipped = pickle.loads(pickle.dumps(ship_result(result)))
-        return len(result_from_shipped(config, shipped).samples)
 
     assert benchmark(run) == len(result.samples)
 
@@ -314,12 +306,13 @@ def test_cache_hot_get(benchmark, tmp_path):
 
 
 def test_pool_warm_vs_cold_sweep(benchmark):
-    """A 4-cell sweep on a kept warm pool vs spawn-per-sweep.
+    """A 4-cell sweep on a kept warm pool.
 
     Mirrors the ``pool_warm_sweep`` guard kernel; the guard additionally
-    holds it to <= 0.5x ``pool_cold_spawn`` (the same sweep paying two
-    process spawns, two boots, and a shutdown per call) measured in the
-    same run — the boot-once promise of ``repro.core.pool``.
+    holds it to <= 0.5x ``pool_cold_spawn`` (the same sweep on a fresh
+    ``WorkerPool(2)``: two process spawns, two boots, and a shutdown per
+    call) measured in the same run — the boot-once promise of
+    ``repro.core.pool``.
     """
     from repro.core import WorkerPool, plan_cells, run_cells
 

@@ -52,9 +52,10 @@ BASELINE_PATH = REPO_ROOT / "BENCH_BASELINE.json"
 #:    1.3-2x faster, so v2 budgets would hide large regressions.
 #:    (Extended in place with the analytic/planner kernels, the
 #:    worker-pool warm/cold pair, and the result-plane kernels — wire
-#:    codec vs dict round-trip, sharded vs flat cache get, batched vs
-#:    per-task dispatch — additive entries only, existing scores
-#:    untouched, so no version bump.)
+#:    codec round-trip, sharded vs flat cache get, batched vs per-task
+#:    dispatch — additive entries only, existing scores untouched, so
+#:    no version bump.  The dict round-trip kernel left with the dict
+#:    result format.)
 BASELINE_VERSION = 3
 
 
@@ -172,33 +173,37 @@ _PLANNER_CELL = dict(message_bytes=1 << 16, partitions=8,
                      compute_seconds=1e-3, iterations=16, warmup=0)
 
 
-def planner_reference():
-    """The planner pair's control: the same noisy cell, no planner."""
+def _planner_run(planner):
+    """The noisy planner cell through ``run_cells(..., jobs=1)``."""
+    from repro.core import run_cells
     from repro.noise import UniformNoise
     cfg = PtpBenchmarkConfig(noise=UniformNoise(4.0), **_PLANNER_CELL)
-    return len(run_ptp_benchmark(cfg).samples)
+    (result,), _ = run_cells([cfg], jobs=1, planner=planner)
+    assert result.trials == 1
+    return len(result.samples)
+
+
+def planner_reference():
+    """The planner pair's control: the same noisy cell, no planner."""
+    return _planner_run(None)
 
 
 def planner_overhead():
     """A fixed-trial run through the adaptive planner's machinery.
 
     ``min_trials == max_trials == 1`` forces exactly the simulation
-    ``planner_reference`` runs; everything else — the convergence check
-    that never fires, the sample merge, the digest rehash — is pure
-    planner overhead, budgeted at 1.05x the reference in the same run.
+    ``planner_reference`` runs, through the same engine path; everything
+    else — per-trial task keys, the convergence check that never fires,
+    the sample merge, the digest rehash — is pure planner overhead,
+    budgeted at 1.05x the reference in the same run.
     """
     from repro.metrics import AdaptiveTrialPlanner
-    from repro.noise import UniformNoise
-    cfg = PtpBenchmarkConfig(noise=UniformNoise(4.0), **_PLANNER_CELL)
-    planner = AdaptiveTrialPlanner(min_trials=1, max_trials=1)
-    result = planner.run_cell(cfg)
-    assert result.trials == 1
-    return len(result.samples)
+    return _planner_run(AdaptiveTrialPlanner(min_trials=1, max_trials=1))
 
 
 #: The tiny grid behind the pool pair: four cells cheap enough that a
-#: per-sweep process spawn dominates, so the warm/cold ratio measures
-#: exactly the boot-once payoff the pool exists for.
+#: process spawn for every sweep dominates, so the warm/cold ratio
+#: measures exactly the boot-once payoff the pool exists for.
 def _pool_cells():
     from repro.core import plan_cells
     base = PtpBenchmarkConfig(message_bytes=1024, partitions=1,
@@ -210,14 +215,17 @@ _WARM_POOL = None
 
 
 def pool_cold_spawn():
-    """A 4-cell sweep that spawns (and tears down) its pool every time.
+    """A 4-cell sweep on a pool it builds and shuts down every time.
 
-    ``run_cells`` with ``jobs=2`` and no ``pool`` is the old
-    per-sweep-executor behaviour: every call pays two process spawns,
-    two worker boots, and the shutdown.
+    Every call pays two process spawns, two worker boots, and the
+    shutdown — what a sweep costs without a kept pool.
     """
-    from repro.core import run_cells
-    results, _ = run_cells(_pool_cells(), jobs=2)
+    from repro.core import WorkerPool, run_cells
+    pool = WorkerPool(2)
+    try:
+        results, _ = run_cells(_pool_cells(), jobs=2, pool=pool)
+    finally:
+        pool.shutdown()
     return len(results)
 
 
@@ -226,9 +234,9 @@ def pool_warm_sweep():
 
     The pool boots on the first call — which ``_time_kernel`` runs
     untimed as its warmup — so the timed repeats measure exactly what a
-    ``--pool keep`` re-sweep costs.  Budgeted at <= 0.5x
+    re-sweep on the kept shared pool costs.  Budgeted at <= 0.5x
     ``pool_cold_spawn`` in the same run (:data:`RATIO_CHECKS`): if a
-    warm re-sweep ever costs more than half a cold spawn-per-sweep, the
+    warm re-sweep ever costs more than half a cold spawn, the
     persistent pool has lost its reason to exist.
     """
     global _WARM_POOL
@@ -259,10 +267,8 @@ def _ship_fixture():
 def ship_roundtrip_codec():
     """Result -> binary wire frame -> queue pickle -> result, 50 times.
 
-    The fast path of the result plane: one struct-packed bytes object
-    crosses the boundary.  Budgeted at <= 0.5x ``ship_roundtrip_dict``
-    in the same run (:data:`RATIO_CHECKS`) — the codec must be at least
-    twice as fast as the dict-of-lists shape it replaced.
+    The result plane's only format: one struct-packed bytes object
+    crosses the boundary.
     """
     import pickle
     from repro.core.wire import decode_result, encode_result
@@ -271,18 +277,6 @@ def ship_roundtrip_codec():
     for _ in range(50):
         frame = pickle.loads(pickle.dumps(encode_result(result)))
         n += len(decode_result(config, frame).samples)
-    return n
-
-
-def ship_roundtrip_dict():
-    """The same round trip through the legacy dict fallback shape."""
-    import pickle
-    from repro.core.pool import result_from_shipped, ship_result
-    config, result = _ship_fixture()
-    n = 0
-    for _ in range(50):
-        shipped = pickle.loads(pickle.dumps(ship_result(result)))
-        n += len(result_from_shipped(config, shipped).samples)
     return n
 
 
@@ -519,7 +513,6 @@ KERNELS = {
     "pool_cold_spawn": pool_cold_spawn,
     "pool_warm_sweep": pool_warm_sweep,
     "ship_roundtrip_codec": ship_roundtrip_codec,
-    "ship_roundtrip_dict": ship_roundtrip_dict,
     "cache_hot_get": cache_hot_get,
     "cache_flat_get": cache_flat_get,
     "pool_batched_sweep64": pool_batched_sweep64,
@@ -567,9 +560,6 @@ RATIO_CHECKS = (
     # sweep paying spawn + boot + shutdown every time — the boot-once
     # promise of repro.core.pool.
     ("pool_warm_sweep", "pool_cold_spawn", 0.5),
-    # The binary wire codec must round-trip a shipped result at least
-    # twice as fast as the dict-of-lists shape it replaced.
-    ("ship_roundtrip_codec", "ship_roundtrip_dict", 0.5),
     # A hot get through the sharded cache (envelope check, shard path,
     # counters) may cost at most 10% over a bare flat read+decode.
     ("cache_hot_get", "cache_flat_get", 1.1),

@@ -28,11 +28,10 @@ from a shell.  ``lint`` and ``check`` expose the
 :mod:`repro.obs` sinks (exit code 2 on unknown ``--kinds`` patterns).
 The point-to-point figures and ``sweep`` run on the parallel engine
 (:mod:`repro.core.parallel`): ``--jobs`` fans grid cells out over worker
-processes — by default one *kept* warm pool (:mod:`repro.core.pool`)
-reused across every sweep the process runs (``--pool per-sweep`` opts
-out) — and ``--cache-dir`` reuses every already-computed cell, with
-results bit-identical to a serial, uncached run (see
-``docs/performance.md``).
+processes — one warm pool (:mod:`repro.core.pool`) reused across every
+sweep the process runs — and ``--cache-dir`` reuses every
+already-computed cell, with results bit-identical to a serial, uncached
+run (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -49,7 +49,7 @@ from .core import (ANALYTIC_MODES, CACHE_SCHEMA_VERSION, METRIC_NAMES,
                    fig5_perceived_bandwidth, fig6_availability,
                    fig7_noise_models, fig8_early_bird, metric_table,
                    provenance_line, recommend_partitions, run_ptp_benchmark,
-                   save_sweep, series_table, shared_pool, sweep_ptp)
+                   save_sweep, series_table, sweep_ptp)
 from .core.report import ascii_table, format_bytes
 from .faults import parse_fault_spec
 from .metrics import AdaptiveTrialPlanner
@@ -64,12 +64,11 @@ __all__ = ["main", "build_parser"]
 def _engine_options(args) -> Dict:
     """The engine kwargs a ptp figure driver understands.
 
-    ``jobs``/``cache`` as before, plus ``analytic`` dispatch, — when
+    ``jobs``/``cache`` as before, plus ``analytic`` dispatch and — when
     ``--ci-target`` is given — an :class:`AdaptiveTrialPlanner` for the
-    nondeterministic cells, and the worker pool: ``--pool keep`` (the
-    default) executes on the process-wide :func:`shared_pool`, whose
-    warm workers survive from sweep to sweep; ``--pool per-sweep``
-    restores the old spawn-per-sweep behaviour.  An invalid ``--jobs``
+    nondeterministic cells.  ``--jobs`` above 1 runs on the process-wide
+    shared pool, whose warm workers survive from sweep to sweep (see
+    :func:`~repro.core.parallel.run_cells`).  An invalid ``--jobs``
     (anything below 1) raises :class:`~repro.errors.ConfigurationError`
     instead of silently falling back to one worker.
     """
@@ -84,15 +83,11 @@ def _engine_options(args) -> Dict:
     jobs = getattr(args, "jobs", 1)
     if jobs is None:  # --jobs default when os.cpu_count() is unknown
         jobs = os.cpu_count() or 1
-    pool = None
-    if jobs > 1 and getattr(args, "pool", "keep") == "keep":
-        pool = shared_pool(jobs)
     return {
         "jobs": jobs,
         "cache": ResultCache(cache_dir) if cache_dir else None,
         "analytic": getattr(args, "analytic", "off"),
         "planner": planner,
-        "pool": pool,
     }
 
 
@@ -403,7 +398,7 @@ def _cmd_sweep(args) -> str:
     cache = engine["cache"]
     sweep = sweep_ptp(base, sizes, counts, jobs=engine["jobs"],
                       cache=cache, analytic=engine["analytic"],
-                      planner=engine["planner"], pool=engine["pool"])
+                      planner=engine["planner"])
     metrics = METRIC_NAMES if args.metric == "all" else (args.metric,)
     parts = [metric_table(sweep, metric, title=f"sweep — {metric}")
              for metric in metrics]
@@ -423,16 +418,11 @@ def _cmd_sweep(args) -> str:
 
 
 def _cmd_cache(args) -> str:
-    """Inspect, clear, or migrate a content-addressed cache directory."""
+    """Inspect or clear a content-addressed cache directory."""
     cache = ResultCache(args.cache_dir)
     if args.action == "clear":
         removed = cache.clear()
         return f"cleared {removed} cached result(s) from {cache.root}"
-    if args.action == "migrate":
-        upgraded = cache.migrate()
-        return (f"migrated {upgraded} legacy JSON entr(y/ies) to the "
-                f"binary format; {len(cache)} entry(ies) now at "
-                f"{cache.root}")
     stats = cache.stats()
     return (f"cache at {cache.root}: {stats['entries']} entry(ies) on "
             f"disk, schema v{CACHE_SCHEMA_VERSION}")
@@ -619,11 +609,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="worker processes for grid cells (default: all cores); "
              "results are bit-identical to --jobs 1")
     parser.add_argument(
-        "--pool", default="keep", choices=["keep", "per-sweep"],
-        help="worker-pool lifetime: 'keep' (default) reuses one warm "
-             "pool across every sweep this process runs; 'per-sweep' "
-             "spawns and tears down workers for each sweep")
-    parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="content-addressed result cache: cells whose config is "
              "unchanged are reloaded instead of re-simulated")
@@ -657,10 +642,9 @@ def _cmd_serve(args) -> int:
     from .service import SweepScheduler, SweepService
 
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    pool = shared_pool(jobs) if jobs > 1 else None
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     scheduler = SweepScheduler(
-        pool=pool, cache=cache, jobs=jobs, analytic=args.analytic,
+        cache=cache, jobs=jobs, analytic=args.analytic,
         quota=args.quota, batch_window=args.batch_window,
         max_batch=args.max_batch, dispatchers=args.dispatchers)
     service = SweepService(scheduler, host=args.host, port=args.port,
@@ -670,6 +654,10 @@ def _cmd_serve(args) -> int:
     print(f"repro service: http://{host}:{port} "
           f"(jobs={jobs}, quota={args.quota}, "
           f"cache={'on' if cache is not None else 'off'})", flush=True)
+    # SIGTERM (how supervisors and load_test.py stop the daemon) takes
+    # the SIGINT path, so exit shuts the pool's workers down instead of
+    # orphaning them.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         service.serve_forever()
     except KeyboardInterrupt:
@@ -725,8 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ca = sub.add_parser(
         "cache",
-        help="inspect, clear, or migrate a result-cache directory")
-    ca.add_argument("action", choices=["info", "clear", "migrate"])
+        help="inspect or clear a result-cache directory")
+    ca.add_argument("action", choices=["info", "clear"])
     ca.add_argument("--cache-dir", required=True,
                     help="cache directory to act on")
 

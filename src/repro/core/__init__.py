@@ -37,8 +37,7 @@ from .suite import (QUICK_MESSAGE_SIZES, QUICK_PARTITION_COUNTS,
                     fig4_overhead, fig5_perceived_bandwidth,
                     fig6_availability, fig7_noise_models, fig8_early_bird)
 from .sweep import METRIC_NAMES, SweepPoint, SweepResult, sweep_ptp
-from .wire import (WIRE_VERSION, WireError, decode_payload, decode_result,
-                   encode_result)
+from .wire import WIRE_VERSION, WireError, decode_result, encode_result
 
 __all__ = [
     "COLD",
@@ -100,7 +99,6 @@ __all__ = [
     "sweep_ptp",
     "WIRE_VERSION",
     "WireError",
-    "decode_payload",
     "decode_result",
     "encode_result",
 ]

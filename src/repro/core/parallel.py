@@ -5,11 +5,13 @@ simulations: each cell builds its own two-rank cluster from its own
 config, so cells can run in any order — or concurrently — without
 changing a single bit of any result.  This module exploits that twice:
 
-* :func:`run_cells` fans grid cells out over a persistent
-  :class:`~repro.core.pool.WorkerPool` (``jobs`` workers, spawned
-  lazily and clamped to the pending cell count), reassembling streamed
-  results in the serial cell order so a parallel sweep is bit-identical
-  to ``jobs=1`` — and a reused warm pool is bit-identical to both.
+* :func:`run_cells` drains every executed cell through one
+  :class:`~repro.core.pool.WorkerPool` session — a passed-in pool, the
+  process-wide :func:`~repro.core.pool.shared_pool` for ``jobs > 1``,
+  or a workerless pool that runs each task inline for ``jobs=1`` —
+  reassembling streamed results in the serial cell order, so a
+  parallel sweep is bit-identical to ``jobs=1`` and a reused warm pool
+  is bit-identical to both.
   Under an :class:`~repro.metrics.AdaptiveTrialPlanner` the unit of
   pool work shrinks from a cell to a single trial, so CI-targeted
   refinement of one noisy cell overlaps with every other cell's trials.
@@ -17,8 +19,8 @@ changing a single bit of any result.  This module exploits that twice:
   :func:`config_fingerprint` — a stable hash of the *fully resolved*
   :class:`~repro.core.config.PtpBenchmarkConfig`, substrate presets
   included.  Re-running a figure only computes cells whose configuration
-  actually changed; everything else is reloaded losslessly through
-  :mod:`repro.core.persistence`.
+  actually changed; everything else is reloaded losslessly from its
+  :mod:`~repro.core.wire` frame.
 
 Determinism is preserved by construction: per-cell seeds are derived from
 the base seed and the cell coordinates (:func:`derive_cell_seed`), never
@@ -43,9 +45,8 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
 
 from ..errors import ConfigurationError
 from .config import PtpBenchmarkConfig
-from .persistence import result_from_dict
-from .pool import WorkerPool, result_from_shipped
-from .runner import PtpResult, run_ptp_benchmark
+from .pool import PoolRunStats, WorkerPool, _inline_pool, shared_pool
+from .runner import PtpResult
 from .wire import WireError, decode_result, encode_result
 
 __all__ = ["CACHE_SCHEMA_VERSION", "FINGERPRINT_VERSION", "ANALYTIC_MODES",
@@ -62,8 +63,8 @@ __all__ = ["CACHE_SCHEMA_VERSION", "FINGERPRINT_VERSION", "ANALYTIC_MODES",
 JOIN_TIMEOUT_SECONDS = 120.0
 
 #: Bumped whenever cached entries become unreadable by newer code (layout
-#: changes).  Old entries are simply treated as misses (or upgraded by
-#: :meth:`ResultCache.migrate` when the stored state is still valid).
+#: changes).  The cache is derived data: an entry of another schema is a
+#: miss, recomputed and overwritten on the next put.
 #: 2: results carry the instrumentation-stream digest (repro.obs).
 #: 3: results carry the fault outcome (repro.faults).
 #: 4: results carry their provenance (source + merged trial count).
@@ -73,13 +74,8 @@ CACHE_SCHEMA_VERSION = 5
 #: Mixed into :func:`config_fingerprint` — bumped only when *simulation
 #: semantics* change, so stored results are actually stale.  The v5
 #: on-disk format change was layout-only (the same timelines, digests,
-#: and provenance, packed differently), so fingerprints deliberately
-#: stay compatible with v4: that is what lets ``migrate()`` upgrade a
-#: v4 cache in place without recomputing a single cell.
+#: and provenance, packed differently), so fingerprints stayed at 4.
 FINGERPRINT_VERSION = 4
-
-#: The JSON value-format generation :meth:`ResultCache.migrate` upgrades.
-_LEGACY_JSON_SCHEMA = 4
 
 #: Cache entry envelope: magic, schema, label length; the config label
 #: (debuggability only) and the wire frame follow.
@@ -452,42 +448,6 @@ class ResultCache:
             self.singleflight_hits = 0
         return removed
 
-    def migrate(self) -> int:
-        """One-shot upgrade of legacy v4 JSON entries to the v5 format.
-
-        Handles both historical layouts — flat ``<root>/<fp>.json`` and
-        sharded ``<root>/ab/<fp>.json`` — re-encoding each record's
-        timelines as a wire frame under the sharded binary layout and
-        removing the JSON original.  Fingerprints are preserved verbatim
-        (the v4→v5 change was layout-only, see
-        :data:`FINGERPRINT_VERSION`), so every migrated entry resolves
-        for exactly the configs it did before, with zero recomputation.
-        Returns the number of entries migrated; unreadable or
-        older-schema files are left untouched.
-        """
-        if not self.root.exists():
-            return 0
-        migrated = 0
-        candidates = (list(self.root.glob("*.json"))
-                      + list(self.root.glob("*/*.json")))
-        for path in candidates:
-            try:
-                data = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            fingerprint = data.get("fingerprint")
-            if data.get("schema") != _LEGACY_JSON_SCHEMA or not fingerprint:
-                continue
-            try:
-                result = result_from_dict(data["result"])
-                frame = encode_result(result)
-            except (KeyError, ConfigurationError, WireError):
-                continue
-            self._write(fingerprint, data.get("label", ""), frame)
-            path.unlink()
-            migrated += 1
-        return migrated
-
 
 # ---------------------------------------------------------------------------
 # The execution engine
@@ -573,74 +533,64 @@ def plan_cells(base: PtpBenchmarkConfig,
     return cells
 
 
-def _run_des_cell(config: PtpBenchmarkConfig, planner=None) -> PtpResult:
-    """One cell through the simulator, adaptively re-trialled if planned."""
-    if planner is not None:
-        return planner.run_cell(config)
-    return run_ptp_benchmark(config)
-
-
 def _run_pooled(pool: WorkerPool,
                 pending: List[Tuple[int, PtpBenchmarkConfig]],
                 results: Dict[int, PtpResult],
-                stats: SweepStats,
-                planner=None) -> None:
-    """Stream the pending cells through a :class:`WorkerPool` session.
+                planner=None) -> PoolRunStats:
+    """Stream the pending cells through one :class:`WorkerPool` session.
 
     Plain (or deterministic) cells are whole-cell tasks keyed
     ``(cell, -1)``.  Under a planner, each nondeterministic cell is
     decomposed into per-trial tasks keyed ``(cell, trial)``; follow-up
     batches are submitted the moment a cell's scheduled trials have all
-    streamed back, using the planner's own
-    :meth:`~repro.metrics.AdaptiveTrialPlanner.plan_next` — the same
-    decision procedure, fed the same trial-ordered results, as the
-    serial path, so trial counts and merged digests are bit-identical
-    while one cell's refinement overlaps every other cell's work.
+    streamed back, decided by the planner's
+    :meth:`~repro.metrics.AdaptiveTrialPlanner.plan_next` on the
+    trial-ordered results — so trial counts and merged digests do not
+    depend on the pool, its size, or completion order, while one cell's
+    refinement overlaps every other cell's work.  Returns the session's
+    counters, already absorbed into ``pool.stats``.
     """
-    session = pool.session()
     configs = dict(pending)
+    #: (cell, trial) -> the reseeded config that trial runs.
+    trial_cfgs: Dict[Tuple[int, int], PtpBenchmarkConfig] = {}
     trial_results: Dict[int, Dict[int, PtpResult]] = {}
     scheduled: Dict[int, int] = {}
 
-    def submit_trials(i: int, config: PtpBenchmarkConfig,
-                      count: int) -> None:
-        start = scheduled.get(i, 0)
-        trial_cfgs = planner.trial_configs(config, start, count)
-        for t, trial_cfg in enumerate(trial_cfgs, start):
-            session.submit((i, t), trial_cfg)
-        scheduled[i] = start + count
+    with pool.session() as session:
 
-    for i, config in pending:
-        if planner is not None and not config.is_deterministic:
-            trial_results[i] = {}
-            submit_trials(i, config, planner.plan_next(config, []))
-        else:
-            session.submit((i, -1), config)
+        def submit_trials(i: int, count: int) -> None:
+            start = scheduled.get(i, 0)
+            for t, cfg in enumerate(
+                    planner.trial_configs(configs[i], start, count), start):
+                trial_cfgs[i, t] = cfg
+                session.submit((i, t), cfg)
+            scheduled[i] = start + count
 
-    for (i, t), shipped in session.results():
-        config = configs[i]
-        if t < 0:
-            results[i] = result_from_shipped(config, shipped)
-            continue
-        done = trial_results[i]
-        done[t] = result_from_shipped(planner.trial_config(config, t),
-                                      shipped)
-        if len(done) < scheduled[i]:
-            continue
-        ordered = [done[trial] for trial in range(len(done))]
-        more = planner.plan_next(config, ordered)
-        if more:
-            submit_trials(i, config, more)
-        else:
-            results[i] = planner.merge_trials(config, ordered)
+        for i, config in pending:
+            if planner is not None and not config.is_deterministic:
+                trial_results[i] = {}
+                submit_trials(i, planner.plan_next(config, []))
+            else:
+                session.submit((i, -1), config)
 
-    run = session.stats
-    pool.stats.absorb(run)
-    stats.warm_hits += run.warm_tasks
-    stats.stolen_cells += run.stolen_tasks
-    for worker_id, count in run.worker_tasks.items():
-        stats.worker_cells[worker_id] = \
-            stats.worker_cells.get(worker_id, 0) + count
+        for (i, t), frame in session.results():
+            config = configs[i]
+            if t < 0:
+                results[i] = decode_result(config, frame)
+                continue
+            done = trial_results[i]
+            done[t] = decode_result(trial_cfgs.pop((i, t)), frame)
+            if len(done) < scheduled[i]:
+                continue
+            ordered = [done[trial] for trial in range(len(done))]
+            more = planner.plan_next(config, ordered)
+            if more:
+                submit_trials(i, more)
+            else:
+                results[i] = planner.merge_trials(config, ordered)
+
+    pool.stats.absorb(session.stats)
+    return session.stats
 
 
 #: ``analytic`` dispatch modes accepted by :func:`run_cells`.
@@ -663,9 +613,12 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
     cells:
         Fully resolved configs, e.g. from :func:`plan_cells`.
     jobs:
-        Worker processes; ``None`` means ``os.cpu_count()``.  ``jobs=1``
-        runs inline in this process (no pool, no serialization detour for
-        cached comparisons — results are identical either way).
+        Worker processes; ``None`` means ``os.cpu_count()``.  Without a
+        ``pool``, ``jobs > 1`` runs on the process-wide
+        :func:`~repro.core.pool.shared_pool` and ``jobs=1`` runs every
+        task inline in this thread — through the same session drain and
+        wire frame, with no process, queue, or pipe.  Results are
+        identical either way.
     cache:
         A :class:`ResultCache`, or a path to create one at, or ``None`` to
         always simulate.  Hits skip simulation entirely; fresh results are
@@ -684,21 +637,20 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
         An :class:`~repro.metrics.AdaptiveTrialPlanner`; nondeterministic
         DES cells then run trials until their CI target is met.  Planned
         results are cached under a planner-salted fingerprint so they
-        never alias fixed-trial entries.  On a pool, each trial is its
-        own task, so one cell's refinement overlaps other cells.
+        never alias fixed-trial entries.  Each trial is its own task, so
+        on a pool one cell's refinement overlaps other cells.
     pool:
         A live :class:`~repro.core.pool.WorkerPool` to execute on — its
-        warm workers are reused and left running (the CLI's ``--pool
-        keep`` mode, and the sweep-service execution path).  ``None``
-        spawns a transient pool sized ``min(jobs, pending cells)`` when
-        ``jobs > 1`` needs one, and shuts it down afterwards.  Results
-        are bit-identical in every mode.
+        warm workers are reused and left running (the sweep-service
+        execution path).  Overrides ``jobs``.
     join_timeout:
         Bound (seconds) on waiting for a *concurrent* sweep's in-flight
         computation of an identical cell before giving up and computing
         it here (default :data:`JOIN_TIMEOUT_SECONDS`).  ``None`` waits
         forever — only safe when every possible leader is known to
         reach ``put`` or ``abandon``.
+
+    Cache hits and analytic answers never open a pool session.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -723,13 +675,34 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
 
     stats = SweepStats(jobs=jobs, total_cells=len(cells))
     results: Dict[int, PtpResult] = {}
+
+    def execute(batch: List[Tuple[int, PtpBenchmarkConfig]]) -> None:
+        """Run ``batch`` through one session drain, then store it."""
+        engine = pool
+        if engine is None and jobs > 1:
+            engine = shared_pool(jobs)
+        run = _run_pooled(engine if engine is not None else _inline_pool(),
+                          batch, results, planner)
+        if engine is not None:
+            # Worker counters describe a pool; the inline path has none.
+            stats.warm_hits += run.warm_tasks
+            stats.stolen_cells += run.stolen_tasks
+            for worker_id, count in run.worker_tasks.items():
+                stats.worker_cells[worker_id] = \
+                    stats.worker_cells.get(worker_id, 0) + count
+        for i, config in batch:
+            stats.trials += results[i].trials
+            if cache is not None:
+                # put() also publishes to any concurrent joiner.
+                cache.put(config, results[i], salt=cell_salt(config))
+
     pending: List[Tuple[int, PtpBenchmarkConfig]] = []
     #: fingerprint -> leader cell index, for cells this call executes.
     claimed: Dict[str, int] = {}
     #: This grid's duplicate cells: they share the leader's result.
     followers: List[Tuple[int, str]] = []
     #: Cells a *concurrent* sweep (same cache) is already computing.
-    joiners: List[Tuple[int, PtpBenchmarkConfig, _Flight, str]] = []
+    joiners: List[Tuple[int, PtpBenchmarkConfig, _Flight]] = []
     for i, config in enumerate(cells):
         if progress is not None:
             progress(config)
@@ -758,34 +731,16 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
         if cache is not None:
             flight = cache.claim(fingerprint)
             if flight is not None:
-                joiners.append((i, config, flight, fingerprint))
+                joiners.append((i, config, flight))
                 stats.singleflight_hits += 1
                 continue
         claimed[fingerprint] = i
         pending.append((i, config))
 
     stats.executed = len(pending)
-
     if pending:
         try:
-            if pool is None and (jobs == 1 or len(pending) == 1):
-                for i, config in pending:
-                    results[i] = _run_des_cell(config, planner)
-            elif pool is not None:
-                _run_pooled(pool, pending, results, stats, planner)
-            else:
-                # Transient pool, clamped to the work: ``--jobs 64`` on a
-                # 4-cell grid spawns 4 workers, not 64.
-                transient = WorkerPool(min(jobs, len(pending)))
-                try:
-                    _run_pooled(transient, pending, results, stats, planner)
-                finally:
-                    transient.shutdown()
-            for i, config in pending:
-                stats.trials += results[i].trials
-                if cache is not None:
-                    # put() also publishes to any concurrent joiner.
-                    cache.put(config, results[i], salt=cell_salt(config))
+            execute(pending)
         except BaseException:
             if cache is not None:
                 # Wake anyone waiting on our claims; they recompute.
@@ -797,17 +752,19 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
         # Duplicate configs are bit-identical by construction, so the
         # leader's (immutable-sample) result is shared as-is.
         results[i] = results[claimed[fingerprint]]
-    for i, config, flight, fingerprint in joiners:
+    orphaned: List[Tuple[int, PtpBenchmarkConfig]] = []
+    for i, config, flight in joiners:
         joined = cache.join(flight, config, timeout=join_timeout)
         if joined is None:
-            # The concurrent leader abandoned (or died without ever
-            # publishing, and the bounded join expired): compute the
-            # cell here.  The put below pops any stale flight and wakes
-            # its remaining joiners with this result.
-            joined = _run_des_cell(config, planner)
-            stats.executed += 1
-            stats.trials += joined.trials
-            cache.put(config, joined, salt=cell_salt(config))
-        results[i] = joined
+            orphaned.append((i, config))
+        else:
+            results[i] = joined
+    if orphaned:
+        # The concurrent leader abandoned (or died without ever
+        # publishing, and the bounded join expired): compute the cells
+        # here.  Each put pops the stale flight and wakes its remaining
+        # joiners with this result.
+        stats.executed += len(orphaned)
+        execute(orphaned)
 
     return [results[i] for i in range(len(cells))], stats

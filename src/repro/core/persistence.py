@@ -12,10 +12,7 @@ re-running.
 
 This JSON layer is the *archival* format.  Results crossing a process or
 cache boundary travel as packed binary frames instead
-(:mod:`repro.core.wire`); the dict shapes here remain the codec's
-fallback, and :func:`result_from_dict` is what
-:meth:`~repro.core.parallel.ResultCache.migrate` uses to read legacy v4
-JSON cache records when upgrading them in place.
+(:mod:`repro.core.wire`).
 """
 
 from __future__ import annotations

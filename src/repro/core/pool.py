@@ -36,7 +36,11 @@ Crash handling degrades structurally instead of hanging: a dead worker's
 queued tasks are redistributed, its in-flight task is retried once on a
 surviving worker, and a task that keeps killing workers (or a pool with
 no survivors) runs inline in the manager, where an error surfaces as an
-ordinary exception.
+ordinary exception.  That inline drain is also the whole ``jobs=1``
+path: a pool that never spawns a worker runs every task in the caller's
+thread, through the same session and wire frame.  A session owns its
+pool from first submit to drain, so concurrent sweeps on one pool take
+turns instead of interleaving their task ids and epochs.
 
 Everything the pool does is observable through ``pool.*`` typed kinds on
 the pool's own :class:`~repro.obs.EventBus` (worker boots, dispatches,
@@ -51,6 +55,7 @@ import atexit
 import itertools
 import multiprocessing
 import os
+import threading
 import time
 import traceback
 from collections import deque
@@ -59,18 +64,16 @@ from queue import Empty
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError, ReproError
-from ..faults import FaultOutcome
 from ..obs import EventBus
 from ..obs.kinds import (POOL_DISPATCH, POOL_DISPATCH_BATCH, POOL_DRAIN,
                          POOL_RESULT, POOL_RESULT_BATCH, POOL_STEAL,
                          POOL_WORKER_BOOT, POOL_WORKER_CRASH)
 from .config import PtpBenchmarkConfig
-from .persistence import sample_from_dict, sample_to_dict
-from .runner import PtpResult, run_ptp_benchmark
-from .wire import WireError, decode_result, encode_result
+from .runner import run_ptp_benchmark
+from .wire import encode_result
 
 __all__ = ["PoolRunStats", "PoolTaskError", "WorkerPool", "shared_pool",
-           "shutdown_shared_pool", "result_from_shipped", "ship_result"]
+           "shutdown_shared_pool"]
 
 #: How long the manager blocks on the result queue before polling worker
 #: liveness.  Purely a crash-detection latency bound; correctness does
@@ -100,64 +103,10 @@ class PoolTaskError(ReproError):
     """
 
 
-# ---------------------------------------------------------------------------
-# The wire format: what a worker ships back per task
-# ---------------------------------------------------------------------------
-
-def ship_result(result: PtpResult) -> Dict:
-    """Reduce a result to the dict a worker streams to the manager.
-
-    Only the sample timelines, the event-stream digest, the trial count,
-    and any fault outcome cross the process boundary; the manager
-    recomputes derived metrics from the timelines exactly as a
-    deserializing load does, so pooled results match serial ones bit for
-    bit — and the shipped digest proves the worker's event stream was
-    identical too.
-    """
-    shipped = {
-        "samples": [sample_to_dict(s) for s in result.samples],
-        "event_digest": result.event_digest,
-        "trials": result.trials,
-    }
-    if result.fault_outcome is not None:
-        shipped["fault_outcome"] = result.fault_outcome.to_dict()
-    return shipped
-
-
-def result_from_shipped(config: PtpBenchmarkConfig,
-                        shipped) -> PtpResult:
-    """Rebuild a :class:`PtpResult` from a worker's shipped payload.
-
-    Accepts both payload shapes a worker may stream: the binary
-    :mod:`~repro.core.wire` frame (the fast path) and the dict fallback
-    above.
-    """
-    if isinstance(shipped, (bytes, bytearray, memoryview)):
-        return decode_result(config, shipped)
-    result = PtpResult(config=config,
-                       event_digest=shipped.get("event_digest"),
-                       trials=shipped.get("trials", 1))
-    outcome = shipped.get("fault_outcome")
-    if outcome is not None:
-        result.fault_outcome = FaultOutcome.from_dict(outcome)
-    for s in shipped["samples"]:
-        result.samples.append(sample_from_dict(s))
-    return result
-
-
-def _execute_shipped(config: PtpBenchmarkConfig):
-    """Run one config (in whichever process) and ship its result.
-
-    The preferred shape is a binary :mod:`~repro.core.wire` frame — one
-    flat bytes object instead of a dict of per-sample dicts of lists —
-    which the queue pickles in a single opcode.  A result the codec
-    cannot frame degrades to the dict fallback.
-    """
-    result = run_ptp_benchmark(config)
-    try:
-        return encode_result(result)
-    except WireError:
-        return ship_result(result)
+def _execute(config: PtpBenchmarkConfig) -> bytes:
+    """Run one config (in whichever process) as a :mod:`~repro.core.wire`
+    frame: one bytes object the queue pickles in a single opcode."""
+    return encode_result(run_ptp_benchmark(config))
 
 
 def _worker_main(worker_id: int, tasks, results) -> None:
@@ -182,7 +131,7 @@ def _worker_main(worker_id: int, tasks, results) -> None:
         entries = []
         for task_id, config in chunk:
             try:
-                entries.append((task_id, _execute_shipped(config)))
+                entries.append((task_id, _execute(config)))
             except Exception as exc:  # ships the traceback
                 entries.append((task_id,
                                 ("error", f"{type(exc).__name__}: {exc}",
@@ -233,7 +182,7 @@ class _Worker:
     """Manager-side handle for one worker process."""
 
     __slots__ = ("id", "process", "tasks", "queue", "booted", "busy",
-                 "current", "spawned_at", "dispatched_at")
+                 "current", "epoch", "spawned_at", "dispatched_at")
 
     def __init__(self, worker_id: int, process, tasks) -> None:
         self.id = worker_id
@@ -243,6 +192,7 @@ class _Worker:
         self.booted = False
         self.busy = False
         self.current: Optional[List[int]] = None  # in-flight chunk ids
+        self.epoch = 0  # the session epoch ``current`` was dispatched in
         # Host clock, on purpose: pool lifecycle telemetry is
         # manager-side wall time, never simulated time.
         self.spawned_at = time.monotonic()  # simlint: disable=SIM101
@@ -255,19 +205,24 @@ class _Worker:
 
 
 class _PoolSession:
-    """One streaming run over a :class:`WorkerPool` (single-flight).
+    """One streaming run over a :class:`WorkerPool`.
 
     ``submit()`` may be called while ``results()`` is being consumed —
     that is how the adaptive planner schedules follow-up trial batches
-    as earlier ones stream in.
+    as earlier ones stream in.  The first submit takes the pool (see
+    :meth:`WorkerPool.session`); draining :meth:`results` or calling
+    :meth:`close` gives it back.  Use the session as a context manager
+    so that an abandoned run gives the pool back too.
     """
 
     def __init__(self, pool: "WorkerPool") -> None:
         self._pool = pool
         self.stats = PoolRunStats()
-        #: Workers that were live before this run began: tasks they
-        #: complete are "warm" executions.
-        self._warm_ids = set(pool._workers)
+        self._owned = False
+        self._epoch = 0
+        #: Workers that were live when this run took the pool: tasks
+        #: they complete are "warm" executions.
+        self._warm_ids: set = set()
         self._payloads: Dict[int, PtpBenchmarkConfig] = {}
         self._keys: Dict[int, object] = {}
         self._crashes: Dict[int, int] = {}
@@ -275,19 +230,51 @@ class _PoolSession:
         self._inline: deque = deque()  # task ids the manager will run
         self._ids = itertools.count()
 
+    def __enter__(self) -> "_PoolSession":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- pool ownership ----------------------------------------------------
+
+    def _take(self) -> None:
+        pool = self._pool
+        pool._lock.acquire()
+        self._owned = True
+        pool._epoch += 1
+        self._epoch = pool._epoch
+        self._warm_ids = set(pool._workers)
+
+    def close(self) -> None:
+        """Give the pool back (idempotent); undispatched tasks are dropped.
+
+        Chunks already running on a worker finish there; their replies
+        carry this run's epoch, so the next session frees the worker and
+        discards the results.
+        """
+        if not self._owned:
+            return
+        self._owned = False
+        for worker in self._pool._workers.values():
+            worker.queue.clear()
+        self._pool._lock.release()
+
     # -- submission --------------------------------------------------------
 
     def submit(self, key, config: PtpBenchmarkConfig) -> None:
         """Enqueue one task; results stream back under ``key``."""
+        if not self._owned:
+            self._take()
         task_id = next(self._ids)
         self._keys[task_id] = key
         self._payloads[task_id] = config
         pool = self._pool
         worker = pool._place(self)
         if worker is None:
-            # No workers could be (re)started at all: degrade inline —
-            # queued here, *executed* when results() drains, so a
-            # crash-degraded manager does no work at submit time.
+            # No worker exists or can start: run inline — queued here,
+            # *executed* when results() drains, so submit never
+            # simulates.
             self._inline.append(task_id)
             return
         worker.queue.append(task_id)
@@ -300,62 +287,65 @@ class _PoolSession:
         """Tasks submitted whose results have not been yielded yet."""
         return len(self._payloads) - len(self._done) - len(self._inline)
 
-    def results(self) -> Iterator[Tuple[object, object]]:
-        """Yield ``(key, payload)`` as tasks complete, until drained.
+    def results(self) -> Iterator[Tuple[object, bytes]]:
+        """Yield ``(key, frame)`` as tasks complete, until drained.
 
-        ``payload`` is what the executing side shipped — a binary
-        :mod:`~repro.core.wire` frame, or the dict fallback; rebuild
-        with :func:`result_from_shipped`.  Completion order follows
-        execution, not submission; callers that need submission order
-        reassemble by key.  Worker crashes are absorbed here (requeue,
-        retry, inline fallback); a task that *raised* inside a worker
-        re-raises as :class:`PoolTaskError`.
+        ``frame`` is the task's binary :mod:`~repro.core.wire` frame;
+        rebuild the result with :func:`~repro.core.wire.decode_result`.
+        Completion order follows execution, not submission; callers that
+        need submission order reassemble by key.  Worker crashes are
+        absorbed here (requeue, retry, inline fallback); a task that
+        *raised* inside a worker re-raises as :class:`PoolTaskError`,
+        and one that raised inline re-raises unchanged.  The pool is
+        given back when the drain ends, however it ends.
         """
         pool = self._pool
-        while self._inline or self.outstanding():
-            if self._inline:
-                task_id = self._inline.popleft()
-                if task_id in self._done:
-                    continue  # completed by a worker retry meanwhile
-                shipped = _execute_shipped(self._payloads[task_id])
-                self.stats.inline_tasks += 1
-                yield self._finish(task_id, -1, shipped)
-                continue
-            message = self._next_message()
-            if message is None:
-                continue  # crash recovery queued inline work
-            kind = message[0]
-            if kind == "boot":
-                pool._mark_booted(message[1], message[2], self)
-                continue
-            _, worker_id, epoch, entries = message
-            chunk_ids = [task_id for task_id, _ in entries]
-            worker = pool._workers.get(worker_id)
-            if worker is not None and worker.current == chunk_ids and \
-                    epoch == pool._epoch:
-                worker.busy = False
-                worker.current = None
-                pool._observe_cost(
-                    (time.monotonic()  # simlint: disable=SIM101
-                     - worker.dispatched_at) / max(1, len(chunk_ids)))
-                pool._refill(worker, self)
-            if epoch != pool._epoch:
-                continue  # stale epoch: an abandoned run's leftovers
-            pool.obs.emit(POOL_RESULT_BATCH, pool._now(), worker_id,
-                          len(entries))
-            for task_id, payload in entries:
-                if task_id in self._done:
-                    continue  # a crash-retry duplicate
-                if isinstance(payload, tuple):
-                    raise PoolTaskError(
-                        f"task {self._keys[task_id]!r} failed in pool "
-                        f"worker {worker_id}: {payload[1]}\n{payload[2]}")
-                yield self._finish(task_id, worker_id, payload)
-        pool.obs.emit(POOL_DRAIN, pool._now(), self.stats.tasks,
-                      self.stats.stolen_tasks, self.stats.crashed_workers)
+        try:
+            while self._inline or self.outstanding():
+                if self._inline:
+                    task_id = self._inline.popleft()
+                    if task_id in self._done:
+                        continue  # completed by a worker retry meanwhile
+                    frame = _execute(self._payloads[task_id])
+                    self.stats.inline_tasks += 1
+                    yield self._finish(task_id, -1, frame)
+                    continue
+                message = self._next_message()
+                if message is None:
+                    continue  # crash recovery queued inline work
+                if message[0] == "boot":
+                    pool._mark_booted(message[1], message[2])
+                    continue
+                _, worker_id, epoch, entries = message
+                chunk_ids = [task_id for task_id, _ in entries]
+                worker = pool._workers.get(worker_id)
+                if worker is not None and worker.current == chunk_ids and \
+                        worker.epoch == epoch:
+                    worker.busy = False
+                    worker.current = None
+                    pool._observe_cost(
+                        (time.monotonic()  # simlint: disable=SIM101
+                         - worker.dispatched_at) / max(1, len(chunk_ids)))
+                    pool._refill(worker, self)
+                if epoch != self._epoch:
+                    continue  # stale epoch: an abandoned run's leftovers
+                pool.obs.emit(POOL_RESULT_BATCH, pool._now(), worker_id,
+                              len(entries))
+                for task_id, payload in entries:
+                    if task_id in self._done:
+                        continue  # a crash-retry duplicate
+                    if isinstance(payload, tuple):
+                        raise PoolTaskError(
+                            f"task {self._keys[task_id]!r} failed in pool "
+                            f"worker {worker_id}: {payload[1]}\n{payload[2]}")
+                    yield self._finish(task_id, worker_id, payload)
+            pool.obs.emit(POOL_DRAIN, pool._now(), self.stats.tasks,
+                          self.stats.stolen_tasks, self.stats.crashed_workers)
+        finally:
+            self.close()
 
     def _finish(self, task_id: int, worker_id: int,
-                shipped) -> Tuple[object, object]:
+                frame: bytes) -> Tuple[object, bytes]:
         self._done.add(task_id)
         self.stats.tasks += 1
         self.stats.worker_tasks[worker_id] = \
@@ -364,7 +354,7 @@ class _PoolSession:
             self.stats.warm_tasks += 1
         pool = self._pool
         pool.obs.emit(POOL_RESULT, pool._now(), worker_id, task_id)
-        return self._keys[task_id], shipped
+        return self._keys[task_id], frame
 
     def _next_message(self):
         pool = self._pool
@@ -402,8 +392,10 @@ class _PoolSession:
         dead = [w for w in pool._workers.values()
                 if not w.process.is_alive()]
         for worker in dead:
-            in_flight = [t for t in (worker.current or ())
-                         if t not in self._done]
+            # A chunk from an abandoned earlier run is not ours to retry.
+            current = (worker.current or ()) \
+                if worker.epoch == self._epoch else ()
+            in_flight = [t for t in current if t not in self._done]
             pool.obs.emit(POOL_WORKER_CRASH, pool._now(), worker.id,
                           in_flight[0] if in_flight else -1)
             self.stats.crashed_workers += 1
@@ -444,7 +436,8 @@ class WorkerPool:
     zero spawn or import cost (its cells count as ``warm_tasks``).
 
     Use :meth:`run` for a plain "one result per config" mapping or
-    :meth:`session` for streaming/dynamic workloads, and
+    :meth:`session` for streaming/dynamic workloads (one session at a
+    time owns the pool), and
     :meth:`shutdown` (or process exit — workers are daemons) to stop it.
     Results are bit-identical to inline execution by construction; see
     the module docstring.
@@ -472,10 +465,14 @@ class WorkerPool:
         #: Lifetime totals across every run of this pool.
         self.stats = PoolRunStats()
         self._ctx = multiprocessing.get_context(mp_context)
-        self._results = self._ctx.Queue()
+        #: The shared result queue, created with the first worker: a
+        #: pool that never spawns holds no queue and no pipe.
+        self._results = None
         self._workers: Dict[int, _Worker] = {}
         self._next_worker_id = 0
         self._epoch = 0
+        #: Held by the session that owns the pool (first submit to drain).
+        self._lock = threading.Lock()
         #: EMA of observed seconds per task; None until the first chunk
         #: completes (cold dispatches stay per-task, so a skewed grid's
         #: expensive head never drags cheap cells into its chunk).
@@ -498,6 +495,8 @@ class WorkerPool:
     def _spawn(self, session: _PoolSession) -> Optional[_Worker]:
         if len(self._workers) >= self.max_workers or self._closed:
             return None
+        if self._results is None:
+            self._results = self._ctx.Queue()
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         tasks = self._ctx.SimpleQueue()
@@ -510,8 +509,7 @@ class WorkerPool:
         session.stats.booted_workers += 1
         return worker
 
-    def _mark_booted(self, worker_id: int, pid: int,
-                     session: _PoolSession) -> None:
+    def _mark_booted(self, worker_id: int, pid: int) -> None:
         worker = self._workers.get(worker_id)
         if worker is None or worker.booted:
             return
@@ -563,8 +561,9 @@ class WorkerPool:
                   session: _PoolSession, stolen_from: int = -1) -> None:
         worker.busy = True
         worker.current = list(task_ids)
+        worker.epoch = session._epoch
         worker.dispatched_at = time.monotonic()  # simlint: disable=SIM101
-        worker.tasks.put((self._epoch,
+        worker.tasks.put((session._epoch,
                           [(t, session._payloads[t]) for t in task_ids]))
         now = self._now()
         if stolen_from >= 0:
@@ -599,24 +598,27 @@ class WorkerPool:
     def session(self) -> _PoolSession:
         """Start a streaming run (submit tasks, then consume results).
 
-        Opening a session advances the pool's epoch: any result still in
-        flight from an abandoned earlier run is recognized as stale and
-        dropped rather than misdelivered.
+        The session takes the pool at its first submit and holds it
+        until its results drain or it is closed; a second session's
+        first submit waits until then, so concurrent sweeps on one pool
+        (the service's dispatchers, threads sharing :func:`shared_pool`)
+        run one after another.  Taking the pool advances its epoch: any
+        result still in flight from an abandoned earlier run is
+        recognized as stale and dropped rather than misdelivered.
         """
         if self._closed:
             raise ConfigurationError("worker pool is shut down")
-        self._epoch += 1
         return _PoolSession(self)
 
     def run(self, configs: Iterable[PtpBenchmarkConfig],
             keys: Optional[Iterable[object]] = None,
-            ) -> Iterator[Tuple[object, Dict]]:
-        """Stream ``(key, payload)`` for each config as it finishes.
+            ) -> Iterator[Tuple[object, bytes]]:
+        """Stream ``(key, frame)`` for each config as it finishes.
 
-        ``payload`` is the shipped wire frame (or fallback dict);
-        rebuild with :func:`result_from_shipped`.  ``keys`` defaults to
+        ``frame`` is the shipped wire frame; rebuild with
+        :func:`~repro.core.wire.decode_result`.  ``keys`` defaults to
         the configs' positions.  The pool-lifetime :attr:`stats` absorb
-        the run's counters when the stream drains.
+        the run's counters when the stream ends.
         """
         session = self.session()
         configs = list(configs)
@@ -625,12 +627,12 @@ class WorkerPool:
         if len(key_list) != len(configs):
             raise ConfigurationError(
                 f"run() got {len(configs)} configs but {len(key_list)} keys")
-        for key, config in zip(key_list, configs):
-            session.submit(key, config)
         try:
-            for item in session.results():
-                yield item
+            for key, config in zip(key_list, configs):
+                session.submit(key, config)
+            yield from session.results()
         finally:
+            session.close()
             self.stats.absorb(session.stats)
 
     # -- shutdown ----------------------------------------------------------
@@ -669,6 +671,8 @@ class WorkerPool:
                 worker.tasks.close()  # both manager-held pipe ends
             except (OSError, ValueError):
                 pass
+        if self._results is None:
+            return 0  # never spawned: no queue to wind down
         # Workers are gone; anything still buffered in the result queue
         # is an abandoned run's leftovers.  Consume it so the queue's
         # feeder machinery can wind down cleanly via join_thread()
@@ -688,8 +692,21 @@ class WorkerPool:
         return drained
 
 
+def _inline_pool() -> WorkerPool:
+    """A pool that never spawns a worker: the ``jobs=1`` engine.
+
+    Every task runs in the draining thread, through the same session
+    drain and wire frame as a pooled run; no process, queue, or pipe is
+    ever created.  Each ``jobs=1`` sweep gets its own, so concurrent
+    ones (the service's ``--jobs 1`` dispatchers) never wait on a lock.
+    """
+    pool = WorkerPool(1)
+    pool.max_workers = 0
+    return pool
+
+
 # ---------------------------------------------------------------------------
-# The process-wide shared pool (the CLI's --pool keep mode)
+# The process-wide shared pool (every jobs > 1 sweep without a pool)
 # ---------------------------------------------------------------------------
 
 _SHARED: Optional[WorkerPool] = None

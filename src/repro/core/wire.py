@@ -25,16 +25,19 @@ here as frame vocabulary rather than serialized per sample: only raw
 timelines cross the boundary, and the decoder recomputes metrics the
 same way a deserializing load does.
 
-The dict shape (:func:`repro.core.pool.ship_result`) remains the
-fallback: :func:`decode_payload` accepts either a binary frame or a
-legacy dict, so mixed-version producers and exotic values degrade to
-the slow path instead of failing.
+The frame is the *only* result format: pool workers ship it, the
+:class:`ResultCache` stores it, and the inline ``jobs=1`` path round
+trips through it too.  Encoding refuses only what no simulation
+produces (a string over 64 KiB, an out-of-range count, a ragged
+timeline) and raises :class:`WireError` for it.  Decoding is total:
+any byte string either decodes or raises :class:`WireError`, so a
+corrupt cache entry is a miss, never a crash.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Union
+from typing import Union
 
 from ..errors import ReproError
 from ..faults import FaultOutcome
@@ -43,12 +46,11 @@ from .config import PtpBenchmarkConfig
 from .runner import PtpResult, PtpSample
 
 __all__ = ["WIRE_VERSION", "WIRE_MAGIC", "METRIC_NAMES", "WireError",
-           "encode_result", "decode_result", "decode_payload",
-           "is_wire_frame"]
+           "encode_result", "decode_result"]
 
 #: Bumped on any incompatible change to the frame layout; the decoder
-#: rejects frames from a different version (callers treat that as a
-#: cache miss or fall back to the dict path).
+#: rejects frames from a different version (the cache treats that as a
+#: miss).
 WIRE_VERSION = 1
 
 #: First four bytes of every frame.
@@ -81,12 +83,6 @@ _FAULT = struct.Struct("<B7IH")             # delivered, 7 counters,
 
 class WireError(ReproError):
     """A frame could not be encoded or decoded (corrupt, wrong version)."""
-
-
-def is_wire_frame(payload: Union[bytes, bytearray, memoryview, Dict]) -> bool:
-    """Whether ``payload`` looks like a binary frame (vs a fallback dict)."""
-    return (isinstance(payload, (bytes, bytearray, memoryview))
-            and bytes(payload[:4]) == WIRE_MAGIC)
 
 
 def encode_result(result: PtpResult) -> bytes:
@@ -162,7 +158,10 @@ def decode_result(config: PtpBenchmarkConfig,
 
     Timelines are unpacked exactly (binary64 round trip) and metrics
     recomputed, so the result is indistinguishable from the one that was
-    encoded — the golden-digest tests pin this bit for bit.
+    encoded — the golden-digest tests pin this bit for bit.  Total: a
+    frame that does not decode to a valid result — truncated, padded,
+    or carrying timestamps the timeline validation rejects — raises
+    :class:`WireError` and nothing else.
     """
     view = memoryview(bytes(frame))
     try:
@@ -228,25 +227,13 @@ def decode_result(config: PtpBenchmarkConfig,
             result.samples.append(PtpSample(
                 iteration=iteration, timeline=timeline,
                 metrics=PtpMetrics.from_timeline(timeline)))
-    except (struct.error, IndexError, UnicodeDecodeError) as exc:
-        raise WireError(f"corrupt wire frame: {exc}")
+    except (struct.error, IndexError, ValueError, ArithmeticError,
+            ReproError) as exc:
+        # ValueError covers bad UTF-8; ReproError the timeline
+        # validation (e.g. an arrival before its pready).
+        raise WireError(f"corrupt wire frame: {exc}") from exc
     if offset != len(view):
         raise WireError(
             f"wire frame has {len(view) - offset} trailing byte(s)")
     return result
 
-
-def decode_payload(config: PtpBenchmarkConfig,
-                   payload: Union[bytes, bytearray, memoryview, Dict],
-                   ) -> PtpResult:
-    """Rebuild a result from either a binary frame or a fallback dict.
-
-    This is the single entry point consumers use (pool manager, cache
-    reads): binary when the producer could frame the result, the
-    dict-of-lists shape otherwise.
-    """
-    if is_wire_frame(payload):
-        return decode_result(config, payload)
-    # Imported lazily: pool imports this module for encoding.
-    from .pool import result_from_shipped
-    return result_from_shipped(config, payload)

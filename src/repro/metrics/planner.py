@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Tuple, TYPE_CHECKING
 
 from ..errors import ConfigurationError
 from .statistics import ci_halfwidth, pruned_mean
@@ -113,32 +113,16 @@ class AdaptiveTrialPlanner:
             return halfwidth == 0.0
         return halfwidth <= self.ci_target * abs(mean)
 
-    def trial_config(self, config: "PtpBenchmarkConfig",
-                     trial: int) -> "PtpBenchmarkConfig":
-        """The reseeded configuration trial ``trial`` of a cell runs.
-
-        Trial 0 is the configuration itself (a planned run is a strict
-        superset of the unplanned one); later trials derive decorrelated
-        seeds through
-        :func:`~repro.core.parallel.derive_cell_seed`.
-        """
-        if trial == 0:
-            return config
-        # Imported here: core.runner imports repro.metrics at module
-        # scope, so a top-level import would be circular.
-        from ..core.parallel import derive_cell_seed
-        return config.with_overrides(
-            seed=derive_cell_seed(config.seed, config.message_bytes,
-                                  config.partitions, trial=trial))
-
     def trial_configs(self, config: "PtpBenchmarkConfig", start: int,
                       count: int) -> List["PtpBenchmarkConfig"]:
         """The reseeded configs for trials ``start .. start+count-1``.
 
-        The batch counterpart of :meth:`trial_config`: one seed-derivation
-        pass for a whole dispatch batch, which is how the pool's batched
-        dispatcher submits follow-up trial chunks in one go.
+        Trial 0 is the configuration itself (a planned run is a strict
+        superset of the unplanned one); later trials derive decorrelated
+        seeds through :func:`~repro.core.parallel.derive_cell_seed`.
         """
+        # Imported here: core.runner imports repro.metrics at module
+        # scope, so a top-level import would be circular.
         from ..core.parallel import derive_cell_seed
         configs: List["PtpBenchmarkConfig"] = []
         for trial in range(start, start + count):
@@ -157,10 +141,11 @@ class AdaptiveTrialPlanner:
         ``results`` must hold the cell's completed trials in trial order.
         Returns 0 when the cell is done (CI converged, ``max_trials``
         reached, or a deterministic cell that already ran its single
-        trial).  This is the *whole* decision procedure — the serial
-        :meth:`run_cell` loop and the worker-pool manager both call it,
-        so batching decisions (and therefore merged digests) cannot
-        diverge between execution modes.
+        trial).  This is the *whole* decision procedure: the sweep
+        engine (:func:`~repro.core.parallel.run_cells`) calls it with
+        every cell's trial-ordered results, on a pool or inline alike,
+        so trial counts and merged digests cannot depend on how the
+        trials ran.
         """
         n = len(results)
         if config.is_deterministic:
@@ -188,58 +173,25 @@ class AdaptiveTrialPlanner:
         the merged event digest hashes the per-trial digests in order,
         so it still proves "same trials, same events, same order".
         """
-        return _merge_trials(config, results)
+        from ..core.runner import PtpResult, PtpSample
 
-    def run_cell(self, config: "PtpBenchmarkConfig") -> "PtpResult":
-        """All trials of one cell, merged into a single ``PtpResult``.
-
-        The serial driver around :meth:`plan_next` /
-        :meth:`trial_config` / :meth:`merge_trials`; the worker-pool
-        manager runs the same three calls with the trials farmed out as
-        pool tasks, which is why the two paths are bit-identical.  A
-        deterministic configuration short-circuits to one plain trial.
-        """
-        # Imported here: core.runner imports repro.metrics at module
-        # scope, so a top-level import would be circular.
-        from ..core.runner import run_ptp_benchmark
-
-        if config.is_deterministic:
-            return run_ptp_benchmark(config)
-
-        results: List["PtpResult"] = []
-        while True:
-            count = self.plan_next(config, results)
-            if count == 0:
-                break
-            for _ in range(count):
-                results.append(run_ptp_benchmark(
-                    self.trial_config(config, len(results))))
-
-        return _merge_trials(config, results)
-
-
-def _merge_trials(config: "PtpBenchmarkConfig",
-                  results: list) -> "PtpResult":
-    """Concatenate trial results into one ``PtpResult`` (trial order)."""
-    from ..core.runner import PtpResult, PtpSample
-
-    merged = PtpResult(config=config, source="des", trials=len(results))
-    iteration = 0
-    for r in results:
-        for s in r.samples:
-            merged.samples.append(PtpSample(
-                iteration=iteration, timeline=s.timeline,
-                metrics=s.metrics))
-            iteration += 1
-    if len(results) == 1:
-        merged.event_digest = results[0].event_digest
-    else:
-        blob = "|".join(r.event_digest or "-" for r in results)
-        merged.event_digest = hashlib.sha256(
-            blob.encode("ascii")).hexdigest()
-    outcomes = [r.fault_outcome for r in results if r.fault_outcome]
-    if outcomes:
-        # Trial 0 runs the configuration's own seed; its outcome is the
-        # one an unplanned run would have reported.
-        merged.fault_outcome = outcomes[0]
-    return merged
+        merged = PtpResult(config=config, source="des", trials=len(results))
+        iteration = 0
+        for r in results:
+            for s in r.samples:
+                merged.samples.append(PtpSample(
+                    iteration=iteration, timeline=s.timeline,
+                    metrics=s.metrics))
+                iteration += 1
+        if len(results) == 1:
+            merged.event_digest = results[0].event_digest
+        else:
+            blob = "|".join(r.event_digest or "-" for r in results)
+            merged.event_digest = hashlib.sha256(
+                blob.encode("ascii")).hexdigest()
+        outcomes = [r.fault_outcome for r in results if r.fault_outcome]
+        if outcomes:
+            # Trial 0 runs the configuration's own seed; its outcome is
+            # the one an unplanned run would have reported.
+            merged.fault_outcome = outcomes[0]
+        return merged

@@ -216,7 +216,7 @@ def _partitioned_program(ctx, config: PatternConfig, grid: Sweep3DGrid,
         # One parallel region for the whole iteration: threads persist
         # across sweeps, so the partition-arrival stagger carries over and
         # the NIC stays busy inside the compute window instead of being
-        # re-synchronized away by a per-sweep join.
+        # re-synchronized away by a join after every sweep.
         armed = [Event(ctx.sim) for _ in range(config.steps)]
         # consumed[s] triggers when every thread has finished sweep s; the
         # buffer used by sweep s must not be restarted before then, or a

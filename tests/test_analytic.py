@@ -293,6 +293,12 @@ class TestCiHalfwidth:
 # The adaptive trial planner
 # ---------------------------------------------------------------------------
 
+def _planned(planner, config):
+    """One cell through the sweep engine's inline path under ``planner``."""
+    results, _ = run_cells([config], jobs=1, planner=planner)
+    return results[0]
+
+
 class TestAdaptivePlanner:
     def _noisy(self, **overrides):
         defaults = dict(message_bytes=1024, partitions=2,
@@ -304,7 +310,7 @@ class TestAdaptivePlanner:
     def test_deterministic_cell_short_circuits(self):
         planner = AdaptiveTrialPlanner()
         EXECUTIONS.reset()
-        result = planner.run_cell(_cfg())
+        result = _planned(planner, _cfg())
         assert EXECUTIONS.value == 1
         assert result.trials == 1
 
@@ -318,14 +324,14 @@ class TestAdaptivePlanner:
         loose = AdaptiveTrialPlanner(ci_target=100.0, min_trials=2,
                                      max_trials=4, batch=1,
                                      metrics=("overhead",))
-        assert tight.run_cell(self._noisy()).trials == 4
-        assert loose.run_cell(self._noisy()).trials == 2
+        assert _planned(tight, self._noisy()).trials == 4
+        assert _planned(loose, self._noisy()).trials == 2
 
     def test_deterministic_replay(self):
         """Same configuration => same trial count, samples, and digest."""
         planner = AdaptiveTrialPlanner(min_trials=2, max_trials=5)
-        a = planner.run_cell(self._noisy())
-        b = planner.run_cell(self._noisy())
+        a = _planned(planner, self._noisy())
+        b = _planned(planner, self._noisy())
         assert a.trials == b.trials
         assert a.event_digest is not None
         assert a.event_digest == b.event_digest
@@ -335,7 +341,7 @@ class TestAdaptivePlanner:
     def test_merged_result_renumbers_iterations(self):
         planner = AdaptiveTrialPlanner(ci_target=1e-12, min_trials=2,
                                        max_trials=3, batch=1)
-        result = planner.run_cell(self._noisy())
+        result = _planned(planner, self._noisy())
         assert result.trials == 3
         assert len(result.samples) == 3 * 2  # trials x iterations
         assert [s.iteration for s in result.samples] == list(range(6))
@@ -344,7 +350,7 @@ class TestAdaptivePlanner:
         """Trial reseeding must actually change the noise stream."""
         planner = AdaptiveTrialPlanner(ci_target=1e-12, min_trials=2,
                                        max_trials=2)
-        result = planner.run_cell(self._noisy())
+        result = _planned(planner, self._noisy())
         t0, t1 = result.samples[1].timeline, result.samples[3].timeline
         assert t0.join_time != t1.join_time
 

@@ -219,13 +219,11 @@ class TestTraceCommands:
 
 
 class TestPoolFlags:
-    def test_pool_flag_parses_with_keep_default(self):
-        parser = build_parser()
-        assert parser.parse_args(["sweep"]).pool == "keep"
-        assert parser.parse_args(
-            ["sweep", "--pool", "per-sweep"]).pool == "per-sweep"
+    def test_pool_flag_is_gone(self, capsys):
+        # jobs > 1 always runs on the kept shared pool.
         with pytest.raises(SystemExit):
-            parser.parse_args(["sweep", "--pool", "sometimes"])
+            build_parser().parse_args(["sweep", "--pool", "keep"])
+        capsys.readouterr()
 
     def test_invalid_jobs_raises_not_falls_back(self):
         from repro.errors import ConfigurationError
@@ -237,15 +235,18 @@ class TestPoolFlags:
         from repro.core.pool import shutdown_shared_pool
         argv = ["sweep", "--sizes", "1024,4096", "--counts", "1,2",
                 "--jobs", "2", "--iterations", "1", "--metric", "overhead"]
+        shutdown_shared_pool()
         try:
             assert main(argv) == 0
             first = capsys.readouterr().out
-            assert main(argv + ["--pool", "per-sweep"]) == 0
+            assert main(argv) == 0
             second = capsys.readouterr().out
         finally:
             shutdown_shared_pool()
-        # Both modes compute the same table; the provenance line carries
-        # the pool counters either way.
+        # The second sweep reuses the first one's warm workers and
+        # computes the same table; the provenance line carries the pool
+        # counters.
         assert first.split("sweep engine:")[0] == \
             second.split("sweep engine:")[0]
+        assert "4 warm" in second
         assert "warm" in first and "stolen" in first

@@ -218,6 +218,44 @@ class TestResultCache:
         _, stats = run_cells(cells, jobs=1, cache=str(tmp_path / "cache"))
         assert stats.cache_hits == 1
 
+    def test_corrupt_timestamp_is_a_miss_that_recomputes(self, tmp_path):
+        """Regression: a frame whose timeline fails validation is a miss.
+
+        Overwriting one timestamp used to make the decoder's
+        ``ConfigurationError`` escape ``get`` and abort the sweep.
+        """
+        cache = ResultCache(tmp_path / "cache", memory_entries=0)
+        config = plan_cells(_base(), [1024], [1])[0]
+        (fresh,), _ = run_cells([config], jobs=1, cache=cache)
+        path = cache._path(config_fingerprint(config))
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = struct.pack("<d", 1e-300)   # last arrival < pready
+        path.write_bytes(bytes(blob))
+        (again,), stats = run_cells([config], jobs=1, cache=cache)
+        assert stats.cache_hits == 0 and stats.executed == 1
+        assert again.event_digest == fresh.event_digest
+        assert path.read_bytes() != bytes(blob)   # overwritten
+        assert cache.get(config).event_digest == fresh.event_digest
+
+    def test_leftover_v4_json_entry_is_ignored(self, tmp_path, capsys):
+        """A pre-v5 ``<fp>.json`` entry is neither read nor counted."""
+        root = tmp_path / "cache"
+        config = plan_cells(_base(seed=3), [1024], [1])[0]
+        fingerprint = config_fingerprint(config)
+        legacy = root / fingerprint[:2] / f"{fingerprint}.json"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(json.dumps({"schema": 4,
+                                      "fingerprint": fingerprint}))
+        cache = ResultCache(root)
+        assert len(cache) == 0
+        EXECUTIONS.reset()
+        _, stats = run_cells([config], jobs=1, cache=cache)
+        assert EXECUTIONS.value == 1 and stats.cache_hits == 0
+        assert legacy.exists()                 # left as it was
+        from repro.cli import main
+        assert main(["cache", "info", "--cache-dir", str(root)]) == 0
+        assert "1 entry(ies) on disk" in capsys.readouterr().out
+
     def test_parallel_run_populates_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         base = _base(seed=5)
@@ -414,75 +452,6 @@ class TestSingleFlight:
                 [r.event_digest for r in serial]
 
 
-# ---------------------------------------------------------------------------
-# v4 -> v5 cache migration
-# ---------------------------------------------------------------------------
-
-class TestCacheMigration:
-    @staticmethod
-    def _legacy_record(root, config, result, sharded):
-        """Hand-write a v4 JSON record exactly as PR 8's put() did."""
-        from repro.core.persistence import result_to_dict
-        fingerprint = config_fingerprint(config)
-        payload = {"schema": 4, "fingerprint": fingerprint,
-                   "label": config.label(),
-                   "result": result_to_dict(result)}
-        if sharded:
-            path = root / fingerprint[:2] / f"{fingerprint}.json"
-        else:
-            path = root / f"{fingerprint}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload))
-        return path
-
-    def test_migrates_flat_and_sharded_v4_layouts(self, tmp_path):
-        root = tmp_path / "cache"
-        cells = plan_cells(_base(seed=3), SIZES, COUNTS)
-        fresh = [run_ptp_benchmark(c) for c in cells]
-        old_paths = [self._legacy_record(root, config, result,
-                                         sharded=i % 2 == 0)
-                     for i, (config, result) in
-                     enumerate(zip(cells, fresh))]
-        cache = ResultCache(root)
-        assert len(cache) == 0            # v4 entries invisible to v5
-        assert cache.migrate() == len(cells)
-        assert len(cache) == len(cells)
-        for path in old_paths:
-            assert not path.exists()      # originals removed
-
-        # Every migrated fingerprint resolves with zero recomputation.
-        EXECUTIONS.reset()
-        again, stats = run_cells(cells, jobs=1, cache=cache)
-        assert EXECUTIONS.value == 0
-        assert stats.executed == 0
-        assert stats.cache_hits == len(cells)
-        for a, b in zip(again, fresh):
-            assert a.event_digest == b.event_digest
-            assert [s.timeline for s in a.samples] == \
-                [s.timeline for s in b.samples]
-
-    def test_migrate_skips_foreign_and_older_records(self, tmp_path):
-        root = tmp_path / "cache"
-        root.mkdir(parents=True)
-        (root / "junk.json").write_text("{not json")
-        (root / "old.json").write_text(json.dumps(
-            {"schema": 3, "fingerprint": "ab" * 32, "result": {}}))
-        cache = ResultCache(root)
-        assert cache.migrate() == 0
-        assert (root / "junk.json").exists()   # left untouched
-        assert (root / "old.json").exists()
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        root = tmp_path / "cache"
-        config = plan_cells(_base(seed=3), [1024], [1])[0]
-        self._legacy_record(root, config, run_ptp_benchmark(config),
-                            sharded=True)
-        cache = ResultCache(root)
-        assert cache.migrate() == 1
-        assert cache.migrate() == 0        # nothing left to upgrade
-        assert cache.get(config) is not None
-
-
 class TestFingerprintMemoization:
     def test_memoized_on_the_instance(self):
         config = _base()
@@ -512,7 +481,7 @@ class TestProvenanceRoundTrip:
                                        max_trials=3, batch=1)
         config = plan_cells(_base(noise=UniformNoise(4.0)), [1024], [4])[0]
         salt = planner.cache_salt()
-        merged = planner.run_cell(config)
+        (merged,), _ = run_cells([config], jobs=1, planner=planner)
         assert merged.trials == 3
         cache.put(config, merged, salt=salt)
         loaded = cache.get(config, salt=salt)
@@ -653,15 +622,15 @@ class TestResultPlaneConcurrency:
             with wakes_lock:
                 wakes.append(got)
 
-        import repro.core.parallel as parallel_mod
+        import repro.core.pool as pool_mod
 
-        def boom(config, planner=None):
+        def boom(config):
             # "Mid-trial": the leader holds the claim, every joiner is
             # blocked on it, and then the trial crashes.
             registered.wait(timeout=30.0)
             raise RuntimeError("mid-trial crash")
 
-        monkeypatch.setattr(parallel_mod, "_run_des_cell", boom)
+        monkeypatch.setattr(pool_mod, "run_ptp_benchmark", boom)
         joiners = [threading.Thread(target=join_one) for _ in range(n)]
         for thread in joiners:
             thread.start()

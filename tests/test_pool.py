@@ -1,13 +1,15 @@
 """The persistent worker pool: warm reuse, stealing, crash recovery."""
 
+import threading
 import time
 
 import pytest
 
 from repro.core import (METRIC_NAMES, PtpBenchmarkConfig, WorkerPool,
                         plan_cells, run_cells, run_ptp_benchmark, sweep_ptp)
-from repro.core.pool import (PoolRunStats, PoolTaskError, result_from_shipped,
-                             shared_pool, ship_result, shutdown_shared_pool)
+from repro.core.pool import (PoolRunStats, PoolTaskError, shared_pool,
+                             shutdown_shared_pool)
+from repro.core.wire import decode_result, encode_result
 from repro.errors import ConfigurationError
 from repro.metrics import AdaptiveTrialPlanner
 from repro.noise import UniformNoise
@@ -58,9 +60,16 @@ class TestValidation:
             big.shutdown()
 
     def test_transient_pool_clamped_too(self):
-        cells = plan_cells(_base(seed=2), SIZES, COUNTS)
-        _, stats = run_cells(cells, jobs=64)
-        assert len(stats.worker_cells) <= len(cells)
+        # Without a pool, jobs > 1 runs on the shared pool, which spawns
+        # lazily too.
+        shutdown_shared_pool()
+        try:
+            cells = plan_cells(_base(seed=2), SIZES, COUNTS)
+            _, stats = run_cells(cells, jobs=64)
+            assert len(stats.worker_cells) <= len(cells)
+            assert shared_pool(64).started_workers <= len(cells)
+        finally:
+            shutdown_shared_pool()
 
     def test_closed_pool_rejects_sessions(self, pool):
         pool.shutdown()
@@ -207,8 +216,8 @@ class TestCrashRecovery:
         # The pool survives a failed run: the next session's epoch
         # ignores any stale leftovers and fresh work still completes.
         config = plan_cells(_base(seed=8), [1024], [1])[0]
-        (key, shipped), = pool.run([config])
-        assert result_from_shipped(config, shipped).event_digest == \
+        (key, frame), = pool.run([config])
+        assert decode_result(config, frame).event_digest == \
             run_ptp_benchmark(config).event_digest
 
 
@@ -220,7 +229,7 @@ class TestShippedRoundTrip:
     def test_ship_then_unship_is_lossless(self):
         config = plan_cells(_base(noise=UniformNoise(4.0)), [1024], [4])[0]
         fresh = run_ptp_benchmark(config)
-        back = result_from_shipped(config, ship_result(fresh))
+        back = decode_result(config, encode_result(fresh))
         assert back.event_digest == fresh.event_digest
         assert back.trials == fresh.trials
         assert [s.timeline for s in back.samples] == \
@@ -324,10 +333,76 @@ class TestDeferredInlineFallback:
             drained = dict(session.results())
             assert EXECUTIONS.value == 1
             assert session.stats.inline_tasks == 1
-            assert result_from_shipped(config, drained["cell"]) \
+            assert decode_result(config, drained["cell"]) \
                 .event_digest == run_ptp_benchmark(config).event_digest
         finally:
             p.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# One session owns the pool at a time
+# ---------------------------------------------------------------------------
+
+class TestSessionOwnership:
+    def test_concurrent_sweeps_on_one_pool_both_finish(self, pool):
+        """Regression: two live sessions used to deadlock one pool.
+
+        Each session bumped the pool-wide epoch, so the other one's
+        chunk replies looked stale and never freed their workers, and
+        both sessions' task ids mixed in one worker deque.
+        """
+        import sys
+        grids = [plan_cells(_base(seed=41 + k), SIZES, COUNTS)
+                 for k in range(4)]
+        outcome = {}
+
+        def sweep(k):
+            outcome[k] = run_cells(grids[k], jobs=2, pool=pool)
+
+        threads = [threading.Thread(target=sweep, args=(k,), daemon=True)
+                   for k in range(len(grids))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive(), "concurrent sweep deadlocked"
+        finally:
+            sys.setswitchinterval(interval)
+        for k, cells in enumerate(grids):
+            serial, _ = run_cells(cells, jobs=1)
+            assert _digests(outcome[k][0]) == _digests(serial)
+
+    def test_abandoned_session_releases_the_pool(self, pool):
+        cells = plan_cells(_base(seed=43), SIZES, COUNTS)
+        with pool.session() as session:
+            for i, config in enumerate(cells):
+                session.submit(i, config)
+            next(session.results())       # walk away mid-run
+        # Chunks still running from the abandoned run arrive stale; the
+        # next sweep frees their workers and drains normally.
+        serial, _ = run_cells(cells, jobs=1)
+        again, _ = run_cells(cells, jobs=2, pool=pool)
+        assert _digests(again) == _digests(serial)
+
+    def test_jobs1_creates_no_process_queue_or_pipe(self, monkeypatch):
+        import multiprocessing.context
+        import multiprocessing.process
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("jobs=1 touched multiprocessing")
+
+        for name in ("Queue", "SimpleQueue", "Pipe"):
+            monkeypatch.setattr(multiprocessing.context.BaseContext, name,
+                                forbidden)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            forbidden)
+        cells = plan_cells(_base(seed=44), SIZES, COUNTS)
+        results, stats = run_cells(cells, jobs=1)
+        assert len(results) == len(cells)
+        assert stats.worker_cells == {}
 
 
 # ---------------------------------------------------------------------------

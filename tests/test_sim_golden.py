@@ -59,7 +59,7 @@ def test_golden_digests_via_worker_pool():
     even if the simulator itself is untouched.
     """
     from repro.core import WorkerPool
-    from repro.core.pool import result_from_shipped
+    from repro.core.wire import decode_result
 
     configs = [PtpBenchmarkConfig(**kwargs) for kwargs, _ in GOLDEN]
     pool = WorkerPool(2)
@@ -67,6 +67,6 @@ def test_golden_digests_via_worker_pool():
         got = dict(pool.run(configs))
     finally:
         pool.shutdown()
-    assert [result_from_shipped(configs[i], got[i]).event_digest
+    assert [decode_result(configs[i], got[i]).event_digest
             for i in range(len(GOLDEN))] == \
         [expected for _, expected in GOLDEN]

@@ -1,14 +1,14 @@
-"""The binary wire codec: lossless frames, strict decoding, dict fallback."""
+"""The binary wire codec: lossless frames, strict and total decoding."""
 
 import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import PtpBenchmarkConfig, plan_cells, run_ptp_benchmark
-from repro.core.pool import ship_result
 from repro.core.wire import (WIRE_MAGIC, WIRE_VERSION, WireError,
-                             decode_payload, decode_result, encode_result,
-                             is_wire_frame)
+                             decode_result, encode_result)
 from repro.errors import ReproError
 from repro.faults import FaultOutcome
 from repro.noise import UniformNoise
@@ -43,7 +43,6 @@ class TestRoundTrip:
     def test_des_result_is_lossless(self):
         config, fresh = _result(noise=UniformNoise(4.0))
         frame = encode_result(fresh)
-        assert is_wire_frame(frame)
         assert frame[:4] == WIRE_MAGIC
         _assert_lossless(fresh, decode_result(config, frame))
 
@@ -110,7 +109,6 @@ class TestStrictDecoding:
         config, fresh = _result()
         frame = bytearray(encode_result(fresh))
         frame[:4] = b"NOPE"
-        assert not is_wire_frame(bytes(frame))
         with pytest.raises(WireError, match="magic"):
             decode_result(config, bytes(frame))
 
@@ -140,19 +138,87 @@ class TestStrictDecoding:
 class TestPayloadDispatch:
     def test_binary_frame_dispatches_to_codec(self):
         config, fresh = _result()
-        _assert_lossless(fresh, decode_payload(config, encode_result(fresh)))
+        _assert_lossless(fresh, decode_result(config, encode_result(fresh)))
 
-    def test_dict_payload_dispatches_to_fallback(self):
-        config, fresh = _result(noise=UniformNoise(4.0))
-        shipped = ship_result(fresh)
-        assert isinstance(shipped, dict)
-        assert not is_wire_frame(shipped)
-        _assert_lossless(fresh, decode_payload(config, shipped))
 
-    def test_codec_and_fallback_agree(self):
-        config, fresh = _result(noise=UniformNoise(4.0))
-        via_frame = decode_payload(config, encode_result(fresh))
-        via_dict = decode_payload(config, ship_result(fresh))
-        assert via_frame.event_digest == via_dict.event_digest
-        assert [s.timeline for s in via_frame.samples] == \
-            [s.timeline for s in via_dict.samples]
+class TestEncodeRefusals:
+    """What the codec cannot frame is a bug in the producer: it raises."""
+
+    def test_ragged_timeline_raises(self):
+        config, fresh = _result()
+        # Bypass the timeline's own validation to build the ragged shape.
+        object.__setattr__(fresh.samples[0].timeline, "arrival_times",
+                           fresh.samples[0].timeline.arrival_times[:-1])
+        with pytest.raises(WireError, match="ragged"):
+            encode_result(fresh)
+
+    def test_oversized_string_raises(self):
+        config, fresh = _result()
+        fresh.source = "x" * 0x10000
+        with pytest.raises(WireError, match="too long"):
+            encode_result(fresh)
+
+    def test_out_of_range_trials_raise(self):
+        config, fresh = _result()
+        fresh.trials = -1
+        with pytest.raises(WireError, match="out of frame range"):
+            encode_result(fresh)
+
+
+#: One valid frame (a fault outcome and an inline source, so every
+#: optional block is present) to mutate.
+_CONFIG, _FRESH = _result(noise=UniformNoise(4.0))
+_FRESH.fault_outcome = FaultOutcome(delivered=False, drops=1,
+                                    reason="budget")
+_FRESH.source = "merged-exotic"
+_FRAME = encode_result(_FRESH)
+
+
+def _decode_or_wire_error(frame: bytes) -> None:
+    """Decode ``frame``; a failure may only ever be :class:`WireError`."""
+    try:
+        decode_result(_CONFIG, frame)
+    except WireError:
+        pass
+
+
+_FUZZ = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestDecodeIsTotal:
+    """Any byte string decodes or raises :class:`WireError`, nothing else."""
+
+    @_FUZZ
+    @given(st.binary(max_size=512))
+    def test_arbitrary_bytes(self, blob):
+        _decode_or_wire_error(blob)
+
+    @_FUZZ
+    @given(st.binary(max_size=256))
+    def test_arbitrary_bytes_after_a_valid_header(self, tail):
+        _decode_or_wire_error(_FRAME[:16] + tail)
+
+    @_FUZZ
+    @given(st.integers(min_value=0, max_value=len(_FRAME)))
+    def test_truncations(self, cut):
+        _decode_or_wire_error(_FRAME[:cut])
+
+    @_FUZZ
+    @given(st.lists(st.tuples(st.integers(0, len(_FRAME) - 1),
+                              st.integers(0, 255)),
+                    min_size=1, max_size=8))
+    def test_byte_flips(self, flips):
+        frame = bytearray(_FRAME)
+        for index, value in flips:
+            frame[index] = value
+        _decode_or_wire_error(bytes(frame))
+
+    def test_invalid_timeline_is_a_wire_error(self):
+        # A timestamp the timeline validation rejects (an arrival long
+        # before its pready) used to escape as ConfigurationError.
+        frame = bytearray(_FRAME)
+        arrival = len(frame) - 8       # the last sample's last arrival
+        frame[arrival:] = struct.pack("<d", 1e-300)
+        with pytest.raises(WireError, match="arrived"):
+            decode_result(_CONFIG, bytes(frame))
