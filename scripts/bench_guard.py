@@ -1,19 +1,26 @@
 #!/usr/bin/env python
-"""Benchmark regression guard for the simulator kernel.
+"""The benchmark kernel registry and the regression guard over it.
 
-Times a fixed set of kernel workloads (mirroring
-``benchmarks/bench_kernel.py``) with a plain stdlib timer and compares
-them against the checked-in ``BENCH_BASELINE.json``.  Any kernel slower
-than its budget — ``--threshold`` (default 2.0) times baseline, or the
-tighter per-kernel entry in :data:`THRESHOLDS` (e.g. 1.05x for the
-disabled-subscriber emission path of ``repro.obs``) — fails the run:
-the CI gate behind the hot paths in ``repro.sim.core`` and
-``repro.obs.bus``.
+:data:`KERNELS` is the one definition of every benchmark kernel that
+guards the simulator and the layers around it: its body, and the value
+it must return.  Two harnesses time the registry, and both check each
+kernel's value on its untimed warm-up call:
+
+* this script, with a plain stdlib timer, compared against the
+  checked-in ``BENCH_BASELINE.json``.  Any kernel slower than its
+  budget — ``--threshold`` (default 2.0) times baseline, or the tighter
+  per-kernel entry in :data:`THRESHOLDS` (e.g. 1.05x for the
+  disabled-subscriber emission path of ``repro.obs``) — fails the run,
+  as does any pair over its same-run :data:`RATIO_CHECKS` budget;
+* ``benchmarks/bench_kernel.py``, one pytest-benchmark test
+  parametrized over :data:`KERNELS`.
 
 Raw wall times are meaningless across machines, so every measurement is
 normalized by a calibration loop (pure-Python arithmetic) timed on the
 same host: the stored numbers are "calibration units", roughly stable
 across hardware generations, and the 2x threshold absorbs the rest.
+Kernels build their fixtures (kept pools, a cache directory, a live
+daemon) on first use; :func:`teardown` stops and removes all of them.
 
 Usage::
 
@@ -26,11 +33,15 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import pathlib
+import shutil
 import sys
+import tempfile
 import time
+from typing import Callable, Dict, List, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -60,9 +71,74 @@ BASELINE_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
-# Workloads — keep in sync with benchmarks/bench_kernel.py
+# The kernel registry
 # ---------------------------------------------------------------------------
 
+#: name -> ``(kernel, expected)``, in timing order: ``expected`` is the
+#: value (of that exact type) the kernel must return.
+KERNELS: Dict[str, Tuple[Callable[[], object], object]] = {}
+
+#: Memoized fixture builders, and the undo actions of what they built.
+_FIXTURES: List[Callable[[], object]] = []
+_CLEANUPS: List[Callable[[], object]] = []
+
+
+def kernel(expected):
+    """Register the decorated function as a kernel returning ``expected``."""
+    def register(fn):
+        KERNELS[fn.__name__] = (fn, expected)
+        return fn
+    return register
+
+
+def check(name: str, value) -> None:
+    """Raise unless ``value`` is what kernel ``name`` must return."""
+    expected = KERNELS[name][1]
+    if type(value) is not type(expected) or value != expected:
+        raise AssertionError(f"kernel {name} returned {value!r}, "
+                             f"expected {expected!r}")
+
+
+def warm_up(name: str) -> Callable[[], object]:
+    """Run kernel ``name`` once, untimed, check its value; return it.
+
+    The first call builds the kernel's fixtures and pays lazy imports,
+    so neither lands in a timed repeat.
+    """
+    fn = KERNELS[name][0]
+    check(name, fn())
+    return fn
+
+
+def _fixture(build):
+    """Build once per registry lifetime; :func:`teardown` forgets it."""
+    cached = functools.lru_cache(maxsize=None)(build)
+    _FIXTURES.append(cached)
+    return cached
+
+
+def _temp_dir(prefix: str) -> pathlib.Path:
+    root = pathlib.Path(tempfile.mkdtemp(prefix=prefix))
+    _CLEANUPS.append(lambda: shutil.rmtree(root, ignore_errors=True))
+    return root
+
+
+def _kept_pool(**kwargs):
+    from repro.core import WorkerPool
+    pool = WorkerPool(2, **kwargs)
+    _CLEANUPS.append(pool.shutdown)
+    return pool
+
+
+def teardown() -> None:
+    """Stop the fixture daemon, shut the kept pools, remove temp dirs."""
+    while _CLEANUPS:
+        _CLEANUPS.pop()()
+    for fixture in _FIXTURES:
+        fixture.cache_clear()
+
+
+@kernel(1000)
 def timeout_dispatch():
     sim = Simulator()
     for _ in range(1000):
@@ -71,7 +147,13 @@ def timeout_dispatch():
     return sim.events_processed
 
 
+@kernel(2000)
 def never_waited_timeouts():
+    """The lazy-callback fast path: events fired with no waiter.
+
+    Compute delays and NIC gaps are fired-and-forgotten far more often
+    than they are waited on; this guards their no-allocation dispatch.
+    """
     sim = Simulator()
     for _ in range(2000):
         sim.timeout(1.0)
@@ -79,6 +161,7 @@ def never_waited_timeouts():
     return sim.events_processed
 
 
+@kernel(100.0)
 def process_switching():
     sim = Simulator()
 
@@ -92,6 +175,7 @@ def process_switching():
     return sim.now
 
 
+@kernel(sum(range(500)))
 def store_handoff():
     sim = Simulator()
     store = Store(sim)
@@ -113,29 +197,34 @@ def store_handoff():
     return c.value
 
 
+@kernel(1)
 def end_to_end_trial():
+    """One full micro-benchmark trial (the unit every sweep repeats)."""
     cfg = PtpBenchmarkConfig(message_bytes=1 << 16, partitions=8,
                              compute_seconds=1e-3, iterations=1, warmup=0)
     return len(run_ptp_benchmark(cfg).samples)
 
 
+@kernel((16, None))
 def faults_off_overhead():
     """A clean trial driven through the fault-hook plumbing.
 
     The ``end_to_end_trial`` workload at 16 iterations with
     ``faults=None`` spelled out: the config rides the full hook path
     (NIC fault checks, transmit tracking test, frame-handler prelude)
-    with every hook disabled.  Its baseline entry was captured by
-    running this exact kernel, with this file's timing methodology, on
-    the tree immediately *before* the fault subsystem landed — so the
-    1.05x budget is exactly the promise "fault injection costs nothing
-    when off".  16 iterations (vs 1) pushes the kernel to ~20ms so
-    scheduler jitter amortizes below the 5% budget.
+    with every hook disabled, and reports no fault outcome.  Its
+    baseline entry was captured by running this exact kernel, with this
+    file's timing methodology, on the tree immediately *before* the
+    fault subsystem landed — so the 1.05x budget is exactly the promise
+    "fault injection costs nothing when off".  16 iterations (vs 1)
+    pushes the kernel to ~20ms so scheduler jitter amortizes below the
+    5% budget.
     """
     cfg = PtpBenchmarkConfig(message_bytes=1 << 16, partitions=8,
                              compute_seconds=1e-3, iterations=16, warmup=0,
                              faults=None)
-    return len(run_ptp_benchmark(cfg).samples)
+    result = run_ptp_benchmark(cfg)
+    return len(result.samples), result.fault_outcome
 
 
 #: The cell behind ``paper_cell_trial``/``analytic_eval``: a real
@@ -148,46 +237,49 @@ _PAPER_CELL = dict(message_bytes=1 << 20, partitions=32,
                    compute_seconds=0.010, iterations=10, warmup=1)
 
 
+@kernel(10)
 def paper_cell_trial():
     """One full DES trial of the reference paper-grid cell."""
     return len(run_ptp_benchmark(PtpBenchmarkConfig(**_PAPER_CELL)).samples)
 
 
+@kernel(("analytic", 10))
 def analytic_eval():
     """The closed-form answer for the same cell (no simulator).
 
     Budgeted at 1/100th of ``paper_cell_trial`` *in the same run* (see
-    :data:`RATIO_CHECKS`) — the tentpole promise that analytic-eligible
-    cache misses are answered in microseconds.
+    :data:`RATIO_CHECKS`) — the promise that analytic-eligible cache
+    misses are answered in microseconds.
     """
     from repro.analytic import evaluate_analytic
     result = evaluate_analytic(PtpBenchmarkConfig(**_PAPER_CELL))
-    assert result.source == "analytic"
-    return len(result.samples)
+    return result.source, len(result.samples)
 
 
 #: The cell behind the planner-overhead pair: noisy (so the planner does
 #: not short-circuit) and 16 iterations so the ~20 ms runtime amortizes
-#: scheduler jitter below the 5% budget, mirroring ``faults_off_overhead``.
+#: scheduler jitter below the 5% budget, like ``faults_off_overhead``.
 _PLANNER_CELL = dict(message_bytes=1 << 16, partitions=8,
                      compute_seconds=1e-3, iterations=16, warmup=0)
 
 
 def _planner_run(planner):
-    """The noisy planner cell through ``run_cells(..., jobs=1)``."""
+    """The noisy planner cell through ``run_cells(..., jobs=1)``:
+    ``(trials, samples)`` of its one result."""
     from repro.core import run_cells
     from repro.noise import UniformNoise
     cfg = PtpBenchmarkConfig(noise=UniformNoise(4.0), **_PLANNER_CELL)
     (result,), _ = run_cells([cfg], jobs=1, planner=planner)
-    assert result.trials == 1
-    return len(result.samples)
+    return result.trials, len(result.samples)
 
 
+@kernel((1, 16))
 def planner_reference():
     """The planner pair's control: the same noisy cell, no planner."""
     return _planner_run(None)
 
 
+@kernel((1, 16))
 def planner_overhead():
     """A fixed-trial run through the adaptive planner's machinery.
 
@@ -201,19 +293,18 @@ def planner_overhead():
     return _planner_run(AdaptiveTrialPlanner(min_trials=1, max_trials=1))
 
 
-#: The tiny grid behind the pool pair: four cells cheap enough that a
-#: process spawn for every sweep dominates, so the warm/cold ratio
-#: measures exactly the boot-once payoff the pool exists for.
+@_fixture
 def _pool_cells():
+    """The tiny grid behind the pool pair: four cells cheap enough that
+    a process spawn for every sweep dominates, so the warm/cold ratio
+    measures exactly the boot-once payoff the pool exists for."""
     from repro.core import plan_cells
     base = PtpBenchmarkConfig(message_bytes=1024, partitions=1,
                               compute_seconds=1e-4, iterations=1, warmup=0)
     return plan_cells(base, [1024, 4096], [1, 2])
 
 
-_WARM_POOL = None
-
-
+@kernel(4)
 def pool_cold_spawn():
     """A 4-cell sweep on a pool it builds and shuts down every time.
 
@@ -229,41 +320,42 @@ def pool_cold_spawn():
     return len(results)
 
 
+@_fixture
+def _warm_pool():
+    """A kept 2-worker pool, booted by one sweep of the pool grid."""
+    from repro.core import run_cells
+    pool = _kept_pool()
+    run_cells(_pool_cells(), jobs=2, pool=pool)
+    return pool
+
+
+@kernel((4, 4))
 def pool_warm_sweep():
     """The same 4-cell sweep on a kept, already-warm worker pool.
 
-    The pool boots on the first call — which ``_time_kernel`` runs
-    untimed as its warmup — so the timed repeats measure exactly what a
-    re-sweep on the kept shared pool costs.  Budgeted at <= 0.5x
-    ``pool_cold_spawn`` in the same run (:data:`RATIO_CHECKS`): if a
-    warm re-sweep ever costs more than half a cold spawn, the
-    persistent pool has lost its reason to exist.
+    Returns ``(cells, warm tasks)``: every task must land on a worker
+    booted before the sweep.  Budgeted at <= 0.5x ``pool_cold_spawn``
+    in the same run (:data:`RATIO_CHECKS`): if a warm re-sweep ever
+    costs more than half a cold spawn, the persistent pool has lost its
+    reason to exist.
     """
-    global _WARM_POOL
-    from repro.core import WorkerPool, run_cells
-    if _WARM_POOL is None:
-        _WARM_POOL = WorkerPool(2)
-    results, _ = run_cells(_pool_cells(), jobs=2, pool=_WARM_POOL)
-    return len(results)
+    from repro.core import run_cells
+    results, stats = run_cells(_pool_cells(), jobs=2, pool=_warm_pool())
+    return len(results), stats.pool.warm_tasks
 
 
-#: Fixture behind the result-plane kernels: one realistic shipped result
-#: (8 samples x 8 partitions) plus its fully resolved config.
-_SHIP_FIXTURE = None
-
-
+@_fixture
 def _ship_fixture():
-    global _SHIP_FIXTURE
-    if _SHIP_FIXTURE is None:
-        from repro.core import plan_cells
-        base = PtpBenchmarkConfig(message_bytes=1 << 16, partitions=8,
-                                  compute_seconds=1e-4, iterations=8,
-                                  warmup=0)
-        config = plan_cells(base, [1 << 16], [8])[0]
-        _SHIP_FIXTURE = (config, run_ptp_benchmark(config))
-    return _SHIP_FIXTURE
+    """One realistic shipped result (8 samples x 8 partitions) plus its
+    fully resolved config: the result-plane kernels' payload."""
+    from repro.core import plan_cells
+    base = PtpBenchmarkConfig(message_bytes=1 << 16, partitions=8,
+                              compute_seconds=1e-4, iterations=8, warmup=0)
+    config = plan_cells(base, [1 << 16], [8])[0]
+    return config, run_ptp_benchmark(config)
 
 
+@kernel(50 * 8)
 def ship_roundtrip_codec():
     """Result -> binary wire frame -> queue pickle -> result, 50 times.
 
@@ -280,30 +372,25 @@ def ship_roundtrip_codec():
     return n
 
 
-#: Fixture behind the cache-get pair: one entry stored through the
-#: sharded cache, plus the identical wire frame at a flat shard-free
-#: path (the bare read+decode reference).
-_CACHE_FIXTURE = None
-
-
+@_fixture
 def _cache_fixture():
-    global _CACHE_FIXTURE
-    if _CACHE_FIXTURE is None:
-        import tempfile
-        from repro.core import ResultCache, config_fingerprint
-        from repro.core.wire import encode_result
-        config, result = _ship_fixture()
-        root = pathlib.Path(tempfile.mkdtemp(prefix="repro-bench-cache-"))
-        # memory_entries=0 forces every get down the disk path — the
-        # kernel measures the sharded read+decode, not an OrderedDict hit.
-        cache = ResultCache(root / "sharded", memory_entries=0)
-        cache.put(config, result)
-        flat = root / "flat.bin"
-        flat.write_bytes(encode_result(result))
-        _CACHE_FIXTURE = (cache, flat, config)
-    return _CACHE_FIXTURE
+    """One entry stored through the sharded cache, plus the identical
+    wire frame at a flat shard-free path (the bare read+decode
+    reference)."""
+    from repro.core import ResultCache
+    from repro.core.wire import encode_result
+    config, result = _ship_fixture()
+    root = _temp_dir("repro-bench-cache-")
+    # memory_entries=0 forces every get down the disk path — the
+    # kernel measures the sharded read+decode, not an OrderedDict hit.
+    cache = ResultCache(root / "sharded", memory_entries=0)
+    cache.put(config, result)
+    flat = root / "flat.bin"
+    flat.write_bytes(encode_result(result))
+    return cache, flat, config
 
 
+@kernel(100 * 8)
 def cache_hot_get():
     """100 hot gets through the full sharded-cache API (disk tier).
 
@@ -319,6 +406,7 @@ def cache_hot_get():
     return n
 
 
+@kernel(100 * 8)
 def cache_flat_get():
     """The reference: 100 bare flat-file reads + frame decodes."""
     from repro.core.wire import decode_result
@@ -329,20 +417,22 @@ def cache_flat_get():
     return n
 
 
-#: The grid behind the batched-dispatch pair: 64 distinct cheap DES
-#: cells, where per-message queue + pickling overhead dominates unless
-#: many cells ride one message.
+@_fixture
 def _batch_cells():
+    """The grid behind the batched-dispatch pair: 64 distinct cheap DES
+    cells, where per-message queue + pickling overhead dominates unless
+    many cells ride one message."""
     from repro.core import plan_cells
     base = PtpBenchmarkConfig(message_bytes=64, partitions=1,
                               compute_seconds=1e-5, iterations=1, warmup=0)
     return plan_cells(base, [64 * (i + 1) for i in range(64)], [1])
 
 
-_BATCHED_POOL = None
-_PERTASK_POOL = None
+_batched_pool = _fixture(_kept_pool)
+_pertask_pool = _fixture(lambda: _kept_pool(max_chunk=1))
 
 
+@kernel(64)
 def pool_batched_sweep64():
     """64 cheap cells on a warm pool with adaptive chunked dispatch.
 
@@ -352,54 +442,44 @@ def pool_batched_sweep64():
     batched result plane must beat strict per-task dispatch on exactly
     the workload batching exists for.
     """
-    global _BATCHED_POOL
-    from repro.core import WorkerPool, run_cells
-    if _BATCHED_POOL is None:
-        _BATCHED_POOL = WorkerPool(2)
-    results, _ = run_cells(_batch_cells(), jobs=2, pool=_BATCHED_POOL)
+    from repro.core import run_cells
+    results, _ = run_cells(_batch_cells(), jobs=2, pool=_batched_pool())
     return len(results)
 
 
+@kernel(64)
 def pool_pertask_sweep64():
     """The same 64 cells with ``max_chunk=1``: one queue message per task
     (the pre-batching wire behaviour, kept as the comparison baseline).
     """
-    global _PERTASK_POOL
-    from repro.core import WorkerPool, run_cells
-    if _PERTASK_POOL is None:
-        _PERTASK_POOL = WorkerPool(2, max_chunk=1)
-    results, _ = run_cells(_batch_cells(), jobs=2, pool=_PERTASK_POOL)
+    from repro.core import run_cells
+    results, _ = run_cells(_batch_cells(), jobs=2, pool=_pertask_pool())
     return len(results)
 
 
-#: Fixture behind the service kernel: a live daemon on an ephemeral
-#: loopback port with the ship-fixture result pre-cached, plus a client
-#: and the request payload addressing it.
-_SERVICE_FIXTURE = None
-
-
+@_fixture
 def _service_fixture():
-    global _SERVICE_FIXTURE
-    if _SERVICE_FIXTURE is None:
-        import tempfile
-        from repro.core import ResultCache
-        from repro.service import (ServiceClient, SweepScheduler,
-                                   payload_from_config, serve)
-        config, result = _ship_fixture()
-        root = tempfile.mkdtemp(prefix="repro-bench-service-")
-        cache = ResultCache(root)
-        cache.put(config, result)
-        # batch_window=0 so the kernel times the request path, not the
-        # straggler-collection window.
-        scheduler = SweepScheduler(cache=cache, jobs=1, quota=1 << 16,
-                                   batch_window=0.0, dispatchers=1)
-        service = serve(scheduler, port=0)
-        client = ServiceClient("http://%s:%d" % service.address,
-                               client_id="bench")
-        _SERVICE_FIXTURE = (client, payload_from_config(config))
-    return _SERVICE_FIXTURE
+    """A live daemon on an ephemeral loopback port with the ship-fixture
+    result pre-cached, plus a client and the request payload addressing
+    it."""
+    from repro.core import ResultCache
+    from repro.service import (ServiceClient, SweepScheduler,
+                               payload_from_config, serve)
+    config, result = _ship_fixture()
+    cache = ResultCache(_temp_dir("repro-bench-service-"))
+    cache.put(config, result)
+    # batch_window=0 so the kernel times the request path, not the
+    # straggler-collection window.
+    scheduler = SweepScheduler(cache=cache, jobs=1, quota=1 << 16,
+                               batch_window=0.0, dispatchers=1)
+    service = serve(scheduler, port=0)
+    _CLEANUPS.append(service.stop)
+    client = ServiceClient("http://%s:%d" % service.address,
+                           client_id="bench")
+    return client, payload_from_config(config)
 
 
+@kernel(25 * 8)
 def service_hot_request():
     """25 already-cached trial requests through the live daemon.
 
@@ -415,7 +495,9 @@ def service_hot_request():
     return n
 
 
-def _build_sweep():
+@_fixture
+def _lookup_sweep():
+    """A figure-sized grid (10 sizes x 6 counts) of empty results."""
     sizes = [64 * 4 ** k for k in range(10)]
     counts = [1, 2, 4, 8, 16, 32]
     sweep = SweepResult()
@@ -428,14 +510,10 @@ def _build_sweep():
     return sweep, sizes, counts
 
 
-_SWEEP_CACHE = None
-
-
+@kernel(50 * 10 * sum((1, 2, 4, 8, 16, 32)))
 def sweep_point_lookup():
-    global _SWEEP_CACHE
-    if _SWEEP_CACHE is None:
-        _SWEEP_CACHE = _build_sweep()
-    sweep, sizes, counts = _SWEEP_CACHE
+    """O(1) cell lookup on a figure-sized grid (guards the sweep index)."""
+    sweep, sizes, counts = _lookup_sweep()
     hits = 0
     for _ in range(50):
         for n in counts:
@@ -445,7 +523,14 @@ def sweep_point_lookup():
     return hits
 
 
+@kernel(False)
 def obs_emission_disabled():
+    """Instrumentation with no subscriber: the near-zero-cost fast path.
+
+    Every runtime hot path (pready, matching, NIC) emits unconditionally;
+    the bus must make an unsubscribed emit one list index plus a falsy
+    test.  Held to a 5% budget over baseline (:data:`THRESHOLDS`).
+    """
     bus = EventBus()
     emit = bus.emit
     for _ in range(100_000):
@@ -453,7 +538,9 @@ def obs_emission_disabled():
     return bus.subscribed(PART_PREADY)
 
 
+@kernel(10_000)
 def obs_emission_counted():
+    """Emission with one cheap aggregating subscriber (CounterSink)."""
     bus = EventBus()
     counters = bus.attach(CounterSink(), ("part.pready",))
     emit = bus.emit
@@ -462,8 +549,16 @@ def obs_emission_counted():
     return counters.total
 
 
+@_fixture
 def _lint_workload() -> str:
-    """Synthetic lint workload — keep in sync with bench_kernel.py."""
+    """A synthetic ~400-line module exercising both analyzer passes.
+
+    Each function carries a full partitioned epoch with loops and
+    branches, so the flow pass builds a CFG and runs its fixpoint per
+    function while the pattern pass walks the same AST.  Synthesized
+    (not read from the tree) so the score does not drift when unrelated
+    shipped code changes.
+    """
     template = (
         "def exchange_{i}(ctx, comm, tc):\n"
         "    ps = yield from comm.psend_init(tc, 1, {i}, 4096, 8)\n"
@@ -487,42 +582,16 @@ def _lint_workload() -> str:
     return "\n".join(template.format(i=i) for i in range(16))
 
 
-_LINT_SOURCE = None
-
-
+@kernel([])
 def lint_throughput():
-    global _LINT_SOURCE
-    if _LINT_SOURCE is None:
-        _LINT_SOURCE = _lint_workload()
-    findings = lint_source(_LINT_SOURCE, "workload.py")
-    assert findings == []
-    return len(findings)
+    """Both simlint passes over the synthetic module: no findings.
 
+    The flow-sensitive pass runs a worklist fixpoint per function; this
+    keeps its cost visible so a CFG or domain change that blows up the
+    ``lint src/repro benchmarks examples`` CI step is caught here first.
+    """
+    return lint_source(_lint_workload(), "workload.py")
 
-KERNELS = {
-    "timeout_dispatch": timeout_dispatch,
-    "never_waited_timeouts": never_waited_timeouts,
-    "process_switching": process_switching,
-    "store_handoff": store_handoff,
-    "end_to_end_trial": end_to_end_trial,
-    "faults_off_overhead": faults_off_overhead,
-    "paper_cell_trial": paper_cell_trial,
-    "analytic_eval": analytic_eval,
-    "planner_reference": planner_reference,
-    "planner_overhead": planner_overhead,
-    "pool_cold_spawn": pool_cold_spawn,
-    "pool_warm_sweep": pool_warm_sweep,
-    "ship_roundtrip_codec": ship_roundtrip_codec,
-    "cache_hot_get": cache_hot_get,
-    "cache_flat_get": cache_flat_get,
-    "pool_batched_sweep64": pool_batched_sweep64,
-    "pool_pertask_sweep64": pool_pertask_sweep64,
-    "service_hot_request": service_hot_request,
-    "sweep_point_lookup": sweep_point_lookup,
-    "obs_emission_disabled": obs_emission_disabled,
-    "obs_emission_counted": obs_emission_counted,
-    "lint_throughput": lint_throughput,
-}
 
 #: Per-kernel regression budgets overriding ``--threshold``.  Emission
 #: with no subscriber is the instrumentation layer's core promise — it
@@ -586,8 +655,8 @@ def _calibrate(reps: int = 10) -> float:
     return best
 
 
-def _time_kernel(fn, repeats: int) -> float:
-    """Best-of-``repeats`` wall seconds for one call of ``fn``.
+def _time_kernel(name: str, repeats: int) -> float:
+    """Best-of-``repeats`` wall seconds for one call of kernel ``name``.
 
     The collector is paused across the timed region: the trial kernels
     allocate heavily, and a cycle-collection pause landing inside one
@@ -595,7 +664,7 @@ def _time_kernel(fn, repeats: int) -> float:
     of best-of-N filtering removes (the calibration loop allocates
     nothing, so normalization cannot cancel it either).
     """
-    fn()  # warm caches / lazy imports outside the timed region
+    fn = warm_up(name)
     best = float("inf")
     gc.collect()
     was_enabled = gc.isenabled()
@@ -619,8 +688,7 @@ def measure_pair(fast: str, slow: str, repeats: int) -> tuple:
     happened to be in flight when the wave hit.  No calibration: a
     ratio of same-loop times is already unitless.
     """
-    fn_fast, fn_slow = KERNELS[fast], KERNELS[slow]
-    fn_fast(), fn_slow()  # warm caches / lazy imports untimed
+    fn_fast, fn_slow = warm_up(fast), warm_up(slow)
     best_fast = best_slow = float("inf")
     gc.collect()
     was_enabled = gc.isenabled()
@@ -648,9 +716,8 @@ def measure(repeats: int, names=None) -> dict:
     score in the run, which is exactly the failure mode the tight
     per-kernel budgets cannot tolerate.
     """
-    kernels = {n: KERNELS[n] for n in names} if names else KERNELS
     cal_before = _calibrate()
-    raw = {name: _time_kernel(fn, repeats) for name, fn in kernels.items()}
+    raw = {name: _time_kernel(name, repeats) for name in names or KERNELS}
     cal = min(cal_before, _calibrate())
     return {name: t / cal for name, t in raw.items()}
 
@@ -690,6 +757,13 @@ def check_ratios(current: dict):
 
 
 def main(argv=None) -> int:
+    try:
+        return _guard(argv)
+    finally:
+        teardown()
+
+
+def _guard(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true",
                         help="rewrite BENCH_BASELINE.json from this host")

@@ -45,7 +45,7 @@ from typing import Callable, Dict, List, Optional
 
 from .core import (ANALYTIC_MODES, CACHE_SCHEMA_VERSION, METRIC_NAMES,
                    PtpBenchmarkConfig,
-                   ResultCache, fault_table, fig4_overhead,
+                   ResultCache, SweepStats, fault_table, fig4_overhead,
                    fig5_perceived_bandwidth, fig6_availability,
                    fig7_noise_models, fig8_early_bird, metric_table,
                    provenance_line, recommend_partitions, run_ptp_benchmark,
@@ -92,25 +92,14 @@ def _engine_options(args) -> Dict:
 
 
 def _engine_footer(sweeps, cache: Optional[ResultCache]) -> str:
-    """The sweep report's provenance line: cells, cache hits, jobs."""
+    """The sweep report's provenance line: every panel's counters summed."""
     stats = [s.stats for s in sweeps if s.stats is not None]
     if not stats:
         return ""
-    total = sum(s.total_cells for s in stats)
-    executed = sum(s.executed for s in stats)
-    trials = sum(s.trials for s in stats)
-    analytic = sum(s.analytic for s in stats)
-    hits = sum(s.cache_hits for s in stats)
-    line = (f"sweep engine: {total} cells, {executed} executed "
-            f"({trials} trials)")
-    if analytic:
-        line += f", {analytic} analytic"
-    line += f", {hits} cache hits"
-    if any(s.worker_cells for s in stats):
-        warm = sum(s.warm_hits for s in stats)
-        stolen = sum(s.stolen_cells for s in stats)
-        line += f", {warm} warm, {stolen} stolen"
-    line += f" (jobs={stats[0].jobs})"
+    total = SweepStats(jobs=stats[0].jobs)
+    for one in stats:
+        total.absorb(one)
+    line = f"sweep engine: {total.describe()}"
     if cache is not None:
         line += f"; cache at {cache.root} now holds {len(cache)} entries"
     return "\n\n" + line

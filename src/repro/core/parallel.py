@@ -468,25 +468,33 @@ class SweepStats:
     #: this is accurate under ``jobs > 1`` where the in-process
     #: ``ExecutionCounter`` by design is not.
     trials: int = 0
-    #: Pool tasks executed by a worker that was already warm (booted
-    #: before this sweep started) — nonzero only when a kept pool is
-    #: reused across sweeps.
-    warm_hits: int = 0
-    #: Pool tasks an idle worker stole from a loaded peer's queue.
-    stolen_cells: int = 0
     #: Cells answered by sharing another identical cell's in-flight
     #: execution (duplicates in this grid, or a concurrent sweep on the
     #: same cache) instead of executing or reading a stored entry.
     singleflight_hits: int = 0
-    #: Completed pool tasks per worker id (-1 = run inline in the
-    #: manager after crash recovery).  Under an adaptive planner the
-    #: unit of work is a single trial, otherwise a whole cell.
-    worker_cells: Dict[int, int] = dataclasses.field(default_factory=dict)
+    #: The worker-pool counters of this sweep's pooled drains (warm and
+    #: stolen tasks, tasks per worker id, -1 = inline after crash
+    #: recovery).  ``None`` when every drain ran inline (``jobs=1``):
+    #: worker counters describe a pool, and the inline path has none.
+    pool: Optional[PoolRunStats] = None
 
     @property
     def cache_misses(self) -> int:
         """Cells that had to be computed despite a cache being attached."""
         return self.total_cells - self.cache_hits
+
+    def absorb(self, other: "SweepStats") -> None:
+        """Accumulate another sweep's counters (multi-sweep totals)."""
+        self.total_cells += other.total_cells
+        self.executed += other.executed
+        self.cache_hits += other.cache_hits
+        self.analytic += other.analytic
+        self.trials += other.trials
+        self.singleflight_hits += other.singleflight_hits
+        if other.pool is not None:
+            if self.pool is None:
+                self.pool = PoolRunStats()
+            self.pool.absorb(other.pool)
 
     def describe(self) -> str:
         """One-line summary for sweep reports."""
@@ -497,27 +505,25 @@ class SweepStats:
         line += f", {self.cache_hits} cache hits"
         if self.singleflight_hits:
             line += f", {self.singleflight_hits} single-flight"
-        if self.worker_cells:
+        if self.pool is not None and self.pool.worker_tasks:
             spread = " ".join(
                 (f"w{w}:{c}" if w >= 0 else f"inline:{c}")
-                for w, c in sorted(self.worker_cells.items()))
-            line += (f", {self.warm_hits} warm, {self.stolen_cells} "
-                     f"stolen [{spread}]")
+                for w, c in sorted(self.pool.worker_tasks.items()))
+            line += (f", {self.pool.warm_tasks} warm, "
+                     f"{self.pool.stolen_tasks} stolen [{spread}]")
         line += f" (jobs={self.jobs})"
         return line
 
 
 def plan_cells(base: PtpBenchmarkConfig,
                message_sizes: Sequence[int],
-               partition_counts: Sequence[int],
-               derive_seeds: bool = True) -> List[PtpBenchmarkConfig]:
+               partition_counts: Sequence[int]) -> List[PtpBenchmarkConfig]:
     """Resolve a grid into its per-cell configs, in serial sweep order.
 
     Cells where the message is smaller than the partition count are
     skipped (they cannot be split), matching how the paper's figures leave
-    those cells empty.  With ``derive_seeds`` (the default) each cell's
-    seed comes from :func:`derive_cell_seed`; otherwise every cell reuses
-    ``base.seed`` (the pre-parallel behaviour).
+    those cells empty.  Each cell's seed comes from
+    :func:`derive_cell_seed`.
     """
     if not message_sizes or not partition_counts:
         raise ConfigurationError("sweep needs at least one size and count")
@@ -526,10 +532,9 @@ def plan_cells(base: PtpBenchmarkConfig,
         for m in message_sizes:
             if m < n:
                 continue
-            overrides = {"message_bytes": m, "partitions": n}
-            if derive_seeds:
-                overrides["seed"] = derive_cell_seed(base.seed, m, n)
-            cells.append(base.with_overrides(**overrides))
+            cells.append(base.with_overrides(
+                message_bytes=m, partitions=n,
+                seed=derive_cell_seed(base.seed, m, n)))
     return cells
 
 
@@ -548,7 +553,7 @@ def _run_pooled(pool: WorkerPool,
     trial-ordered results — so trial counts and merged digests do not
     depend on the pool, its size, or completion order, while one cell's
     refinement overlaps every other cell's work.  Returns the session's
-    counters, already absorbed into ``pool.stats``.
+    counters (closing the session adds them to ``pool.stats``).
     """
     configs = dict(pending)
     #: (cell, trial) -> the reseeded config that trial runs.
@@ -589,7 +594,6 @@ def _run_pooled(pool: WorkerPool,
             else:
                 results[i] = planner.merge_trials(config, ordered)
 
-    pool.stats.absorb(session.stats)
     return session.stats
 
 
@@ -685,11 +689,9 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
                           batch, results, planner)
         if engine is not None:
             # Worker counters describe a pool; the inline path has none.
-            stats.warm_hits += run.warm_tasks
-            stats.stolen_cells += run.stolen_tasks
-            for worker_id, count in run.worker_tasks.items():
-                stats.worker_cells[worker_id] = \
-                    stats.worker_cells.get(worker_id, 0) + count
+            if stats.pool is None:
+                stats.pool = PoolRunStats()
+            stats.pool.absorb(run)
         for i, config in batch:
             stats.trials += results[i].trials
             if cache is not None:

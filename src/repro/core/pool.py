@@ -89,6 +89,11 @@ _CHUNK_TARGET_SECONDS = 0.03
 #: EMA weight for the observed per-task cost that drives chunk sizing.
 _COST_EMA_ALPHA = 0.4
 
+#: How worker processes start: fork where the platform has it (workers
+#: inherit the manager's imports), spawn otherwise.
+_START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                 else "spawn")
+
 #: A task whose worker died this many times is run inline in the manager
 #: instead of being redispatched (a poisoned cell must not assassinate
 #: the whole pool one worker at a time).
@@ -249,6 +254,9 @@ class _PoolSession:
     def close(self) -> None:
         """Give the pool back (idempotent); undispatched tasks are dropped.
 
+        The run's counters are added to the pool-lifetime ``pool.stats``
+        here, once, while the session still owns the pool.
+
         Chunks already running on a worker finish there; their replies
         carry this run's epoch, so the next session frees the worker and
         discards the results.
@@ -256,9 +264,11 @@ class _PoolSession:
         if not self._owned:
             return
         self._owned = False
-        for worker in self._pool._workers.values():
+        pool = self._pool
+        for worker in pool._workers.values():
             worker.queue.clear()
-        self._pool._lock.release()
+        pool.stats.absorb(self.stats)
+        pool._lock.release()
 
     # -- submission --------------------------------------------------------
 
@@ -443,17 +453,12 @@ class WorkerPool:
     the module docstring.
     """
 
-    def __init__(self, workers: int,
-                 mp_context: Optional[str] = None,
-                 max_chunk: int = 32) -> None:
+    def __init__(self, workers: int, max_chunk: int = 32) -> None:
         if workers < 1:
             raise ConfigurationError(f"pool workers must be >= 1: {workers}")
         if max_chunk < 1:
             raise ConfigurationError(
                 f"pool max_chunk must be >= 1: {max_chunk}")
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
         self.max_workers = workers
         #: Ceiling on how many tasks ride one queue message.  ``1``
         #: restores strict per-task dispatch (the pre-batching wire
@@ -464,7 +469,7 @@ class WorkerPool:
         self.obs = EventBus()
         #: Lifetime totals across every run of this pool.
         self.stats = PoolRunStats()
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context(_START_METHOD)
         #: The shared result queue, created with the first worker: a
         #: pool that never spawns holds no queue and no pipe.
         self._results = None
@@ -618,7 +623,7 @@ class WorkerPool:
         ``frame`` is the shipped wire frame; rebuild with
         :func:`~repro.core.wire.decode_result`.  ``keys`` defaults to
         the configs' positions.  The pool-lifetime :attr:`stats` absorb
-        the run's counters when the stream ends.
+        the run's counters when the session closes.
         """
         session = self.session()
         configs = list(configs)
@@ -633,7 +638,6 @@ class WorkerPool:
             yield from session.results()
         finally:
             session.close()
-            self.stats.absorb(session.stats)
 
     # -- shutdown ----------------------------------------------------------
 

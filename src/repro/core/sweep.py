@@ -137,7 +137,6 @@ def sweep_ptp(base: PtpBenchmarkConfig,
               progress: Optional[Callable[[PtpBenchmarkConfig], None]] = None,
               jobs: int = 1,
               cache=None,
-              derive_seeds: bool = True,
               analytic: str = "off",
               planner=None,
               pool=None,
@@ -152,17 +151,15 @@ def sweep_ptp(base: PtpBenchmarkConfig,
     (``None`` = all cores); ``cache`` (a
     :class:`~repro.core.parallel.ResultCache` or a directory path) reuses
     previously computed cells.  Neither changes any result bit: see
-    :mod:`repro.core.parallel`.  With ``derive_seeds`` (default) each
-    cell's noise stream is seeded from the base seed and the cell
-    coordinates, decorrelating cells; pass ``False`` to reuse ``base.seed``
-    everywhere.  ``analytic``/``planner`` select the closed-form fast
-    path and CI-targeted trial allocation, and ``pool`` executes on a
-    live :class:`~repro.core.pool.WorkerPool` whose warm workers are
-    reused across sweeps — see :func:`~repro.core.parallel.run_cells`.
+    :mod:`repro.core.parallel`.  Each cell's noise stream is seeded from
+    the base seed and the cell coordinates, decorrelating cells.
+    ``analytic``/``planner`` select the closed-form fast path and
+    CI-targeted trial allocation, and ``pool`` executes on a live
+    :class:`~repro.core.pool.WorkerPool` whose warm workers are reused
+    across sweeps — see :func:`~repro.core.parallel.run_cells`.
     """
     from .parallel import plan_cells, run_cells
-    cells = plan_cells(base, message_sizes, partition_counts,
-                       derive_seeds=derive_seeds)
+    cells = plan_cells(base, message_sizes, partition_counts)
     results, stats = run_cells(cells, jobs=jobs, cache=cache,
                                progress=progress, analytic=analytic,
                                planner=planner, pool=pool)

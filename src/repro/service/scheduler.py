@@ -32,7 +32,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..core.config import PtpBenchmarkConfig
 from ..core.parallel import (JOIN_TIMEOUT_SECONDS, ResultCache, SweepStats,
@@ -69,35 +69,22 @@ class SchedulerStats:
     failed: int = 0
     #: Requests bounced by the per-client quota (the 429s).
     rejected_quota: int = 0
-    #: Batches dispatched to the engine.
+    #: Batches dispatched to the engine, failed ones included.
     batches: int = 0
-    #: Cells the engine actually executed (simulated or pooled).
-    executed: int = 0
-    #: Cells answered from the result cache.
-    cache_hits: int = 0
-    #: Cells answered by sharing an in-flight execution.
-    singleflight_hits: int = 0
-    #: Cells answered by the closed-form evaluator.
-    analytic: int = 0
-    #: Simulated trials behind every executed cell.
-    trials: int = 0
+    #: Every successful batch's engine provenance, summed.
+    sweep: SweepStats = field(default_factory=SweepStats)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False)
-
-    def absorb_sweep(self, stats: SweepStats) -> None:
-        """Fold one engine run's provenance into the lifetime totals."""
-        with self._lock:
-            self.batches += 1
-            self.executed += stats.executed
-            self.cache_hits += stats.cache_hits
-            self.singleflight_hits += stats.singleflight_hits
-            self.analytic += stats.analytic
-            self.trials += stats.trials
 
     def bump(self, name: str, amount: int = 1) -> None:
         """Atomically increment the counter called ``name``."""
         with self._lock:
             setattr(self, name, getattr(self, name) + amount)
+
+    def absorb(self, stats: SweepStats) -> None:
+        """Fold one engine run's provenance into the lifetime total."""
+        with self._lock:
+            self.sweep.absorb(stats)
 
     def as_dict(self) -> Dict[str, int]:
         """Consistent snapshot of every counter, for ``/stats``."""
@@ -108,11 +95,11 @@ class SchedulerStats:
                 "failed": self.failed,
                 "rejected_quota": self.rejected_quota,
                 "batches": self.batches,
-                "executed": self.executed,
-                "cache_hits": self.cache_hits,
-                "singleflight_hits": self.singleflight_hits,
-                "analytic": self.analytic,
-                "trials": self.trials,
+                "executed": self.sweep.executed,
+                "cache_hits": self.sweep.cache_hits,
+                "singleflight_hits": self.sweep.singleflight_hits,
+                "analytic": self.sweep.analytic,
+                "trials": self.sweep.trials,
             }
 
 
@@ -184,6 +171,8 @@ class SweepScheduler:
         if dispatchers < 1:
             raise ServiceError(
                 f"dispatchers must be >= 1: {dispatchers}", status=500)
+        if jobs < 1:
+            raise ServiceError(f"jobs must be >= 1: {jobs}", status=500)
         self.pool = pool
         self.cache = cache
         self.jobs = jobs
@@ -300,6 +289,7 @@ class SweepScheduler:
 
     def _run_batch(self, batch: List[_Request]) -> None:
         configs = [r.config for r in batch]
+        self.stats.bump("batches")
         try:
             results, stats = run_cells(
                 configs, jobs=self.jobs, cache=self.cache,
@@ -313,7 +303,7 @@ class SweepScheduler:
                 self.stats.bump("failed")
                 self._finish(request)
             return
-        self.stats.absorb_sweep(stats)
+        self.stats.absorb(stats)
         now = self._now()
         for request, result in zip(batch, results):
             request.result = result

@@ -267,7 +267,7 @@ class TestDeterminismAndCaching:
 class TestReporting:
     def test_fault_table_lists_faulty_cells(self):
         base = _config(faults=LOSSY)
-        sweep = sweep_ptp(base, [4096, 8192], [2], derive_seeds=True)
+        sweep = sweep_ptp(base, [4096, 8192], [2])
         table = fault_table(sweep)
         assert table is not None
         assert "fault outcomes" in table

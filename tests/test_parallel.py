@@ -75,11 +75,6 @@ class TestDerivedSeeds:
             assert cell.seed == derive_cell_seed(
                 7, cell.message_bytes, cell.partitions)
 
-    def test_plan_cells_can_keep_base_seed(self):
-        cells = plan_cells(_base(seed=7), SIZES, COUNTS,
-                           derive_seeds=False)
-        assert {c.seed for c in cells} == {7}
-
     def test_plan_cells_skips_unsplittable_and_rejects_empty(self):
         cells = plan_cells(_base(), [2], [1, 4])
         assert [(c.message_bytes, c.partitions) for c in cells] == [(2, 1)]

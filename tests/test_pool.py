@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from repro.core import (METRIC_NAMES, PtpBenchmarkConfig, WorkerPool,
-                        plan_cells, run_cells, run_ptp_benchmark, sweep_ptp)
+from repro.core import (METRIC_NAMES, PtpBenchmarkConfig, SweepStats,
+                        WorkerPool, plan_cells, run_cells, run_ptp_benchmark,
+                        sweep_ptp)
 from repro.core.pool import (PoolRunStats, PoolTaskError, shared_pool,
                              shutdown_shared_pool)
 from repro.core.wire import decode_result, encode_result
@@ -66,7 +67,7 @@ class TestValidation:
         try:
             cells = plan_cells(_base(seed=2), SIZES, COUNTS)
             _, stats = run_cells(cells, jobs=64)
-            assert len(stats.worker_cells) <= len(cells)
+            assert len(stats.pool.worker_tasks) <= len(cells)
             assert shared_pool(64).started_workers <= len(cells)
         finally:
             shutdown_shared_pool()
@@ -111,8 +112,8 @@ class TestWarmReuse:
         cells = plan_cells(_base(seed=4), SIZES, COUNTS)
         _, first = run_cells(cells, jobs=2, pool=pool)
         _, second = run_cells(cells, jobs=2, pool=pool)
-        assert first.warm_hits == 0      # cold pool: every worker booted
-        assert second.warm_hits == len(cells)
+        assert first.pool.warm_tasks == 0      # cold pool: every worker booted
+        assert second.pool.warm_tasks == len(cells)
         assert pool.stats.tasks == 2 * len(cells)
 
     def test_planner_trials_on_pool_match_serial(self, pool):
@@ -128,7 +129,7 @@ class TestWarmReuse:
         assert p_stats.trials == s_stats.trials
         # Trial decomposition: the pool saw one task per trial, not one
         # per cell.
-        assert sum(p_stats.worker_cells.values()) == s_stats.trials
+        assert sum(p_stats.pool.worker_tasks.values()) == s_stats.trials
 
     def test_shared_pool_is_process_wide_and_grows(self):
         shutdown_shared_pool()
@@ -164,8 +165,8 @@ class TestWorkStealing:
         serial, _ = run_cells(cells, jobs=1)
         pooled, stats = run_cells(cells, jobs=2, pool=pool)
         assert _digests(pooled) == _digests(serial)
-        assert stats.stolen_cells >= 1
-        assert pool.stats.stolen_tasks == stats.stolen_cells
+        assert stats.pool.stolen_tasks >= 1
+        assert pool.stats.stolen_tasks == stats.pool.stolen_tasks
 
     def test_describe_surfaces_pool_counters(self, pool):
         cells = plan_cells(_base(seed=6), SIZES, COUNTS)
@@ -206,7 +207,7 @@ class TestCrashRecovery:
             serial, _ = run_cells(cells, jobs=1)
             inline, stats = run_cells(cells, jobs=2, pool=p)
             assert _digests(inline) == _digests(serial)
-            assert stats.worker_cells == {-1: len(cells)}
+            assert stats.pool.worker_tasks == {-1: len(cells)}
         finally:
             p.shutdown()
 
@@ -252,6 +253,34 @@ class TestPoolRunStats:
         assert total.crashed_workers == 1
         assert total.inline_tasks == 1
         assert total.worker_tasks == {0: 2, 1: 3}
+
+    def test_session_adds_its_counters_to_the_pool_once(self, pool):
+        cells = plan_cells(_base(seed=5), SIZES, COUNTS)
+        assert len(list(pool.run(cells))) == len(cells)
+        assert pool.stats.tasks == len(cells)
+        _, stats = run_cells(cells, jobs=2, pool=pool)
+        assert stats.pool.tasks == len(cells)
+        assert pool.stats.tasks == 2 * len(cells)
+        assert pool.stats.warm_tasks == stats.pool.warm_tasks == len(cells)
+
+    def test_sweep_stats_absorb_sums_the_pool_counters(self):
+        inline = SweepStats(jobs=2, total_cells=3, executed=2, cache_hits=1,
+                            analytic=1, trials=4, singleflight_hits=1)
+        pooled = SweepStats(jobs=2, total_cells=2, executed=2, trials=2,
+                            pool=PoolRunStats(tasks=2, warm_tasks=2,
+                                              worker_tasks={0: 2}))
+        total = SweepStats(jobs=2)
+        total.absorb(inline)
+        assert total.pool is None       # inline drains carry no pool
+        total.absorb(pooled)
+        total.absorb(pooled)
+        assert (total.total_cells, total.executed, total.cache_hits,
+                total.analytic, total.trials, total.singleflight_hits) == \
+            (7, 6, 1, 1, 8, 1)
+        assert total.pool.warm_tasks == 4
+        assert total.pool.worker_tasks == {0: 4}
+        assert pooled.pool.tasks == 2   # the absorbed record is untouched
+        assert "4 warm, 0 stolen [w0:4]" in total.describe()
 
     def test_pool_emits_lifecycle_events(self, pool):
         from repro.obs import MemorySink
@@ -402,7 +431,7 @@ class TestSessionOwnership:
         cells = plan_cells(_base(seed=44), SIZES, COUNTS)
         results, stats = run_cells(cells, jobs=1)
         assert len(results) == len(cells)
-        assert stats.worker_cells == {}
+        assert stats.pool is None
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,44 @@ class TestScheduler:
         finally:
             scheduler.stop()
 
+    def test_failed_batch_still_counts_as_a_batch(self, tmp_path,
+                                                  monkeypatch):
+        scheduler = SweepScheduler(cache=ResultCache(tmp_path / "c"),
+                                   quota=64, batch_window=0.0,
+                                   dispatchers=1)
+        monkeypatch.setattr(
+            "repro.service.scheduler.run_cells",
+            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")))
+        try:
+            # Holding the queue's lock while submitting lands all three
+            # requests in the lone dispatcher's first batch.
+            with scheduler._cv:
+                batch = [scheduler.submit(_base(seed=i)) for i in range(3)]
+            for request in batch:
+                with pytest.raises(ServiceError):
+                    scheduler.wait(request, timeout=30.0)
+            stats = scheduler.stats.as_dict()
+            assert stats["batches"] == 1
+            assert stats["failed"] == len(batch)
+            assert stats["served"] == stats["executed"] == 0
+        finally:
+            scheduler.stop()
+
+    def test_jobs_below_one_rejected_at_construction(self, tmp_path):
+        with pytest.raises(ServiceError, match="jobs must be >= 1: 0"):
+            SweepScheduler(cache=ResultCache(tmp_path / "c"), jobs=0)
+
+    def test_serve_with_jobs_zero_exits_before_binding(self, monkeypatch):
+        from repro.cli import main
+        from repro.service import server
+
+        def no_bind(*args, **kwargs):
+            raise AssertionError("bound a port with --jobs 0")
+
+        monkeypatch.setattr(server, "ThreadingHTTPServer", no_bind)
+        with pytest.raises(ServiceError, match="jobs must be >= 1"):
+            main(["serve", "--port", "0", "--jobs", "0"])
+
 
 # ---------------------------------------------------------------------------
 # Daemon: the satellite acceptance tests
@@ -355,6 +393,10 @@ class TestDaemon:
         client.trial(_payload(seed=11))
         stats = client.stats()
         assert stats["scheduler"]["served"] >= 1
+        assert sorted(stats["scheduler"]) == [
+            "analytic", "batches", "cache_hits", "executed", "failed",
+            "rejected_quota", "requests", "served", "singleflight_hits",
+            "trials"]
         assert "entries" in stats["cache"]
 
     def test_service_events_are_emitted(self, daemon):
