@@ -8,19 +8,14 @@ Niagara); cold cache reads amortize the ratio downward.
 
 from conftest import emit, full_mode
 
-from repro.core import fig4_overhead, metric_table
+from repro.core.suite import FIGURES
+
+FIG = FIGURES["fig4"]
 
 
 def test_fig04_overhead(figure_bench):
-    panels = figure_bench(fig4_overhead, quick=not full_mode())
-    text_parts = []
-    for cache, sweep in panels.items():
-        text_parts.append(metric_table(
-            sweep, "overhead",
-            title=f"Fig 4 — Overhead (x), {cache} cache, 10ms compute, "
-                  f"no noise"))
-    text = "\n\n".join(text_parts)
-    emit("fig04_overhead", text)
+    panels = figure_bench(FIG.driver, quick=not full_mode())
+    emit("fig04_overhead", FIG.render(panels))
 
     hot = panels["hot"]
     sizes = hot.message_sizes

@@ -9,18 +9,14 @@ at 100 ms.
 
 from conftest import emit, full_mode
 
-from repro.core import fig5_perceived_bandwidth, metric_table
+from repro.core.suite import FIGURES
+
+FIG = FIGURES["fig5"]
 
 
 def test_fig05_perceived_bandwidth(figure_bench):
-    panels = figure_bench(fig5_perceived_bandwidth, quick=not full_mode())
-    text_parts = []
-    for (pct, comp), sweep in panels.items():
-        text_parts.append(metric_table(
-            sweep, "perceived_bandwidth",
-            title=f"Fig 5 — Perceived bandwidth (GB/s), uniform "
-                  f"{pct:g}% noise, {comp * 1e3:g}ms compute"))
-    emit("fig05_perceived_bw", "\n\n".join(text_parts))
+    panels = figure_bench(FIG.driver, quick=not full_mode())
+    emit("fig05_perceived_bw", FIG.render(panels))
 
     noisy = panels[(4.0, 0.010)]
     sizes = noisy.message_sizes

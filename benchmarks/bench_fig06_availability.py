@@ -7,18 +7,14 @@ past ~4 MiB, and 100 ms compute shifts the drop-off to larger messages.
 
 from conftest import emit, full_mode
 
-from repro.core import fig6_availability, metric_table
+from repro.core.suite import FIGURES
+
+FIG = FIGURES["fig6"]
 
 
 def test_fig06_availability(figure_bench):
-    panels = figure_bench(fig6_availability, quick=not full_mode())
-    text_parts = []
-    for comp, sweep in panels.items():
-        text_parts.append(metric_table(
-            sweep, "application_availability",
-            title=f"Fig 6 — Application availability, single-thread delay "
-                  f"4%, {comp * 1e3:g}ms compute"))
-    emit("fig06_availability", "\n\n".join(text_parts))
+    panels = figure_bench(FIG.driver, quick=not full_mode())
+    emit("fig06_availability", FIG.render(panels))
 
     fast = panels[0.010]
     sizes = fast.message_sizes

@@ -8,28 +8,19 @@ availability is lower — most visibly at mid/large sizes in our model.
 
 from conftest import emit, full_mode
 
-from repro.core import fig7_noise_models
-from repro.core.report import ascii_table, format_bytes
+from repro.core.suite import FIGURES
+
+FIG = FIGURES["fig7"]
 
 
 def test_fig07_noise_models(figure_bench):
-    panels = figure_bench(fig7_noise_models, quick=not full_mode())
-    parts = []
-    checks = {}
-    for comp, by_model in panels.items():
-        sizes = next(iter(by_model.values())).message_sizes
-        headers = ["model"] + [format_bytes(m) for m in sizes]
-        rows = []
-        for model, sweep in by_model.items():
-            series = dict(sweep.series("application_availability")[16])
-            rows.append([model] + [f"{series[m]:.3f}" for m in sizes])
-            checks[(comp, model)] = series
-        parts.append(ascii_table(
-            headers, rows,
-            title=f"Fig 7 — Availability by noise model, 16 partitions, "
-                  f"4% noise, {comp * 1e3:g}ms compute"))
-    emit("fig07_noise_models", "\n\n".join(parts))
+    panels = figure_bench(FIG.driver, quick=not full_mode())
+    emit("fig07_noise_models", FIG.render(panels))
 
+    checks = {
+        (comp, model): dict(sweep.series("application_availability")[16])
+        for comp, by_model in panels.items()
+        for model, sweep in by_model.items()}
     for comp in panels:
         sizes = sorted(checks[(comp, "single")])
         for m in sizes:

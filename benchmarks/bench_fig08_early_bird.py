@@ -9,18 +9,14 @@ already exploit early-bird effectively.
 
 from conftest import emit, full_mode
 
-from repro.core import fig8_early_bird, metric_table
+from repro.core.suite import FIGURES
+
+FIG = FIGURES["fig8"]
 
 
 def test_fig08_early_bird(figure_bench):
-    panels = figure_bench(fig8_early_bird, quick=not full_mode())
-    parts = []
-    for comp, sweep in panels.items():
-        parts.append(metric_table(
-            sweep, "early_bird_fraction",
-            title=f"Fig 8 — Early-bird communication (%), uniform 4% "
-                  f"noise, {comp * 1e3:g}ms compute"))
-    emit("fig08_early_bird", "\n\n".join(parts))
+    panels = figure_bench(FIG.driver, quick=not full_mode())
+    emit("fig08_early_bird", FIG.render(panels))
 
     fast, slow = panels[0.010], panels[0.100]
     sizes = fast.message_sizes

@@ -10,33 +10,14 @@ the Figure 13 projection).
 
 from conftest import emit, full_mode
 
-from repro.core import series_table
-from repro.patterns import (CommMode, PatternConfig, Sweep3DGrid,
-                            throughput_series)
+from repro.core.suite import FIGURES
 
-GRID = Sweep3DGrid(3, 3)
-SIZES_QUICK = (65536, 1 << 20, 4 << 20, 16 << 20)
-SIZES_FULL = tuple(64 * 4 ** k for k in range(5, 10))
-
-
-def _series(compute_seconds: float):
-    base = PatternConfig(mode=CommMode.SINGLE, threads=16,
-                         message_bytes=SIZES_QUICK[0],
-                         compute_seconds=compute_seconds,
-                         steps=4 if not full_mode() else 8,
-                         iterations=2 if not full_mode() else 5,
-                         warmup=1)
-    sizes = SIZES_FULL if full_mode() else SIZES_QUICK
-    return throughput_series("sweep3d", base, sizes, grid=GRID)
+FIG = FIGURES["fig9"]
 
 
 def test_fig09_sweep3d_10ms(figure_bench):
-    series = figure_bench(_series, 0.010)
-    text = series_table(
-        series, value_label="GB/s", scale=1e-9,
-        title="Fig 9 — Sweep3D comm throughput, 16 threads, 10ms compute, "
-              "4% single noise")
-    emit("fig09_sweep3d_10ms", text)
+    series = figure_bench(FIG.driver, quick=not full_mode())
+    emit("fig09_sweep3d_10ms", FIG.render(series))
 
     single = dict(series["single"])
     multi = dict(series["multi"])

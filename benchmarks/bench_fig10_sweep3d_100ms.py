@@ -5,20 +5,17 @@ compute, and the point where partitioned diverges from point-to-point
 moves to larger message sizes.
 """
 
-from bench_fig09_sweep3d_10ms import _series
-from conftest import emit
+from conftest import emit, full_mode
 
-from repro.core import series_table
+from repro.core.suite import FIGURES
+
+FIG = FIGURES["fig10"]
 
 
 def test_fig10_sweep3d_100ms(figure_bench):
-    fast = _series(0.010)
-    slow = figure_bench(_series, 0.100)
-    text = series_table(
-        slow, value_label="GB/s", scale=1e-9,
-        title="Fig 10 — Sweep3D comm throughput, 16 threads, 100ms "
-              "compute, 4% single noise")
-    emit("fig10_sweep3d_100ms", text)
+    fast = FIGURES["fig9"].driver(quick=not full_mode())
+    slow = figure_bench(FIG.driver, quick=not full_mode())
+    emit("fig10_sweep3d_100ms", FIG.render(slow))
 
     single = dict(slow["single"])
     part = dict(slow["partitioned"])

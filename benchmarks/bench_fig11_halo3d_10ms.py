@@ -12,38 +12,15 @@ percent of wall throughput.
 
 from conftest import emit, full_mode
 
-from repro.core import series_table
-from repro.patterns import (CommMode, Halo3DGrid, PatternConfig,
-                            throughput_series)
+from repro.core.suite import FIGURES
 
-GRID = Halo3DGrid(2, 2, 2)
-SIZES_QUICK = (65536, 1 << 20, 4 << 20, 16 << 20)
-SIZES_FULL = tuple(64 * 4 ** k for k in range(5, 10))
-
-
-def _series(threads: int, compute_seconds: float):
-    base = PatternConfig(mode=CommMode.SINGLE, threads=threads,
-                         message_bytes=SIZES_QUICK[0],
-                         compute_seconds=compute_seconds,
-                         steps=2 if not full_mode() else 4,
-                         iterations=2 if not full_mode() else 5,
-                         warmup=1)
-    sizes = SIZES_FULL if full_mode() else SIZES_QUICK
-    return throughput_series("halo3d", base, sizes, grid=GRID)
+FIG = FIGURES["fig11"]
 
 
 def test_fig11_halo3d_10ms(figure_bench):
-    panel_a = figure_bench(_series, 8, 0.010)
-    panel_b = _series(64, 0.010)
-    text = "\n\n".join([
-        series_table(panel_a, value_label="GB/s", scale=1e-9,
-                     title="Fig 11a — Halo3D comm throughput, 8 threads "
-                           "(4 partitions/face), 10ms"),
-        series_table(panel_b, value_label="GB/s", scale=1e-9,
-                     title="Fig 11b — Halo3D comm throughput, 64 threads "
-                           "oversubscribed (16 partitions/face), 10ms"),
-    ])
-    emit("fig11_halo3d_10ms", text)
+    panels = figure_bench(FIG.driver, quick=not full_mode())
+    emit("fig11_halo3d_10ms", FIG.render(panels))
+    panel_a, panel_b = panels["a"], panels["b"]
 
     # Panel (a): all modes within a narrow band.
     sizes = sorted(dict(panel_a["single"]))

@@ -4,24 +4,17 @@ Paper shape: as Figure 11 but with a smaller relative oversubscription
 penalty — large compute hides thread time-slicing better.
 """
 
-from bench_fig11_halo3d_10ms import _series
-from conftest import emit
+from conftest import emit, full_mode
 
-from repro.core import series_table
+from repro.core.suite import FIGURES
+
+FIG = FIGURES["fig12"]
 
 
 def test_fig12_halo3d_100ms(figure_bench):
-    panel_a = figure_bench(_series, 8, 0.100)
-    panel_b = _series(64, 0.100)
-    text = "\n\n".join([
-        series_table(panel_a, value_label="GB/s", scale=1e-9,
-                     title="Fig 12a — Halo3D comm throughput, 8 threads "
-                           "(4 partitions/face), 100ms"),
-        series_table(panel_b, value_label="GB/s", scale=1e-9,
-                     title="Fig 12b — Halo3D comm throughput, 64 threads "
-                           "oversubscribed (16 partitions/face), 100ms"),
-    ])
-    emit("fig12_halo3d_100ms", text)
+    panels = figure_bench(FIG.driver, quick=not full_mode())
+    emit("fig12_halo3d_100ms", FIG.render(panels))
+    panel_a, panel_b = panels["a"], panels["b"]
 
     sizes = sorted(dict(panel_a["single"]))
     # Panel (a): modes remain indistinguishable at 4 partitions.

@@ -11,16 +11,14 @@ the large projected speedups at scale (~2x at 256 nodes).
 
 from conftest import emit, full_mode
 
-from repro.proxy import SnapConfig, snap_projection
+from repro.core.suite import FIGURES
+
+FIG = FIGURES["fig13"]
 
 
 def test_fig13_snap_projection(figure_bench):
-    counts = (2, 4, 8, 16, 32, 64, 128, 256) if full_mode() \
-        else (2, 8, 32, 128, 256)
-    proj = figure_bench(
-        snap_projection, node_counts=counts,
-        base_config=SnapConfig(nodes=counts[0]))
-    emit("fig13_snap_projection", proj.format())
+    proj = figure_bench(FIG.driver, quick=not full_mode())
+    emit("fig13_snap_projection", FIG.render(proj))
 
     rows = {r.nodes: r for r in proj.rows}
     # Small node counts: MPI is a single-digit percentage of runtime.

@@ -41,22 +41,18 @@ import json
 import os
 import signal
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .core import (ANALYTIC_MODES, CACHE_SCHEMA_VERSION, METRIC_NAMES,
-                   PtpBenchmarkConfig,
-                   ResultCache, SweepStats, fault_table, fig4_overhead,
-                   fig5_perceived_bandwidth, fig6_availability,
-                   fig7_noise_models, fig8_early_bird, metric_table,
-                   provenance_line, recommend_partitions, run_ptp_benchmark,
-                   save_sweep, series_table, sweep_ptp)
-from .core.report import ascii_table, format_bytes
+                   PtpBenchmarkConfig, ResultCache, SweepStats, ascii_table,
+                   fault_table, metric_table, provenance_line,
+                   recommend_partitions, run_ptp_benchmark, save_sweep,
+                   sweep_ptp)
+from .core.suite import FIGURES, figure_sweeps
+from .errors import ConfigurationError
 from .faults import parse_fault_spec
 from .metrics import AdaptiveTrialPlanner
-from .noise import noise_model_from_name
-from .patterns import (CommMode, Halo3DGrid, PatternConfig, Sweep3DGrid,
-                       throughput_series)
-from .proxy import SnapConfig, snap_projection
+from .noise import NOISE_MODELS, noise_model_from_name
 
 __all__ = ["main", "build_parser"]
 
@@ -72,21 +68,18 @@ def _engine_options(args) -> Dict:
     (anything below 1) raises :class:`~repro.errors.ConfigurationError`
     instead of silently falling back to one worker.
     """
-    cache_dir = getattr(args, "cache_dir", None)
-    ci_target = getattr(args, "ci_target", None)
     planner = None
-    if ci_target is not None:
+    if args.ci_target is not None:
         planner = AdaptiveTrialPlanner(
-            ci_target=ci_target,
-            min_trials=getattr(args, "ci_min_trials", 3),
-            max_trials=getattr(args, "ci_max_trials", 20))
-    jobs = getattr(args, "jobs", 1)
+            ci_target=args.ci_target, min_trials=args.ci_min_trials,
+            max_trials=args.ci_max_trials)
+    jobs = args.jobs
     if jobs is None:  # --jobs default when os.cpu_count() is unknown
         jobs = os.cpu_count() or 1
     return {
         "jobs": jobs,
-        "cache": ResultCache(cache_dir) if cache_dir else None,
-        "analytic": getattr(args, "analytic", "off"),
+        "cache": ResultCache(args.cache_dir) if args.cache_dir else None,
+        "analytic": args.analytic,
         "planner": planner,
     }
 
@@ -105,184 +98,39 @@ def _engine_footer(sweeps, cache: Optional[ResultCache]) -> str:
     return "\n\n" + line
 
 
-def _fig4(args) -> str:
-    engine = _engine_options(args)
-    panels = fig4_overhead(quick=not args.full, **engine)
-    return "\n\n".join(
-        metric_table(sweep, "overhead",
-                     title=f"Fig 4 — Overhead (x), {cache} cache")
-        for cache, sweep in panels.items()) + \
-        _engine_footer(panels.values(), engine["cache"])
-
-
-def _fig5(args) -> str:
-    engine = _engine_options(args)
-    panels = fig5_perceived_bandwidth(quick=not args.full, **engine)
-    return "\n\n".join(
-        metric_table(sweep, "perceived_bandwidth",
-                     title=f"Fig 5 — Perceived bandwidth (GB/s), uniform "
-                           f"{pct:g}% noise, {comp * 1e3:g}ms")
-        for (pct, comp), sweep in panels.items()) + \
-        _engine_footer(panels.values(), engine["cache"])
-
-
-def _fig6(args) -> str:
-    engine = _engine_options(args)
-    panels = fig6_availability(quick=not args.full, **engine)
-    return "\n\n".join(
-        metric_table(sweep, "application_availability",
-                     title=f"Fig 6 — Availability, single delay 4%, "
-                           f"{comp * 1e3:g}ms")
-        for comp, sweep in panels.items()) + \
-        _engine_footer(panels.values(), engine["cache"])
-
-
-def _fig7(args) -> str:
-    engine = _engine_options(args)
-    panels = fig7_noise_models(quick=not args.full, **engine)
-    parts: List[str] = []
-    sweeps: List = []
-    for comp, by_model in panels.items():
-        sizes = next(iter(by_model.values())).message_sizes
-        rows = []
-        for model, sweep in by_model.items():
-            sweeps.append(sweep)
-            series = dict(sweep.series("application_availability")[16])
-            rows.append([model] + [f"{series[m]:.3f}" for m in sizes])
-        parts.append(ascii_table(
-            ["model"] + [format_bytes(m) for m in sizes], rows,
-            title=f"Fig 7 — Availability by noise model, "
-                  f"{comp * 1e3:g}ms"))
-    return "\n\n".join(parts) + _engine_footer(sweeps, engine["cache"])
-
-
-def _fig8(args) -> str:
-    engine = _engine_options(args)
-    panels = fig8_early_bird(quick=not args.full, **engine)
-    return "\n\n".join(
-        metric_table(sweep, "early_bird_fraction",
-                     title=f"Fig 8 — Early-bird (%), uniform 4% noise, "
-                           f"{comp * 1e3:g}ms")
-        for comp, sweep in panels.items()) + \
-        _engine_footer(panels.values(), engine["cache"])
-
-
-def _sweep_fig(compute_seconds: float, full: bool, title: str) -> str:
-    sizes = ((65536, 1 << 20, 4 << 20, 16 << 20) if not full
-             else tuple(64 * 4 ** k for k in range(5, 10)))
-    base = PatternConfig(mode=CommMode.SINGLE, threads=16,
-                         message_bytes=sizes[0],
-                         compute_seconds=compute_seconds,
-                         steps=8 if full else 4,
-                         iterations=5 if full else 2, warmup=1)
-    series = throughput_series("sweep3d", base, sizes,
-                               grid=Sweep3DGrid(3, 3))
-    return series_table(series, value_label="GB/s", scale=1e-9,
-                        title=title)
-
-
-def _fig9(args) -> str:
-    return _sweep_fig(0.010, args.full,
-                      "Fig 9 — Sweep3D comm throughput, 10ms")
-
-
-def _fig10(args) -> str:
-    return _sweep_fig(0.100, args.full,
-                      "Fig 10 — Sweep3D comm throughput, 100ms")
-
-
-def _halo_fig(compute_seconds: float, full: bool, label: str) -> str:
-    sizes = ((65536, 1 << 20, 4 << 20, 16 << 20) if not full
-             else tuple(64 * 4 ** k for k in range(5, 10)))
-    parts: List[str] = []
-    for threads, caption in ((8, "8 threads (4 partitions/face)"),
-                             (64, "64 threads oversubscribed "
-                                  "(16 partitions/face)")):
-        base = PatternConfig(mode=CommMode.SINGLE, threads=threads,
-                             message_bytes=sizes[0],
-                             compute_seconds=compute_seconds,
-                             steps=4 if full else 2,
-                             iterations=5 if full else 2, warmup=1)
-        series = throughput_series("halo3d", base, sizes,
-                                   grid=Halo3DGrid(2, 2, 2))
-        parts.append(series_table(
-            series, value_label="GB/s", scale=1e-9,
-            title=f"{label} — Halo3D comm throughput, {caption}"))
-    return "\n\n".join(parts)
-
-
-def _fig11(args) -> str:
-    return _halo_fig(0.010, args.full, "Fig 11")
-
-
-def _fig12(args) -> str:
-    return _halo_fig(0.100, args.full, "Fig 12")
-
-
-def _fig13(args) -> str:
-    counts = ((2, 4, 8, 16, 32, 64, 128, 256) if args.full
-              else (2, 8, 32, 128, 256))
-    proj = snap_projection(node_counts=counts,
-                           base_config=SnapConfig(nodes=counts[0]))
-    return proj.format()
-
-
-FIGURES: Dict[str, Callable] = {
-    "fig4": _fig4, "fig5": _fig5, "fig6": _fig6, "fig7": _fig7,
-    "fig8": _fig8, "fig9": _fig9, "fig10": _fig10, "fig11": _fig11,
-    "fig12": _fig12, "fig13": _fig13,
-}
-
-_FIGURE_BLURBS = {
-    "fig4": "overhead vs message size, hot & cold cache",
-    "fig5": "perceived bandwidth under uniform noise",
-    "fig6": "application availability, single-thread delay",
-    "fig7": "availability per noise model",
-    "fig8": "% early-bird communication",
-    "fig9": "Sweep3D throughput, 10 ms compute",
-    "fig10": "Sweep3D throughput, 100 ms compute",
-    "fig11": "Halo3D throughput, 10 ms compute",
-    "fig12": "Halo3D throughput, 100 ms compute",
-    "fig13": "SNAP projected speedup",
-}
+def _cmd_figure(args) -> str:
+    """One figure of :data:`~repro.core.suite.FIGURES`: its tables, plus
+    the engine footer when it ran on the sweep engine."""
+    figure = FIGURES[args.command]
+    engine = _engine_options(args) if figure.on_engine else {}
+    output = figure.driver(quick=not args.full, **engine)
+    return figure.render(output) + \
+        _engine_footer(figure_sweeps(output), engine.get("cache"))
 
 
 def _cmd_list(args) -> str:
-    rows = [[name, blurb] for name, blurb in _FIGURE_BLURBS.items()]
+    rows = [[name, figure.blurb] for name, figure in FIGURES.items()]
     return ascii_table(["experiment", "reproduces"], rows,
                        title="available figure reproductions")
 
 
-def _resolve_noise(name: str, percent: Optional[float]):
-    """Build the noise model, defaulting the percent per model.
+def _benchmark_config(args, **cell) -> PtpBenchmarkConfig:
+    """Benchmark config from the shared config flags.
 
-    ``--noise-percent`` defaults to ``None`` so ``--noise none`` (the
-    default) resolves to a percent of 0 while noisy models default to the
-    paper's 4%.  An *explicit* nonzero percent combined with ``none`` is
-    rejected by :func:`~repro.noise.noise_model_from_name`.
+    ``cell`` gives ``message_bytes`` and ``partitions``; without it they
+    come from the one-cell ``--message-bytes``/``--partitions`` flags.
     """
-    if percent is None:
-        percent = 0.0 if name == "none" else 4.0
-    return noise_model_from_name(name, percent)
-
-
-def _benchmark_config(args) -> PtpBenchmarkConfig:
-    """One-cell benchmark config from the shared measurement flags."""
-    noise = _resolve_noise(args.noise, args.noise_percent)
-    faults = None
-    spec = getattr(args, "faults", None)
-    if spec:
-        faults = parse_fault_spec(spec)
+    cell = cell or {"message_bytes": args.message_bytes,
+                    "partitions": args.partitions}
     return PtpBenchmarkConfig(
-        message_bytes=args.message_bytes,
-        partitions=args.partitions,
+        **cell,
         compute_seconds=args.compute_ms / 1e3,
-        noise=noise,
+        noise=noise_model_from_name(args.noise, args.noise_percent),
         cache=args.cache,
         impl=args.impl,
         iterations=args.iterations,
         seed=args.seed,
-        faults=faults,
+        faults=parse_fault_spec(args.faults) if args.faults else None,
     )
 
 
@@ -308,11 +156,10 @@ def _cmd_metrics(args) -> str:
 
 
 def _cmd_advisor(args) -> str:
-    noise = _resolve_noise(args.noise, args.noise_percent)
     rec = recommend_partitions(
         message_bytes=args.message_bytes,
         compute_seconds=args.compute_ms / 1e3,
-        noise=noise,
+        noise=noise_model_from_name(args.noise, args.noise_percent),
         objective=args.objective,
         base_config=PtpBenchmarkConfig(
             message_bytes=64, partitions=1,
@@ -356,7 +203,6 @@ def _cmd_faults(args) -> str:
 
 
 def _parse_int_list(text: str, what: str) -> List[int]:
-    from .errors import ConfigurationError
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
@@ -369,25 +215,12 @@ def _parse_int_list(text: str, what: str) -> List[int]:
 
 def _cmd_sweep(args) -> str:
     """A figure-shaped grid sweep with full engine control."""
-    noise = _resolve_noise(args.noise, args.noise_percent)
     sizes = _parse_int_list(args.sizes, "--sizes")
     counts = _parse_int_list(args.counts, "--counts")
-    base = PtpBenchmarkConfig(
-        message_bytes=max(sizes),
-        partitions=1,
-        compute_seconds=args.compute_ms / 1e3,
-        noise=noise,
-        cache=args.cache,
-        impl=args.impl,
-        iterations=args.iterations,
-        seed=args.seed,
-        faults=parse_fault_spec(args.faults) if args.faults else None,
-    )
+    base = _benchmark_config(args, message_bytes=max(sizes), partitions=1)
     engine = _engine_options(args)
     cache = engine["cache"]
-    sweep = sweep_ptp(base, sizes, counts, jobs=engine["jobs"],
-                      cache=cache, analytic=engine["analytic"],
-                      planner=engine["planner"])
+    sweep = sweep_ptp(base, sizes, counts, **engine)
     metrics = METRIC_NAMES if args.metric == "all" else (args.metric,)
     parts = [metric_table(sweep, metric, title=f"sweep — {metric}")
              for metric in metrics]
@@ -429,7 +262,6 @@ def _cmd_lint(args) -> int:
     from .analysis import format_findings, lint_paths
     from .analysis.findings import (load_baseline, new_findings, sarif_json,
                                     write_baseline)
-    from .errors import ConfigurationError
     try:
         findings = lint_paths(args.paths, disabled=args.disable)
     except ConfigurationError as exc:
@@ -481,7 +313,6 @@ def _resolve_kinds(kinds_arg: str):
 
 def _cmd_trace(args) -> int:
     from .core import run_ptp_trial
-    from .errors import ConfigurationError
     from .obs import MemorySink, write_chrome_trace, write_jsonl
     try:
         patterns = _resolve_kinds(args.kinds)
@@ -504,7 +335,6 @@ def _cmd_trace(args) -> int:
 
 def _cmd_report(args) -> int:
     from .core import run_ptp_trial
-    from .errors import ConfigurationError
     from .mpi.diagnostics import cluster_report, collect_diagnostics
     from .obs import CounterSink, MemorySink, write_chrome_trace
     try:
@@ -555,7 +385,6 @@ def _cmd_report(args) -> int:
 def _cmd_check(args) -> int:
     from .analysis import run_checked
     from .analysis.checker import load_program
-    from .errors import ConfigurationError
     try:
         loaded = load_program(args.program)
     except ConfigurationError as exc:
@@ -568,18 +397,22 @@ def _cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def _add_measurement_args(parser: argparse.ArgumentParser,
-                          iterations: int) -> None:
-    """Attach the one-cell measurement flags shared by single-run commands."""
-    parser.add_argument("--message-bytes", type=int, required=True)
-    parser.add_argument("--partitions", type=int, required=True)
+def _add_compute_args(parser: argparse.ArgumentParser,
+                      noise: str) -> None:
+    """Attach the compute amount and its noise model."""
     parser.add_argument("--compute-ms", type=float, default=10.0)
-    parser.add_argument("--noise", default="none",
-                        choices=["none", "single", "uniform", "gaussian",
-                                 "exponential"])
+    parser.add_argument("--noise", default=noise,
+                        choices=list(NOISE_MODELS))
     parser.add_argument("--noise-percent", type=float, default=None,
                         help="noise magnitude in percent (default: 0 for "
                              "'none', 4 for noisy models)")
+
+
+def _add_config_args(parser: argparse.ArgumentParser,
+                     iterations: int) -> None:
+    """Attach the benchmark-config flags read by :func:`_benchmark_config`
+    (all but the one-cell size and partition count)."""
+    _add_compute_args(parser, noise="none")
     parser.add_argument("--cache", default="hot", choices=["hot", "cold"])
     parser.add_argument("--impl", default="mpipcl",
                         choices=["mpipcl", "native"])
@@ -589,6 +422,14 @@ def _add_measurement_args(parser: argparse.ArgumentParser,
                         help="fault-injection plan, e.g. "
                              "'drop=0.05,deadline=30' "
                              "(see 'repro faults' for the grammar)")
+
+
+def _add_measurement_args(parser: argparse.ArgumentParser,
+                          iterations: int) -> None:
+    """Attach the one-cell measurement flags shared by single-run commands."""
+    parser.add_argument("--message-bytes", type=int, required=True)
+    parser.add_argument("--partitions", type=int, required=True)
+    _add_config_args(parser, iterations)
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
@@ -666,11 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the figure reproductions")
 
-    for name, blurb in _FIGURE_BLURBS.items():
-        p = sub.add_parser(name, help=blurb)
+    for name, figure in FIGURES.items():
+        p = sub.add_parser(name, help=figure.blurb)
         p.add_argument("--full", action="store_true",
                        help="run the paper's full grid (slow)")
-        if name in ("fig4", "fig5", "fig6", "fig7", "fig8"):
+        if figure.on_engine:
             _add_engine_args(p)
 
     sw = sub.add_parser(
@@ -681,21 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated partition counts")
     sw.add_argument("--metric", default="all",
                     choices=["all"] + list(METRIC_NAMES))
-    sw.add_argument("--compute-ms", type=float, default=10.0)
-    sw.add_argument("--noise", default="none",
-                    choices=["none", "single", "uniform", "gaussian",
-                             "exponential"])
-    sw.add_argument("--noise-percent", type=float, default=None,
-                    help="noise magnitude in percent (default: 0 for "
-                         "'none', 4 for noisy models)")
-    sw.add_argument("--faults", default=None, metavar="SPEC",
-                    help="fault-injection plan applied to every cell "
-                         "(see 'repro faults' for the grammar)")
-    sw.add_argument("--cache", default="hot", choices=["hot", "cold"])
-    sw.add_argument("--impl", default="mpipcl",
-                    choices=["mpipcl", "native"])
-    sw.add_argument("--iterations", type=int, default=3)
-    sw.add_argument("--seed", type=int, default=0)
+    _add_config_args(sw, iterations=3)
     sw.add_argument("--save", default=None, metavar="PATH",
                     help="also archive the sweep as JSON")
     _add_engine_args(sw)
@@ -744,13 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("advisor", help="recommend a partition count")
     a.add_argument("--message-bytes", type=int, required=True)
-    a.add_argument("--compute-ms", type=float, default=10.0)
-    a.add_argument("--noise", default="single",
-                   choices=["none", "single", "uniform", "gaussian",
-                            "exponential"])
-    a.add_argument("--noise-percent", type=float, default=None,
-                   help="noise magnitude in percent (default: 0 for "
-                        "'none', 4 for noisy models)")
+    _add_compute_args(a, noise="single")
     a.add_argument("--objective", default="balanced",
                    choices=["availability", "overhead", "balanced"])
     a.add_argument("--iterations", type=int, default=3)
@@ -853,7 +674,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "report":
         return _cmd_report(args)
     else:
-        print(FIGURES[args.command](args))
+        print(_cmd_figure(args))
     return 0
 
 

@@ -9,7 +9,8 @@ Layers:
 * :mod:`~repro.core.parallel` — the sweep execution engine: fan-out over
   a persistent :mod:`~repro.core.pool` of warm workers plus a
   content-addressed result cache, bit-identical to serial.
-* ``fig4_…``–``fig8_…`` — per-figure experiment drivers (suite module).
+* :data:`~repro.core.suite.FIGURES` — the paper's Figures 4–13, each
+  defined once: a driver and a renderer (suite module).
 * :func:`recommend_partitions` — the developer-guidance advisor.
 * :mod:`~repro.core.report` — the text tables the harness prints.
 """

@@ -522,8 +522,8 @@ def plan_cells(base: PtpBenchmarkConfig,
 
     Cells where the message is smaller than the partition count are
     skipped (they cannot be split), matching how the paper's figures leave
-    those cells empty.  Each cell's seed comes from
-    :func:`derive_cell_seed`.
+    those cells empty; a grid with no cell left raises.  Each cell's seed
+    comes from :func:`derive_cell_seed`.
     """
     if not message_sizes or not partition_counts:
         raise ConfigurationError("sweep needs at least one size and count")
@@ -535,6 +535,10 @@ def plan_cells(base: PtpBenchmarkConfig,
             cells.append(base.with_overrides(
                 message_bytes=m, partitions=n,
                 seed=derive_cell_seed(base.seed, m, n)))
+    if not cells:
+        raise ConfigurationError(
+            "sweep grid is empty: every message size is smaller than "
+            "its partition count")
     return cells
 
 
@@ -608,7 +612,6 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
               analytic: str = "off",
               planner=None,
               pool: Optional[WorkerPool] = None,
-              join_timeout: Optional[float] = JOIN_TIMEOUT_SECONDS,
               ) -> Tuple[List[PtpResult], SweepStats]:
     """Produce one result per cell, in order; the engine behind sweeps.
 
@@ -647,12 +650,10 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
         A live :class:`~repro.core.pool.WorkerPool` to execute on — its
         warm workers are reused and left running (the sweep-service
         execution path).  Overrides ``jobs``.
-    join_timeout:
-        Bound (seconds) on waiting for a *concurrent* sweep's in-flight
-        computation of an identical cell before giving up and computing
-        it here (default :data:`JOIN_TIMEOUT_SECONDS`).  ``None`` waits
-        forever — only safe when every possible leader is known to
-        reach ``put`` or ``abandon``.
+
+    Waiting on a *concurrent* sweep's in-flight computation of an
+    identical cell is bounded by :data:`JOIN_TIMEOUT_SECONDS` (read at
+    call time); past it the cell is computed here.
 
     Cache hits and analytic answers never open a pool session.
     """
@@ -756,7 +757,7 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
         results[i] = results[claimed[fingerprint]]
     orphaned: List[Tuple[int, PtpBenchmarkConfig]] = []
     for i, config, flight in joiners:
-        joined = cache.join(flight, config, timeout=join_timeout)
+        joined = cache.join(flight, config, timeout=JOIN_TIMEOUT_SECONDS)
         if joined is None:
             orphaned.append((i, config))
         else:

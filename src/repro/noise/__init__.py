@@ -1,6 +1,7 @@
 """Injected system-noise models (§3.3 of the paper, plus a trace extension)."""
 
 from .models import (
+    NOISE_MODELS,
     ExponentialNoise,
     GaussianNoise,
     NoNoise,
@@ -12,6 +13,7 @@ from .models import (
 from .trace_noise import TraceNoise
 
 __all__ = [
+    "NOISE_MODELS",
     "ExponentialNoise",
     "GaussianNoise",
     "NoNoise",

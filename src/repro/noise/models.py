@@ -27,7 +27,8 @@ import numpy as np
 from ..errors import ConfigurationError
 
 __all__ = ["NoiseModel", "NoNoise", "SingleThreadNoise", "UniformNoise",
-           "GaussianNoise", "ExponentialNoise", "noise_model_from_name"]
+           "GaussianNoise", "ExponentialNoise", "NOISE_MODELS",
+           "noise_model_from_name"]
 
 
 class NoiseModel(abc.ABC):
@@ -191,28 +192,33 @@ class ExponentialNoise(_PercentNoise):
         return compute_seconds + rng.exponential(scale, size=nthreads)
 
 
-def noise_model_from_name(name: str, noise_percent: float = 0.0) -> NoiseModel:
-    """Factory used by the CLI-style sweep configs.
+#: Model name -> class: the one noise vocabulary of the CLI, the service
+#: protocol and sweep configs.
+NOISE_MODELS = {cls.name: cls for cls in (
+    NoNoise, SingleThreadNoise, UniformNoise, GaussianNoise,
+    ExponentialNoise)}
 
-    ``name`` is one of ``none``, ``single``, ``uniform``, ``gaussian``,
-    ``exponential``.  Passing a nonzero ``noise_percent`` together with
-    ``"none"`` is a contradiction — the percent would be silently
+def noise_model_from_name(name: str,
+                          noise_percent: Optional[float] = None
+                          ) -> NoiseModel:
+    """Build a :data:`NOISE_MODELS` entry by name.
+
+    ``noise_percent`` defaults to 0 for ``none`` and to the paper's 4%
+    for the noisy models.  Passing a nonzero ``noise_percent`` together
+    with ``"none"`` is a contradiction — the percent would be silently
     discarded and the sweep would report clean numbers for a config that
     asked for noise — so it raises instead.
     """
-    if name == "none" and noise_percent != 0:
+    if name not in NOISE_MODELS:
         raise ConfigurationError(
-            f"noise model 'none' cannot carry noise_percent="
-            f"{noise_percent:g}; drop the percent or pick a noisy model")
-    table = {
-        "none": lambda: NoNoise(),
-        "single": lambda: SingleThreadNoise(noise_percent),
-        "uniform": lambda: UniformNoise(noise_percent),
-        "gaussian": lambda: GaussianNoise(noise_percent),
-        "exponential": lambda: ExponentialNoise(noise_percent),
-    }
-    try:
-        return table[name]()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown noise model {name!r}; choose from {sorted(table)}")
+            f"unknown noise model {name!r}; choose from "
+            f"{sorted(NOISE_MODELS)}")
+    if name == "none":
+        if noise_percent:
+            raise ConfigurationError(
+                f"noise model 'none' cannot carry noise_percent="
+                f"{noise_percent:g}; drop the percent or pick a noisy "
+                f"model")
+        return NoNoise()
+    return NOISE_MODELS[name](
+        4.0 if noise_percent is None else noise_percent)

@@ -36,8 +36,7 @@ from ..core.runner import PtpResult
 from ..core.wire import METRIC_NAMES
 from ..errors import ConfigurationError, ReproError
 from ..faults import parse_fault_spec
-from ..noise import (ExponentialNoise, GaussianNoise, NoNoise,
-                     SingleThreadNoise, UniformNoise, noise_model_from_name)
+from ..noise import NOISE_MODELS, noise_model_from_name
 
 __all__ = ["PROTOCOL_VERSION", "ProtocolError", "QuotaError",
            "ServiceError", "config_from_payload", "payload_from_config",
@@ -56,10 +55,8 @@ _CONFIG_FIELDS = _INT_FIELDS + ("compute_seconds", "compute_ms", "noise",
                                 "noise_percent", "cache", "impl", "faults")
 
 #: Noise-model class -> protocol name (the inverse of
-#: :func:`~repro.noise.noise_model_from_name`).
-_NOISE_NAMES = {NoNoise: "none", SingleThreadNoise: "single",
-                UniformNoise: "uniform", GaussianNoise: "gaussian",
-                ExponentialNoise: "exponential"}
+#: :data:`~repro.noise.NOISE_MODELS`).
+_NOISE_NAMES = {cls: name for name, cls in NOISE_MODELS.items()}
 
 
 class ServiceError(ReproError):
@@ -156,8 +153,6 @@ def config_from_payload(payload: Dict) -> PtpBenchmarkConfig:
         raise ProtocolError(
             f"config field 'noise_percent' must be a number, got "
             f"{percent!r}")
-    if percent is None:
-        percent = 0.0 if noise_name == "none" else 4.0
     for name in ("cache", "impl"):
         if name in payload:
             if not isinstance(payload[name], str):
@@ -167,7 +162,8 @@ def config_from_payload(payload: Dict) -> PtpBenchmarkConfig:
             kwargs[name] = payload[name]
     spec = payload.get("faults")
     try:
-        kwargs["noise"] = noise_model_from_name(noise_name, float(percent))
+        kwargs["noise"] = noise_model_from_name(
+            noise_name, None if percent is None else float(percent))
         if spec is not None:
             if not isinstance(spec, str):
                 raise ProtocolError(
@@ -283,10 +279,6 @@ def parse_sweep_request(payload) -> Tuple[List[PtpBenchmarkConfig], str,
         cells = plan_cells(base, axes["sizes"], axes["counts"])
     except ConfigurationError as exc:
         raise ProtocolError(str(exc))
-    if not cells:
-        raise ProtocolError(
-            "sweep grid is empty: every message size is smaller than "
-            "its partition count")
     return cells, client, priority, samples
 
 

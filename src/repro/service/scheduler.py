@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.config import PtpBenchmarkConfig
-from ..core.parallel import (JOIN_TIMEOUT_SECONDS, ResultCache, SweepStats,
-                             config_fingerprint, run_cells)
+from ..core.parallel import (ResultCache, SweepStats, config_fingerprint,
+                             run_cells)
 from ..core.pool import WorkerPool
 from ..core.runner import PtpResult
 from ..obs import EventBus
@@ -131,15 +131,14 @@ class SweepScheduler:
 
     Parameters
     ----------
-    pool / cache / jobs / analytic / join_timeout:
+    pool / cache / jobs / analytic:
         The engine backend, passed straight to
         :func:`~repro.core.parallel.run_cells`.  A live ``pool`` keeps
         its warm workers across every batch (the daemon's normal mode);
         ``jobs=1`` with no pool executes inline in dispatcher threads.
         The cache is the shared store that deduplicates across batches,
         dispatchers, and any concurrent CLI sweep on the same
-        directory.  ``join_timeout`` bounds how long one batch waits on
-        another's in-flight twin before recomputing.
+        directory.
     quota:
         Per-client in-flight ceiling (queued + executing).  ``0``
         rejects everything — useful for drain mode and tests.
@@ -161,7 +160,6 @@ class SweepScheduler:
                  batch_window: float = DEFAULT_BATCH_WINDOW,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  dispatchers: int = 2,
-                 join_timeout: Optional[float] = JOIN_TIMEOUT_SECONDS,
                  ) -> None:
         if quota < 0:
             raise ServiceError(f"quota must be >= 0: {quota}", status=500)
@@ -180,7 +178,6 @@ class SweepScheduler:
         self.quota = quota
         self.batch_window = batch_window
         self.max_batch = max_batch
-        self.join_timeout = join_timeout
         self.stats = SchedulerStats()
         #: Host-side ``service.*`` lifecycle events.
         self.obs = EventBus()
@@ -293,8 +290,7 @@ class SweepScheduler:
         try:
             results, stats = run_cells(
                 configs, jobs=self.jobs, cache=self.cache,
-                analytic=self.analytic, pool=self.pool,
-                join_timeout=self.join_timeout)
+                analytic=self.analytic, pool=self.pool)
         except Exception as exc:
             # A whole-batch failure (engine bug, dead pool): every
             # requester gets the error; the dispatcher survives.

@@ -5,9 +5,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import FIGURES, build_parser, main
+from repro.cli import build_parser, main
+from repro.core.suite import FIGURES
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
+ARCHIVES = Path(__file__).parent.parent / "benchmarks" / "output"
+
+
+def _assert_prints_archive(capsys, argv, archive):
+    """``repro <argv>`` prints exactly the bench's archived tables, plus
+    the engine footer when the figure runs on the sweep engine."""
+    assert main(argv) == 0
+    tables = capsys.readouterr().out.split("\n\nsweep engine: ")[0]
+    assert tables.rstrip("\n") + "\n" == \
+        (ARCHIVES / f"{archive}.txt").read_text()
 
 
 class TestParser:
@@ -83,15 +94,19 @@ class TestCommands:
         assert "recommended partitions" in out
         assert "<-- recommended" in out
 
+    def test_fig4_runs_quick(self, capsys):
+        _assert_prints_archive(capsys, ["fig4", "--jobs", "1"],
+                               "fig04_overhead")
+
     def test_fig7_runs_quick(self, capsys):
-        assert main(["fig7"]) == 0
-        out = capsys.readouterr().out
-        assert "single" in out and "gaussian" in out
+        _assert_prints_archive(capsys, ["fig7", "--jobs", "1"],
+                               "fig07_noise_models")
+
+    def test_fig9_runs_quick(self, capsys):
+        _assert_prints_archive(capsys, ["fig9"], "fig09_sweep3d_10ms")
 
     def test_fig13_runs_quick(self, capsys):
-        assert main(["fig13"]) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out and "256" in out
+        _assert_prints_archive(capsys, ["fig13"], "fig13_snap_projection")
 
 
 class TestAnalysisCommands:

@@ -157,6 +157,8 @@ class TestFactory:
                           UniformNoise)
         assert isinstance(noise_model_from_name("gaussian", 4.0),
                           GaussianNoise)
+        # Without a percent, a noisy model gets the paper's 4%.
+        assert noise_model_from_name("uniform").noise_percent == 4.0
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):

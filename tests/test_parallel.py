@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.core import (METRIC_NAMES, PtpBenchmarkConfig, ResultCache,
                         SweepStats, config_fingerprint, derive_cell_seed,
                         plan_cells, run_cells, run_ptp_benchmark, sweep_ptp)
@@ -14,6 +15,7 @@ from repro.core.parallel import CACHE_SCHEMA_VERSION
 from repro.core.runner import EXECUTIONS
 from repro.errors import ConfigurationError
 from repro.noise import GaussianNoise, UniformNoise
+from repro.service.protocol import ProtocolError, parse_sweep_request
 
 
 def _base(**overrides):
@@ -78,8 +80,14 @@ class TestDerivedSeeds:
     def test_plan_cells_skips_unsplittable_and_rejects_empty(self):
         cells = plan_cells(_base(), [2], [1, 4])
         assert [(c.message_bytes, c.partitions) for c in cells] == [(2, 1)]
-        with pytest.raises(ConfigurationError):
-            plan_cells(_base(), [], COUNTS)
+        for sizes, counts in (([], COUNTS), ([16], [32])):
+            with pytest.raises(ConfigurationError):
+                plan_cells(_base(), sizes, counts)
+        with pytest.raises(ConfigurationError, match="grid is empty"):
+            main(["sweep", "--sizes", "16", "--counts", "32", "--jobs", "1"])
+        with pytest.raises(ProtocolError, match="grid is empty"):
+            parse_sweep_request({"base": {"message_bytes": 16, "partitions": 1},
+                                 "sizes": [16], "counts": [32]})
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +564,7 @@ class TestResultPlaneConcurrency:
         assert time.monotonic() - t0 < 5.0
 
     def test_engine_recomputes_after_join_timeout_and_wakes_stragglers(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         """run_cells falls back to computing when its join times out.
 
         The recompute's put() must also pop the stale flight and wake
@@ -574,8 +582,9 @@ class TestResultPlaneConcurrency:
                 cache.join(stale, config, timeout=60.0)))
         straggler.start()
 
-        results, stats = run_cells([config], jobs=1, cache=cache,
-                                   join_timeout=0.2)
+        import repro.core.parallel as parallel_mod
+        monkeypatch.setattr(parallel_mod, "JOIN_TIMEOUT_SECONDS", 0.2)
+        results, stats = run_cells([config], jobs=1, cache=cache)
         straggler.join(timeout=30.0)
         assert not straggler.is_alive(), "straggler never woke"
         assert stats.executed == 1                  # the fallback compute
