@@ -12,7 +12,7 @@ core.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..errors import ConfigurationError
@@ -55,6 +55,14 @@ class ThreadBinding:
 
     spec: MachineSpec
     cores: Tuple[int, ...]
+    #: ``shares[i]`` is how many threads time-share thread ``i``'s core,
+    #: counted once at construction.
+    shares: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        occupancy = self.occupancy()
+        object.__setattr__(self, "shares",
+                           tuple(occupancy[c] for c in self.cores))
 
     @property
     def nthreads(self) -> int:
@@ -86,8 +94,7 @@ class ThreadBinding:
 
     def oversubscription_factor(self, thread: int) -> int:
         """How many threads time-share this thread's core (>= 1)."""
-        core = self.cores[thread]
-        return sum(1 for c in self.cores if c == core)
+        return self.shares[thread]
 
     @property
     def oversubscribed(self) -> bool:

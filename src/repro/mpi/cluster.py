@@ -25,8 +25,8 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..errors import ConfigurationError, DeadlockError
 from ..faults import FaultPlan, FaultStats, LinkFaults, ReliableTransport
-from ..machine import (BindPolicy, MachineSpec, NIAGARA_NODE, bind_threads,
-                       validate_spec)
+from ..machine import (BindPolicy, MachineSpec, NIAGARA_NODE, ThreadBinding,
+                       bind_threads, validate_spec)
 from ..network import (Fabric, INTRA_NODE, NIAGARA_EDR, NetworkParams,
                        Placement, validate_params)
 from ..obs import EventBus
@@ -99,8 +99,8 @@ class RankContext:
         cluster default when omitted), starts the workers, and returns the
         :class:`ThreadTeam`; callers later ``yield from team.join()``.
         """
-        binding = bind_threads(nthreads, self.spec,
-                               policy or self.cluster.bind_policy)
+        binding = self.cluster._binding(nthreads,
+                                        policy or self.cluster.bind_policy)
         yield self.sim.sleep(self.cluster.omp_costs.fork_cost(nthreads))
         team = ThreadTeam(self, binding, worker,
                           omp_costs=self.cluster.omp_costs)
@@ -231,6 +231,8 @@ class Cluster:
                                  Dict[str, deque]] = {}
         self._dup_ids: Dict[Tuple[int, int], int] = {}
         self._next_comm_id = 1
+        #: ``(nthreads, policy)`` -> ThreadBinding (pure, so shared).
+        self._bindings: Dict[Tuple[int, BindPolicy], ThreadBinding] = {}
         #: Dynamic-correctness checker attached by
         #: :func:`repro.analysis.enable_checking`; ``None`` when disabled.
         self.checker: Optional[Any] = None
@@ -276,6 +278,16 @@ class Cluster:
             peer.bind(req)
         else:
             entry[mine].append(req)
+
+    def _binding(self, nthreads: int, policy: BindPolicy) -> ThreadBinding:
+        """:func:`~repro.machine.bind_threads` on this cluster's node,
+        memoized (bindings are immutable, so teams can share one)."""
+        binding = self._bindings.get((nthreads, policy))
+        if binding is None:
+            binding = bind_threads(nthreads, self.spec, policy)
+            if len(self._bindings) < 64:
+                self._bindings[nthreads, policy] = binding
+        return binding
 
     def _dup_comm_id(self, base_id: int, nth: int) -> int:
         key = (base_id, nth)

@@ -12,6 +12,10 @@ One :class:`MPIProcess` exists per simulated rank.  It owns:
 
 All application-facing verbs are **generators**: the calling simulated
 thread ``yield from``-s them so CPU costs land on the right actor.
+
+Pure per-rank lookups (path parameters per ``(peer, bytes)``, the NUMA
+penalty and lock hold per core) are memoized on the process, so a cluster
+computes each once; the tables are capped at :data:`MEMO_CAP` entries.
 """
 
 from __future__ import annotations
@@ -30,7 +34,11 @@ from .matching import Envelope, MatchingEngine
 from .protocol import Frame, FrameKind
 from .request import RecvRequest, SendRequest
 
-__all__ = ["MPIProcess"]
+__all__ = ["MPIProcess", "MEMO_CAP"]
+
+#: Entry cap of each per-process memo table; past it, lookups are computed
+#: fresh instead of stored.
+MEMO_CAP = 1024
 
 
 class MPIProcess:
@@ -88,6 +96,10 @@ class MPIProcess:
         self.inbox: Store = Store(sim, name=f"rank{rank}.inbox")
         self.nic = NIC(sim, rank, router, obs=obs, faults=link_faults)
         self._match_cost = fabric.inter_node.match_cost
+        #: ``(peer, wire_bytes)`` -> ``(wire_time, latency, gap)``.
+        self._paths: dict = {}
+        #: core -> ``(injection penalty, lock hold)``.
+        self._core_costs: dict = {}
         self._in_mpi = 0
         #: Threads currently spin-waiting inside a blocking MPI call; under
         #: MULTIPLE they contend with the progress engine for the lock.
@@ -104,33 +116,55 @@ class MPIProcess:
         the remote-socket penalty when the calling thread spilled over);
         under ``FUNNELED``/``SERIALIZED`` illegal concurrency raises.
         """
-        if self.mode is not ThreadingMode.MULTIPLE:
+        mode = self.mode
+        if mode is not ThreadingMode.MULTIPLE:
             if self._in_mpi > 0:
                 raise ThreadingModeError(
                     f"rank {self.rank}: concurrent MPI calls under "
-                    f"{self.mode.value} threading mode")
-            if self.mode is ThreadingMode.FUNNELED and tc.thread_id != 0:
+                    f"{mode.value} threading mode")
+            if mode is ThreadingMode.FUNNELED and tc.thread_id != 0:
                 raise ThreadingModeError(
                     f"rank {self.rank}: thread {tc.thread_id} called MPI "
                     f"under FUNNELED mode")
         self._in_mpi += 1
         try:
-            penalty = self.numa.injection_penalty(tc.core)
-            if self.mode is ThreadingMode.MULTIPLE and locked:
-                yield from self.lock.acquire()
+            core_costs = self._core_costs.get(tc.core)
+            if core_costs is None:
+                core_costs = self._costs_on(tc.core)
+            penalty, hold = core_costs
+            sim = self.sim
+            if mode is ThreadingMode.MULTIPLE and locked:
+                lock = self.lock
+                resource = lock._resource
+                if resource._in_use or sim.monitor is not None:
+                    yield from lock.acquire()
+                else:
+                    # Mutex.acquire's uncontended grant, inlined: the same
+                    # zero-delay sleep, one generator frame fewer.
+                    resource._in_use = 1
+                    yield sim.sleep(0.0, resource)
+                    lock.stats.acquisitions += 1
+                    lock._held_since = sim._now
                 try:
-                    hold = self.costs.lock_hold
-                    if self.spec.is_remote_to_nic(tc.core):
-                        hold += self.costs.lock_remote_penalty
-                    yield self.sim.sleep(cost + penalty + hold)
+                    yield sim.sleep(cost + penalty + hold)
                 finally:
-                    self.lock.release()
+                    lock.release()
             else:
                 total = cost + penalty
                 if total > 0:
-                    yield self.sim.sleep(total)
+                    yield sim.sleep(total)
         finally:
             self._in_mpi -= 1
+
+    def _costs_on(self, core: int):
+        """``(injection penalty, lock hold)`` for calls issued from ``core``."""
+        hold = self.costs.lock_hold
+        if self.spec.is_remote_to_nic(core):
+            hold += self.costs.lock_remote_penalty
+        costs = (self.numa.injection_penalty(core), hold)
+        if len(self._core_costs) < MEMO_CAP:
+            self._core_costs[core] = costs
+        return costs
 
     def blocking_wait(self, tc, event):
         """Generator: block inside an MPI call until ``event`` triggers.
@@ -163,10 +197,15 @@ class MPIProcess:
         return 1.0
 
     def _progress_delay(self, cost: float):
-        """Generator: charge a progress-engine cost under contention."""
+        """The sleep charging a progress-engine cost under contention.
+
+        ``None`` when the scaled cost is zero; otherwise the caller must
+        yield the returned sleep at once.
+        """
         scaled = cost * self.progress_multiplier()
         if scaled > 0:
-            yield self.sim.sleep(scaled)
+            return self.sim.sleep(scaled)
+        return None
 
     def transmit(self, dst_rank: int, wire_bytes: int, frame: Frame,
                  data: bool = True) -> Transmission:
@@ -179,15 +218,17 @@ class MPIProcess:
         to the reliable transport first: it stamps ``frame.seq`` and
         arms the ACK-timeout retransmission timer on injection.
         """
-        params = self.fabric.params_between(self.rank, dst_rank)
-        tx = Transmission(
-            dst_rank=dst_rank,
-            nbytes=wire_bytes,
-            wire_time=params.wire_time(wire_bytes),
-            latency=self.fabric.delivery_latency(self.rank, dst_rank),
-            payload=frame,
-            gap=params.injection_gap,
-        )
+        path = self._paths.get((dst_rank, wire_bytes))
+        if path is None:
+            params = self.fabric.params_between(self.rank, dst_rank)
+            path = (params.wire_time(wire_bytes),
+                    self.fabric.delivery_latency(self.rank, dst_rank),
+                    params.injection_gap)
+            if len(self._paths) < MEMO_CAP:
+                self._paths[dst_rank, wire_bytes] = path
+        wire_time, latency, gap = path
+        tx = Transmission(dst_rank, wire_bytes, wire_time, latency, frame,
+                          gap)
         retry = self.retry
         self.nic.enqueue(tx)
         if retry is not None and frame.kind is not FrameKind.ACK:
@@ -209,10 +250,6 @@ class MPIProcess:
         messages complete when the bulk data has been injected after the
         CTS round trip.
         """
-        if dest == self.rank and self.mode is not ThreadingMode.MULTIPLE:
-            # Self-sends require the progress loop to run while we block;
-            # they are legal, but we don't special-case loopback timing.
-            pass
         req = SendRequest(self.sim, dest, tag, nbytes)
         req._payload = payload
         params = self.fabric.params_between(self.rank, dest)
@@ -300,44 +337,50 @@ class MPIProcess:
     # progress engine (receive-side protocol state machine)
     # ------------------------------------------------------------------
     def _progress_loop(self):
+        inbox = self.inbox
         while True:
-            frame = yield self.inbox.get()
-            yield from self._handle_frame(frame)
+            frame = yield inbox.get()
+            if self.retry is not None and not self._accept_tracked(frame):
+                continue
+            kind = frame.kind
+            if kind is FrameKind.EAGER or kind is FrameKind.RTS:
+                yield from self._handle_match(frame)
+            elif kind is FrameKind.PDATA:
+                yield from self._handle_pdata(frame)
+            elif kind is FrameKind.CTS:
+                yield from self._handle_cts(frame)
+            elif kind is FrameKind.RDATA:
+                yield from self._handle_rdata(frame)
+            elif kind is FrameKind.PRTS:
+                delay = self._progress_delay(self.costs.post_cost)
+                if delay is not None:
+                    yield delay
+                pcts = Frame(FrameKind.PCTS, self.rank, frame.src_rank,
+                             nbytes=frame.nbytes, sreq=frame.sreq,
+                             preq=frame.preq, partition=frame.partition,
+                             epoch=frame.epoch)
+                self.transmit(frame.src_rank, 0, pcts)
+            elif kind is FrameKind.PCTS:
+                yield from self._handle_pcts(frame)
+            else:  # pragma: no cover - exhaustive over enum
+                raise AssertionError(f"unhandled frame kind {kind}")
 
-    def _handle_frame(self, frame: Frame):
-        kind = frame.kind
+    def _accept_tracked(self, frame: Frame) -> bool:
+        """Lossy mode: ACK a sequenced frame; False when the protocol
+        must not see it (an ACK itself, or a duplicate delivery)."""
         retry = self.retry
-        if retry is not None:
-            if kind is FrameKind.ACK:
-                retry.on_ack(frame.src_rank, frame.seq)
-                return
-            if frame.seq >= 0:
-                # ACK first — a duplicate usually means our previous ACK
-                # was lost, so the sender needs a fresh one either way.
-                self.transmit(frame.src_rank, 0,
-                              Frame(FrameKind.ACK, self.rank,
-                                    frame.src_rank, seq=frame.seq))
-                if not retry.accept(frame.src_rank, frame.seq):
-                    return  # duplicate delivery: already handled once
-        if kind is FrameKind.EAGER or kind is FrameKind.RTS:
-            yield from self._handle_match(frame)
-        elif kind is FrameKind.CTS:
-            yield from self._handle_cts(frame)
-        elif kind is FrameKind.RDATA:
-            yield from self._handle_rdata(frame)
-        elif kind is FrameKind.PDATA:
-            yield from self._handle_pdata(frame)
-        elif kind is FrameKind.PRTS:
-            yield from self._progress_delay(self.costs.post_cost)
-            pcts = Frame(FrameKind.PCTS, self.rank, frame.src_rank,
-                         nbytes=frame.nbytes, sreq=frame.sreq,
-                         preq=frame.preq, partition=frame.partition,
-                         epoch=frame.epoch)
-            self.transmit(frame.src_rank, 0, pcts)
-        elif kind is FrameKind.PCTS:
-            yield from self._handle_pcts(frame)
-        else:  # pragma: no cover - exhaustive over enum
-            raise AssertionError(f"unhandled frame kind {kind}")
+        if frame.kind is FrameKind.ACK:
+            retry.on_ack(frame.src_rank, frame.seq)
+            return False
+        if frame.seq >= 0:
+            # ACK first — a duplicate usually means our previous ACK
+            # was lost, so the sender needs a fresh one either way.
+            self.transmit(frame.src_rank, 0,
+                          Frame(FrameKind.ACK, self.rank,
+                                frame.src_rank, seq=frame.seq))
+            if not retry.accept(frame.src_rank, frame.seq):
+                return False  # duplicate delivery: already handled once
+        return True
 
     def _handle_match(self, frame: Frame):
         entry, scanned = self.matching.match_arrival(frame.envelope)
@@ -345,7 +388,9 @@ class MPIProcess:
         if entry is None:
             self.matching.store_unexpected(frame, frame.envelope,
                                            self.sim.now)
-            yield from self._progress_delay(cost + self.costs.post_cost)
+            delay = self._progress_delay(cost + self.costs.post_cost)
+            if delay is not None:
+                yield delay
             return
         req: RecvRequest = entry.request
         params = self.fabric.params_between(frame.src_rank, self.rank)
@@ -353,12 +398,16 @@ class MPIProcess:
         if frame.kind is FrameKind.EAGER:
             cost += params.recv_overhead
             cost += self.cache.access_time(req.bufkey, frame.nbytes)
-            yield from self._progress_delay(cost)
+            delay = self._progress_delay(cost)
+            if delay is not None:
+                yield delay
             self._complete_recv(req, frame.envelope, frame.nbytes,
                                 frame.payload)
         else:  # RTS matched a posted receive: grant the send
             req._pending_envelope = frame.envelope
-            yield from self._progress_delay(cost + self.costs.post_cost)
+            delay = self._progress_delay(cost + self.costs.post_cost)
+            if delay is not None:
+                yield delay
             cts = Frame(FrameKind.CTS, self.rank, frame.src_rank,
                         nbytes=frame.nbytes, sreq=frame.sreq, rreq=req)
             self.transmit(frame.src_rank, 0, cts)
@@ -367,8 +416,10 @@ class MPIProcess:
         """Sender side: receiver granted the rendezvous — push the data."""
         sreq: SendRequest = frame.sreq
         params = self.fabric.params_between(self.rank, frame.src_rank)
-        yield from self._progress_delay(
+        delay = self._progress_delay(
             self.costs.post_cost + params.rendezvous_overhead)
+        if delay is not None:
+            yield delay
         data = Frame(FrameKind.RDATA, self.rank, frame.src_rank,
                      nbytes=sreq.nbytes, rreq=frame.rreq,
                      payload=sreq._payload)
@@ -380,7 +431,9 @@ class MPIProcess:
         req: RecvRequest = frame.rreq
         params = self.fabric.params_between(frame.src_rank, self.rank)
         # Rendezvous data lands directly in the user buffer (zero-copy).
-        yield from self._progress_delay(params.recv_overhead)
+        delay = self._progress_delay(params.recv_overhead)
+        if delay is not None:
+            yield delay
         self.cache.touch(req.bufkey, frame.nbytes)
         env = getattr(req, "_pending_envelope", None)
         source = env.source if env else frame.src_rank
@@ -403,15 +456,19 @@ class MPIProcess:
         else:
             self.cache.touch(f"{preq.bufkey}.p{frame.partition}",
                              frame.nbytes)
-        yield from self._progress_delay(cost)
+        delay = self._progress_delay(cost)
+        if delay is not None:
+            yield delay
         preq._partition_arrived(frame.epoch, frame.partition, self.sim.now,
                                 frame.payload)
 
     def _handle_pcts(self, frame: Frame):
         """Sender side of a rendezvous partition: push the partition data."""
         params = self.fabric.params_between(self.rank, frame.src_rank)
-        yield from self._progress_delay(
+        delay = self._progress_delay(
             self.costs.post_cost + params.rendezvous_overhead)
+        if delay is not None:
+            yield delay
         data = Frame(FrameKind.PDATA, self.rank, frame.src_rank,
                      nbytes=frame.nbytes, preq=frame.preq,
                      partition=frame.partition, epoch=frame.epoch)

@@ -9,7 +9,7 @@ co-located on a node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 from ..errors import ConfigurationError
 from .model import INTRA_NODE, NIAGARA_EDR, NetworkParams
@@ -71,6 +71,9 @@ class Placement:
 class Fabric:
     """Path selection between ranks: inter-node EDR vs intra-node shm.
 
+    Both per-pair answers are pure, so each is memoized per rank pair
+    (one table per fabric, i.e. per cluster, bounded by the world size).
+
     Parameters
     ----------
     placement:
@@ -85,12 +88,18 @@ class Fabric:
         self.placement = placement
         self.inter_node = inter_node
         self.intra_node = intra_node
+        self._params: Dict[Tuple[int, int], NetworkParams] = {}
+        self._latency: Dict[Tuple[int, int], float] = {}
 
     def params_between(self, src_rank: int, dst_rank: int) -> NetworkParams:
         """The parameter set governing traffic from ``src`` to ``dst``."""
-        if self.placement.colocated(src_rank, dst_rank):
-            return self.intra_node
-        return self.inter_node
+        params = self._params.get((src_rank, dst_rank))
+        if params is None:
+            params = (self.intra_node
+                      if self.placement.colocated(src_rank, dst_rank)
+                      else self.inter_node)
+            self._params[src_rank, dst_rank] = params
+        return params
 
     def hops_between(self, src_rank: int, dst_rank: int) -> int:
         """Switch count on the path (0 intra-node, 1 within the wing)."""
@@ -98,5 +107,10 @@ class Fabric:
 
     def delivery_latency(self, src_rank: int, dst_rank: int) -> float:
         """One-way propagation latency between the two ranks."""
-        params = self.params_between(src_rank, dst_rank)
-        return params.path_latency(self.hops_between(src_rank, dst_rank))
+        latency = self._latency.get((src_rank, dst_rank))
+        if latency is None:
+            params = self.params_between(src_rank, dst_rank)
+            latency = params.path_latency(
+                self.hops_between(src_rank, dst_rank))
+            self._latency[src_rank, dst_rank] = latency
+        return latency

@@ -14,12 +14,13 @@ paper's observations:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Deque, Optional
 
 from ..obs import EventBus
 from ..obs.kinds import NIC_TX_DONE, NIC_TX_START
-from ..sim import Event, Simulator, Store
+from ..sim import Event, Simulator
 
 __all__ = ["Transmission", "NIC", "NICStats"]
 
@@ -70,6 +71,13 @@ class NICStats:
 class NIC:
     """FIFO transmit engine for one rank.
 
+    The engine is a callback state machine, not a simulated process: it
+    holds at most one transmission in flight (:attr:`_current`) and a FIFO
+    backlog behind it.  Each transmission walks through the same kernel
+    events a generator worker would yield, in the same order: a zero-delay
+    wake, an optional fault stall, the ``gap + wire_time`` service sleep,
+    then the ``injected`` trigger and the delivery timeout.
+
     Parameters
     ----------
     sim:
@@ -84,8 +92,8 @@ class NIC:
         when omitted, so standalone NICs stay valid and emission free.
     faults:
         Optional :class:`~repro.faults.LinkFaults` decision engine.  When
-        ``None`` (the default) the transmit loop pays exactly one ``is
-        not None`` test per injection and nothing else — the budget the
+        ``None`` (the default) the transmit engine pays exactly one ``is
+        not None`` test per step and nothing else — the budget the
         ``faults_off_overhead`` kernel in ``scripts/bench_guard.py``
         enforces.
     """
@@ -103,60 +111,90 @@ class NIC:
         #: is asked to inject (the rank is dead, not slow).
         self.failed = False
         self.stats = NICStats()
-        self._queue: Store = Store(sim, name=f"nic{rank}.tx")
-        sim.process(self._tx_worker(), name=f"nic{rank}")
+        #: Transmissions waiting behind the one in flight.
+        self._backlog: Deque[Transmission] = deque()
+        #: The transmission the engine is serving (None when idle).
+        self._current: Optional[Transmission] = None
+        #: Service start and (possibly degraded) latency of ``_current``.
+        self._start = 0.0
+        self._latency = 0.0
 
     @property
     def queue_length(self) -> int:
         """Messages waiting for the transmit engine."""
-        return len(self._queue)
+        return len(self._backlog)
 
     def enqueue(self, tx: Transmission) -> Transmission:
         """Hand a message to the transmit engine (never blocks the caller)."""
         if tx.injected is None:
             tx.injected = Event(self.sim)
-        self._queue.put(tx)
-        qlen = len(self._queue)
-        if qlen > self.stats.max_queue:
-            self.stats.max_queue = qlen
+        if self._current is None:
+            self._current = tx
+            self.sim.call_in(0.0, self._on_wake)
+        else:
+            backlog = self._backlog
+            backlog.append(tx)
+            if len(backlog) > self.stats.max_queue:
+                self.stats.max_queue = len(backlog)
         return tx
 
-    # -- internals ------------------------------------------------------
-    def _tx_worker(self):
-        """Serialize injections; runs for the life of the simulation."""
-        while True:
-            tx: Transmission = yield self._queue.get()
-            faults = self.faults
-            wire_time = tx.wire_time
-            latency = tx.latency
-            if faults is not None:
-                if self.failed:
-                    # Fail-stopped rank: nothing leaves the NIC.  The
-                    # injected event never fires, so no completion hooks
-                    # or retry timers run for this frame.
-                    faults.note_drop(tx)
-                    continue
-                stall = faults.stall_delay(self.sim.now)
-                if stall > 0.0:
-                    yield self.sim.sleep(stall)
-                wire_time, latency = faults.degraded(
-                    self.sim.now, tx.dst_rank, wire_time, latency)
-            start = self.sim.now
-            self.obs.emit(NIC_TX_START, start, self.rank, tx.dst_rank,
-                          tx.nbytes)
-            yield self.sim.sleep(tx.gap + wire_time)
-            self.stats.messages += 1
-            self.stats.bytes += tx.nbytes
-            self.stats.busy_time += self.sim.now - start
-            self.obs.emit(NIC_TX_DONE, self.sim.now, self.rank, tx.dst_rank,
-                          tx.nbytes)
-            tx.injected.succeed(self.sim.now)
-            if faults is not None and faults.drop(tx):
-                continue  # the fabric ate it; retransmission recovers
-            self._deliver_later(tx, latency)
+    # -- the transmit engine ----------------------------------------------
+    def _on_wake(self, _event) -> None:
+        """The engine picked up ``_current``: drop, stall, or inject."""
+        faults = self.faults
+        if faults is not None:
+            if self.failed:
+                # Fail-stopped rank: nothing leaves the NIC.  The
+                # injected event never fires, so no completion hooks
+                # or retry timers run for this frame.
+                faults.note_drop(self._current)
+                self._next()
+                return
+            stall = faults.stall_delay(self.sim.now)
+            if stall > 0.0:
+                self.sim.call_in(stall, self._inject)
+                return
+        self._inject(None)
 
-    def _deliver_later(self, tx: Transmission, latency: float) -> None:
-        """Schedule the destination-side delivery after propagation."""
-        timeout = self.sim.timeout(latency, value=tx)
-        timeout.callbacks.append(
-            lambda ev: self.deliver(ev.value.dst_rank, ev.value.payload))
+    def _inject(self, _event) -> None:
+        """Start serializing ``_current`` onto the wire."""
+        tx = self._current
+        now = self.sim.now
+        wire_time = tx.wire_time
+        latency = tx.latency
+        if self.faults is not None:
+            wire_time, latency = self.faults.degraded(
+                now, tx.dst_rank, wire_time, latency)
+        self._start = now
+        self._latency = latency
+        self.obs.emit(NIC_TX_START, now, self.rank, tx.dst_rank, tx.nbytes)
+        self.sim.call_in(tx.gap + wire_time, self._on_injected)
+
+    def _on_injected(self, _event) -> None:
+        """``_current`` left the NIC: complete it and serve the next."""
+        tx = self._current
+        now = self.sim.now
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += tx.nbytes
+        stats.busy_time += now - self._start
+        self.obs.emit(NIC_TX_DONE, now, self.rank, tx.dst_rank, tx.nbytes)
+        tx.injected.succeed(now)
+        faults = self.faults
+        if faults is None or not faults.drop(tx):
+            # (A dropped frame is eaten by the fabric; retransmission
+            # recovers it.)
+            self.sim.call_in(self._latency, self._on_delivered, tx)
+        self._next()
+
+    def _on_delivered(self, event) -> None:
+        tx = event.value
+        self.deliver(tx.dst_rank, tx.payload)
+
+    def _next(self) -> None:
+        """Wake for the next backlogged transmission, or go idle."""
+        if self._backlog:
+            self._current = self._backlog.popleft()
+            self.sim.call_in(0.0, self._on_wake)
+        else:
+            self._current = None

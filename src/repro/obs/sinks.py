@@ -149,15 +149,21 @@ class CounterSink(Sink):
                 for b, n in sorted(hist.items())]
 
 
-def _serialize_block(triples) -> str:
+#: Entry cap of a :class:`DigestSink`'s fragment cache.  A two-rank trial
+#: renders a few hundred distinct fragments; the cap bounds what a long
+#: many-rank stream can pin in memory.
+FRAGMENT_CACHE_CAP = 1024
+
+
+def _serialize_block(triples, frags: Dict[Tuple[str, Any], str]) -> str:
     """The exact canonical byte stream for ``(time, kind, values)``
     triples: one ``canonical_line`` per triple, each newline-terminated.
 
     Batch form so :class:`DigestSink` pays the setup (local bindings,
-    output list, caches) once per block instead of once per record; the
-    per-line format is the contract :func:`canonical_line` documents.
-    Two caches amortize the expensive string formatting without changing
-    a single output byte:
+    output list) once per block instead of once per record; the per-line
+    format is the contract :func:`canonical_line` documents.  Two caches
+    amortize the expensive string formatting without changing a single
+    output byte:
 
     * the previous timestamp's hex string is reused when the next triple
       carries the *same float object* (``is`` check — bursts of events at
@@ -165,12 +171,13 @@ def _serialize_block(triples) -> str:
       conflate ``0.0`` with ``-0.0`` the way ``==`` would);
     * ``(prefix, value)`` fragments for exact ``int``/``str`` payloads
       (ranks, byte counts, tags — the overwhelming majority) are memoized
-      per block.  ``bool`` never enters the cache (its class is ``bool``,
-      not ``int``), so ``True`` cannot alias a cached ``1``.
+      in ``frags``, which the caller keeps across blocks; it grows to at
+      most :data:`FRAGMENT_CACHE_CAP` entries.  ``bool`` never enters the
+      cache (its class is ``bool``, not ``int``), so ``True`` cannot
+      alias a cached ``1``.
     """
     out: List[str] = []
     append = out.append
-    frags: Dict[Tuple[str, Any], str] = {}
     frag_get = frags.get
     last_time: Any = None
     last_hex = ""
@@ -197,7 +204,9 @@ def _serialize_block(triples) -> str:
                 key = (prefix, value)
                 frag = frag_get(key)
                 if frag is None:
-                    frags[key] = frag = prefix + repr(value)
+                    frag = prefix + repr(value)
+                    if len(frags) < FRAGMENT_CACHE_CAP:
+                        frags[key] = frag
                 append(frag)
             elif cls is float:
                 append(prefix + value.hex())
@@ -220,7 +229,7 @@ def canonical_line(record: EventRecord) -> str:
     compare.
     """
     return _serialize_block(
-        ((record.time, record.kind, record.values),))[:-1]
+        ((record.time, record.kind, record.values),), {})[:-1]
 
 
 class DigestSink(Sink):
@@ -231,11 +240,13 @@ class DigestSink(Sink):
     serial, parallel, and cached sweeps observe the same events.
     """
 
-    __slots__ = ("_hash", "_pending", "count")
+    __slots__ = ("_hash", "_pending", "_frags", "count")
 
     def __init__(self) -> None:
         self._hash = hashlib.sha256()
         self._pending: List[Tuple[Any, Any, Tuple]] = []
+        #: Rendered ``(prefix, value)`` fragments, kept across blocks.
+        self._frags: Dict[Tuple[str, Any], str] = {}
         self.count = 0
 
     def accept(self, record: EventRecord) -> None:
@@ -264,7 +275,8 @@ class DigestSink(Sink):
     def _fold(self) -> None:
         pending = self._pending
         if pending:
-            self._hash.update(_serialize_block(pending).encode("utf-8"))
+            self._hash.update(
+                _serialize_block(pending, self._frags).encode("utf-8"))
             del pending[:]
 
     def finalize(self) -> None:

@@ -20,9 +20,15 @@ from typing import List, Optional, Tuple
 from ..errors import SimulationError
 from ..metrics.timeline import PartitionTimeline
 from .record import EventRecord
+from .schema import EventKind
 from .sinks import Sink
 
 __all__ = ["TimelineBuilder"]
+
+
+def _field(kind: EventKind, values: Tuple, field: str):
+    """One named payload value (what :meth:`EventRecord.get` reads)."""
+    return values[kind.fields.index(field)]
 
 
 class _Draft:
@@ -71,28 +77,35 @@ class TimelineBuilder(Sink):
 
     def accept(self, record: EventRecord) -> None:
         """Fold one event into the current iteration's draft."""
-        name = record.kind.name
+        self.accept_raw(record.time, record.kind, record.values)
+
+    def accept_raw(self, time: float, kind: EventKind,
+                   values: Tuple) -> None:
+        """Record-free form of :meth:`accept` (see ``EventBus.emit``):
+        the bus hands over the emission itself, so the builder never
+        makes the bus allocate an :class:`EventRecord`."""
+        name = kind.name
         if name == "part.pready":
-            self._stamp(record, "pready")
+            self._stamp(time, kind, values, "pready")
         elif name == "part.arrived":
-            self._stamp(record, "arrival")
+            self._stamp(time, kind, values, "arrival")
         elif name == "bench.part_begin":
             if self._draft is not None:
                 raise SimulationError(
                     f"bench.part_begin for iteration "
-                    f"{record.get('iteration')} while iteration "
+                    f"{_field(kind, values, 'iteration')} while iteration "
                     f"{self._draft.iteration} is still open")
-            self._draft = _Draft(record.get("iteration"),
-                                 record.get("message_bytes"),
-                                 record.get("partitions"), record.time)
+            self._draft = _Draft(_field(kind, values, "iteration"),
+                                 _field(kind, values, "message_bytes"),
+                                 _field(kind, values, "partitions"), time)
         elif name == "bench.single_begin":
-            self._require(record).single_anchor = record.time
+            self._require(kind).single_anchor = time
         elif name == "bench.join":
-            self._require(record).join_abs = record.time
+            self._require(kind).join_abs = time
         elif name == "bench.send_begin":
-            self._require(record).send_start = record.time
+            self._require(kind).send_start = time
         elif name == "bench.recv_complete":
-            self._finish(record)
+            self._finish(time, kind)
 
     def finalize(self) -> None:
         """Verify the stream closed its last iteration."""
@@ -106,29 +119,30 @@ class TimelineBuilder(Sink):
                 f"{self._draft.iteration} still open (no "
                 f"bench.recv_complete)")
 
-    def _require(self, record: EventRecord) -> _Draft:
+    def _require(self, kind: EventKind) -> _Draft:
         if self._draft is None:
             raise SimulationError(
-                f"{record.kind.name} outside a benchmark iteration "
+                f"{kind.name} outside a benchmark iteration "
                 f"(no bench.part_begin seen)")
         return self._draft
 
-    def _stamp(self, record: EventRecord, which: str) -> None:
-        draft = self._require(record)
-        partition = record.get("partition")
+    def _stamp(self, time: float, kind: EventKind, values: Tuple,
+               which: str) -> None:
+        draft = self._require(kind)
+        partition = _field(kind, values, "partition")
         slots = getattr(draft, which)
         if not (0 <= partition < draft.partitions):
             raise SimulationError(
-                f"{record.kind.name} names partition {partition} outside "
+                f"{kind.name} names partition {partition} outside "
                 f"[0, {draft.partitions})")
         if slots[partition] is not None:
             raise SimulationError(
-                f"duplicate {record.kind.name} for partition {partition} "
+                f"duplicate {kind.name} for partition {partition} "
                 f"in iteration {draft.iteration}")
-        slots[partition] = record.time
+        slots[partition] = time
 
-    def _finish(self, record: EventRecord) -> None:
-        draft = self._require(record)
+    def _finish(self, time: float, kind: EventKind) -> None:
+        draft = self._require(kind)
         missing = [
             label for label, value in (
                 ("single_anchor", draft.single_anchor),
@@ -148,7 +162,7 @@ class TimelineBuilder(Sink):
             pready_times=[t - draft.anchor for t in draft.pready],
             arrival_times=[t - draft.anchor for t in draft.arrival],
             join_time=draft.join_abs - draft.single_anchor,
-            pt2pt_time=record.time - draft.send_start,
+            pt2pt_time=time - draft.send_start,
         )
         self.timelines.append((draft.iteration, timeline))
         self._draft = None

@@ -580,6 +580,18 @@ class Simulator:
                 bucket.append((seq, ev))
         return ev
 
+    def call_in(self, delay: float, callback: Callable[[Event], None],
+                value: Any = None) -> None:
+        """Run ``callback(event)`` once ``delay`` seconds have passed.
+
+        The callback twin of ``yield sim.sleep(delay, value)``: the same
+        recycled event takes the same sequence number and queue slot, but
+        when it fires the kernel calls ``callback`` instead of resuming a
+        process.  The event is gone once the callback returns, so the
+        callback may read ``event.value`` but must not keep the event.
+        """
+        self.sleep(delay, value)._callbacks = callback
+
     def process(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from a generator and return its handle."""
         return Process(self, gen, name=name)

@@ -166,13 +166,25 @@ class Mutex:
         return self._resource.in_use > 0
 
     def acquire(self) -> Generator[Event, Any, None]:
-        """Generator-style acquisition (``yield from mutex.acquire()``)."""
-        start = self.sim.now
-        contended = self.locked
-        queue_len = self._resource.queue_length + (1 if contended else 0)
+        """Generator-style acquisition (``yield from mutex.acquire()``).
+
+        An uncontended grant with no resource monitor installed skips the
+        request event: it waits on the recycled ``sim.sleep(0.0)``, which
+        takes the same sequence number and ring slot the request's
+        ``succeed`` would have.
+        """
+        sim = self.sim
+        start = sim.now
+        resource = self._resource
+        contended = resource._in_use > 0
+        queue_len = len(resource._waiters) + (1 if contended else 0)
         if queue_len > self.stats.max_queue_length:
             self.stats.max_queue_length = queue_len
-        yield self._resource.request()
+        if contended or sim.monitor is not None:
+            yield resource.request()
+        else:
+            resource._in_use = 1
+            yield sim.sleep(0.0, resource)
         self.stats.acquisitions += 1
         if contended:
             self.stats.contended_acquisitions += 1
@@ -211,10 +223,15 @@ class Store:
             self._items.append(item)
 
     def get(self) -> Event:
-        """Return an event that triggers with the next item."""
-        ev = Event(self.sim)
+        """Return an event that triggers with the next item.
+
+        When an item is waiting the event is a recycled
+        :meth:`~repro.sim.core.Simulator.sleep` of zero delay (same
+        sequence number and ring slot as a fresh event's ``succeed``), so
+        callers must yield it at once, as ``item = yield store.get()``.
+        """
         if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
+            return self.sim.sleep(0.0, self._items.popleft())
+        ev = Event(self.sim)
+        self._getters.append(ev)
         return ev

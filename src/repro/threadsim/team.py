@@ -50,7 +50,7 @@ class ThreadContext:
         """How many team threads time-share this thread's core."""
         if self.team is None:
             return 1
-        return self.team.binding.oversubscription_factor(self.thread_id)
+        return self.team.binding.shares[self.thread_id]
 
     def compute(self, seconds: float) -> Generator:
         """Generator: burn ``seconds`` of nominal CPU work on this thread.
