@@ -54,12 +54,18 @@ class RankContext:
     main:
         The main thread's :class:`ThreadContext` (thread id 0, pinned to
         the first core of the NIC's socket).
+    sim / obs / spec:
+        The cluster's simulation kernel, instrumentation bus, and node
+        description (plain attributes: every simulated thread reads them).
     """
 
     def __init__(self, cluster: "Cluster", rank: int):
         self.cluster = cluster
         self.rank = rank
         self.size = cluster.nranks
+        self.sim: Simulator = cluster.sim
+        self.obs: EventBus = cluster.obs
+        self.spec: MachineSpec = cluster.spec
         self.proc = cluster.procs[rank]
         self.comm = Communicator(cluster, self.proc, comm_id=0,
                                  size=cluster.nranks)
@@ -70,21 +76,6 @@ class RankContext:
         main_core = cluster.spec.nic_socket * cluster.spec.cores_per_socket
         self.main = ThreadContext(self, thread_id=0, core=main_core,
                                   team=None)
-
-    @property
-    def sim(self) -> Simulator:
-        """The shared simulation kernel."""
-        return self.cluster.sim
-
-    @property
-    def obs(self) -> EventBus:
-        """The shared instrumentation bus."""
-        return self.cluster.obs
-
-    @property
-    def spec(self) -> MachineSpec:
-        """This rank's node description."""
-        return self.cluster.spec
 
     def rng(self, name: str):
         """A deterministic RNG stream namespaced to this rank."""

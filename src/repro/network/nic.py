@@ -130,7 +130,7 @@ class NIC:
             tx.injected = Event(self.sim)
         if self._current is None:
             self._current = tx
-            self.sim.call_in(0.0, self._on_wake)
+            self._wake()
         else:
             backlog = self._backlog
             backlog.append(tx)
@@ -139,21 +139,30 @@ class NIC:
         return tx
 
     # -- the transmit engine ----------------------------------------------
+    def _wake(self) -> None:
+        """Schedule the zero-delay wake that picks up ``_current``.
+
+        Without faults the wake has nothing to decide, so it goes straight
+        to :meth:`_inject`.
+        """
+        self.sim.call_in(0.0, self._inject if self.faults is None
+                         else self._on_wake)
+
     def _on_wake(self, _event) -> None:
-        """The engine picked up ``_current``: drop, stall, or inject."""
+        """Under a fault plan, ``_current`` is dropped, stalled or
+        injected."""
         faults = self.faults
-        if faults is not None:
-            if self.failed:
-                # Fail-stopped rank: nothing leaves the NIC.  The
-                # injected event never fires, so no completion hooks
-                # or retry timers run for this frame.
-                faults.note_drop(self._current)
-                self._next()
-                return
-            stall = faults.stall_delay(self.sim.now)
-            if stall > 0.0:
-                self.sim.call_in(stall, self._inject)
-                return
+        if self.failed:
+            # Fail-stopped rank: nothing leaves the NIC.  The injected
+            # event never fires, so no completion hooks or retry timers
+            # run for this frame.
+            faults.note_drop(self._current)
+            self._next()
+            return
+        stall = faults.stall_delay(self.sim.now)
+        if stall > 0.0:
+            self.sim.call_in(stall, self._inject)
+            return
         self._inject(None)
 
     def _inject(self, _event) -> None:
@@ -195,6 +204,6 @@ class NIC:
         """Wake for the next backlogged transmission, or go idle."""
         if self._backlog:
             self._current = self._backlog.popleft()
-            self.sim.call_in(0.0, self._on_wake)
+            self._wake()
         else:
             self._current = None

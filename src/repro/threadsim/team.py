@@ -59,17 +59,18 @@ class ThreadContext:
         slicing plus context switches); callers add noise *before* calling,
         by inflating ``seconds`` with a sample from a noise model.
         """
-        wall = scaled_compute_time(seconds, self.share,
-                                   self.rank_ctx.spec)
+        rank_ctx = self.rank_ctx
+        wall = scaled_compute_time(seconds, self.share, rank_ctx.spec)
         # Fault-plan per-rank slowdown (getattr: bare mock contexts in
         # tests carry no compute_scale and mean 1.0).
-        scale = getattr(self.rank_ctx, "compute_scale", 1.0)
+        scale = getattr(rank_ctx, "compute_scale", 1.0)
         if scale != 1.0:
             wall *= scale
+        sim = rank_ctx.sim
         if wall > 0:
-            yield self.sim.sleep(wall)
-        self.rank_ctx.obs.emit(THREAD_COMPUTED, self.sim.now, self.rank,
-                               self.thread_id, seconds, wall)
+            yield sim.sleep(wall)
+        rank_ctx.obs.emit(THREAD_COMPUTED, sim.now, rank_ctx.rank,
+                          self.thread_id, seconds, wall)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<ThreadContext rank={self.rank} tid={self.thread_id} "

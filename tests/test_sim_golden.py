@@ -41,8 +41,8 @@ GOLDEN = [
 
 #: Trials off the clean two-rank hot path: lossy links, a fail-stop, an
 #: oversubscribed cold-cache node, chained partitions and a scattered
-#: binding.  ``check`` names what the case must exercise, so a config
-#: that stops reaching its branch fails here instead of passing vacuously.
+#: binding.  :func:`_exercises` checks that each case still reaches the
+#: branch it is named for, so it cannot pass vacuously.
 LOSSY = FaultPlan(drop_probability=0.2, stall_period=4e-4,
                   stall_duration=3e-5,
                   degrade_windows=(DegradeWindow(start=0.0, end=3e-3,
