@@ -727,6 +727,9 @@ class Simulator:
                 elif not event._ok and not event._defused:
                     raise event._value
                 if type(event) is sleep_cls:
+                    # Drop the payload so a recycled sleep keeps nothing
+                    # alive (a delivery's frame, a store's item).
+                    event._value = None
                     pool.append(event)
         finally:
             self.events_processed += processed
@@ -846,6 +849,7 @@ class Simulator:
         elif not event._ok and not event._defused:
             raise event._value
         if type(event) is _Sleep:
+            event._value = None
             self._sleep_pool.append(event)
 
     def _step_until_processed(self, event: Event) -> None:
