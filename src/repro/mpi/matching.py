@@ -44,7 +44,7 @@ class Envelope:
         return True
 
 
-@dataclass
+@dataclass(slots=True)
 class PostedRecv:
     """One entry of the posted-receive queue."""
 
@@ -55,7 +55,7 @@ class PostedRecv:
     seq: int
 
 
-@dataclass
+@dataclass(slots=True)
 class UnexpectedMessage:
     """One entry of the unexpected-message queue (an arrived frame)."""
 
@@ -109,14 +109,20 @@ class MatchingEngine:
         removed.  FIFO: the *earliest arrived* matching frame wins, which
         preserves MPI's non-overtaking guarantee.
         """
-        scanned = 0
+        any_source = source == ANY_SOURCE
+        any_tag = tag == ANY_TAG
         for i, entry in enumerate(self._unexpected):
-            scanned += 1
-            if entry.envelope.matches_pattern(source, tag, comm_id):
+            # Envelope.matches_pattern, inlined: this loop runs once per
+            # queued frame on every posted receive.
+            env = entry.envelope
+            if (env.comm_id == comm_id
+                    and (any_source or env.source == source)
+                    and (any_tag or env.tag == tag)):
                 self._unexpected.pop(i)
                 self.stats.unexpected_matches += 1
-                self.stats.elements_scanned += scanned
-                return entry, scanned
+                self.stats.elements_scanned += i + 1
+                return entry, i + 1
+        scanned = len(self._unexpected)
         self.stats.elements_scanned += scanned
         return None, scanned
 
@@ -145,15 +151,17 @@ class MatchingEngine:
         Returns ``(entry_or_None, elements_scanned)``; on a hit the entry is
         removed.  FIFO over posting order.
         """
-        scanned = 0
+        source, tag, comm_id = envelope.source, envelope.tag, envelope.comm_id
         for i, entry in enumerate(self._posted):
-            scanned += 1
-            if envelope.matches_pattern(entry.source, entry.tag,
-                                        entry.comm_id):
+            # Envelope.matches_pattern, inlined (see find_unexpected).
+            if (entry.comm_id == comm_id
+                    and (entry.source == ANY_SOURCE or entry.source == source)
+                    and (entry.tag == ANY_TAG or entry.tag == tag)):
                 self._posted.pop(i)
                 self.stats.posted_matches += 1
-                self.stats.elements_scanned += scanned
-                return entry, scanned
+                self.stats.elements_scanned += i + 1
+                return entry, i + 1
+        scanned = len(self._posted)
         self.stats.elements_scanned += scanned
         return None, scanned
 

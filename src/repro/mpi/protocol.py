@@ -39,7 +39,7 @@ class FrameKind(enum.Enum):
     ACK = "ack"
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """One protocol message.
 

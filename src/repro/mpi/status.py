@@ -8,7 +8,7 @@ from typing import Any, Optional
 __all__ = ["Status"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Status:
     """Completion information attached to a finished receive.
 

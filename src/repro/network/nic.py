@@ -25,7 +25,7 @@ from ..sim import Event, Simulator
 __all__ = ["Transmission", "NIC", "NICStats"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Transmission:
     """One message handed to a NIC for injection.
 
