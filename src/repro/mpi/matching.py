@@ -109,20 +109,14 @@ class MatchingEngine:
         removed.  FIFO: the *earliest arrived* matching frame wins, which
         preserves MPI's non-overtaking guarantee.
         """
-        any_source = source == ANY_SOURCE
-        any_tag = tag == ANY_TAG
+        scanned = 0
         for i, entry in enumerate(self._unexpected):
-            # Envelope.matches_pattern, inlined: this loop runs once per
-            # queued frame on every posted receive.
-            env = entry.envelope
-            if (env.comm_id == comm_id
-                    and (any_source or env.source == source)
-                    and (any_tag or env.tag == tag)):
+            scanned += 1
+            if entry.envelope.matches_pattern(source, tag, comm_id):
                 self._unexpected.pop(i)
                 self.stats.unexpected_matches += 1
-                self.stats.elements_scanned += i + 1
-                return entry, i + 1
-        scanned = len(self._unexpected)
+                self.stats.elements_scanned += scanned
+                return entry, scanned
         self.stats.elements_scanned += scanned
         return None, scanned
 
@@ -151,17 +145,15 @@ class MatchingEngine:
         Returns ``(entry_or_None, elements_scanned)``; on a hit the entry is
         removed.  FIFO over posting order.
         """
-        source, tag, comm_id = envelope.source, envelope.tag, envelope.comm_id
+        scanned = 0
         for i, entry in enumerate(self._posted):
-            # Envelope.matches_pattern, inlined (see find_unexpected).
-            if (entry.comm_id == comm_id
-                    and (entry.source == ANY_SOURCE or entry.source == source)
-                    and (entry.tag == ANY_TAG or entry.tag == tag)):
+            scanned += 1
+            if envelope.matches_pattern(entry.source, entry.tag,
+                                        entry.comm_id):
                 self._posted.pop(i)
                 self.stats.posted_matches += 1
-                self.stats.elements_scanned += i + 1
-                return entry, i + 1
-        scanned = len(self._posted)
+                self.stats.elements_scanned += scanned
+                return entry, scanned
         self.stats.elements_scanned += scanned
         return None, scanned
 

@@ -202,10 +202,7 @@ class MPIProcess:
         ``None`` when the scaled cost is zero; otherwise the caller must
         yield the returned sleep at once.
         """
-        if self.blocked_waiters > 1:
-            scaled = cost * self.progress_multiplier()
-        else:
-            scaled = cost  # the multiplier is exactly 1.0
+        scaled = cost * self.progress_multiplier()
         if scaled > 0:
             return self.sim.sleep(scaled)
         return None
