@@ -36,7 +36,7 @@ from ..threadsim import (DEFAULT_OPENMP_COSTS, OpenMPCosts, ThreadContext,
                          ThreadTeam)
 from .comm import Communicator
 from .constants import DEFAULT_COSTS, MPICosts, ThreadingMode, validate_costs
-from .process import MPIProcess
+from .process import MEMO_CAP, MPIProcess
 from .protocol import Frame
 
 __all__ = ["Cluster", "RankContext"]
@@ -276,7 +276,7 @@ class Cluster:
         binding = self._bindings.get((nthreads, policy))
         if binding is None:
             binding = bind_threads(nthreads, self.spec, policy)
-            if len(self._bindings) < 64:
+            if len(self._bindings) < MEMO_CAP:
                 self._bindings[nthreads, policy] = binding
         return binding
 

@@ -34,7 +34,7 @@ from .matching import Envelope, MatchingEngine
 from .protocol import Frame, FrameKind
 from .request import RecvRequest, SendRequest
 
-__all__ = ["MPIProcess", "MEMO_CAP"]
+__all__ = ["MPIProcess"]
 
 #: Entry cap of each per-process memo table; past it, lookups are computed
 #: fresh instead of stored.
