@@ -590,34 +590,7 @@ class Simulator:
         process.  The event is gone once the callback returns, so the
         callback may read ``event.value`` but must not keep the event.
         """
-        # sleep()'s body, inlined: the transmit engine schedules three
-        # of these per frame.
-        if not (0.0 <= delay < _INF):
-            raise SimulationError(
-                f"sleep delay must be finite and non-negative: {delay!r}")
-        pool = self._sleep_pool
-        if pool:
-            ev = pool.pop()
-            ev._defused = False
-        else:
-            ev = _Sleep(self)
-        ev._callbacks = callback
-        ev.delay = delay
-        ev._value = value
-        seq = self._seq = self._seq + 1
-        if delay == 0.0:
-            self._ring.append((seq, ev))
-        else:
-            when = self._now + delay
-            buckets = self._buckets
-            bucket = buckets.get(when)
-            if bucket is None:
-                buckets[when] = (seq, ev)
-                heappush(self._queue, when)
-            elif bucket.__class__ is tuple:
-                buckets[when] = deque((bucket, (seq, ev)))
-            else:
-                bucket.append((seq, ev))
+        self.sleep(delay, value)._callbacks = callback
 
     def process(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from a generator and return its handle."""

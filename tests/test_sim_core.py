@@ -375,6 +375,26 @@ class TestSleepRecycling:
         sim.run()
         assert times == [1.5, 3.0]
 
+    def test_call_in_takes_the_slot_a_sleep_would(self, sim):
+        order = []
+
+        def proc(name, delay):
+            yield sim.sleep(delay)
+            order.append((name, sim.now))
+
+        sim.process(proc("before", 1.0))
+        sim.run(until=0.5)
+        sim.call_in(0.5, lambda ev: order.append((ev.value, sim.now)),
+                    "callback")
+        sim.process(proc("after", 0.5))
+        sim.run()
+        # One instant, so sequence order decides: the callback's event was
+        # scheduled between the two sleeps.
+        assert order == [("before", 1.0), ("callback", 1.0), ("after", 1.0)]
+        # Its event went back on the free list without its payload.
+        assert sim._sleep_pool and all(ev._value is None
+                                       for ev in sim._sleep_pool)
+
 
 class TestInterruptDetach:
     def test_interrupt_on_heavily_subscribed_event(self, sim):
