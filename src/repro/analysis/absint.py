@@ -76,13 +76,16 @@ class Interval:
         return self.lo != NEG_INF and self.hi != POS_INF
 
     def contains(self, other: "Interval") -> bool:
+        """True when ``other`` lies entirely inside this interval."""
         return self.lo <= other.lo and other.hi <= self.hi
 
     def disjoint(self, other: "Interval") -> bool:
+        """True when the two intervals share no value."""
         return self.hi < other.lo or other.hi < self.lo
 
     # -- lattice ----------------------------------------------------------
     def join(self, other: "Interval") -> "Interval":
+        """Least upper bound: the smallest interval holding both."""
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def widen(self, other: "Interval") -> "Interval":
@@ -93,15 +96,19 @@ class Interval:
 
     # -- arithmetic -------------------------------------------------------
     def add(self, other: "Interval") -> "Interval":
+        """Interval sum."""
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
     def sub(self, other: "Interval") -> "Interval":
+        """Interval difference."""
         return Interval(self.lo - other.hi, self.hi - other.lo)
 
     def neg(self) -> "Interval":
+        """Interval negation."""
         return Interval(-self.hi, -self.lo)
 
     def mul_const(self, n: int) -> "Interval":
+        """Scale by the integer constant ``n``."""
         a, b = self.lo * n, self.hi * n
         return Interval(min(a, b), max(a, b))
 
@@ -154,6 +161,7 @@ class IndexSet:
         return not self.ranges
 
     def contains_value(self, n: int) -> bool:
+        """True when ``n`` is in the set."""
         return any(lo <= n <= hi for lo, hi in self.ranges)
 
     def covers(self, lo: int, hi: int) -> bool:
@@ -161,15 +169,18 @@ class IndexSet:
         return any(a <= lo and hi <= b for a, b in self.ranges)
 
     def overlaps(self, lo: int, hi: int) -> bool:
+        """True when some value in ``[lo, hi]`` is in the set."""
         return any(a <= hi and lo <= b for a, b in self.ranges)
 
     # -- operations -------------------------------------------------------
     def add_range(self, lo: int, hi: int) -> "IndexSet":
+        """The set plus every value in ``[lo, hi]``."""
         if hi < lo:
             return self
         return self._normalize(list(self.ranges) + [(lo, hi)])
 
     def union(self, other: "IndexSet") -> "IndexSet":
+        """Set union."""
         if self.is_empty:
             return other
         if other.is_empty:
@@ -177,6 +188,7 @@ class IndexSet:
         return self._normalize(list(self.ranges) + list(other.ranges))
 
     def intersect(self, other: "IndexSet") -> "IndexSet":
+        """Set intersection."""
         out = []
         for a, b in self.ranges:
             for c, d in other.ranges:
@@ -186,6 +198,7 @@ class IndexSet:
         return self._normalize(out)
 
     def subtract(self, other: "IndexSet") -> "IndexSet":
+        """Set difference: values in this set but not in ``other``."""
         out = []
         for a, b in self.ranges:
             pieces = [(a, b)]

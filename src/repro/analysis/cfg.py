@@ -62,6 +62,7 @@ class Block:
     is_loop_head: bool = False
 
     def edge_to(self, bid: int) -> None:
+        """Add a successor edge to block ``bid`` (once)."""
         if bid not in self.succs:
             self.succs.append(bid)
 
@@ -81,6 +82,7 @@ class CFG:
     raise_exit: int
 
     def predecessors(self) -> Dict[int, List[int]]:
+        """Block id -> ids of the blocks with an edge into it."""
         preds: Dict[int, List[int]] = {bid: [] for bid in self.blocks}
         for bid, block in self.blocks.items():
             for succ in block.succs:

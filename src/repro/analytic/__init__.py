@@ -6,21 +6,16 @@ paper's four metrics — can be computed directly from ``NetworkParams`` +
 ``PtpBenchmarkConfig`` in microseconds.  :func:`evaluate_analytic`
 produces a ``PtpResult`` marked ``source="analytic"``;
 :func:`analytic_supported` says whether a configuration qualifies (and
-why not); :func:`plan_prune` splits a whole sweep grid into analytic and
-DES cells before fan-out.  Cross-validation against the simulator lives
-in ``tests/test_analytic.py`` and is gated at :data:`ANALYTIC_RTOL`.
+why not).  Cross-validation against the simulator lives in
+``tests/test_analytic.py`` and is gated at :data:`ANALYTIC_RTOL`.
 """
 
 from .model import (ANALYTIC_RTOL, analytic_supported, evaluate_analytic,
                     evaluate_timeline)
-from .prune import PruneDecision, PrunePlan, plan_prune
 
 __all__ = [
     "ANALYTIC_RTOL",
     "analytic_supported",
     "evaluate_analytic",
     "evaluate_timeline",
-    "PruneDecision",
-    "PrunePlan",
-    "plan_prune",
 ]

@@ -46,8 +46,7 @@ from typing import Dict, List, Optional
 from .core import (ANALYTIC_MODES, CACHE_SCHEMA_VERSION, METRIC_NAMES,
                    PtpBenchmarkConfig, ResultCache, SweepStats, ascii_table,
                    fault_table, metric_table, provenance_line,
-                   recommend_partitions, run_ptp_benchmark, save_sweep,
-                   sweep_ptp)
+                   recommend_partitions, run_ptp_benchmark, sweep_ptp)
 from .core.suite import FIGURES, figure_sweeps
 from .errors import ConfigurationError
 from .faults import parse_fault_spec
@@ -233,9 +232,6 @@ def _cmd_sweep(args) -> str:
         parts.append(provenance)
     if cache is not None:
         parts.append(cache.describe())
-    if args.save:
-        path = save_sweep(sweep, args.save)
-        parts.append(f"saved to {path}")
     return "\n\n".join(parts)
 
 
@@ -523,8 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--metric", default="all",
                     choices=["all"] + list(METRIC_NAMES))
     _add_config_args(sw, iterations=3)
-    sw.add_argument("--save", default=None, metavar="PATH",
-                    help="also archive the sweep as JSON")
     _add_engine_args(sw)
 
     ca = sub.add_parser(

@@ -15,8 +15,7 @@ Layers:
 * :mod:`~repro.core.report` — the text tables the harness prints.
 """
 
-from .compare import (COMPARE_MODES, Drift, compare_sweeps, drift_table,
-                      gate_sweeps)
+from .compare import Drift, compare_sweeps, drift_table, gate_sweeps
 from .config import (COLD, HOT, PAPER_MESSAGE_SIZES, PAPER_PARTITION_COUNTS,
                      PtpBenchmarkConfig)
 from .guidance import OBJECTIVES, Recommendation, recommend_partitions
@@ -24,12 +23,8 @@ from .parallel import (ANALYTIC_MODES, CACHE_SCHEMA_VERSION,
                        FINGERPRINT_VERSION, ResultCache, SweepStats,
                        config_fingerprint, derive_cell_seed, plan_cells,
                        run_cells)
-from .persistence import (load_sweep, result_from_dict,
-                          result_to_dict, save_sweep,
-                          sweep_from_dict, sweep_to_dict)
 from .pool import (PoolRunStats, PoolTaskError, WorkerPool, shared_pool,
                    shutdown_shared_pool)
-from .plot import ascii_plot
 from .report import (METRIC_FORMATS, ascii_table, fault_table, format_bytes,
                      format_seconds, metric_table, provenance_line,
                      series_table)
@@ -47,7 +42,6 @@ __all__ = [
     "PAPER_PARTITION_COUNTS",
     "PtpBenchmarkConfig",
     "Drift",
-    "COMPARE_MODES",
     "compare_sweeps",
     "drift_table",
     "gate_sweeps",
@@ -68,13 +62,6 @@ __all__ = [
     "WorkerPool",
     "shared_pool",
     "shutdown_shared_pool",
-    "ascii_plot",
-    "load_sweep",
-    "result_from_dict",
-    "result_to_dict",
-    "save_sweep",
-    "sweep_from_dict",
-    "sweep_to_dict",
     "METRIC_FORMATS",
     "ascii_table",
     "fault_table",

@@ -4,27 +4,19 @@ The paper pitches its suite as a tool "that can be used in testing and
 development of MPI implementation native solutions" — i.e. you change the
 implementation, re-run the suite, and ask *what moved*.  This module does
 that mechanically: cell-by-cell relative deltas between a baseline sweep
-(possibly loaded from JSON) and a candidate sweep, with a tolerance band
-and a rendered drift table.
+and a candidate sweep, with a tolerance band and a rendered drift table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List
 
 from ..errors import ConfigurationError
-from .persistence import LoadedSweep
 from .report import ascii_table, format_bytes
 from .sweep import METRIC_NAMES, SweepResult
 
-__all__ = ["Drift", "compare_sweeps", "drift_table", "gate_sweeps",
-           "COMPARE_MODES"]
-
-SweepLike = Union[SweepResult, LoadedSweep]
-
-#: Tolerance interpretations for :func:`compare_sweeps`.
-COMPARE_MODES = ("relative", "absolute")
+__all__ = ["Drift", "compare_sweeps", "drift_table", "gate_sweeps"]
 
 
 @dataclass(frozen=True)
@@ -48,29 +40,18 @@ class Drift:
             return float("inf") if self.candidate else 0.0
         return (self.candidate - self.baseline) / abs(self.baseline)
 
-    @property
-    def absolute(self) -> float:
-        """Signed absolute change vs the baseline."""
-        return self.candidate - self.baseline
+
+def _cells(sweep: SweepResult):
+    return [(p.config.message_bytes, p.config.partitions)
+            for p in sweep.points]
 
 
-def _cells(sweep: SweepLike):
-    if isinstance(sweep, SweepResult):
-        return [(p.config.message_bytes, p.config.partitions)
-                for p in sweep.points]
-    return [(p.message_bytes, p.partitions) for p in sweep.points]
-
-
-def compare_sweeps(baseline: SweepLike, candidate: SweepLike,
-                   metric: str, tolerance: float = 0.10,
-                   mode: str = "relative") -> List[Drift]:
+def compare_sweeps(baseline: SweepResult, candidate: SweepResult,
+                   metric: str, tolerance: float = 0.10) -> List[Drift]:
     """Cells where ``metric`` moved by more than ``tolerance``.
 
-    ``mode`` chooses how the tolerance is read: ``"relative"`` compares
-    ``|candidate - baseline| / |baseline|`` (a zero baseline with any
-    nonzero candidate always drifts), ``"absolute"`` compares the raw
-    difference — the right band for metrics that legitimately pass
-    through zero, where relative drift is unbounded noise.
+    The tolerance is relative: ``|candidate - baseline| / |baseline|``
+    (a zero baseline with any nonzero candidate always drifts).
 
     Both sweeps must cover the same (message size, partition count) grid;
     a mismatched grid is an error, not a silent skip — a missing cell is
@@ -81,9 +62,6 @@ def compare_sweeps(baseline: SweepLike, candidate: SweepLike,
             f"unknown metric {metric!r}; choose from {METRIC_NAMES}")
     if not (0.0 <= tolerance):
         raise ConfigurationError(f"tolerance must be >= 0: {tolerance}")
-    if mode not in COMPARE_MODES:
-        raise ConfigurationError(
-            f"mode must be one of {COMPARE_MODES}: {mode!r}")
     base_cells = sorted(_cells(baseline))
     cand_cells = sorted(_cells(candidate))
     if base_cells != cand_cells:
@@ -96,15 +74,13 @@ def compare_sweeps(baseline: SweepLike, candidate: SweepLike,
         c = candidate.value(metric, m, n)
         drift = Drift(metric=metric, message_bytes=m, partitions=n,
                       baseline=b, candidate=c)
-        moved = abs(drift.relative if mode == "relative" else drift.absolute)
-        if moved > tolerance:
+        if abs(drift.relative) > tolerance:
             drifts.append(drift)
     return drifts
 
 
-def gate_sweeps(baseline: SweepLike, candidate: SweepLike,
-                metric: str, tolerance: float,
-                mode: str = "relative") -> None:
+def gate_sweeps(baseline: SweepResult, candidate: SweepResult,
+                metric: str, tolerance: float) -> None:
     """Gate form of :func:`compare_sweeps`: raise on any drift.
 
     The exception message embeds the full drift table, so a failing CI
@@ -112,10 +88,10 @@ def gate_sweeps(baseline: SweepLike, candidate: SweepLike,
     disagreed and by how much.
     """
     drifts = compare_sweeps(baseline, candidate, metric,
-                            tolerance=tolerance, mode=mode)
+                            tolerance=tolerance)
     if drifts:
         raise ConfigurationError(
-            f"{metric} drifted beyond {mode} tolerance {tolerance:g}:\n"
+            f"{metric} drifted beyond relative tolerance {tolerance:g}:\n"
             f"{drift_table(drifts)}")
 
 

@@ -8,6 +8,7 @@ ablation benches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
@@ -101,9 +102,11 @@ class PtpBenchmarkConfig:
             raise ConfigurationError(
                 f"{self.partitions} partitions need at least that many "
                 f"bytes, got {self.message_bytes}")
-        if self.compute_seconds < 0:
+        if not (math.isfinite(self.compute_seconds)
+                and self.compute_seconds >= 0):
             raise ConfigurationError(
-                f"compute_seconds must be >= 0: {self.compute_seconds}")
+                f"compute_seconds must be finite and >= 0: "
+                f"{self.compute_seconds}")
         if self.cache not in (HOT, COLD):
             raise ConfigurationError(
                 f"cache must be '{HOT}' or '{COLD}': {self.cache!r}")

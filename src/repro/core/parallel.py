@@ -37,6 +37,7 @@ import os
 import pathlib
 import shutil
 import struct
+import tempfile
 import threading
 from collections import OrderedDict
 from enum import Enum
@@ -202,10 +203,10 @@ class ResultCache:
     git-object-style fingerprint-prefix shards, one file per
     configuration, each a small envelope around a binary
     :mod:`~repro.core.wire` frame (schema v5).  Entries are written
-    atomically (tmp file + rename) and reads take no lock of any kind,
-    so concurrent sweeps sharing a cache directory cannot corrupt or
-    block each other.  Hit/miss/store counters accumulate across calls
-    and feed the sweep report; :meth:`stats` snapshots them.
+    atomically (a per-writer temp file + rename) and reads take no lock
+    of any kind, so concurrent sweeps sharing a cache directory cannot
+    corrupt or block each other.  Hit/miss/store counters accumulate
+    across calls and feed the sweep report; :meth:`stats` snapshots them.
 
     An in-process LRU tier (``memory_entries`` results, the first slice
     of the ROADMAP sweep-service memory tier) sits in front of the disk
@@ -316,9 +317,17 @@ class ResultCache:
         encoded = label.encode("utf-8")[:0xFFFF]
         payload = _ENVELOPE.pack(_CACHE_MAGIC, CACHE_SCHEMA_VERSION,
                                  len(encoded)) + encoded + frame
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(payload)
-        tmp.replace(path)
+        # Each writer stages in its own temp file: a shared name would let
+        # one writer's rename move the file another is still filling.
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def put(self, config: PtpBenchmarkConfig, result: PtpResult,
             salt: Optional[str] = None) -> None:

@@ -144,9 +144,12 @@ def encode_result(result: PtpResult) -> bytes:
         p = len(timeline.pready_times)
         if len(timeline.arrival_times) != p:
             raise WireError("ragged timeline cannot be framed")
-        pieces.append(_SAMPLE.pack(
-            sample.iteration, timeline.message_bytes, p,
-            timeline.join_time, timeline.pt2pt_time))
+        try:
+            pieces.append(_SAMPLE.pack(
+                sample.iteration, timeline.message_bytes, p,
+                timeline.join_time, timeline.pt2pt_time))
+        except struct.error as exc:
+            raise WireError(f"sample out of frame range: {exc}")
         pieces.append(struct.pack(f"<{2 * p}d", *timeline.pready_times,
                                   *timeline.arrival_times))
     return b"".join(pieces)

@@ -272,13 +272,8 @@ class FaultOutcome:
                 f"{self.abandoned} frames given up")
 
     def to_dict(self) -> dict:
-        """JSON-ready field mapping (inverse of :meth:`from_dict`)."""
+        """JSON-ready field mapping."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultOutcome":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from .constants import (ANY_SOURCE, ANY_TAG, DEFAULT_COSTS, MPICosts,
 from .matching import Envelope, MatchingEngine
 from .persistent import PersistentRecv, PersistentSend
 from .process import MPIProcess
-from .request import (RecvRequest, Request, SendRequest, testall,
-                      testany, waitall, waitany)
+from .request import RecvRequest, Request, SendRequest, waitall
 from .status import Status
 
 __all__ = [
@@ -41,9 +40,6 @@ __all__ = [
     "RecvRequest",
     "Request",
     "SendRequest",
-    "testall",
-    "testany",
     "waitall",
-    "waitany",
     "Status",
 ]

@@ -1,11 +1,10 @@
 """Collective operations built from point-to-point messages.
 
 Timing-level implementations of the collectives the pattern benchmarks and
-the proxy application need: dissemination barrier, binomial broadcast,
-recursive-doubling allreduce (with a naive fallback off powers of two), and
-a ring allgather.  Each collective draws its tags from a reserved internal
-tag space, sequenced per communicator so back-to-back collectives never
-cross-match.
+the proxy application need: dissemination barrier, binomial broadcast, and
+recursive-doubling allreduce (with a naive fallback off powers of two).
+Each collective draws its tags from a reserved internal tag space,
+sequenced per communicator so back-to-back collectives never cross-match.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from typing import Any
 from ..errors import MPIError
 from .request import waitall
 
-__all__ = ["INTERNAL_TAG_BASE", "barrier", "bcast", "allreduce",
-           "allgather", "reduce", "gather", "scatter"]
+__all__ = ["INTERNAL_TAG_BASE", "barrier", "bcast", "allreduce"]
 
 #: Tags at or above this value are reserved for internal (collective) use.
 INTERNAL_TAG_BASE = 1 << 28
@@ -124,102 +122,3 @@ def allreduce(comm, tc, nbytes: int, value: float = 0.0, op=None):
         acc = None
     acc = yield from bcast(comm, tc, 0, nbytes, payload=acc)
     return acc
-
-
-def allgather(comm, tc, nbytes: int, value: Any = None):
-    """Generator: ring allgather; returns the list of every rank's value."""
-    size, rank = comm.size, comm.rank
-    out = [None] * size
-    out[rank] = value
-    if size == 1:
-        return out
-    comm._coll_seq += 1
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    held_idx, held = rank, value
-    for step in range(size - 1):
-        tag = _coll_tag(comm, step)
-        sreq = yield from comm.isend(tc, right, tag, nbytes,
-                                     payload=(held_idx, held))
-        rreq = yield from comm.irecv(tc, left, tag, nbytes)
-        yield from comm.proc.blocking_wait(
-            tc, waitall(comm.sim, [sreq, rreq]))
-        held_idx, held = rreq.status.payload
-        out[held_idx] = held
-    return out
-
-
-def reduce(comm, tc, root: int, nbytes: int, value: Any = 0.0, op=None):
-    """Generator: binomial-tree reduction toward ``root``; returns the
-    reduced value at the root and ``None`` elsewhere."""
-    size, rank = comm.size, comm.rank
-    if not (0 <= root < size):
-        raise MPIError(f"reduce root {root} out of range")
-    op = op or (lambda a, b: a + b)
-    comm._coll_seq += 1
-    if size == 1:
-        return value
-    vrank = (rank - root) % size
-    acc = value
-    mask, round_idx = 1, 0
-    # Mirror image of the binomial bcast: children send up their partial
-    # results, parents fold them in.
-    while mask < size:
-        if vrank & mask:
-            dst = ((vrank ^ mask) + root) % size
-            yield from comm.send(tc, dst, _coll_tag(comm, round_idx),
-                                 nbytes, payload=acc)
-            return None
-        partner = vrank | mask
-        if partner < size:
-            src = (partner + root) % size
-            status = yield from comm.recv(tc, src,
-                                          _coll_tag(comm, round_idx),
-                                          nbytes)
-            acc = op(acc, status.payload)
-        mask <<= 1
-        round_idx += 1
-    return acc
-
-
-def gather(comm, tc, root: int, nbytes: int, value: Any = None):
-    """Generator: linear gather; returns the list of contributions at the
-    root and ``None`` elsewhere."""
-    size, rank = comm.size, comm.rank
-    if not (0 <= root < size):
-        raise MPIError(f"gather root {root} out of range")
-    comm._coll_seq += 1
-    tag = _coll_tag(comm, 0)
-    if rank == root:
-        out = [None] * size
-        out[root] = value
-        for _ in range(size - 1):
-            status = yield from comm.recv(tc, -1, tag, nbytes)
-            src, payload = status.payload
-            out[src] = payload
-        return out
-    yield from comm.send(tc, root, tag, nbytes, payload=(rank, value))
-    return None
-
-
-def scatter(comm, tc, root: int, nbytes: int, values=None):
-    """Generator: linear scatter; returns this rank's share.
-
-    ``values`` (a per-rank list) is only meaningful at the root.
-    """
-    size, rank = comm.size, comm.rank
-    if not (0 <= root < size):
-        raise MPIError(f"scatter root {root} out of range")
-    comm._coll_seq += 1
-    tag = _coll_tag(comm, 0)
-    if rank == root:
-        if values is None or len(values) != size:
-            raise MPIError(
-                f"scatter root needs one value per rank, got {values!r}")
-        for dst in range(size):
-            if dst != root:
-                yield from comm.send(tc, dst, tag, nbytes,
-                                     payload=values[dst])
-        return values[root]
-    status = yield from comm.recv(tc, root, tag, nbytes)
-    return status.payload

@@ -13,13 +13,13 @@ Verbs
 -----
 point-to-point
     ``send`` / ``recv`` (blocking), ``isend`` / ``irecv`` (nonblocking),
-    ``sendrecv``, ``send_init`` / ``recv_init`` (persistent).
+    ``send_init`` / ``recv_init`` (persistent).
 partitioned
     ``psend_init`` / ``precv_init`` — MPI 4.0 partitioned transfers; the
     once-only matching happens inside these calls through the cluster's
     registry.
 collectives
-    ``barrier``, ``bcast``, ``allreduce``, ``allgather``.
+    ``barrier``, ``bcast``, ``allreduce``.
 """
 
 from __future__ import annotations
@@ -134,18 +134,6 @@ class Communicator:
             tc, waitall(self.sim, list(requests)))
         return list(requests)
 
-    def sendrecv(self, tc, dest: int, send_tag: int, send_nbytes: int,
-                 source: int, recv_tag: int, recv_nbytes: int,
-                 payload: Any = None):
-        """Generator: combined send+receive (deadlock-free); returns the
-        receive status."""
-        sreq = yield from self.isend(tc, dest, send_tag, send_nbytes,
-                                     payload)
-        rreq = yield from self.irecv(tc, source, recv_tag, recv_nbytes)
-        yield from self.proc.blocking_wait(
-            tc, waitall(self.sim, [sreq, rreq]))
-        return rreq.status
-
     # ------------------------------------------------------------------
     # persistent point-to-point
     # ------------------------------------------------------------------
@@ -217,27 +205,6 @@ class Communicator:
     def allreduce(self, tc, nbytes: int, value: float = 0.0, op=None):
         """Generator: allreduce; returns the reduced value everywhere."""
         result = yield from _coll.allreduce(self, tc, nbytes, value, op)
-        return result
-
-    def allgather(self, tc, nbytes: int, value: Any = None):
-        """Generator: allgather; returns the list of contributions."""
-        result = yield from _coll.allgather(self, tc, nbytes, value)
-        return result
-
-    def reduce(self, tc, root: int, nbytes: int, value: Any = 0.0,
-               op=None):
-        """Generator: reduction toward ``root``; non-roots return None."""
-        result = yield from _coll.reduce(self, tc, root, nbytes, value, op)
-        return result
-
-    def gather(self, tc, root: int, nbytes: int, value: Any = None):
-        """Generator: gather to ``root``; non-roots return None."""
-        result = yield from _coll.gather(self, tc, root, nbytes, value)
-        return result
-
-    def scatter(self, tc, root: int, nbytes: int, values=None):
-        """Generator: scatter from ``root``; returns this rank's share."""
-        result = yield from _coll.scatter(self, tc, root, nbytes, values)
         return result
 
     # ------------------------------------------------------------------

@@ -12,14 +12,13 @@ its equivalence baseline.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional
+from typing import Any, Iterable
 
 from ..errors import RequestStateError
 from ..sim import AllOf, Event, Simulator
 from .status import Status
 
-__all__ = ["Request", "SendRequest", "RecvRequest", "waitall",
-           "testall", "waitany", "testany"]
+__all__ = ["Request", "SendRequest", "RecvRequest", "waitall"]
 
 
 class Request:
@@ -92,29 +91,3 @@ class RecvRequest(Request):
 def waitall(sim: Simulator, requests: Iterable[Request]) -> Event:
     """Event triggering when every request completes (``MPI_Waitall``)."""
     return AllOf(sim, [r.wait() for r in requests])
-
-
-def testall(requests: Iterable[Request]) -> bool:
-    """Instantaneous check that every request is complete."""
-    return all(r.test() for r in requests)
-
-
-def waitany(sim: Simulator, requests: List[Request]) -> Event:
-    """Event triggering when *any* request completes (``MPI_Waitany``).
-
-    Yield the returned event; afterwards use :func:`testany` (or each
-    request's ``test``) to find which one(s) finished — the simulated
-    analogue of the out-index argument.
-    """
-    if not requests:
-        raise RequestStateError("waitany needs at least one request")
-    from ..sim import AnyOf
-    return AnyOf(sim, [r.wait() for r in requests])
-
-
-def testany(requests: Iterable[Request]) -> Optional[int]:
-    """Index of the first complete request, or None (``MPI_Testany``)."""
-    for i, r in enumerate(requests):
-        if r.test():
-            return i
-    return None

@@ -1,4 +1,5 @@
-"""Injected system-noise models (§3.3 of the paper, plus a trace extension)."""
+"""Injected system-noise models (§3.3 of the paper, plus an exponential
+extension)."""
 
 from .models import (
     NOISE_MODELS,
@@ -10,7 +11,6 @@ from .models import (
     UniformNoise,
     noise_model_from_name,
 )
-from .trace_noise import TraceNoise
 
 __all__ = [
     "NOISE_MODELS",
@@ -21,5 +21,4 @@ __all__ = [
     "SingleThreadNoise",
     "UniformNoise",
     "noise_model_from_name",
-    "TraceNoise",
 ]

@@ -20,6 +20,7 @@ the partitioned and single-send phases (common random numbers).
 from __future__ import annotations
 
 import abc
+import math
 from typing import Optional
 
 import numpy as np
@@ -83,9 +84,9 @@ class _PercentNoise(NoiseModel):
     """Base for models parameterized by a noise percentage."""
 
     def __init__(self, noise_percent: float):
-        if noise_percent < 0:
+        if not (math.isfinite(noise_percent) and noise_percent >= 0):
             raise ConfigurationError(
-                f"noise_percent must be >= 0: {noise_percent}")
+                f"noise_percent must be finite and >= 0: {noise_percent}")
         self.noise_percent = float(noise_percent)
 
     @property

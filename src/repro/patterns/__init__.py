@@ -1,6 +1,5 @@
 """Communication-pattern motifs (Ember-style Sweep3D and Halo3D, §3.2)."""
 
-from .halo2d import EDGES_2D, Halo2DGrid, opposite_edge, run_halo2d
 from .halo3d import (FACES, Halo3DGrid, face_partition, opposite_face,
                      run_halo3d, thread_cube_side)
 from .motif import CommMode, PatternConfig, PatternRunResult
@@ -8,10 +7,6 @@ from .runner import MOTIFS, run_motif, throughput_series
 from .sweep3d import Sweep3DGrid, run_sweep3d
 
 __all__ = [
-    "EDGES_2D",
-    "Halo2DGrid",
-    "opposite_edge",
-    "run_halo2d",
     "FACES",
     "Halo3DGrid",
     "face_partition",

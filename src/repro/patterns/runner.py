@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from .halo2d import Halo2DGrid, run_halo2d
 from .halo3d import Halo3DGrid, run_halo3d
 from .motif import CommMode, PatternConfig, PatternRunResult
 from .sweep3d import Sweep3DGrid, run_sweep3d
@@ -16,7 +15,6 @@ __all__ = ["run_motif", "throughput_series", "MOTIFS"]
 MOTIFS: Dict[str, Tuple[Callable, Callable]] = {
     "sweep3d": (run_sweep3d, lambda: Sweep3DGrid(3, 3)),
     "halo3d": (run_halo3d, lambda: Halo3DGrid(2, 2, 2)),
-    "halo2d": (run_halo2d, lambda: Halo2DGrid(3, 3)),
 }
 
 

@@ -31,8 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.config import PtpBenchmarkConfig
 from ..core.parallel import config_fingerprint, plan_cells
-from ..core.persistence import sample_to_dict
-from ..core.runner import PtpResult
+from ..core.runner import PtpResult, PtpSample
 from ..core.wire import METRIC_NAMES
 from ..errors import ConfigurationError, ReproError
 from ..faults import parse_fault_spec
@@ -131,6 +130,10 @@ def config_from_payload(payload: Dict) -> PtpBenchmarkConfig:
                 f"config field {name!r} must be an integer, got "
                 f"{value!r}")
         kwargs[name] = value
+    if kwargs["message_bytes"] >= 1 << 64:
+        raise ProtocolError(
+            f"config field 'message_bytes' must be < 2**64 (the wire "
+            f"frame's field), got {kwargs['message_bytes']}")
     compute = payload.get("compute_seconds")
     if "compute_ms" in payload:
         compute = payload["compute_ms"]
@@ -290,8 +293,8 @@ def result_to_payload(result: PtpResult,
     to), provenance (``source``/``trials``), the SHA-256 event digest —
     byte-equal digests prove a service answer identical to a local run
     — and the four derived pruned-mean metrics.  With
-    ``include_samples`` the raw per-iteration timelines ride along in
-    the archival JSON shape, from which every metric is recomputable.
+    ``include_samples`` the raw per-iteration timelines ride along, from
+    which every metric is recomputable.
     """
     payload: Dict = {
         "fingerprint": config_fingerprint(result.config),
@@ -307,8 +310,20 @@ def result_to_payload(result: PtpResult,
     if result.fault_outcome is not None:
         payload["fault_outcome"] = result.fault_outcome.to_dict()
     if include_samples:
-        payload["samples"] = [sample_to_dict(s) for s in result.samples]
+        payload["samples"] = [_sample_to_dict(s) for s in result.samples]
     return payload
+
+
+def _sample_to_dict(sample: PtpSample) -> Dict:
+    """One measured iteration's raw timeline (the metrics derive from it)."""
+    return {
+        "iteration": sample.iteration,
+        "message_bytes": sample.timeline.message_bytes,
+        "pready_times": list(sample.timeline.pready_times),
+        "arrival_times": list(sample.timeline.arrival_times),
+        "join_time": sample.timeline.join_time,
+        "pt2pt_time": sample.timeline.pt2pt_time,
+    }
 
 
 def error_payload(exc: ServiceError) -> Dict:

@@ -12,8 +12,8 @@ import math
 
 import pytest
 
-from repro.analytic import (ANALYTIC_RTOL, PrunePlan, analytic_supported,
-                            evaluate_analytic, evaluate_timeline, plan_prune)
+from repro.analytic import (ANALYTIC_RTOL, analytic_supported,
+                            evaluate_analytic, evaluate_timeline)
 from repro.core import (COLD, PAPER_MESSAGE_SIZES, PAPER_PARTITION_COUNTS,
                         PtpBenchmarkConfig, ResultCache, gate_sweeps,
                         plan_cells, run_cells, run_ptp_benchmark, sweep_ptp)
@@ -64,13 +64,11 @@ class TestCrossValidation:
             for m in PAPER_MESSAGE_SIZES
             if m >= n
         ]
-        plan = plan_prune(cells)
         # Under the Niagara calibration only eager partitions (<= 16 KiB)
         # are timed copies, so the whole grid's hot working sets fit the
         # LLC and every cell is analytic-eligible.
-        assert not plan.des_cells
-        assert len(plan.analytic_cells) == len(cells)
-        for config in plan.analytic_cells:
+        for config in cells:
+            assert analytic_supported(config) is None, config
             _assert_timeline_matches(config)
 
     @pytest.mark.parametrize("message_bytes", [65536, 65537, 65539, 65540])
@@ -114,8 +112,7 @@ class TestCrossValidation:
         des = sweep_ptp(base, sizes, counts, analytic="off")
         ana = sweep_ptp(base, sizes, counts, analytic="only")
         for metric in DEFAULT_PLANNER_METRICS:
-            gate_sweeps(des, ana, metric, tolerance=ANALYTIC_RTOL,
-                        mode="relative")
+            gate_sweeps(des, ana, metric, tolerance=ANALYTIC_RTOL)
         # The early-bird fraction is a ratio of counts; the two engines
         # must agree on the counts themselves.
         for point in des.points:
@@ -183,28 +180,6 @@ class TestEligibility:
         assert [s.iteration for s in result.samples] == [0, 1, 2]
         # One frozen timeline shared across iterations, not recomputed.
         assert result.samples[0].timeline is result.samples[1].timeline
-
-
-# ---------------------------------------------------------------------------
-# The prune planner
-# ---------------------------------------------------------------------------
-
-class TestPrunePlan:
-    def test_mixed_grid_split(self):
-        cells = [_cfg(), _cfg(noise=UniformNoise(4.0)),
-                 _cfg(faults=FaultPlan(drop_probability=0.1))]
-        plan = plan_prune(cells)
-        assert isinstance(plan, PrunePlan)
-        assert len(plan.analytic_cells) == 1
-        assert len(plan.des_cells) == 2
-        assert plan.decisions[0].analytic
-        assert not plan.decisions[1].analytic
-
-    def test_describe_lists_reasons(self):
-        plan = plan_prune([_cfg(), _cfg(noise=UniformNoise(4.0))])
-        line = plan.describe()
-        assert "1 analytic" in line and "1 simulated" in line
-        assert "noise" in line
 
 
 # ---------------------------------------------------------------------------

@@ -14,26 +14,19 @@ import pytest
 
 import repro
 
-PACKAGES = [
-    "repro", "repro.sim", "repro.machine", "repro.network", "repro.mpi",
-    "repro.partitioned", "repro.threadsim", "repro.noise", "repro.metrics",
-    "repro.core", "repro.patterns", "repro.proxy", "repro.obs",
-]
+def _walk():
+    """Every package and module under ``repro``, found by walking it."""
+    packages, modules = ["repro"], ["repro"]
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.rsplit(".", 1)[-1] == "__main__":
+            continue  # importing it would run the CLI
+        modules.append(info.name)
+        if info.ispkg:
+            packages.append(info.name)
+    return sorted(packages), sorted(modules)
 
 
-def _all_modules():
-    names = set(PACKAGES)
-    for pkg_name in PACKAGES:
-        pkg = importlib.import_module(pkg_name)
-        if hasattr(pkg, "__path__"):
-            for info in pkgutil.iter_modules(pkg.__path__):
-                if info.name == "__main__":
-                    continue  # importing it would run the CLI
-                names.add(f"{pkg_name}.{info.name}")
-    return sorted(names)
-
-
-MODULES = _all_modules()
+PACKAGES, MODULES = _walk()
 
 
 class TestDocstrings:

@@ -43,6 +43,11 @@ class TestParser:
         assert args.partitions == 4
         assert args.noise == "none"
 
+    def test_sweep_save_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--save", "out.json"])
+        capsys.readouterr()
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
@@ -79,6 +84,13 @@ class TestCommands:
         for phrase in ("overhead", "perceived bandwidth",
                        "application availability", "early-bird"):
             assert phrase in out
+
+    def test_metrics_rejects_non_finite_compute(self):
+        # Regression: NaN compute once printed availability -1.338, exit 0.
+        from repro.errors import ConfigurationError
+        with pytest.raises(ConfigurationError, match="finite"):
+            main(["metrics", "--message-bytes", "1024",
+                  "--partitions", "4", "--compute-ms", "nan"])
 
     def test_metrics_native_impl(self, capsys):
         assert main(["metrics", "--message-bytes", "65536",

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import (PtpBenchmarkConfig, compare_sweeps, drift_table,
-                        sweep_from_dict, sweep_to_dict, sweep_ptp)
+                        sweep_ptp)
 from repro.errors import ConfigurationError
 from repro.mpi import DEFAULT_COSTS
 
@@ -19,10 +19,6 @@ class TestCompare:
     def test_identical_sweeps_show_no_drift(self, baseline):
         assert compare_sweeps(baseline, baseline, "overhead") == []
         assert drift_table([]) == "no drift beyond tolerance"
-
-    def test_loaded_baseline_comparable(self, baseline):
-        loaded = sweep_from_dict(sweep_to_dict(baseline))
-        assert compare_sweeps(loaded, baseline, "overhead") == []
 
     def test_substrate_change_is_detected(self, baseline):
         slow_costs = DEFAULT_COSTS.with_overrides(pready_cost=5e-6)

@@ -1,4 +1,4 @@
-"""Collective-operation tests: barrier, bcast, allreduce, allgather."""
+"""Collective-operation tests: barrier, bcast, allreduce."""
 
 import pytest
 
@@ -86,19 +86,6 @@ class TestAllreduce:
             return value
 
         assert _run(program, 4) == [4, 4, 4, 4]
-
-
-class TestAllgather:
-    @pytest.mark.parametrize("nranks", [1, 2, 3, 5, 8])
-    def test_gathers_every_contribution(self, nranks):
-        def program(ctx):
-            values = yield from ctx.comm.allgather(ctx.main, 64,
-                                                   value=ctx.rank * 10)
-            return values
-
-        results = _run(program, nranks)
-        expected = [r * 10 for r in range(nranks)]
-        assert all(res == expected for res in results)
 
 
 class TestCommDup:

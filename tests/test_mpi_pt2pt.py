@@ -213,18 +213,7 @@ class TestErrors:
             _run(program)
 
 
-class TestSendrecvAndIntraNode:
-    def test_sendrecv_ring(self):
-        def program(ctx):
-            right = (ctx.rank + 1) % ctx.size
-            left = (ctx.rank - 1) % ctx.size
-            status = yield from ctx.comm.sendrecv(
-                ctx.main, right, 1, 64, left, 1, 64, payload=ctx.rank)
-            return status.payload
-
-        _, results = _run(program, nranks=4)
-        assert results == [3, 0, 1, 2]
-
+class TestIntraNode:
     def test_intra_node_faster_than_inter_node(self):
         from repro.network import Placement
         times = {}

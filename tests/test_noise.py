@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.noise import (ExponentialNoise, GaussianNoise, NoNoise,
-                         SingleThreadNoise, TraceNoise, UniformNoise,
+                         SingleThreadNoise, UniformNoise,
                          noise_model_from_name)
 
 
@@ -113,30 +113,6 @@ class TestExponentialNoise:
     def test_factory(self):
         assert isinstance(noise_model_from_name("exponential", 4.0),
                           ExponentialNoise)
-
-
-class TestTraceNoise:
-    def test_replays_delays_in_order(self):
-        noise = TraceNoise([1e-3, 2e-3, 3e-3])
-        times = noise.compute_times(_rng(), 2, 0.01)
-        assert list(times) == pytest.approx([0.011, 0.012])
-        times = noise.compute_times(_rng(), 2, 0.01)
-        assert list(times) == pytest.approx([0.013, 0.011])  # wraps
-
-    def test_reset(self):
-        noise = TraceNoise([1e-3, 2e-3])
-        noise.compute_times(_rng(), 1, 0.01)
-        noise.reset()
-        times = noise.compute_times(_rng(), 1, 0.01)
-        assert times[0] == pytest.approx(0.011)
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TraceNoise([])
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TraceNoise([-1.0])
 
 
 class TestDeterminism:

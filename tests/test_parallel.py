@@ -514,6 +514,38 @@ class TestProvenanceRoundTrip:
 # ---------------------------------------------------------------------------
 
 class TestResultPlaneConcurrency:
+    def test_racing_puts_on_one_fingerprint_leave_a_valid_entry(
+            self, tmp_path):
+        """Writers sharing a cache root race ``put`` on one fingerprint.
+
+        Regression: every writer staged in ``<fingerprint>.bin.tmp``, so
+        one writer's rename moved the file another was still filling and
+        that writer's own rename raised ``FileNotFoundError``.
+        """
+        config = plan_cells(_base(), [1024], [1])[0]
+        result = run_ptp_benchmark(config)
+        errors = []
+
+        def writer():
+            cache = ResultCache(tmp_path / "cache", memory_entries=0)
+            for _ in range(100):
+                try:
+                    cache.put(config, result)
+                except Exception as exc:  # noqa: BLE001 - counted below
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        loaded = ResultCache(tmp_path / "cache").get(config)
+        assert loaded is not None
+        assert loaded.event_digest == result.event_digest
+        assert list((tmp_path / "cache").rglob("*.tmp")) == []
+
     def test_stats_does_not_hold_lock_during_disk_count(self, tmp_path,
                                                         monkeypatch):
         """stats() must count disk entries outside the cache lock.

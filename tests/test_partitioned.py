@@ -323,3 +323,36 @@ class TestImplementationDifferences:
         assert len(mem.filter("part.arrived")) == 4
         assert mem.first("part.pready").time <= \
             mem.first("part.arrived").time
+
+
+class TestPreadyList:
+    def test_pready_list_delivers_all(self):
+        def program(ctx):
+            comm, main = ctx.comm, ctx.main
+            if ctx.rank == 0:
+                ps = yield from comm.psend_init(main, 1, 5, 4096, 4)
+                yield from ps.start(main)
+                yield from ps.pready_list(main, [3, 1, 0, 2])
+                yield from ps.wait(main)
+            else:
+                pr = yield from comm.precv_init(main, 0, 5, 4096, 4)
+                yield from pr.start(main)
+                yield from pr.wait(main)
+                return pr.arrived_count
+
+        _, results = _run(program)
+        assert results[1] == 4
+
+    def test_duplicates_rejected(self):
+        def program(ctx):
+            comm, main = ctx.comm, ctx.main
+            if ctx.rank == 0:
+                ps = yield from comm.psend_init(main, 1, 5, 4096, 4)
+                yield from ps.start(main)
+                yield from ps.pready_list(main, [0, 0])
+            else:
+                pr = yield from comm.precv_init(main, 0, 5, 4096, 4)
+                yield from pr.start(main)
+
+        with pytest.raises(PartitionError, match="duplicate"):
+            _run(program)

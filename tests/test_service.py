@@ -87,6 +87,22 @@ class TestProtocol:
         with pytest.raises(ProtocolError) as err:
             config_from_payload(_payload(partitions=-1))
         assert err.value.status == 400
+        # Python's json parses NaN/Infinity, and ints are unbounded: each
+        # of these once got past validation and failed later (a result,
+        # a mid-trial SimulationError, a numpy OverflowError, a
+        # struct.error when the answer was framed).
+        for body in (
+                '{"message_bytes": 64, "partitions": 2, '
+                '"compute_seconds": NaN}',
+                '{"message_bytes": 64, "partitions": 2, '
+                '"compute_seconds": Infinity}',
+                '{"message_bytes": 64, "partitions": 2, '
+                '"noise": "uniform", "noise_percent": NaN}',
+                '{"message_bytes": 100000000000000000000000000, '
+                '"partitions": 2}'):
+            with pytest.raises(ProtocolError) as err:
+                parse_trial_request({"config": json.loads(body)})
+            assert err.value.status == 400, body
 
     def test_trial_request_shape(self):
         config, client, priority, fmt, samples = parse_trial_request(

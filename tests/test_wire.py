@@ -164,6 +164,13 @@ class TestEncodeRefusals:
         with pytest.raises(WireError, match="out of frame range"):
             encode_result(fresh)
 
+    def test_out_of_range_message_size_raises(self):
+        config, fresh = _result()
+        object.__setattr__(fresh.samples[0].timeline, "message_bytes",
+                           10 ** 26)
+        with pytest.raises(WireError, match="out of frame range"):
+            encode_result(fresh)
+
 
 #: One valid frame (a fault outcome and an inline source, so every
 #: optional block is present) to mutate.
