@@ -149,7 +149,7 @@ def encode_result(result: PtpResult) -> bytes:
                 sample.iteration, timeline.message_bytes, p,
                 timeline.join_time, timeline.pt2pt_time))
         except struct.error as exc:
-            raise WireError(f"sample out of frame range: {exc}")
+            raise WireError(f"sample out of frame range: {exc}") from exc
         pieces.append(struct.pack(f"<{2 * p}d", *timeline.pready_times,
                                   *timeline.arrival_times))
     return b"".join(pieces)

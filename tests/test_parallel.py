@@ -531,7 +531,7 @@ class TestResultPlaneConcurrency:
             for _ in range(100):
                 try:
                     cache.put(config, result)
-                except Exception as exc:  # noqa: BLE001 - counted below
+                except Exception as exc:
                     errors.append(exc)
 
         threads = [threading.Thread(target=writer) for _ in range(4)]
