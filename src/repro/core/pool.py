@@ -32,15 +32,17 @@ worker runs it, in *what* order, after *how many* steals, cannot change
 a bit of its result.  The golden-digest and parallel-equivalence suites
 enforce serial == ``--jobs N`` == reused-warm-pool, digest for digest.
 
-Crash handling degrades structurally instead of hanging: a dead worker's
-queued tasks are redistributed, its in-flight task is retried once on a
-surviving worker, and a task that keeps killing workers (or a pool with
-no survivors) runs inline in the manager, where an error surfaces as an
-ordinary exception.  That inline drain is also the whole ``jobs=1``
-path: a pool that never spawns a worker runs every task in the caller's
-thread, through the same session and wire frame.  A session owns its
-pool from first submit to drain, so concurrent sweeps on one pool take
-turns instead of interleaving their task ids and epochs.
+Crash handling degrades structurally instead of hanging: a crash retires
+every worker and the shared result queue (the dead worker may have held
+its write lock), queued tasks are redistributed to fresh workers, the
+dead worker's in-flight task is retried once, and a task that keeps
+killing workers (or a pool that cannot respawn) runs inline in the
+manager, where an error surfaces as an ordinary exception.  That inline
+drain is also the whole ``jobs=1`` path: a pool that never spawns a
+worker runs every task in the caller's thread, through the same session
+and wire frame.  A session owns its pool from first submit to drain, so
+concurrent sweeps on one pool take turns instead of interleaving their
+task ids and epochs.
 
 Everything the pool does is observable through ``pool.*`` typed kinds on
 the pool's own :class:`~repro.obs.EventBus` (worker boots, dispatches,
@@ -401,6 +403,9 @@ class _PoolSession:
         pool = self._pool
         dead = [w for w in pool._workers.values()
                 if not w.process.is_alive()]
+        if not dead:
+            return
+        work: List[int] = []
         for worker in dead:
             # A chunk from an abandoned earlier run is not ours to retry.
             current = (worker.current or ()) \
@@ -419,10 +424,16 @@ class _PoolSession:
                     self._inline.append(crashed_task)
                 else:
                     retry.append(crashed_task)
-            self._requeue(retry + orphans)
+            work += retry + orphans
+        # A worker killed mid-send dies holding the shared result queue's
+        # write lock, and every other worker's results then block behind
+        # it forever.  So a crash retires the queue and the survivors with
+        # it; fresh workers (and a fresh queue) take over their tasks.
+        work += pool._retire_workers(self._epoch)
+        self._requeue(work)
 
     def _requeue(self, task_ids: List[int]) -> None:
-        """Hand a dead worker's backlog to survivors (or run it inline)."""
+        """Hand retired workers' tasks to fresh ones (or run them inline)."""
         pool = self._pool
         for task_id in task_ids:
             if task_id in self._done:
@@ -513,6 +524,28 @@ class WorkerPool:
         self._workers[worker_id] = worker
         session.stats.booted_workers += 1
         return worker
+
+    def _retire_workers(self, epoch: int) -> List[int]:
+        """Kill every worker and drop the result queue (crash recovery).
+
+        Returns the ids of ``epoch``'s tasks the workers held, in flight
+        or queued, for the caller to hand to fresh workers.
+        """
+        tasks: List[int] = []
+        for worker in self._workers.values():
+            if worker.epoch == epoch and worker.current:
+                tasks += worker.current
+            tasks += worker.queue
+            worker.process.kill()
+        for worker in self._workers.values():
+            worker.process.join()
+            worker.tasks.close()
+        self._workers.clear()
+        if self._results is not None:
+            self._results.close()
+            self._results.join_thread()
+            self._results = None
+        return tasks
 
     def _mark_booted(self, worker_id: int, pid: int) -> None:
         worker = self._workers.get(worker_id)

@@ -1,10 +1,12 @@
 """The persistent worker pool: warm reuse, stealing, crash recovery."""
 
+import os
 import threading
 import time
 
 import pytest
 
+import repro.core.pool as pool_module
 from repro.core import (METRIC_NAMES, PtpBenchmarkConfig, SweepStats,
                         WorkerPool, plan_cells, run_cells, run_ptp_benchmark,
                         sweep_ptp)
@@ -195,6 +197,41 @@ class TestCrashRecovery:
         assert _digests(rescued) == _digests(serial)
         assert pool.stats.crashed_workers >= 1
         assert victim not in pool._workers
+
+    @pytest.mark.skipif(pool_module._START_METHOD != "fork",
+                        reason="the patched worker loop reaches workers "
+                               "only through fork")
+    def test_worker_dying_with_the_result_lock_held_does_not_hang(
+            self, monkeypatch):
+        """Regression: a worker killed mid-send left the shared result
+        queue's write lock held, so the surviving worker's results
+        blocked behind it and the sweep hung forever."""
+        real_main = pool_module._worker_main
+
+        def worker_main(worker_id, tasks, results):
+            if worker_id == 0:
+                results._wlock.acquire()    # as if killed mid-send
+                os._exit(1)
+            real_main(worker_id, tasks, results)
+
+        monkeypatch.setattr(pool_module, "_worker_main", worker_main)
+        cells = plan_cells(_base(seed=9), SIZES, COUNTS)
+        serial, _ = run_cells(cells, jobs=1)
+        p = WorkerPool(2)
+        outcome = {}
+        sweep = threading.Thread(
+            target=lambda: outcome.update(
+                run=run_cells(cells, jobs=2, pool=p)),
+            daemon=True)
+        try:
+            sweep.start()
+            sweep.join(timeout=60.0)
+            assert not sweep.is_alive(), "the pool hung after the crash"
+        finally:
+            p.shutdown()
+        rescued, stats = outcome["run"]
+        assert _digests(rescued) == _digests(serial)
+        assert stats.pool.crashed_workers >= 1
 
     def test_no_spawnable_workers_degrades_inline(self):
         # With the worker ceiling forced to zero the manager must run
