@@ -5,7 +5,7 @@ every figure reproduction pays the kernel's event-dispatch cost.  The
 kernels and the value each must return are defined once, in the
 registry of ``scripts/bench_guard.py``; this module times every
 registry entry with pytest-benchmark's multi-round timing, while the
-guard script times the same entries against ``BENCH_BASELINE.json``.
+guard script times the same entries against a baseline commit.
 """
 
 import pathlib

@@ -1,47 +1,49 @@
 #!/usr/bin/env python
-"""The benchmark kernel registry and the regression guard over it.
+"""The benchmark kernel registry and the regression gate over it.
 
 :data:`KERNELS` is the one definition of every benchmark kernel that
 guards the simulator and the layers around it: its body, and the value
 it must return.  Two harnesses time the registry, and both check each
 kernel's value on its untimed warm-up call:
 
-* this script, with a plain stdlib timer, compared against the
-  checked-in ``BENCH_BASELINE.json``.  Any kernel slower than its
-  budget — ``--threshold`` (default 2.0) times baseline, or the tighter
-  per-kernel entry in :data:`THRESHOLDS` (e.g. 1.05x for the
-  disabled-subscriber emission path of ``repro.obs``) — fails the run,
-  as does any pair over its same-run :data:`RATIO_CHECKS` budget;
+* this script, which times the working tree against a baseline commit
+  (``--against REV``, default ``HEAD``).  Each tree runs its own
+  registry in its own runner process (``scripts/bench_runner.py``); a
+  fixed-seed shuffle interleaves every kernel of both trees in each of
+  :data:`ROUNDS` rounds, so host-speed drift lands on both sides of a
+  ratio.  A kernel fails when the whole confidence interval of its
+  per-round candidate/baseline time ratio lies above its budget
+  (:data:`DEFAULT_LIMIT`, or its :data:`THRESHOLDS` entry), and a
+  :data:`RATIO_CHECKS` pair fails under the same rule on the per-round
+  ratio of its two kernels in the working tree;
 * ``benchmarks/bench_kernel.py``, one pytest-benchmark test
   parametrized over :data:`KERNELS`.
 
-Raw wall times are meaningless across machines, so every measurement is
-normalized by a calibration loop (pure-Python arithmetic) timed on the
-same host: the stored numbers are "calibration units", roughly stable
-across hardware generations, and the 2x threshold absorbs the rest.
 Kernels build their fixtures (kept pools, a cache directory, a live
 daemon) on first use; :func:`teardown` stops and removes all of them.
 
 Usage::
 
-    python scripts/bench_guard.py              # compare against baseline
-    python scripts/bench_guard.py --update     # rewrite the baseline
-    python scripts/bench_guard.py --threshold 3.0 --json
-    python scripts/bench_guard.py --json-out bench-report.json  # CI artifact
+    python scripts/bench_guard.py                  # working tree vs HEAD
+    python scripts/bench_guard.py --against main --json
+    python scripts/bench_guard.py --against HEAD~1 --json-out bench-report.json
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
-import gc
 import json
+import os
 import pathlib
+import random
 import shutil
+import subprocess
 import sys
 import tempfile
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -49,25 +51,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.analysis import lint_source  # noqa: E402
 from repro.core import (PtpBenchmarkConfig, PtpResult, SweepPoint,  # noqa: E402
                         SweepResult, run_ptp_benchmark)
+from repro.metrics.statistics import ci_halfwidth, pruned_mean  # noqa: E402
 from repro.obs import CounterSink, EventBus  # noqa: E402
 from repro.obs.kinds import PART_PREADY  # noqa: E402
 from repro.sim import Simulator, Store  # noqa: E402
-
-BASELINE_PATH = REPO_ROOT / "BENCH_BASELINE.json"
-
-#: Schema marker so stale baselines fail loudly instead of silently.
-#: 2: adds the repro.obs emission kernels.
-#: 3: re-captured after the kernel fast paths (immediate-event ring,
-#:    time-bucketed future queue, recycled sleeps, single-waiter
-#:    dispatch, record-free emission) — the dispatch-heavy kernels run
-#:    1.3-2x faster, so v2 budgets would hide large regressions.
-#:    (Extended in place with the analytic/planner kernels, the
-#:    worker-pool warm/cold pair, and the result-plane kernels — wire
-#:    codec round-trip, sharded vs flat cache get, batched vs per-task
-#:    dispatch — additive entries only, existing scores untouched, so
-#:    no version bump.  The dict round-trip kernel left with the dict
-#:    result format.)
-BASELINE_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +199,9 @@ def faults_off_overhead():
     The ``end_to_end_trial`` workload at 16 iterations with
     ``faults=None`` spelled out: the config rides the full hook path
     (NIC fault checks, transmit tracking test, frame-handler prelude)
-    with every hook disabled, and reports no fault outcome.  Its
-    baseline entry was captured by running this exact kernel, with this
-    file's timing methodology, on the tree immediately *before* the
-    fault subsystem landed — so the 1.05x budget is exactly the promise
-    "fault injection costs nothing when off".  16 iterations (vs 1)
-    pushes the kernel to ~20ms so scheduler jitter amortizes below the
-    5% budget.
+    with every hook disabled, and reports no fault outcome.  Its 1.05x
+    budget holds the disabled hooks to what they cost at the baseline
+    commit.
     """
     cfg = PtpBenchmarkConfig(message_bytes=1 << 16, partitions=8,
                              compute_seconds=1e-3, iterations=16, warmup=0,
@@ -230,9 +213,7 @@ def faults_off_overhead():
 #: The cell behind ``paper_cell_trial``/``analytic_eval``: a real
 #: paper-grid point (1 MiB × 32 partitions, 10 ms compute, warmup + 10
 #: iterations) — big enough that the DES run amortizes timer noise, and
-#: analytic-eligible so both engines answer the identical question.  The
-#: iteration count matters for the ratio check: DES cost scales with
-#: iterations while the closed form prices the timeline once.
+#: analytic-eligible so both engines answer the identical question.
 _PAPER_CELL = dict(message_bytes=1 << 20, partitions=32,
                    compute_seconds=0.010, iterations=10, warmup=1)
 
@@ -245,20 +226,15 @@ def paper_cell_trial():
 
 @kernel(("analytic", 10))
 def analytic_eval():
-    """The closed-form answer for the same cell (no simulator).
-
-    Budgeted at 1/100th of ``paper_cell_trial`` *in the same run* (see
-    :data:`RATIO_CHECKS`) — the promise that analytic-eligible cache
-    misses are answered in microseconds.
-    """
+    """The closed-form answer for the same cell (no simulator): the
+    cost of answering an analytic-eligible cache miss."""
     from repro.analytic import evaluate_analytic
     result = evaluate_analytic(PtpBenchmarkConfig(**_PAPER_CELL))
     return result.source, len(result.samples)
 
 
-#: The cell behind the planner-overhead pair: noisy (so the planner does
-#: not short-circuit) and 16 iterations so the ~20 ms runtime amortizes
-#: scheduler jitter below the 5% budget, like ``faults_off_overhead``.
+#: The cell behind the planner-overhead pair: noisy, so the planner does
+#: not short-circuit, and 16 iterations (~20 ms).
 _PLANNER_CELL = dict(message_bytes=1 << 16, partitions=8,
                      compute_seconds=1e-3, iterations=16, warmup=0)
 
@@ -529,7 +505,8 @@ def obs_emission_disabled():
 
     Every runtime hot path (pready, matching, NIC) emits unconditionally;
     the bus must make an unsubscribed emit one list index plus a falsy
-    test.  Held to a 5% budget over baseline (:data:`THRESHOLDS`).
+    test.  Held to 1.05x its time at the baseline commit
+    (:data:`THRESHOLDS`).
     """
     bus = EventBus()
     emit = bus.emit
@@ -593,15 +570,18 @@ def lint_throughput():
     return lint_source(_lint_workload(), "workload.py")
 
 
-#: Per-kernel regression budgets overriding ``--threshold``.  Emission
-#: with no subscriber is the instrumentation layer's core promise — it
-#: rides every simulator hot path — so it gets a hard 5% budget instead
-#: of the forgiving 2x default.
+#: The budget of every kernel without a :data:`THRESHOLDS` entry: a
+#: 1.3x slowdown against the baseline commit fails.
+DEFAULT_LIMIT = 1.2
+
+#: Per-kernel budgets overriding :data:`DEFAULT_LIMIT`.  Emission with
+#: no subscriber is the instrumentation layer's core promise — it rides
+#: every simulator hot path — so it gets a hard 5% budget.
 THRESHOLDS = {
     "obs_emission_disabled": 1.05,
-    # A clean trial against the pre-fault-subsystem baseline: the
-    # disabled fault hooks on the NIC/transmit/handler paths must stay
-    # within 5% of a tree that had no hooks at all.
+    # A clean trial through the disabled fault hooks on the
+    # NIC/transmit/handler paths may cost at most 5% more than the same
+    # kernel at the baseline commit.
     "faults_off_overhead": 1.05,
     # The two kernels the fast-path work targeted: a tight budget keeps
     # the ring / bucket / free-list wins from silently eroding.
@@ -609,19 +589,14 @@ THRESHOLDS = {
     "store_handoff": 1.25,
     # Both analyzer passes over the synthetic workload: the CI lint step
     # runs over the whole tree, so a super-linear blow-up in the flow
-    # pass (CFG size, fixpoint visits) must not hide behind the 2x
-    # default for long.
+    # pass (CFG size, fixpoint visits) must not hide for long.
     "lint_throughput": 1.5,
 }
 
-#: Same-run cross-kernel budgets: ``current[a] <= limit * current[b]``.
-#: Unlike the baseline thresholds these compare two kernels measured on
-#: the same host in the same run, so no calibration drift can hide (or
-#: fake) a violation.
+#: Same-tree cross-kernel budgets: ``time[a] <= limit * time[b]`` in
+#: the working tree, judged on the ratio of the two kernels' per-call
+#: times within each round.
 RATIO_CHECKS = (
-    # The analytic fast path must answer a cell in <= 1/100th of the
-    # simulator's time for the identical paper-grid cell.
-    ("analytic_eval", "paper_cell_trial", 0.01),
     # The adaptive planner's bookkeeping must be invisible (<= 5%) when
     # it is forced to run exactly the trials a plain run would.
     ("planner_overhead", "planner_reference", 1.05),
@@ -639,252 +614,209 @@ RATIO_CHECKS = (
 
 
 # ---------------------------------------------------------------------------
-# Timing
+# The gate
 # ---------------------------------------------------------------------------
 
-def _calibrate(reps: int = 10) -> float:
-    """Seconds for a fixed pure-Python arithmetic loop (machine speed)."""
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        total = 0
-        for i in range(200_000):
-            total += i * i
-        best = min(best, time.perf_counter() - start)
-    assert total > 0
-    return best
+#: Interleaved rounds; each times every kernel once in both trees.
+ROUNDS = 60
+
+#: Seed of the per-round shuffle, so a rerun times the same order.
+SHUFFLE_SEED = 19
+
+#: Target wall time of one sample: ``n`` calls of a kernel back to back.
+SAMPLE_SECONDS = 0.02
+
+#: The environment both runners start with.
+_RUNNER_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
+               "PYTHONHASHSEED": "0"}
 
 
-def _time_kernel(name: str, repeats: int) -> float:
-    """Best-of-``repeats`` wall seconds for one call of kernel ``name``.
+class Verdict(NamedTuple):
+    """Pruned mean and CI of per-round ratios, judged against ``limit``."""
 
-    The collector is paused across the timed region: the trial kernels
-    allocate heavily, and a cycle-collection pause landing inside one
-    repeat adds tens of percent of phantom "regression" that no amount
-    of best-of-N filtering removes (the calibration loop allocates
-    nothing, so normalization cannot cancel it either).
-    """
-    fn = warm_up(name)
-    best = float("inf")
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
+    ratio: float
+    low: float
+    high: float
+    limit: float
+    ok: bool
+
+
+def verdict(ratios, limit: float) -> Verdict:
+    """The one rule: the pruned mean of ``ratios`` ± ``ci_halfwidth``
+    fails only when the whole interval lies above ``limit``."""
+    mean = pruned_mean(ratios)
+    half = ci_halfwidth(ratios)
+    return Verdict(mean, mean - half, mean + half, limit,
+                   mean - half <= limit)
+
+
+class _Runner:
+    """One tree's ``bench_runner.py`` process and its warm-up report."""
+
+    def __init__(self, tree: pathlib.Path):
+        self.proc = subprocess.Popen(
+            [sys.executable, str(REPO_ROOT / "scripts" / "bench_runner.py"),
+             str(tree)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=_RUNNER_ENV, cwd=tree)
+        line = self.proc.stdout.readline()
+        if not line:
+            self.close()
+            raise RuntimeError(f"the runner for {tree} exited during "
+                               f"warm-up (exit {self.proc.returncode})")
+        hello = json.loads(line)
+        self.kernels: Dict[str, str] = hello["kernels"]
+        self.failed: Dict[str, str] = hello["failed"]
+        self.seconds: Dict[str, float] = hello["seconds"]
+
+    def time(self, name: str, n: int) -> float:
+        """Per-call seconds of ``n`` back-to-back calls of ``name``."""
+        self.proc.stdin.write(json.dumps([name, n]) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"the runner died timing {name}")
+        return json.loads(line) / n
+
+    def close(self) -> None:
+        """End the runner's input; it tears its fixtures down and exits."""
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+@contextlib.contextmanager
+def _tree_at(rev: str):
+    """A temporary ``git worktree`` of ``rev``, removed on exit."""
+    root = pathlib.Path(tempfile.mkdtemp(prefix="repro-bench-base-"))
     try:
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
+        subprocess.run(["git", "-C", str(REPO_ROOT), "worktree", "add",
+                        "--detach", "--quiet", str(root), rev], check=True)
+        yield root
     finally:
-        if was_enabled:
-            gc.enable()
-    return best
+        subprocess.run(["git", "-C", str(REPO_ROOT), "worktree", "remove",
+                        "--force", str(root)], check=False)
+        shutil.rmtree(root, ignore_errors=True)
+        subprocess.run(["git", "-C", str(REPO_ROOT), "worktree", "prune"],
+                       check=False)
 
 
-def measure_pair(fast: str, slow: str, repeats: int) -> tuple:
-    """Best-of raw seconds for a ratio pair, timed interleaved.
+def sample(runners, names: List[str], counts: Dict[str, int]):
+    """Per-call seconds of every kernel in every runner, one sample per
+    round for :data:`ROUNDS` rounds: ``times[runner][kernel][round]``.
 
-    The two kernels alternate inside one repeat loop, so a host-load
-    drift lands on both halves of the ratio instead of whichever kernel
-    happened to be in flight when the wave hit.  No calibration: a
-    ratio of same-loop times is already unitless.
+    The host's speed drifts over seconds, so every ratio the gate
+    judges is taken from samples timed back to back: a kernel in both
+    runners, and the two kernels of a :data:`RATIO_CHECKS` pair, form
+    one group.  A fixed-seed shuffle orders the groups in each round
+    and the samples within each group.
     """
-    fn_fast, fn_slow = warm_up(fast), warm_up(slow)
-    best_fast = best_slow = float("inf")
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn_fast()
-            best_fast = min(best_fast, time.perf_counter() - start)
-            start = time.perf_counter()
-            fn_slow()
-            best_slow = min(best_slow, time.perf_counter() - start)
-    finally:
-        if was_enabled:
-            gc.enable()
-    return best_fast, best_slow
+    pairs = [[a, b] for a, b, _ in RATIO_CHECKS if a in names and b in names]
+    paired = {name for pair in pairs for name in pair}
+    groups = [[(i, name) for name in kernels for i in range(len(runners))]
+              for kernels in pairs + [[n] for n in names if n not in paired]]
+    rng = random.Random(SHUFFLE_SEED)
+    times = [{name: [] for name in names} for _ in runners]
+    for _ in range(ROUNDS):
+        rng.shuffle(groups)
+        for group in groups:
+            rng.shuffle(group)
+            for i, name in group:
+                times[i][name].append(runners[i].time(name, counts[name]))
+    return times
 
 
-def measure(repeats: int, names=None) -> dict:
-    """Calibration-normalized score per kernel (lower is faster).
-
-    Calibration runs both before and after the kernel sweep and the
-    *minimum* wins: a transient host-load wave landing on a single
-    up-front calibration would silently inflate (or deflate) every
-    score in the run, which is exactly the failure mode the tight
-    per-kernel budgets cannot tolerate.
-    """
-    cal_before = _calibrate()
-    raw = {name: _time_kernel(name, repeats) for name in names or KERNELS}
-    cal = min(cal_before, _calibrate())
-    return {name: t / cal for name, t in raw.items()}
-
-
-# ---------------------------------------------------------------------------
-# Guard logic
-# ---------------------------------------------------------------------------
-
-def compare(current: dict, baseline: dict, threshold: float):
-    """Yield ``(name, current, baseline, ratio, limit, ok)`` rows.
-
-    ``limit`` is the effective budget: the per-kernel entry in
-    :data:`THRESHOLDS` when present, else ``threshold``.
-    """
-    for name, score in current.items():
-        limit = THRESHOLDS.get(name, threshold)
-        base = baseline.get(name)
-        if base is None:
-            yield name, score, None, None, limit, True
+def gate(candidate: _Runner, baseline: _Runner) -> dict:
+    """Judge the candidate against the baseline; the JSON report."""
+    skipped = {}
+    for name in sorted(set(candidate.kernels) | set(baseline.kernels)):
+        if name in candidate.failed:
             continue
-        ratio = score / base if base > 0 else float("inf")
-        yield name, score, base, ratio, limit, ratio <= limit
-
-
-def check_ratios(current: dict):
-    """Yield ``(fast, slow, ratio, limit, ok)`` for :data:`RATIO_CHECKS`.
-
-    Pairs whose kernels were not measured this run are skipped (e.g. a
-    filtered re-measure pass).
-    """
+        if name not in baseline.kernels:
+            skipped[name] = "only in the working tree"
+        elif name not in candidate.kernels:
+            skipped[name] = "only in the baseline"
+        elif baseline.kernels[name] != candidate.kernels[name]:
+            skipped[name] = (f"expected value changed: "
+                             f"{baseline.kernels[name]} -> "
+                             f"{candidate.kernels[name]}")
+        elif name in baseline.failed:
+            skipped[name] = f"baseline warm-up failed: {baseline.failed[name]}"
+    timed = [n for n in candidate.kernels
+             if n not in candidate.failed and n not in skipped]
+    counts = {n: max(1, round(SAMPLE_SECONDS / candidate.seconds[n]))
+              for n in timed}
+    times = sample([candidate, baseline], timed, counts)
+    results = []
+    for name in timed:
+        v = verdict([c / b for c, b in zip(times[0][name], times[1][name])],
+                    THRESHOLDS.get(name, DEFAULT_LIMIT))
+        results.append({"kernel": name, "n": counts[name], **v._asdict()})
+    ratios = []
     for fast, slow, limit in RATIO_CHECKS:
-        if fast not in current or slow not in current:
-            continue
-        denom = current[slow]
-        ratio = current[fast] / denom if denom > 0 else float("inf")
-        yield fast, slow, ratio, limit, ratio <= limit
+        if fast in times[0] and slow in times[0]:
+            v = verdict([a / b for a, b in zip(times[0][fast],
+                                               times[0][slow])], limit)
+            ratios.append({"kernel": fast, "reference": slow,
+                           **v._asdict()})
+    return {
+        "ok": not candidate.failed and all(r["ok"] for r in results + ratios),
+        "rounds": ROUNDS,
+        "results": results,
+        "ratios": ratios,
+        "failed": candidate.failed,
+        "not_gated": skipped,
+    }
+
+
+def _print(report: dict) -> None:
+    for r in report["results"]:
+        print(f"  {r['kernel']:24s} x{r['n']:<4d} ratio {r['ratio']:.3f} "
+              f"[{r['low']:.3f}, {r['high']:.3f}] (limit {r['limit']:g})  "
+              f"{'ok' if r['ok'] else 'REGRESSION'}")
+    for r in report["ratios"]:
+        print(f"  {r['kernel']} / {r['reference']} = {r['ratio']:.4f} "
+              f"[{r['low']:.4f}, {r['high']:.4f}] (limit {r['limit']:g})  "
+              f"{'ok' if r['ok'] else 'OVER BUDGET'}")
+    for name, reason in report["failed"].items():
+        print(f"  {name}: value check FAILED: {reason}")
+    for name, reason in report["not_gated"].items():
+        print(f"  {name}: not gated ({reason})")
+    checks = report["results"] + report["ratios"]
+    good = sum(r["ok"] for r in checks)
+    print(f"bench guard: {'PASS' if report['ok'] else 'FAIL'} "
+          f"({good}/{len(checks) + len(report['failed'])} within budget, "
+          f"{report['rounds']} rounds against {report['against']})")
 
 
 def main(argv=None) -> int:
-    try:
-        return _guard(argv)
-    finally:
-        teardown()
-
-
-def _guard(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--update", action="store_true",
-                        help="rewrite BENCH_BASELINE.json from this host")
-    parser.add_argument("--baseline", default=str(BASELINE_PATH))
-    parser.add_argument("--threshold", type=float, default=2.0,
-                        help="fail when current/baseline exceeds this")
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--against", default="HEAD", metavar="REV",
+                        help="the baseline commit (default: HEAD)")
     parser.add_argument("--json", action="store_true",
-                        help="emit machine-readable results on stdout")
+                        help="emit the JSON report on stdout")
     parser.add_argument("--json-out", metavar="PATH",
                         help="also write the JSON report to PATH (CI "
                              "artifact); human-readable output still "
                              "prints unless --json is given")
     args = parser.parse_args(argv)
-
-    current = measure(args.repeats)
-    baseline_path = pathlib.Path(args.baseline)
-
-    if args.update:
-        payload = {"version": BASELINE_VERSION, "scores": current}
-        baseline_path.write_text(json.dumps(payload, indent=2,
-                                            sort_keys=True) + "\n")
-        print(f"baseline written to {baseline_path}")
-        return 0
-
-    if not baseline_path.exists():
-        print(f"error: no baseline at {baseline_path}; run with --update",
-              file=sys.stderr)
-        return 2
-    data = json.loads(baseline_path.read_text())
-    if data.get("version") != BASELINE_VERSION:
-        print(f"error: baseline version {data.get('version')!r} != "
-              f"{BASELINE_VERSION}; regenerate with --update",
-              file=sys.stderr)
-        return 2
-
-    rows = list(compare(current, data["scores"], args.threshold))
-    failed = [r for r in rows if not r[5]]
-
-    # A kernel over budget is re-measured (twice, best score wins)
-    # before the run fails: a multi-hundred-millisecond host-load wave
-    # can swallow an entire best-of-N repeat loop, and a spike that
-    # large looks exactly like a regression.  Real regressions survive
-    # the re-measurement; transients do not.
-    for attempt in range(2):
-        if not failed:
-            break
-        suspects = [r[0] for r in failed]
-        print(f"re-measuring {len(suspects)} kernel(s) over budget "
-              f"(transient-noise check {attempt + 1}/2): "
-              f"{', '.join(suspects)}", file=sys.stderr)
-        retry = measure(args.repeats, names=suspects)
-        for name, score in retry.items():
-            current[name] = min(current[name], score)
-        rows = list(compare(current, data["scores"], args.threshold))
-        failed = [r for r in rows if not r[5]]
-
-    # Cross-kernel ratio budgets get a stronger transient-noise grace:
-    # a failing pair is re-timed *interleaved* (fast/slow alternating in
-    # one loop), so host-load drift cancels out of the ratio instead of
-    # landing on whichever kernel the main sweep timed first.
-    ratio_rows = list(check_ratios(current))
-    for attempt in range(2):
-        bad = [r for r in ratio_rows if not r[4]]
-        if not bad:
-            break
-        print(f"re-timing ratio pair(s) over budget interleaved "
-              f"(transient-noise check {attempt + 1}/2): "
-              + ", ".join(f"{r[0]}/{r[1]}" for r in bad), file=sys.stderr)
-        retimed_rows = []
-        for fast, slow, ratio, limit, ok in ratio_rows:
-            if not ok:
-                t_fast, t_slow = measure_pair(fast, slow, args.repeats)
-                retimed = t_fast / t_slow if t_slow > 0 else float("inf")
-                ratio = min(ratio, retimed)
-                ok = ratio <= limit
-            retimed_rows.append((fast, slow, ratio, limit, ok))
-        ratio_rows = retimed_rows
-    failed_ratios = [r for r in ratio_rows if not r[4]]
-
-    report = {
-        "ok": not failed and not failed_ratios,
-        "threshold": args.threshold,
-        "baseline_version": BASELINE_VERSION,
-        "results": [
-            {"kernel": n, "current": c, "baseline": b, "ratio": r,
-             "speedup": (b / c if b is not None and c > 0 else None),
-             "limit": lim, "ok": ok}
-            for n, c, b, r, lim, ok in rows
-        ],
-        "ratios": [
-            {"kernel": fast, "reference": slow, "ratio": ratio,
-             "limit": limit, "ok": ok}
-            for fast, slow, ratio, limit, ok in ratio_rows
-        ],
-    }
+    start = time.perf_counter()
+    with contextlib.ExitStack() as stack:
+        base = stack.enter_context(_tree_at(args.against))
+        candidate = _Runner(REPO_ROOT)
+        stack.callback(candidate.close)
+        baseline = _Runner(base)
+        stack.callback(baseline.close)
+        report = gate(candidate, baseline)
+    report["against"] = args.against
+    report["seconds"] = round(time.perf_counter() - start, 1)
     if args.json_out:
         pathlib.Path(args.json_out).write_text(
             json.dumps(report, indent=2) + "\n")
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        for name, cur, base, ratio, limit, ok in rows:
-            if base is None:
-                print(f"  {name:24s} {cur:9.3f}  (no baseline — add with "
-                      f"--update)")
-            else:
-                # speedup is baseline/current: >1 means this tree is
-                # faster than the checked-in baseline.
-                print(f"  {name:24s} {cur:9.3f} vs {base:9.3f} "
-                      f"(speedup {base / cur:5.2f}x, limit {limit:g}x)  "
-                      f"{'ok' if ok else f'REGRESSION >{limit:g}x'}")
-        for fast, slow, ratio, limit, ok in ratio_rows:
-            print(f"  {fast} / {slow} = {ratio:.4f} (limit {limit:g})  "
-                  f"{'ok' if ok else 'OVER BUDGET'}")
-        verdict = "FAIL" if failed or failed_ratios else "PASS"
-        checks = len(rows) + len(ratio_rows)
-        bad = len(failed) + len(failed_ratios)
-        print(f"bench guard: {verdict} "
-              f"({checks - bad}/{checks} within budget)")
-    return 1 if failed or failed_ratios else 0
+        _print(report)
+    return 0 if report["ok"] else 1
 
 
 if __name__ == "__main__":

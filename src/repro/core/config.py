@@ -36,6 +36,11 @@ PAPER_MESSAGE_SIZES: Tuple[int, ...] = tuple(
 #: Partition counts of Figures 4–8 (one thread per partition).
 PAPER_PARTITION_COUNTS: Tuple[int, ...] = (1, 2, 4, 8, 16, 32)
 
+#: Longest nominal trial, in simulated seconds.  Below 2**22 s the
+#: float64 clock's step stays under 1 ns, so a microsecond transfer
+#: never rounds to zero against the absolute time.
+MAX_SPAN_SECONDS = float(2 ** 22)
+
 
 @dataclass(frozen=True)
 class PtpBenchmarkConfig:
@@ -125,6 +130,16 @@ class PtpBenchmarkConfig:
             raise ConfigurationError(
                 f"partitions ({self.partitions}) must be a multiple of "
                 f"partitions_per_thread ({self.partitions_per_thread})")
+        # Per-iteration compute at its noisiest nominal value; the int
+        # side of the comparison stays exact for any iteration count.
+        per_iteration = self.compute_seconds * (
+            1.0 + getattr(self.noise, "fraction", 0.0))
+        if (per_iteration
+                and self.total_iterations > MAX_SPAN_SECONDS / per_iteration):
+            raise ConfigurationError(
+                f"nominal span of {self.total_iterations} iterations x "
+                f"{per_iteration:g} s exceeds 2**22 s: the simulated "
+                f"clock could no longer resolve a nanosecond")
 
     @property
     def threads(self) -> int:

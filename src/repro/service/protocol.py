@@ -7,9 +7,10 @@ the same vocabulary the CLI flags use — ``message_bytes``,
 spec string.  This module owns both directions of that boundary:
 
 * :func:`config_from_payload` validates a request dict *strictly*
-  (unknown keys, wrong types, and contradictory values are all
-  :class:`ProtocolError` with a human-readable reason — the daemon's
-  structured 400) and resolves it into a live, fully validated config.
+  (unknown keys, wrong types, numbers past the float range, and
+  contradictory values are all :class:`ProtocolError` with a
+  human-readable reason — the daemon's structured 400) and resolves it
+  into a live, fully validated config.
   Every simulated-behaviour input rides the fingerprint, so two clients
   sending the same JSON always address the same cache entry.
 * :func:`payload_from_config` is the inverse, used by the thin client
@@ -53,6 +54,10 @@ _INT_FIELDS = ("message_bytes", "partitions", "partitions_per_thread",
 _CONFIG_FIELDS = _INT_FIELDS + ("compute_seconds", "compute_ms", "noise",
                                 "noise_percent", "cache", "impl", "faults")
 
+#: Top-level keys of a ``POST /trial`` and a ``POST /sweep`` body.
+_TRIAL_KEYS = ("config", "client", "priority", "format", "samples")
+_SWEEP_KEYS = ("base", "sizes", "counts", "client", "priority", "samples")
+
 #: Noise-model class -> protocol name (the inverse of
 #: :data:`~repro.noise.NOISE_MODELS`).
 _NOISE_NAMES = {cls: name for name, cls in NOISE_MODELS.items()}
@@ -90,11 +95,27 @@ class QuotaError(ServiceError):
         self.limit = limit
 
 
-def _require_mapping(payload, what: str) -> Dict:
+def _require_mapping(payload, what: str, allowed) -> Dict:
+    """``payload`` as a dict whose keys are all in ``allowed``."""
     if not isinstance(payload, dict):
         raise ProtocolError(
             f"{what} must be a JSON object, got {type(payload).__name__}")
+    unknown = sorted(set(payload) - set(allowed))
+    if unknown:
+        raise ProtocolError(
+            f"unknown {what} field(s) {unknown}; allowed: {sorted(allowed)}")
     return payload
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float; booleans, strings and ints beyond the
+    float range are a :class:`ProtocolError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ProtocolError(f"{what} is out of range: {value!r}") from None
 
 
 def config_from_payload(payload: Dict) -> PtpBenchmarkConfig:
@@ -108,12 +129,7 @@ def config_from_payload(payload: Dict) -> PtpBenchmarkConfig:
     validation reason verbatim, which the daemon returns as the 400
     body.
     """
-    payload = _require_mapping(payload, "config")
-    unknown = sorted(set(payload) - set(_CONFIG_FIELDS))
-    if unknown:
-        raise ProtocolError(
-            f"unknown config field(s) {unknown}; allowed: "
-            f"{sorted(_CONFIG_FIELDS)}")
+    payload = _require_mapping(payload, "config", _CONFIG_FIELDS)
     if "message_bytes" not in payload or "partitions" not in payload:
         raise ProtocolError(
             "config requires 'message_bytes' and 'partitions'")
@@ -138,24 +154,17 @@ def config_from_payload(payload: Dict) -> PtpBenchmarkConfig:
     if "compute_ms" in payload:
         compute = payload["compute_ms"]
     if compute is not None:
-        if isinstance(compute, bool) or not isinstance(compute,
-                                                       (int, float)):
-            raise ProtocolError(
-                f"compute time must be a number, got {compute!r}")
-        kwargs["compute_seconds"] = (float(compute) / 1e3
-                                     if "compute_ms" in payload
-                                     else float(compute))
+        compute = _number(compute, "compute time")
+        kwargs["compute_seconds"] = (compute / 1e3 if "compute_ms" in payload
+                                     else compute)
     noise_name = payload.get("noise", "none")
     if not isinstance(noise_name, str):
         raise ProtocolError(
             f"config field 'noise' must be a model name, got "
             f"{noise_name!r}")
     percent = payload.get("noise_percent")
-    if percent is not None and (isinstance(percent, bool)
-                                or not isinstance(percent, (int, float))):
-        raise ProtocolError(
-            f"config field 'noise_percent' must be a number, got "
-            f"{percent!r}")
+    if percent is not None:
+        percent = _number(percent, "config field 'noise_percent'")
     for name in ("cache", "impl"):
         if name in payload:
             if not isinstance(payload[name], str):
@@ -165,8 +174,7 @@ def config_from_payload(payload: Dict) -> PtpBenchmarkConfig:
             kwargs[name] = payload[name]
     spec = payload.get("faults")
     try:
-        kwargs["noise"] = noise_model_from_name(
-            noise_name, None if percent is None else float(percent))
+        kwargs["noise"] = noise_model_from_name(noise_name, percent)
         if spec is not None:
             if not isinstance(spec, str):
                 raise ProtocolError(
@@ -231,9 +239,11 @@ def parse_trial_request(payload) -> Tuple[PtpBenchmarkConfig, str, int,
 
     Returns ``(config, client, priority, format, include_samples)``;
     ``format`` is ``"json"`` (summary payload) or ``"wire"`` (binary
-    frame).  Any problem is a :class:`ProtocolError`.
+    frame).  Any problem is a :class:`ProtocolError`, an unknown
+    top-level key included: a typo like ``"sample"`` must not answer
+    without the samples it asked for.
     """
-    payload = _require_mapping(payload, "request")
+    payload = _require_mapping(payload, "request", _TRIAL_KEYS)
     if "config" not in payload:
         raise ProtocolError("request requires a 'config' object")
     config = config_from_payload(payload["config"])
@@ -259,7 +269,7 @@ def parse_sweep_request(payload) -> Tuple[List[PtpBenchmarkConfig], str,
     so a service sweep addresses the same fingerprints a local one
     does.  Returns ``(cells, client, priority, include_samples)``.
     """
-    payload = _require_mapping(payload, "request")
+    payload = _require_mapping(payload, "sweep request", _SWEEP_KEYS)
     if "base" not in payload:
         raise ProtocolError("sweep request requires a 'base' config")
     base = config_from_payload(payload["base"])
@@ -268,10 +278,10 @@ def parse_sweep_request(payload) -> Tuple[List[PtpBenchmarkConfig], str,
         values = payload.get(name)
         if (not isinstance(values, list) or not values
                 or any(isinstance(v, bool) or not isinstance(v, int)
-                       for v in values)):
+                       or v >= 1 << 64 for v in values)):
             raise ProtocolError(
                 f"sweep request requires {name!r} as a non-empty list "
-                f"of integers")
+                f"of integers below 2**64 (the wire frame's field)")
         axes[name] = values
     client, priority = _client_and_priority(payload)
     samples = payload.get("samples", False)

@@ -474,21 +474,13 @@ class Simulator:
 
     Events scheduled at the *current* time bypass the heap entirely: they
     land on FIFO rings (one for ordinary events, one for the higher-priority
-    process kick-offs) that :meth:`_step` drains with the exact ordering the
+    process kick-offs) that :meth:`run` drains with the exact ordering the
     heap would have produced — each ring entry carries its sequence number,
     so an event already sitting in the heap for this same instant still wins
     the tie when its sequence number is older.
-
-    Parameters
-    ----------
-    trace:
-        Optional callable ``trace(time, event)`` invoked for every processed
-        event; a kernel-level debugging hook for recording raw schedules.
-        Note that trace hooks must not retain :meth:`sleep` events — those
-        are recycled the moment they are processed.
     """
 
-    def __init__(self, trace: Optional[Callable[[float, Event], None]] = None):
+    def __init__(self):
         self._now = 0.0
         #: Future events, time-bucketed: ``_queue`` is a heap of *unique*
         #: float timestamps and ``_buckets`` maps each of them to either
@@ -513,7 +505,6 @@ class Simulator:
         self._sleep_pool: list = []
         self._seq = 0
         self._active_proc: Optional[Process] = None
-        self._trace = trace
         #: Number of events processed so far (monotone counter, useful in tests).
         self.events_processed = 0
         #: Optional resource observer (see :mod:`repro.analysis.deadlock`).
@@ -614,8 +605,7 @@ class Simulator:
         defined *relative to the horizon*: it needs an explicit ``until``,
         so passing ``detect_deadlock=True`` without one raises
         :class:`~repro.errors.ConfigurationError` (it used to be silently
-        ignored).  To watch for stuck processes without a time horizon, use
-        :meth:`run_until_complete` on the process of interest instead.
+        ignored).
         """
         if detect_deadlock and until is None:
             raise ConfigurationError(
@@ -625,18 +615,17 @@ class Simulator:
         if until is not None and until < self._now:
             raise SimulationError(
                 f"until={until} is in the past (now={self._now})")
-        # The drain loop below is _step() with the event selection and
-        # dispatch inlined (keep the two in sync): at thousands of events
-        # per trial the per-event method call and the repeated attribute
-        # loads are measurable.  An ``until`` of None becomes an infinite
-        # horizon — timeout delays are validated finite, so the horizon
-        # check can never fire in that case.
+        # The event selection and dispatch run inline with everything hot
+        # in locals: at thousands of events per trial a per-event method
+        # call and the repeated attribute loads are measurable.  An
+        # ``until`` of None becomes an infinite horizon — timeout delays
+        # are validated finite, so the horizon check can never fire in
+        # that case.
         queue = self._queue
         buckets = self._buckets
         ring = self._ring
         init_ring = self._init_ring
         pool = self._sleep_pool
-        trace = self._trace
         pop = heappop
         no_waiters = _NO_WAITERS
         sleep_cls = _Sleep
@@ -685,8 +674,6 @@ class Simulator:
                             del buckets[pop(queue)]
                     self._now = when
                 processed += 1
-                if trace is not None:
-                    trace(self._now, event)
                 callbacks = event._callbacks
                 event._callbacks = None
                 if type(callbacks) is list_cls:
@@ -709,28 +696,6 @@ class Simulator:
         if detect_deadlock and self._now < until:
             raise DeadlockError(
                 f"event queue drained at t={self._now} before until={until}")
-
-    def run_until_complete(self, proc: Process,
-                           limit: Optional[float] = None) -> Any:
-        """Run until ``proc`` finishes and return its value (re-raising failures)."""
-        while not proc.triggered:
-            if not (self._queue or self._ring or self._init_ring):
-                raise DeadlockError(
-                    f"process {proc.name!r} cannot complete: queue drained "
-                    f"at t={self._now}")
-            if limit is not None:
-                next_time = (self._now if self._ring or self._init_ring
-                             else self._queue[0])
-                if next_time > limit:
-                    raise SimulationError(
-                        f"process {proc.name!r} did not finish by t={limit}")
-            self._step()
-        # Drain same-time stragglers of the completing event itself.
-        if not proc.processed:
-            self._step_until_processed(proc)
-        if proc._ok:
-            return proc._value
-        raise proc._value
 
     # -- internals ------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0,
@@ -761,71 +726,3 @@ class Simulator:
                 buckets[when] = deque((bucket, (seq, event)))
             else:
                 bucket.append((seq, event))
-
-    def _step(self) -> None:
-        init_ring = self._init_ring
-        if init_ring:
-            # Priority -1 beats any same-time heap entry (the heap only
-            # ever holds priority-0 events), and the heap head can never
-            # be in the past.
-            event = init_ring.popleft()
-        else:
-            ring = self._ring
-            queue = self._queue
-            buckets = self._buckets
-            if ring:
-                # An event heaped earlier can land exactly at the current
-                # instant; its older seq must still win the tie, exactly
-                # as it would have in a pure-heap kernel.
-                event = None
-                if queue and queue[0] == self._now:
-                    bucket = buckets[queue[0]]
-                    singleton = bucket.__class__ is tuple
-                    if (bucket[0] if singleton
-                            else bucket[0][0]) < ring[0][0]:
-                        if singleton:
-                            event = bucket[1]
-                            del buckets[heappop(queue)]
-                        else:
-                            event = bucket.popleft()[1]
-                            if not bucket:
-                                del buckets[heappop(queue)]
-                if event is None:
-                    event = ring.popleft()[1]
-            else:
-                when = queue[0]
-                if when < self._now:  # pragma: no cover - internal invariant
-                    raise SimulationError("time ran backwards")
-                bucket = buckets[when]
-                if bucket.__class__ is tuple:
-                    event = bucket[1]
-                    del buckets[heappop(queue)]
-                else:
-                    event = bucket.popleft()[1]
-                    if not bucket:
-                        del buckets[heappop(queue)]
-                self._now = when
-        self.events_processed += 1
-        if self._trace is not None:
-            self._trace(self._now, event)
-        callbacks = event._callbacks
-        event._callbacks = None
-        if type(callbacks) is list:
-            if callbacks:
-                for cb in callbacks:
-                    cb(event)
-            elif not event._ok and not event._defused:
-                raise event._value
-        elif callbacks is not _NO_WAITERS:
-            # Bare callable: the single-waiter fast path.
-            callbacks(event)
-        elif not event._ok and not event._defused:
-            raise event._value
-        if type(event) is _Sleep:
-            event._value = None
-            self._sleep_pool.append(event)
-
-    def _step_until_processed(self, event: Event) -> None:
-        while not event.processed and (self._queue or self._ring
-                                       or self._init_ring):
-            self._step()

@@ -86,11 +86,14 @@ class TestCommands:
             assert phrase in out
 
     def test_metrics_rejects_non_finite_compute(self):
-        # Regression: NaN compute once printed availability -1.338, exit 0.
+        # Regression: NaN compute once printed availability -1.338, exit 0;
+        # a finite 1e300 ms once overflowed the simulated clock mid-trial.
         from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError, match="finite"):
-            main(["metrics", "--message-bytes", "1024",
-                  "--partitions", "4", "--compute-ms", "nan"])
+        for compute_ms, reason in (("nan", "finite"),
+                                   ("1e300", r"2\*\*22")):
+            with pytest.raises(ConfigurationError, match=reason):
+                main(["metrics", "--message-bytes", "1024",
+                      "--partitions", "4", "--compute-ms", compute_ms])
 
     def test_metrics_native_impl(self, capsys):
         assert main(["metrics", "--message-bytes", "65536",

@@ -198,14 +198,27 @@ class TestResultCache:
         assert cache.misses == 1
 
     def test_corrupt_envelope_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        """Every damaged entry is a miss the sweep re-executes, then a hit."""
+        cache = ResultCache(tmp_path / "cache", memory_entries=0)
         config = plan_cells(_base(), [1024], [1])[0]
-        cache.put(config, run_ptp_benchmark(config))
+        fresh = run_ptp_benchmark(config)
+        cache.put(config, fresh)
         path = cache._path(config_fingerprint(config))
         blob = path.read_bytes()
-        path.write_bytes(blob[:len(blob) // 2])  # truncated frame
-        assert cache.get(config) is None
-        assert cache.misses == 1
+        overrun = blob[:6] + struct.pack("<H", len(blob)) + blob[8:]
+        for damaged in (blob[:len(blob) // 2],   # truncated frame
+                        b"",                     # empty file
+                        b"\x8f" * 10,            # garbage bytes
+                        b"RPC\x01",              # the bare magic
+                        overrun):                # label length past the end
+            path.write_bytes(damaged)
+            misses = cache.misses
+            assert cache.get(config) is None
+            assert cache.misses == misses + 1
+            EXECUTIONS.reset()
+            run_cells([config], jobs=1, cache=cache)
+            assert EXECUTIONS.value == 1
+            assert cache.get(config).event_digest == fresh.event_digest
 
     def test_clear_and_len(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -276,22 +276,6 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             sim.run(detect_deadlock=True)
 
-    def test_run_until_complete_returns_value(self, sim):
-        def proc():
-            yield sim.timeout(2.0)
-            return "finished"
-
-        p = sim.process(proc())
-        assert sim.run_until_complete(p) == "finished"
-
-    def test_run_until_complete_detects_deadlock(self, sim):
-        def stuck():
-            yield sim.event()
-
-        p = sim.process(stuck())
-        with pytest.raises(DeadlockError):
-            sim.run_until_complete(p)
-
     def test_events_processed_counter(self, sim):
         sim.timeout(1.0)
         sim.timeout(2.0)
