@@ -452,6 +452,7 @@ def _service_fixture():
     _CLEANUPS.append(service.stop)
     client = ServiceClient("http://%s:%d" % service.address,
                            client_id="bench")
+    _CLEANUPS.append(client.close)
     return client, payload_from_config(config)
 
 
@@ -459,10 +460,11 @@ def _service_fixture():
 def service_hot_request():
     """25 already-cached trial requests through the live daemon.
 
-    The sweep service's hot path end to end: HTTP round-trip, strict
-    request validation, quota admission, scheduler dispatch, and a
-    memory-tier cache hit — the cost a client pays for a config the
-    daemon has already answered.  No simulation runs.
+    The sweep service's hot path end to end: HTTP round-trip on the
+    client's kept-alive connection, strict request validation, quota
+    admission, scheduler dispatch, and a memory-tier cache hit — the
+    cost a client pays for a config the daemon has already answered.
+    No simulation runs.
     """
     client, payload = _service_fixture()
     n = 0

@@ -95,15 +95,17 @@ class ClientWorker(threading.Thread):
         self.digests = collections.defaultdict(set)
 
     def run(self):
-        for i, config in enumerate(self.schedule):
-            try:
-                payload = self.client.trial(config, priority=i % 3)
-            except ServiceError as exc:
-                self.errors.append(f"{config}: {exc.status} {exc.reason}")
-                continue
-            self.ok += 1
-            self.digests[payload["fingerprint"]].add(
-                payload["event_digest"])
+        with self.client:
+            for i, config in enumerate(self.schedule):
+                try:
+                    payload = self.client.trial(config, priority=i % 3)
+                except ServiceError as exc:
+                    self.errors.append(
+                        f"{config}: {exc.status} {exc.reason}")
+                    continue
+                self.ok += 1
+                self.digests[payload["fingerprint"]].add(
+                    payload["event_digest"])
 
 
 def boot_daemon(jobs, cache_dir, quota, verbose):
@@ -214,6 +216,7 @@ def run_audit(args):
     incoherent = {fp: sorted(d) for fp, d in digests.items() if len(d) > 1}
 
     after = audit_client.stats()["scheduler"]
+    audit_client.close()
     scheduler = {name: after[name] - before[name] for name in after}
     shared = scheduler["cache_hits"] + scheduler["singleflight_hits"]
     hit_rate = shared / total if total else 0.0

@@ -41,6 +41,12 @@ PAPER_PARTITION_COUNTS: Tuple[int, ...] = (1, 2, 4, 8, 16, 32)
 #: never rounds to zero against the absolute time.
 MAX_SPAN_SECONDS = float(2 ** 22)
 
+#: Most partition-iterations (``total_iterations x partitions``) one
+#: trial may simulate.  The span bound says nothing when compute is 0,
+#: and DES events per iteration grow with the partition count; at about
+#: 0.1-1 ms of host time each, this caps a trial near a minute.
+MAX_PARTITION_ITERATIONS = 2 ** 16
+
 
 @dataclass(frozen=True)
 class PtpBenchmarkConfig:
@@ -130,6 +136,11 @@ class PtpBenchmarkConfig:
             raise ConfigurationError(
                 f"partitions ({self.partitions}) must be a multiple of "
                 f"partitions_per_thread ({self.partitions_per_thread})")
+        if self.total_iterations * self.partitions > MAX_PARTITION_ITERATIONS:
+            raise ConfigurationError(
+                f"{self.total_iterations} iterations x {self.partitions} "
+                f"partitions exceeds {MAX_PARTITION_ITERATIONS} "
+                f"partition-iterations per trial")
         # Per-iteration compute at its noisiest nominal value; the int
         # side of the comparison stays exact for any iteration count.
         per_iteration = self.compute_seconds * (

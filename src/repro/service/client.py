@@ -1,9 +1,9 @@
 """A thin stdlib client for the sweep daemon.
 
 :class:`ServiceClient` speaks the protocol of
-:mod:`repro.service.protocol` over :mod:`urllib.request` — no
-dependencies, no connection pooling, no retries.  It exists so tests,
-:mod:`scripts.load_test`, and notebook users don't hand-roll HTTP:
+:mod:`repro.service.protocol` over :mod:`http.client`, with no
+dependencies.  It exists so tests, :mod:`scripts.load_test`, and
+notebook users don't hand-roll HTTP:
 
 >>> client = ServiceClient("http://127.0.0.1:8642", client_id="nb")
 >>> client.healthz()["status"]
@@ -11,26 +11,35 @@ dependencies, no connection pooling, no retries.  It exists so tests,
 >>> payload = client.trial({"message_bytes": 4096, "partitions": 8})
 >>> payload["metrics"]["overhead"]
 
+Each calling thread keeps one persistent HTTP/1.1 connection, so a loop
+of requests pays the TCP handshake and the daemon's handler-thread
+start once instead of per request.  A *reused* connection that the
+daemon closed before answering (its idle timeout, a restart) is retried
+once on a fresh connection; nothing else is retried.  :meth:`close`
+(or a ``with`` block) closes every thread's connection.
+
 Server-side rejections come back as the same exception types the
 daemon raised — :class:`~repro.service.protocol.ProtocolError` for a
 400, :class:`~repro.service.protocol.QuotaError` for a 429, plain
 :class:`~repro.service.protocol.ServiceError` otherwise — rebuilt from
 the structured error body, so callers handle local and remote failures
-with one ``except`` clause.
+with one ``except`` clause.  Every transport failure is a
+``ServiceError`` with status 503.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
+import urllib.parse
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import PtpBenchmarkConfig
 from ..core.runner import PtpResult
 from ..core.wire import decode_result
 from .protocol import (ProtocolError, QuotaError, ServiceError,
-                       config_from_payload, payload_from_config)
+                       payload_from_config)
 from .server import WIRE_CONTENT_TYPE
 
 __all__ = ["ServiceClient"]
@@ -54,40 +63,95 @@ def _rebuild_error(status: int, body: bytes) -> ServiceError:
 
 
 class ServiceClient:
-    """One daemon endpoint plus the identity requests are billed to."""
+    """One daemon endpoint plus the identity requests are billed to.
+
+    Safe to share between threads: each thread talks over its own
+    kept-alive connection.
+    """
 
     def __init__(self, base_url: str, client_id: str = "anonymous",
                  timeout: float = 300.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.client_id = client_id
         self.timeout = timeout
+        url = urllib.parse.urlsplit(self.base_url)
+        self._address = (url.hostname, url.port)
+        self._prefix = url.path
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        #: Every thread's connection, so :meth:`close` reaches them all.
+        self._connections: List[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close the connection of every thread that used this client.
+
+        A later request simply reconnects.
+        """
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- transport ---------------------------------------------------------
 
+    def _connection(self) -> http.client.HTTPConnection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            host, port = self._address
+            connection = http.client.HTTPConnection(host, port,
+                                                    timeout=self.timeout)
+            self._local.connection = connection
+            with self._lock:
+                self._connections.append(connection)
+        return connection
+
+    @staticmethod
+    def _exchange(connection: http.client.HTTPConnection, method: str,
+                  path: str, body: Optional[bytes], headers: Dict):
+        reused = connection.sock is not None
+        try:
+            connection.request(method, path, body, headers)
+            response = connection.getresponse()
+        except ConnectionError:
+            # The daemon closed a kept-alive connection before any
+            # response arrived; requests are idempotent (content-
+            # addressed), so send it once more on a fresh connection.
+            connection.close()
+            if not reused:
+                raise
+            connection.request(method, path, body, headers)
+            response = connection.getresponse()
+        return (response.status, response.getheader("Content-Type", ""),
+                response.read())
+
     def _request(self, path: str, payload: Optional[Dict] = None,
                  raw: bool = False):
-        data = headers = None
+        method, body, headers = "GET", None, {}
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            method, body = "POST", json.dumps(payload).encode("utf-8")
             headers = {"Content-Type": "application/json"}
-        request = urllib.request.Request(self.base_url + path, data=data,
-                                         headers=headers or {})
+        connection = self._connection()
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                body = response.read()
-                content_type = response.headers.get("Content-Type", "")
-        except urllib.error.HTTPError as exc:
-            raise _rebuild_error(exc.code, exc.read())
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach {self.base_url}: {exc.reason}", status=503)
+            status, content_type, data = self._exchange(
+                connection, method, self._prefix + path, body, headers)
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
+            raise ServiceError(f"cannot reach {self.base_url}: {exc}",
+                               status=503) from exc
+        if not 200 <= status < 300:
+            raise _rebuild_error(status, data)
         if raw:
             if content_type != WIRE_CONTENT_TYPE:
                 raise ServiceError(
                     f"expected a wire frame, got {content_type!r}")
-            return body
-        return json.loads(body)
+            return data
+        return json.loads(data)
 
     # -- endpoints ---------------------------------------------------------
 
@@ -132,8 +196,3 @@ class ServiceClient:
             "samples": samples,
         })
         return payload["cells"]
-
-
-def _roundtrip_check(payload: Dict) -> Dict:
-    """Validate a config dict client-side (same rules as the daemon)."""
-    return payload_from_config(config_from_payload(payload))

@@ -22,7 +22,9 @@ adapter between those shapes:
 
 Every request's result is published through a per-request event, so
 handler threads block only on their own request.  Engine failures fan
-back as per-request errors; the dispatcher itself never dies.
+back as per-request errors — a batch that raised is re-run one request
+at a time, so only the requests whose own cell raised fail — and the
+dispatcher itself never dies.
 """
 
 from __future__ import annotations
@@ -285,23 +287,32 @@ class SweepScheduler:
         request.event.set()
 
     def _run_batch(self, batch: List[_Request]) -> None:
-        configs = [r.config for r in batch]
         self.stats.bump("batches")
+        self._run(batch, isolate=len(batch) > 1)
+
+    def _run(self, requests: List[_Request], isolate: bool) -> None:
         try:
             results, stats = run_cells(
-                configs, jobs=self.jobs, cache=self.cache,
-                analytic=self.analytic, pool=self.pool)
+                [r.config for r in requests], jobs=self.jobs,
+                cache=self.cache, analytic=self.analytic, pool=self.pool)
         except Exception as exc:
-            # A whole-batch failure (engine bug, dead pool): every
-            # requester gets the error; the dispatcher survives.
-            for request in batch:
+            if isolate:
+                # One cell's failure must not fail its batch-mates: run
+                # each request alone, so only those whose own cell
+                # raises get the error (cells already stored are hits).
+                for request in requests:
+                    self._run([request], isolate=False)
+                return
+            # An engine bug or dead pool: the requester gets the error;
+            # the dispatcher survives.
+            for request in requests:
                 request.error = exc
                 self.stats.bump("failed")
                 self._finish(request)
             return
         self.stats.absorb(stats)
         now = self._now()
-        for request, result in zip(batch, results):
+        for request, result in zip(requests, results):
             request.result = result
             self.stats.bump("served")
             self.obs.emit(SERVICE_RESPONSE, now, request.client,
