@@ -14,15 +14,16 @@ a design is *wrong*, not just slow.  It has two cooperating layers:
 
 dynamic checking
     :func:`enable_checking` attaches a :class:`Checker` to a cluster; it
-    shadows the MPI 4.0 partitioned state machine (double ``pready``,
-    out-of-range partitions, ``wait`` without ``start``), tracks
-    per-partition happens-before for buffer writes/reads, and at
+    tracks per-partition happens-before for buffer writes/reads, and at
     finalize sweeps for leaked requests, unmatched init halves and
     wait-for-graph deadlocks over simulated resources.  CLI:
     ``python -m repro check path/to/program.py``.
 
 Both layers report :class:`Finding` objects; the rule reference lives in
-``docs/analysis.md``.
+``docs/analysis.md``.  Misuse of the partitioned state machine itself
+(double ``pready``, out-of-range partitions, ``wait`` without ``start``)
+is left to the runtime, which raises ``RequestStateError`` or
+``PartitionError``; ``check`` reports that error as the run's verdict.
 
 Example
 -------

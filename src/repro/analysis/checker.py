@@ -4,7 +4,7 @@
 :class:`repro.obs.Sink` — to the cluster's instrumentation bus for every
 ``part.*`` event.  From then on the partitioned lifecycle events the
 runtime already emits (see :mod:`repro.obs.kinds`) drive the checker's
-shadow of the MPI 4.0 partitioned state machine, every simulated resource
+per-partition happens-before tracking, every simulated resource
 reports its holders and waiters (via ``Simulator.monitor``), and — at
 :meth:`Checker.finalize` — the checker sweeps for leaked requests,
 unmatched ``psend_init``/``precv_init`` halves, and wait-for cycles over
@@ -15,10 +15,13 @@ currency the static linter uses; they also surface in the per-rank
 :func:`repro.mpi.diagnostics.cluster_report`.
 
 The checker *observes*: it never raises into the simulated program and
-never schedules events, so enabling it cannot change a schedule.  The
-runtime's own exceptions (e.g. ``RequestStateError`` on a double
-``pready``) still fire — lifecycle events are emitted at call entry,
-before validation, so the checker records the finding just before.
+never schedules events, so enabling it cannot change a schedule.  Misuse
+of the request state machine itself (a double ``pready``, an
+out-of-range partition, ``wait`` before ``start``) is the runtime's job:
+it raises ``RequestStateError``/``PartitionError``, which
+:func:`run_checked` reports as the run's error.  The checker covers what
+the runtime cannot see — buffer races, leaks, unmatched inits and
+resource deadlocks.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class Checker(Sink):
 
     An ordinary :class:`repro.obs.Sink` subscribed to ``part.*`` by
     :func:`enable_checking`; :meth:`accept` folds each lifecycle event
-    into the shadow state machine.  Findings accumulate in
+    into the per-request shadow state.  Findings accumulate in
     :attr:`findings` in event order.  Individual rules can be switched
     off with ``disabled`` — used by the fixture tests to prove each rule
     is load-bearing.
@@ -75,8 +78,6 @@ class Checker(Sink):
             self.on_wait(req)
         elif name == "part.pready":
             self.on_pready(req, record.get("partition"))
-        elif name == "part.parrived":
-            self.on_parrived(req, record.get("partition"))
         elif name == "part.arrived":
             self.on_partition_arrived(req, record.get("partition"),
                                       record.time)
@@ -84,8 +85,9 @@ class Checker(Sink):
             self.on_buffer_write(req, record.get("partition"))
         elif name == "part.buffer_read":
             self.on_buffer_read(req, record.get("partition"))
-        # part.send_start / part.send_injected / epoch-complete markers
-        # carry no request state the shadow machine needs.
+        # part.parrived / part.send_start / part.send_injected /
+        # epoch-complete markers carry no state the race and leak rules
+        # need.
 
     # -- reporting -------------------------------------------------------
     @property
@@ -105,63 +107,45 @@ class Checker(Sink):
             rule=rule, message=message, rank=rank,
             time=self.cluster.sim.now))
 
-    def _report_all(self, violations, rank: Optional[int]) -> None:
-        for rule, message in violations:
-            self._report(rule, f"rank {rank}: {message}" if rank is not None
-                         else message, rank=rank)
-
     # -- hooks from the partitioned runtime ------------------------------
     def on_init(self, req, is_send: bool) -> None:
         """``psend_init``/``precv_init`` registered a new request."""
-        self.tracker.ensure(req, "send" if is_send else "recv",
-                            req.partitions)
+        self.tracker.ensure(req, "send" if is_send else "recv")
 
     def on_start(self, req) -> None:
         """A request armed a new epoch."""
-        state = self._state(req)
-        self._report_all(self.tracker.on_start(state), req.proc.rank)
+        self._state(req).start()
 
     def on_wait(self, req) -> None:
         """A request entered ``wait()``."""
-        state = self._state(req)
-        self._report_all(self.tracker.on_wait(state), req.proc.rank)
+        self._state(req).active = False
 
     def on_pready(self, req, partition: int) -> None:
         """Send side marked one partition ready."""
-        state = self._state(req)
-        self._report_all(
-            self.tracker.on_pready(state, partition, self.cluster.sim.now),
-            req.proc.rank)
-
-    def on_parrived(self, req, partition: int) -> None:
-        """Receive side polled one partition."""
-        state = self._state(req)
-        self._report_all(self.tracker.on_parrived(state, partition),
-                         req.proc.rank)
+        self._state(req).ready.setdefault(partition, self.cluster.sim.now)
 
     def on_partition_arrived(self, req, partition: int, now: float) -> None:
         """The runtime delivered one partition into the receive buffer."""
-        state = self._state(req)
-        self._report_all(self.tracker.on_arrived(state, partition, now),
-                         req.proc.rank)
+        self._state(req).arrived[partition] = now
 
     def on_buffer_write(self, req, partition: int) -> None:
         """Application annotated a send-buffer write."""
-        state = self._state(req)
-        self._report_all(
-            self.tracker.on_write(state, partition, self.cluster.sim.now),
-            req.proc.rank)
+        self._report_race("PART004", req, self._state(req).write_race(
+            partition, self.cluster.sim.now))
 
     def on_buffer_read(self, req, partition: int) -> None:
         """Application annotated a receive-buffer read."""
-        state = self._state(req)
-        self._report_all(
-            self.tracker.on_read(state, partition, self.cluster.sim.now),
-            req.proc.rank)
+        self._report_race("PART005", req, self._state(req).read_race(
+            partition, self.cluster.sim.now))
+
+    def _report_race(self, rule: str, req, message: Optional[str]) -> None:
+        if message is not None:
+            rank = req.proc.rank
+            self._report(rule, f"rank {rank}: {message}", rank=rank)
 
     def _state(self, req):
         side = "send" if hasattr(req, "_ready") else "recv"
-        return self.tracker.ensure(req, side, req.partitions)
+        return self.tracker.ensure(req, side)
 
     # -- finalize --------------------------------------------------------
     def finalize(self, aborted: bool = False) -> List[Finding]:
@@ -282,9 +266,8 @@ def run_checked(program: Callable, nranks: int = 2,
 
     Library errors raised by the simulated program (state-machine
     violations, deadlocks, …) are captured into ``report.error`` rather
-    than propagated — the checker has usually recorded the corresponding
-    finding already, and a validation tool should outlive the program it
-    judges.
+    than propagated — they are the verdict on those faults, and a
+    validation tool should outlive the program it judges.
     """
     from ..errors import DeadlockError
     from ..mpi import Cluster  # local import: analysis must stay leaf-like

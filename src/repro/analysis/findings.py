@@ -65,9 +65,6 @@ class Finding:
         Simulated time of the violation in seconds (dynamic findings).
     severity:
         ``"error"`` for definite misuse, ``"warning"`` for hazards.
-    fix_hint:
-        Optional one-line remediation advice (surfaced in SARIF and in
-        ``--format=json`` output).
     """
 
     rule: str
@@ -78,7 +75,6 @@ class Finding:
     rank: Optional[int] = None
     time: Optional[float] = None
     severity: str = "error"
-    fix_hint: Optional[str] = None
 
     def format(self) -> str:
         """Render as a one-line ``location: RULE message`` diagnostic."""
@@ -104,9 +100,8 @@ class Finding:
 def sort_findings(findings: Iterable[Finding]) -> List[Finding]:
     """Sort by location then rule id, dropping exact duplicates.
 
-    Multiple passes (pattern rules, the flow-sensitive pass, repeated
-    loop-summary replays) can legitimately produce the same finding; the
-    report should show it once, in a stable order.
+    Two rules, or one rule visiting a node twice, can produce the same
+    finding; the report should show it once, in a stable order.
     """
     seen = set()
     out: List[Finding] = []
@@ -127,15 +122,11 @@ def format_findings(findings: List[Finding]) -> str:
 # ---------------------------------------------------------------------------
 
 def _sarif_result(finding: Finding) -> Dict:
-    level = "error" if finding.severity == "error" else "warning"
-    message = finding.message
     result: Dict = {
         "ruleId": finding.rule,
-        "level": level,
-        "message": {"text": message},
+        "level": "error" if finding.severity == "error" else "warning",
+        "message": {"text": finding.message},
     }
-    if finding.fix_hint:
-        result["properties"] = {"fixHint": finding.fix_hint}
     if finding.file:
         region: Dict = {"startLine": max(finding.line, 1)}
         if finding.col:
@@ -147,7 +138,7 @@ def _sarif_result(finding: Finding) -> Dict:
             },
         }]
     elif finding.rank is not None:
-        result.setdefault("properties", {})["rank"] = finding.rank
+        result["properties"] = {"rank": finding.rank}
         if finding.time is not None:
             result["properties"]["simTime"] = finding.time
     return result

@@ -1,14 +1,11 @@
 """``simlint`` — the static half of :mod:`repro.analysis`.
 
 An AST-based linter for programs written against the simulated substrate
-(:mod:`repro.sim`, :mod:`repro.mpi`, :mod:`repro.partitioned`).  Two
-passes run over every module:
-
-* the **pattern** pass — per-node rules for determinism hazards and
-  simulation-API misuse (SIM101–SIM108);
-* the **flow-sensitive** pass (``simcheck``,
-  :mod:`repro.analysis.protocol`) — CFG + abstract interpretation of the
-  partitioned-request lifecycle (SIM110–SIM115).
+(:mod:`repro.sim`, :mod:`repro.mpi`, :mod:`repro.partitioned`): one
+pattern pass of per-node rules for determinism hazards and
+simulation-API misuse (SIM101–SIM108) over every module.  Misuse of the
+partitioned-request lifecycle is left to the runtime, which raises on
+it, and to the dynamic checker (:mod:`repro.analysis.checker`).
 
 Usage::
 
@@ -20,7 +17,7 @@ or from a shell: ``python -m repro lint src/repro benchmarks examples``.
 Suppression comments:
 
 * ``# simlint: skip`` silences every finding on its line;
-* ``# simlint: disable=SIM103`` (or ``disable=SIM103,SIM110``) silences
+* ``# simlint: disable=SIM103`` (or ``disable=SIM103,SIM104``) silences
   only the named rules on its line.  Naming a rule id that does not
   exist is itself reported (SIM109) — a typo'd suppression guards
   nothing and should not pass silently.
@@ -36,7 +33,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, \
 
 from ..errors import ConfigurationError
 from .findings import Finding, sort_findings
-from .protocol import FLOW_RULE_IDS, analyze_module
 from .rules import known_rule_ids, static_rules
 
 __all__ = ["lint_source", "lint_file", "lint_paths", "iter_python_files"]
@@ -50,7 +46,7 @@ PARSE_ERROR_RULE = "SIM100"
 #: Rule id for suppression comments naming unknown rule ids.
 UNKNOWN_SUPPRESSION_RULE = "SIM109"
 
-#: ``# simlint: disable=SIM103,SIM110`` (ids validated separately).
+#: ``# simlint: disable=SIM103,SIM104`` (ids validated separately).
 _DISABLE_RE = re.compile(r"#\s*simlint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 
@@ -89,18 +85,12 @@ def _parse_suppressions(source: str, filename: str
     return blanket, per_rule, warnings
 
 
-def _selected_rules(disabled: Optional[Iterable[str]]):
-    banned = frozenset(disabled or ())
-    return [rule for rule in static_rules() if rule.id not in banned]
-
-
 def lint_source(source: str, filename: str = "<string>",
                 disabled: Optional[Iterable[str]] = None) -> List[Finding]:
     """Lint one module's source text; returns findings sorted by location.
 
-    Both passes run (pattern rules, then the flow-sensitive protocol
-    pass); ``disabled`` is an iterable of rule ids to leave out of
-    either.  Findings are deduplicated and sorted by
+    Every registered pattern rule runs except the ids in ``disabled``.
+    Findings are deduplicated and sorted by
     ``(path, line, col, rule, message)``.  A file that does not parse
     produces a single ``SIM100`` finding instead of raising.
     """
@@ -115,12 +105,9 @@ def lint_source(source: str, filename: str = "<string>",
     findings: List[Finding] = []
     if UNKNOWN_SUPPRESSION_RULE not in banned:
         findings.extend(warnings)
-    for rule in _selected_rules(banned):
-        findings.extend(rule.check(tree, filename))
-    flow_enabled = FLOW_RULE_IDS - banned
-    if flow_enabled:
-        findings.extend(analyze_module(tree, filename,
-                                       enabled=flow_enabled))
+    for rule in static_rules():
+        if rule.id not in banned:
+            findings.extend(rule.check(tree, filename))
     kept = [
         f for f in findings
         if f.line not in blanket and f.rule not in per_rule.get(f.line, ())

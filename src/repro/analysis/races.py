@@ -3,10 +3,13 @@
 The MPI 4.0 partitioned contract is a small per-epoch state machine: a
 send partition may be written, then marked ready exactly once, then must
 not be touched until ``wait``; a receive partition may only be read after
-it has arrived.  :class:`PartitionTracker` shadows that state machine for
-every partitioned request in a run, independently of the runtime's own
-bookkeeping, and reports violations as ``(rule_id, message)`` pairs that
-:class:`repro.analysis.checker.Checker` turns into findings.
+it has arrived.  The runtime itself raises on every misuse of the state
+machine (double ``pready``, out-of-range partitions, calls outside an
+epoch); what it cannot see is an application touching a buffer at the
+wrong time.  :class:`PartitionTracker` records, per partitioned request,
+just enough of each epoch — when partitions were readied or arrived, and
+whether the epoch is still open — to report those buffer races
+(``PART004``/``PART005``) and, at finalize, leaked requests (``FIN001``).
 
 Keeping the tracker free of simulator imports makes it unit-testable and
 guarantees the validating layer can never perturb the schedule it checks.
@@ -15,12 +18,9 @@ guarantees the validating layer can never perturb the schedule it checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 __all__ = ["PartitionState", "PartitionTracker"]
-
-#: A rule violation: ``(rule_id, message)``.
-Violation = Tuple[str, str]
 
 
 @dataclass
@@ -31,159 +31,68 @@ class PartitionState:
     ----------
     side:
         ``"send"`` or ``"recv"``.
-    partitions:
-        Declared partition count.
-    started / active / epoch:
-        Lifecycle position: ``started`` once the first ``start()`` was
-        seen, ``active`` between a ``start()`` and the next ``wait()``.
+    active / epoch:
+        ``active`` between a ``start()`` and the next ``wait()``;
+        ``epoch`` counts the ``start()`` calls seen.
     ready / arrived:
         Per-partition event times of this epoch (``pready`` on the send
         side, actual arrival on the receive side).
-    writes / reads:
-        Buffer-annotation times from ``note_buffer_write`` /
-        ``note_buffer_read``.
     """
 
     side: str
-    partitions: int
-    started: bool = False
     active: bool = False
     epoch: int = 0
     ready: Dict[int, float] = field(default_factory=dict)
     arrived: Dict[int, float] = field(default_factory=dict)
-    writes: Dict[int, List[float]] = field(default_factory=dict)
-    reads: Dict[int, List[float]] = field(default_factory=dict)
 
     def describe(self) -> str:
         """Short human-readable identity used in messages."""
         return f"partitioned {self.side} request"
 
+    def start(self) -> None:
+        """A ``start()`` call: arm a fresh epoch."""
+        self.active = True
+        self.epoch += 1
+        self.ready.clear()
+        self.arrived.clear()
+
+    def write_race(self, partition: int, now: float) -> Optional[str]:
+        """The ``PART004`` message for a send-buffer write, if it races."""
+        if self.active and partition in self.ready:
+            return (f"buffer write to partition {partition} at t={now:.6f}s "
+                    f"after pready at t={self.ready[partition]:.6f}s in "
+                    f"epoch {self.epoch} (write-after-ready race)")
+        return None
+
+    def read_race(self, partition: int, now: float) -> Optional[str]:
+        """The ``PART005`` message for a receive-buffer read, if it races."""
+        if self.active and partition not in self.arrived:
+            return (f"buffer read of partition {partition} at t={now:.6f}s "
+                    f"before it arrived in epoch {self.epoch} "
+                    f"(read-before-arrival race)")
+        return None
+
 
 class PartitionTracker:
     """Happens-before checker over every partitioned request in a run.
 
-    The :class:`~repro.analysis.checker.Checker` feeds it lifecycle events
-    (``start``, ``pready``, ``parrived``, arrivals, buffer annotations)
-    and it returns the rule violations each event implies.  Requests are
-    identified by object identity; states persist across epochs so leak
-    detection can run at finalize.
+    The :class:`~repro.analysis.checker.Checker` folds each lifecycle
+    event into the state :meth:`ensure` returns for its request.
+    Requests are identified by object identity; states persist across
+    epochs so leak detection can run at finalize.
     """
 
     def __init__(self) -> None:
         self._states: Dict[int, Tuple[object, PartitionState]] = {}
 
     # -- bookkeeping ----------------------------------------------------
-    def ensure(self, req, side: str, partitions: int) -> PartitionState:
+    def ensure(self, req, side: str) -> PartitionState:
         """Return (creating on first sight) the shadow state of ``req``."""
         entry = self._states.get(id(req))
         if entry is None:
-            entry = (req, PartitionState(side=side, partitions=partitions))
+            entry = (req, PartitionState(side=side))
             self._states[id(req)] = entry
         return entry[1]
-
-    def state_of(self, req) -> Optional[PartitionState]:
-        """The shadow state of ``req``, or None if never seen."""
-        entry = self._states.get(id(req))
-        return entry[1] if entry else None
-
-    def items(self) -> Iterator[Tuple[object, PartitionState]]:
-        """Iterate ``(request, state)`` pairs in first-seen order."""
-        return iter(self._states.values())
-
-    # -- lifecycle events ------------------------------------------------
-    def on_start(self, state: PartitionState) -> List[Violation]:
-        """A ``start()`` call: arm a fresh epoch."""
-        violations: List[Violation] = []
-        if state.active:
-            violations.append((
-                "PART003",
-                f"start() on {state.describe()} while epoch {state.epoch} "
-                f"is still active (wait first)"))
-        state.started = True
-        state.active = True
-        state.epoch += 1
-        state.ready.clear()
-        state.arrived.clear()
-        state.writes.clear()
-        state.reads.clear()
-        return violations
-
-    def on_wait(self, state: PartitionState) -> List[Violation]:
-        """A ``wait()`` call: close the epoch (legal only after start)."""
-        if not state.started:
-            return [(
-                "PART003",
-                f"wait() on {state.describe()} that was never started")]
-        state.active = False
-        return []
-
-    def on_pready(self, state: PartitionState, partition: int,
-                  now: float) -> List[Violation]:
-        """An ``MPI_Pready`` on the send side."""
-        bad_index = self._index_violation(state, partition, "pready")
-        if bad_index:
-            return bad_index
-        if not state.active:
-            return [(
-                "PART003",
-                f"pready({partition}) outside an active epoch on "
-                f"{state.describe()} (call start first)")]
-        if partition in state.ready:
-            return [(
-                "PART001",
-                f"pready called twice on partition {partition} in epoch "
-                f"{state.epoch}")]
-        state.ready[partition] = now
-        return []
-
-    def on_parrived(self, state: PartitionState, partition: int) -> List[Violation]:
-        """An ``MPI_Parrived`` poll on the receive side."""
-        bad_index = self._index_violation(state, partition, "parrived")
-        if bad_index:
-            return bad_index
-        if not state.started:
-            return [(
-                "PART003",
-                f"parrived({partition}) on {state.describe()} before the "
-                f"first start()")]
-        return []
-
-    def on_arrived(self, state: PartitionState, partition: int,
-                   now: float) -> List[Violation]:
-        """The runtime delivered ``partition`` (receive side)."""
-        state.arrived[partition] = now
-        return []
-
-    # -- buffer happens-before ------------------------------------------
-    def on_write(self, state: PartitionState, partition: int,
-                 now: float) -> List[Violation]:
-        """Application annotated a send-buffer write of ``partition``."""
-        bad_index = self._index_violation(state, partition, "buffer write")
-        if bad_index:
-            return bad_index
-        state.writes.setdefault(partition, []).append(now)
-        if state.active and partition in state.ready:
-            return [(
-                "PART004",
-                f"buffer write to partition {partition} at t={now:.6f}s "
-                f"after pready at t={state.ready[partition]:.6f}s in epoch "
-                f"{state.epoch} (write-after-ready race)")]
-        return []
-
-    def on_read(self, state: PartitionState, partition: int,
-                now: float) -> List[Violation]:
-        """Application annotated a receive-buffer read of ``partition``."""
-        bad_index = self._index_violation(state, partition, "buffer read")
-        if bad_index:
-            return bad_index
-        state.reads.setdefault(partition, []).append(now)
-        if state.active and partition not in state.arrived:
-            return [(
-                "PART005",
-                f"buffer read of partition {partition} at t={now:.6f}s "
-                f"before it arrived in epoch {state.epoch} "
-                f"(read-before-arrival race)")]
-        return []
 
     # -- finalize --------------------------------------------------------
     def leaks(self) -> Iterator[Tuple[object, PartitionState]]:
@@ -191,13 +100,3 @@ class PartitionTracker:
         for req, state in self._states.values():
             if state.active:
                 yield req, state
-
-    @staticmethod
-    def _index_violation(state: PartitionState, partition: int,
-                         what: str) -> List[Violation]:
-        if 0 <= partition < state.partitions:
-            return []
-        return [(
-            "PART002",
-            f"{what} on partition {partition} out of range "
-            f"[0, {state.partitions})")]

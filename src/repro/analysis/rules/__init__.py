@@ -68,16 +68,9 @@ class Rule:
 _STATIC: Dict[str, Rule] = {}
 
 #: Descriptors of the rules enforced at simulation time by
-#: :class:`repro.analysis.checker.Checker`.
+#: :class:`repro.analysis.checker.Checker`.  Misuse of the request state
+#: machine needs no rule here: the runtime raises on it.
 DYNAMIC_RULES = (
-    RuleInfo("PART001", "double-pready", "dynamic",
-             "MPI_Pready called twice on the same partition in one epoch"),
-    RuleInfo("PART002", "partition-out-of-range", "dynamic",
-             "partition index outside [0, partitions) in pready/parrived/"
-             "buffer annotations"),
-    RuleInfo("PART003", "operation-outside-epoch", "dynamic",
-             "pready/wait/start used against the request state machine "
-             "(e.g. wait before start, pready on an un-started request)"),
     RuleInfo("PART004", "write-after-pready", "dynamic",
              "send buffer written after the partition was marked ready "
              "(happens-before race with the transfer)"),
@@ -121,11 +114,30 @@ def known_rule_ids() -> List[str]:
     return [info.id for info in all_rule_infos()]
 
 
+@register
+class UnknownSuppressionRule(Rule):
+    """SIM109: a suppression comment names a rule id that does not exist.
+
+    Enforced by the suppression-comment parser in
+    :mod:`repro.analysis.lint` (it needs the raw source, not the AST), so
+    :meth:`check` finds nothing; registering it here gives the rule its
+    ``--disable`` id, its documentation row and its SARIF metadata.
+    """
+
+    id = "SIM109"
+    name = "unknown-suppression"
+    summary = ("a '# simlint: disable=...' comment names an unknown rule "
+               "id — the typo'd suppression silently guards nothing")
+
+    def check(self, tree: ast.AST, filename: str) -> Iterable[Finding]:
+        """Reported by the suppression parser, not per AST."""
+        return ()
+
+
 # Importing the rule modules populates the registry.
 from . import caching as _caching  # noqa: E402  (registration import)
 from . import determinism as _determinism  # noqa: E402  (registration import)
 from . import instrumentation as _instrumentation  # noqa: E402
-from . import protocol as _protocol  # noqa: E402  (registration import)
 from . import simapi as _simapi  # noqa: E402  (registration import)
 
-_ = (_caching, _determinism, _instrumentation, _protocol, _simapi)
+_ = (_caching, _determinism, _instrumentation, _simapi)

@@ -383,12 +383,15 @@ def _cmd_check(args) -> int:
     from .analysis.checker import load_program
     try:
         loaded = load_program(args.program)
+        nranks = args.nranks if args.nranks is not None else loaded["nranks"]
+        # A cluster the program cannot run on (nranks < 1, a
+        # CLUSTER_KWARGS value it rejects) is a bad input, not a
+        # violation.
+        report = run_checked(loaded["program"], nranks=nranks,
+                             disabled=args.disable, **loaded["kwargs"])
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    nranks = args.nranks if args.nranks is not None else loaded["nranks"]
-    report = run_checked(loaded["program"], nranks=nranks,
-                         disabled=args.disable, **loaded["kwargs"])
     print(report.to_json() if args.format == "json" else report.format())
     return 0 if report.ok else 1
 

@@ -130,11 +130,14 @@ class _PartitionedBase:
             raise RequestStateError(
                 "start() on an active partitioned request (wait first)")
 
-    def _check_partition(self, partition: int) -> None:
+    def _check_index(self, partition: int) -> None:
         if not (0 <= partition < self.partitions):
             raise PartitionError(
                 f"partition {partition} out of range "
                 f"[0, {self.partitions})")
+
+    def _check_partition(self, partition: int) -> None:
+        self._check_index(partition)
         if not self.active:
             raise RequestStateError(
                 "partition operation outside an active epoch (call start)")
@@ -288,9 +291,11 @@ class PartitionedSendRequest(_PartitionedBase):
         :func:`repro.analysis.enable_checking` a write into a
         partition already marked ready this epoch is reported
         (rule ``PART004``).  Without a subscriber the emit is a no-op.
+        A partition outside ``[0, partitions)`` raises ``PartitionError``.
         """
         self.proc.obs.emit(PART_BUFFER_WRITE, self.sim.now, self.proc.rank,
                            partition, self.epoch, self)
+        self._check_index(partition)
 
     # -- runtime hooks ----------------------------------------------------
     def _partition_injected(self, epoch: int, partition: int,
@@ -366,10 +371,7 @@ class PartitionedRecvRequest(_PartitionedBase):
         """
         self.proc.obs.emit(PART_PARRIVED, self.sim.now, self.proc.rank,
                            partition, self.epoch, self)
-        if not (0 <= partition < self.partitions):
-            raise PartitionError(
-                f"partition {partition} out of range "
-                f"[0, {self.partitions})")
+        self._check_index(partition)
         if not self._arrived_events:
             raise RequestStateError("parrived() before the first start()")
         yield from self.proc._mpi_entry(
@@ -383,10 +385,7 @@ class PartitionedRecvRequest(_PartitionedBase):
         replaced only by the next ``start()``), so harnesses can read
         arrival timestamps from the event values post-completion.
         """
-        if not (0 <= partition < self.partitions):
-            raise PartitionError(
-                f"partition {partition} out of range "
-                f"[0, {self.partitions})")
+        self._check_index(partition)
         if not self._arrived_events:
             raise RequestStateError("arrived_event() before start()")
         return self._arrived_events[partition]
@@ -405,9 +404,11 @@ class PartitionedRecvRequest(_PartitionedBase):
         :func:`repro.analysis.enable_checking` a read of a
         partition that has not landed this epoch is reported
         (rule ``PART005``).  Without a subscriber the emit is a no-op.
+        A partition outside ``[0, partitions)`` raises ``PartitionError``.
         """
         self.proc.obs.emit(PART_BUFFER_READ, self.sim.now, self.proc.rank,
                            partition, self.epoch, self)
+        self._check_index(partition)
 
     # -- runtime hooks ----------------------------------------------------
     def _partition_arrived(self, epoch: int, partition: int, now: float,

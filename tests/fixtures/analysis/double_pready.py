@@ -1,4 +1,4 @@
-"""Fixture: pready called twice on the same partition (rule PART001)."""
+"""Fixture: pready called twice on the same partition (RequestStateError)."""
 
 NRANKS = 2
 

@@ -1,4 +1,4 @@
-"""Fixture: pready on a partition index out of range (rule PART002)."""
+"""Fixture: pready on a partition index out of range (PartitionError)."""
 
 NRANKS = 2
 

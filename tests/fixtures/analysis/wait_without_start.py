@@ -1,4 +1,4 @@
-"""Fixture: wait() on a request that was never started (rule PART003)."""
+"""Fixture: wait() on a request that was never started (RequestStateError)."""
 
 NRANKS = 2
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis import check_file, enable_checking, run_checked
 from repro.analysis.checker import load_program
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.mpi import Cluster
 from repro.mpi.diagnostics import cluster_report, collect_diagnostics
@@ -14,9 +15,6 @@ FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 
 #: dynamic fixture file -> the one rule it must trigger, exactly once.
 DYNAMIC_CASES = [
-    ("double_pready.py", "PART001"),
-    ("out_of_range.py", "PART002"),
-    ("wait_without_start.py", "PART003"),
     ("write_after_pready.py", "PART004"),
     ("read_before_parrived.py", "PART005"),
     ("leaked_request.py", "FIN001"),
@@ -47,10 +45,35 @@ class TestDynamicFixtures:
         assert "CLEAN" in report.format()
 
     def test_findings_carry_rank_and_time(self):
-        report = check_file(FIXTURES / "double_pready.py")
+        report = check_file(FIXTURES / "write_after_pready.py")
         finding = report.findings[0]
         assert finding.rank == 0
         assert finding.time is not None
+
+
+#: fixture -> the runtime error that ends it.  The runtime enforces the
+#: request state machine itself, so no checker rule covers these faults.
+RUNTIME_CASES = [
+    ("double_pready.py", "RequestStateError"),
+    ("out_of_range.py", "PartitionError"),
+    ("wait_without_start.py", "RequestStateError"),
+    ("buffer_out_of_range.py", "PartitionError"),
+    ("unreadied_partition.py", "DeadlockError"),
+]
+
+
+class TestRuntimeEnforced:
+    @pytest.mark.parametrize("fixture,error", RUNTIME_CASES)
+    def test_runtime_error_is_the_verdict(self, fixture, error):
+        report = check_file(FIXTURES / fixture)
+        assert report.findings == []
+        assert not report.ok
+        assert report.error.startswith(f"{error}: ")
+
+    @pytest.mark.parametrize("fixture,error", RUNTIME_CASES)
+    def test_check_exits_one(self, fixture, error, capsys):
+        assert main(["check", str(FIXTURES / fixture)]) == 1
+        assert f"runtime error: {error}: " in capsys.readouterr().out
 
 
 class TestEnableChecking:

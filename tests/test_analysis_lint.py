@@ -1,12 +1,19 @@
-"""Static analyzer (simlint): rules, suppression, and the shipped tree."""
+"""Static analyzer (simlint): rules, suppression, ordering, SARIF export,
+baselines, and the shipped tree."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import (all_rule_infos, lint_file, lint_paths,
                             lint_source)
-from repro.analysis.lint import PARSE_ERROR_RULE
+from repro.analysis.findings import (BASELINE_VERSION, Finding,
+                                     finding_fingerprint, load_baseline,
+                                     new_findings, sort_findings, to_sarif,
+                                     write_baseline)
+from repro.analysis.lint import PARSE_ERROR_RULE, UNKNOWN_SUPPRESSION_RULE
+from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 
@@ -85,3 +92,200 @@ class TestShippedTree:
                  root / "examples"]
         findings = lint_paths([p for p in paths if p.exists()])
         assert findings == []
+
+
+class TestSuppression:
+    VIOLATION = FIXTURES / "static_set_iteration.py"
+    MARKER = "# hazard: hash-ordered iteration"
+
+    def _suppressed(self, comment: str):
+        source = self.VIOLATION.read_text().replace(self.MARKER, comment)
+        return lint_source(source, "suppressed.py")
+
+    def test_per_rule_disable_comment(self):
+        assert self._suppressed("# simlint: disable=SIM103") == []
+
+    def test_per_rule_disable_leaves_other_rules(self):
+        # Suppressing an unrelated rule on the line changes nothing.
+        findings = self._suppressed("# simlint: disable=SIM104")
+        assert [f.rule for f in findings] == ["SIM103"]
+
+    def test_multi_rule_disable_comment(self):
+        assert self._suppressed("# simlint: disable=SIM102,SIM103") == []
+
+    def test_unknown_rule_id_warns(self):
+        findings = lint_source("x = 1  # simlint: disable=SIM999\n", "u.py")
+        assert [f.rule for f in findings] == [UNKNOWN_SUPPRESSION_RULE]
+        assert findings[0].severity == "warning"
+        assert "SIM999" in findings[0].message
+
+    def test_removed_flow_rule_id_is_unknown(self):
+        # SIM110-SIM115 are gone: the runtime raises on those faults.
+        findings = lint_source("x = 1  # simlint: disable=SIM110\n", "u.py")
+        assert [f.rule for f in findings] == [UNKNOWN_SUPPRESSION_RULE]
+
+    def test_blanket_skip_still_works(self):
+        assert self._suppressed("# simlint: skip") == []
+
+
+class TestOrderingAndDedup:
+    def test_sorted_by_location_then_rule(self):
+        a = Finding(rule="SIM104", message="m", file="b.py", line=3)
+        b = Finding(rule="SIM103", message="m", file="b.py", line=3)
+        c = Finding(rule="SIM105", message="m", file="a.py", line=9)
+        d = Finding(rule="SIM103", message="m", file="b.py", line=1)
+        assert sort_findings([a, b, c, d]) == [c, d, b, a]
+
+    def test_exact_duplicates_dropped(self):
+        f = Finding(rule="SIM103", message="m", file="x.py", line=1)
+        assert sort_findings([f, f, f]) == [f]
+
+    def test_lint_output_is_sorted(self):
+        findings = lint_paths([FIXTURES])
+        assert len(findings) > 1
+        assert findings == sort_findings(findings)
+
+
+class TestSarifExport:
+    # The structural subset of the SARIF 2.1.0 schema this exporter
+    # must satisfy (the full OASIS schema is not vendored).
+    SUBSET_SCHEMA = {
+        "type": "object",
+        "required": ["$schema", "version", "runs"],
+        "properties": {
+            "version": {"const": "2.1.0"},
+            "runs": {
+                "type": "array",
+                "minItems": 1,
+                "items": {
+                    "type": "object",
+                    "required": ["tool", "results"],
+                    "properties": {
+                        "tool": {
+                            "type": "object",
+                            "required": ["driver"],
+                            "properties": {"driver": {
+                                "type": "object",
+                                "required": ["name", "rules"],
+                            }},
+                        },
+                        "results": {
+                            "type": "array",
+                            "items": {
+                                "type": "object",
+                                "required": ["ruleId", "level", "message"],
+                                "properties": {
+                                    "level": {"enum": ["error", "warning",
+                                                       "note", "none"]},
+                                    "message": {
+                                        "type": "object",
+                                        "required": ["text"],
+                                    },
+                                },
+                            },
+                        },
+                    },
+                },
+            },
+        },
+    }
+
+    def _log(self):
+        return to_sarif(lint_file(FIXTURES / "static_set_iteration.py"))
+
+    def test_schema_valid(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(self._log(), self.SUBSET_SCHEMA)
+
+    def test_result_location_is_one_based(self):
+        (result,) = self._log()["runs"][0]["results"]
+        region = result["locations"][0]["physicalLocation"]["region"]
+        assert region["startLine"] >= 1
+        assert region.get("startColumn", 1) >= 1
+
+    def test_rules_in_tool_metadata(self):
+        ids = {r["id"] for r in
+               self._log()["runs"][0]["tool"]["driver"]["rules"]}
+        assert ids == {info.id for info in all_rule_infos()}
+
+    def test_severity_maps_to_level(self):
+        log = to_sarif(lint_source("x = 1  # simlint: disable=SIM999\n",
+                                   "u.py"))
+        (result,) = log["runs"][0]["results"]
+        assert result["ruleId"] == UNKNOWN_SUPPRESSION_RULE
+        assert result["level"] == "warning"
+
+
+class TestBaseline:
+    def test_round_trip_same_tree_exits_clean(self, tmp_path):
+        findings = lint_file(FIXTURES / "static_set_iteration.py")
+        path = tmp_path / "baseline.json"
+        assert write_baseline(findings, path) == len(findings) == 1
+        assert new_findings(findings, load_baseline(path)) == []
+
+    def test_new_violation_not_grandfathered(self, tmp_path):
+        findings = lint_file(FIXTURES / "static_set_iteration.py")
+        path = tmp_path / "baseline.json"
+        write_baseline(findings, path)
+        extra = lint_file(FIXTURES / "static_global_random.py")
+        fresh = new_findings(findings + extra, load_baseline(path))
+        assert [f.rule for f in fresh] == ["SIM102"]
+
+    def test_fingerprint_tolerates_line_moves(self):
+        a = Finding(rule="SIM103", message="m", file="x.py", line=10)
+        b = Finding(rule="SIM103", message="m", file="x.py", line=99)
+        assert finding_fingerprint(a) == finding_fingerprint(b)
+
+    def test_repeat_count_budget(self, tmp_path):
+        f = Finding(rule="SIM103", message="m", file="x.py", line=1)
+        g = Finding(rule="SIM103", message="m", file="x.py", line=2)
+        path = tmp_path / "baseline.json"
+        write_baseline([f], path)
+        # One occurrence grandfathered; a second identical fingerprint
+        # is new.
+        assert new_findings([f, g], load_baseline(path)) == [g]
+
+    def test_missing_baseline_raises(self, tmp_path):
+        with pytest.raises(ValueError):
+            load_baseline(tmp_path / "absent.json")
+
+    def test_version_mismatch_raises(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(
+            {"version": BASELINE_VERSION + 1, "fingerprints": {}}))
+        with pytest.raises(ValueError):
+            load_baseline(path)
+
+
+class TestCli:
+    def test_sarif_format(self, capsys):
+        code = main(["lint", str(FIXTURES / "static_set_iteration.py"),
+                     "--format", "sarif"])
+        assert code == 1
+        log = json.loads(capsys.readouterr().out)
+        assert log["version"] == "2.1.0"
+        assert log["runs"][0]["results"][0]["ruleId"] == "SIM103"
+
+    def test_sarif_output_file(self, capsys, tmp_path):
+        out = tmp_path / "lint.sarif"
+        code = main(["lint", str(FIXTURES / "static_clean.py"),
+                     "--format", "sarif", "--output", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["runs"][0]["results"] == []
+
+    def test_baseline_round_trip(self, capsys, tmp_path):
+        target = str(FIXTURES / "static_set_iteration.py")
+        baseline = tmp_path / "baseline.json"
+        assert main(["lint", target,
+                     "--write-baseline", str(baseline)]) == 0
+        # The same tree against its own fresh baseline gates green ...
+        assert main(["lint", target, "--baseline", str(baseline)]) == 0
+        # ... and a tree with a new violation gates red.
+        assert main(["lint", target,
+                     str(FIXTURES / "static_global_random.py"),
+                     "--baseline", str(baseline)]) == 1
+
+    def test_missing_baseline_is_config_error(self, capsys, tmp_path):
+        code = main(["lint", str(FIXTURES / "static_clean.py"),
+                     "--baseline", str(tmp_path / "absent.json")])
+        assert code == 2

@@ -165,7 +165,9 @@ class TestAnalysisCommands:
         code = main(["check", str(FIXTURES / "double_pready.py")])
         assert code == 1
         out = capsys.readouterr().out
-        assert "PART001" in out and "VIOLATIONS" in out
+        assert ("runtime error: RequestStateError: pready called twice"
+                in out)
+        assert "VIOLATIONS" in out
 
     def test_check_json_output(self, capsys):
         code = main(["check", str(FIXTURES / "leaked_request.py"),
@@ -190,6 +192,13 @@ class TestAnalysisCommands:
         code = main(["check", "no/such/program.py"])
         assert code == 2
         assert "no such program file" in capsys.readouterr().err
+
+    def test_check_bad_rank_count_exits_two(self, capsys):
+        code = main(["check", str(FIXTURES / "clean.py"), "--nranks", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: nranks must be >= 1, got 0\n"
+        assert captured.out == ""
 
 
 _TRACE_ARGS = ["--message-bytes", "4096", "--partitions", "2",

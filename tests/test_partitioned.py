@@ -283,6 +283,41 @@ class TestStateErrors:
         with pytest.raises(RequestStateError, match="wait"):
             _run(program)
 
+    def test_parrived_before_start_raises(self):
+        def program(ctx):
+            comm, main = ctx.comm, ctx.main
+            if ctx.rank == 0:
+                yield from comm.psend_init(main, 1, 5, 4096, 2)
+            else:
+                pr = yield from comm.precv_init(main, 0, 5, 4096, 2)
+                yield from pr.parrived(main, 0)
+
+        with pytest.raises(RequestStateError, match="first start"):
+            _run(program)
+
+    @pytest.mark.parametrize("side", ["send", "recv"])
+    def test_buffer_annotation_out_of_range_raises(self, side):
+        # The same error parrived raises, after the event was emitted.
+        def program(ctx):
+            comm, main = ctx.comm, ctx.main
+            if ctx.rank == 0:
+                ps = yield from comm.psend_init(main, 1, 5, 4096, 2)
+                if side == "send":
+                    ps.note_buffer_write(2)
+            else:
+                pr = yield from comm.precv_init(main, 0, 5, 4096, 2)
+                if side == "recv":
+                    pr.note_buffer_read(-1)
+
+        cluster = Cluster(nranks=2)
+        mem = cluster.obs.record("part.buffer_write", "part.buffer_read")
+        bad = 2 if side == "send" else -1
+        with pytest.raises(PartitionError) as info:
+            cluster.run(program)
+        assert str(info.value) == f"partition {bad} out of range [0, 2)"
+        (event,) = mem.records
+        assert event.get("partition") == bad
+
 
 class TestImplementationDifferences:
     def test_native_completes_faster_than_mpipcl(self):
