@@ -224,6 +224,19 @@ def paper_cell_trial():
     return len(run_ptp_benchmark(PtpBenchmarkConfig(**_PAPER_CELL)).samples)
 
 
+@kernel(2)
+def motif_run():
+    """One Halo3D PARTITIONED run at Fig 11b's shape: 64 threads per
+    rank on a 2x2x2 grid, 1 MiB, 10 ms compute, 2 steps, 2 measured
+    iterations after 1 warmup.  The motif path (many ranks, many
+    threads) is about 45% of a ``figures-cold`` pass."""
+    from repro.patterns import CommMode, Halo3DGrid, PatternConfig, run_motif
+    config = PatternConfig(mode=CommMode.PARTITIONED, threads=64,
+                           message_bytes=1 << 20, compute_seconds=0.010,
+                           steps=2, iterations=2, warmup=1)
+    return len(run_motif("halo3d", config, grid=Halo3DGrid(2, 2, 2)).elapsed)
+
+
 @kernel(("analytic", 10))
 def analytic_eval():
     """The closed-form answer for the same cell (no simulator): the

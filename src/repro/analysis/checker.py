@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from ..errors import ConfigurationError, ReproError
+from ..errors import ConfigurationError
 from ..obs import EventRecord, Sink
 from .deadlock import ResourceMonitor
 from .findings import Finding, format_findings
@@ -264,15 +264,23 @@ def run_checked(program: Callable, nranks: int = 2,
                 **cluster_kwargs) -> CheckReport:
     """Run ``program(ctx)`` on a fresh checked cluster; returns the report.
 
-    Library errors raised by the simulated program (state-machine
-    violations, deadlocks, …) are captured into ``report.error`` rather
-    than propagated — they are the verdict on those faults, and a
-    validation tool should outlive the program it judges.
+    Errors raised by the simulated program — library errors
+    (state-machine violations, deadlocks, …) and plain Python ones (a
+    typo'd attribute) alike — are captured into ``report.error`` rather
+    than propagated: they are the verdict on the program, and a
+    validation tool should outlive the program it judges.  Cluster
+    arguments the :class:`~repro.mpi.Cluster` does not take raise
+    :class:`~repro.errors.ConfigurationError`.
     """
     from ..errors import DeadlockError
     from ..mpi import Cluster  # local import: analysis must stay leaf-like
 
-    cluster = Cluster(nranks=nranks, **cluster_kwargs)
+    try:
+        cluster = Cluster(nranks=nranks, **cluster_kwargs)
+    except TypeError as exc:
+        # An unknown keyword in the program's CLUSTER_KWARGS.
+        raise ConfigurationError(
+            f"invalid cluster arguments: {exc}") from None
     checker = enable_checking(cluster, disabled=disabled)
     error: Optional[str] = None
     aborted = False
@@ -282,7 +290,7 @@ def run_checked(program: Callable, nranks: int = 2,
     except DeadlockError as exc:
         # A hang is exactly what the wait-for-graph post-mortem is for.
         error = f"{type(exc).__name__}: {exc}"
-    except ReproError as exc:
+    except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         aborted = True
     checker.finalize(aborted=aborted)

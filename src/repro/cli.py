@@ -254,10 +254,23 @@ def _findings_json(findings) -> str:
     }, indent=2)
 
 
+def _reject_unknown_rules(ids) -> bool:
+    """Name the ``--disable`` ids no rule has on stderr; True if any."""
+    from .analysis.rules import known_rule_ids
+    known = set(known_rule_ids())
+    unknown = [rule_id for rule_id in ids if rule_id not in known]
+    if unknown:
+        print(f"error: unknown rule id {', '.join(unknown)}",
+              file=sys.stderr)
+    return bool(unknown)
+
+
 def _cmd_lint(args) -> int:
     from .analysis import format_findings, lint_paths
     from .analysis.findings import (load_baseline, new_findings, sarif_json,
                                     write_baseline)
+    if _reject_unknown_rules(args.disable):
+        return 2
     try:
         findings = lint_paths(args.paths, disabled=args.disable)
     except ConfigurationError as exc:
@@ -381,11 +394,13 @@ def _cmd_report(args) -> int:
 def _cmd_check(args) -> int:
     from .analysis import run_checked
     from .analysis.checker import load_program
+    if _reject_unknown_rules(args.disable):
+        return 2
     try:
         loaded = load_program(args.program)
         nranks = args.nranks if args.nranks is not None else loaded["nranks"]
         # A cluster the program cannot run on (nranks < 1, a
-        # CLUSTER_KWARGS value it rejects) is a bad input, not a
+        # CLUSTER_KWARGS key or value it rejects) is a bad input, not a
         # violation.
         report = run_checked(loaded["program"], nranks=nranks,
                              disabled=args.disable, **loaded["kwargs"])

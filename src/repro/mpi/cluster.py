@@ -20,6 +20,7 @@ Example
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -57,10 +58,13 @@ class RankContext:
     sim / obs / spec:
         The cluster's simulation kernel, instrumentation bus, and node
         description (plain attributes: every simulated thread reads them).
+    cluster:
+        The owning :class:`Cluster`, held weakly (the cluster owns its
+        rank contexts).
     """
 
     def __init__(self, cluster: "Cluster", rank: int):
-        self.cluster = cluster
+        self._cluster = weakref.ref(cluster)
         self.rank = rank
         self.size = cluster.nranks
         self.sim: Simulator = cluster.sim
@@ -77,6 +81,11 @@ class RankContext:
         self.main = ThreadContext(self, thread_id=0, core=main_core,
                                   team=None)
 
+    @property
+    def cluster(self) -> "Cluster":
+        """The owning cluster."""
+        return self._cluster()
+
     def rng(self, name: str):
         """A deterministic RNG stream namespaced to this rank."""
         return self.cluster.streams.stream(f"rank{self.rank}/{name}")
@@ -90,11 +99,10 @@ class RankContext:
         cluster default when omitted), starts the workers, and returns the
         :class:`ThreadTeam`; callers later ``yield from team.join()``.
         """
-        binding = self.cluster._binding(nthreads,
-                                        policy or self.cluster.bind_policy)
-        yield self.sim.sleep(self.cluster.omp_costs.fork_cost(nthreads))
-        team = ThreadTeam(self, binding, worker,
-                          omp_costs=self.cluster.omp_costs)
+        cluster = self.cluster
+        binding = cluster._binding(nthreads, policy or cluster.bind_policy)
+        yield self.sim.sleep(cluster.omp_costs.fork_cost(nthreads))
+        team = ThreadTeam(self, binding, worker, omp_costs=cluster.omp_costs)
         self.obs.emit(TEAM_FORK, self.sim.now, self.rank, nthreads)
         return team
 
@@ -118,6 +126,19 @@ class RankContext:
     def elapse(self, seconds: float):
         """Generator: idle this rank's main thread for ``seconds``."""
         yield self.sim.sleep(seconds)
+
+
+def _weak_route(cluster: "Cluster") -> Callable[[int, Frame], None]:
+    """``cluster._route`` through a weak reference.
+
+    Every rank's engine and NIC keeps the router, and the cluster owns
+    them, so a bound method would tie each rank back to its owner.
+    """
+    ref = weakref.ref(cluster)
+
+    def route(dst_rank: int, frame: Frame) -> None:
+        ref()._route(dst_rank, frame)
+    return route
 
 
 class Cluster:
@@ -201,10 +222,18 @@ class Cluster:
                            self.fault_stats)
                 for r in range(nranks)
             ]
+        route = _weak_route(self)
         self.procs: List[MPIProcess] = [
             MPIProcess(self.sim, r, self.fabric, spec, costs, mode,
-                       self.obs, self._route, link_faults=link_faults[r])
+                       self.obs, route, link_faults=link_faults[r])
             for r in range(nranks)
+        ]
+        #: Each rank's progress loop, kept here rather than on its engine
+        #: (see :meth:`__del__`).
+        self._progress = [
+            self.sim.process(proc._progress_loop(),
+                             name=f"rank{proc.rank}.progress")
+            for proc in self.procs
         ]
         if faults is not None and faults.lossy:
             for proc in self.procs:
@@ -213,8 +242,8 @@ class Cluster:
                     self.fault_stats, self.obs)
         if faults is not None and faults.fail_stop is not None:
             timer = self.sim.timeout(faults.fail_stop.time)
-            timer.callbacks.append(
-                lambda ev: self._fail_stop(faults.fail_stop.rank))
+            ref, victim = weakref.ref(self), faults.fail_stop.rank
+            timer.callbacks.append(lambda ev: ref()._fail_stop(victim))
         self.contexts: List[RankContext] = [
             RankContext(self, r) for r in range(nranks)
         ]
@@ -227,6 +256,17 @@ class Cluster:
         #: Dynamic-correctness checker attached by
         #: :func:`repro.analysis.enable_checking`; ``None`` when disabled.
         self.checker: Optional[Any] = None
+
+    def __del__(self):
+        # A progress loop waits on its rank's inbox for good, and a blocked
+        # process and its event refer to each other.  Abandoning the loops
+        # lets the whole world go by reference counting; each generator is
+        # closed when ``_progress`` is freed.  getattr, not __dict__:
+        # ``_progress`` is missing when __init__ raised, and building the
+        # instance dict here would make a cycle-collector pass count the
+        # cluster as resurrected and keep it for one more pass.
+        for loop in getattr(self, "_progress", ()):
+            loop.abandon()
 
     # ------------------------------------------------------------------
     # plumbing used by the runtime

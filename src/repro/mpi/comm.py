@@ -24,6 +24,7 @@ collectives
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Optional
 
 from ..errors import MPIError
@@ -46,7 +47,8 @@ class Communicator:
     ----------
     cluster:
         The owning :class:`~repro.mpi.cluster.Cluster` (supplies the
-        partitioned-init registry and communicator-id allocation).
+        partitioned-init registry and communicator-id allocation); held
+        weakly, since the cluster owns its ranks' communicators.
     proc:
         This rank's MPI engine.
     comm_id:
@@ -57,12 +59,17 @@ class Communicator:
     """
 
     def __init__(self, cluster, proc: MPIProcess, comm_id: int, size: int):
-        self.cluster = cluster
+        self._cluster = weakref.ref(cluster)
         self.proc = proc
         self.comm_id = comm_id
         self.size = size
         self._ndups = 0
         self._coll_seq = 0
+
+    @property
+    def cluster(self):
+        """The owning :class:`~repro.mpi.cluster.Cluster`."""
+        return self._cluster()
 
     @property
     def rank(self) -> int:

@@ -7,8 +7,10 @@ One :class:`MPIProcess` exists per simulated rank.  It owns:
 * the library lock (a :class:`~repro.sim.resources.Mutex`) taken around
   every call under ``MPI_THREAD_MULTIPLE``,
 * a cache model (hot/cold buffer residency),
-* the *progress loop*, a simulated process draining the rank's inbox and
-  running the receive-side protocol state machine.
+* the *progress loop*, a generator draining the rank's inbox and running
+  the receive-side protocol state machine.  The owning cluster runs it as
+  a simulated process and keeps that process, so the loop's frame, which
+  refers to this engine, is not referred back to.
 
 All application-facing verbs are **generators**: the calling simulated
 thread ``yield from``-s them so CPU costs land on the right actor.
@@ -104,7 +106,6 @@ class MPIProcess:
         #: Threads currently spin-waiting inside a blocking MPI call; under
         #: MULTIPLE they contend with the progress engine for the lock.
         self.blocked_waiters = 0
-        sim.process(self._progress_loop(), name=f"rank{rank}.progress")
 
     # ------------------------------------------------------------------
     # call-path plumbing
@@ -328,6 +329,7 @@ class MPIProcess:
             return False
         cancelled = self.matching.cancel_posted(entry)
         if cancelled:
+            req._posted_entry = None
             req._finish(self.sim.now, source=-1, tag=req.tag, nbytes=0)
             req.status.cancelled = True
             self.obs.emit(RECV_CANCELLED, self.sim.now, self.rank, req.tag)
@@ -393,6 +395,9 @@ class MPIProcess:
                 yield delay
             return
         req: RecvRequest = entry.request
+        # Matched: the entry has left the posted queue, so the request
+        # lets go of it (the entry refers back to the request).
+        req._posted_entry = None
         params = self.fabric.params_between(frame.src_rank, self.rank)
         self._check_truncation(req, frame)
         if frame.kind is FrameKind.EAGER:

@@ -2,7 +2,10 @@
 
 A request wraps a completion :class:`~repro.sim.core.Event`.  Application
 code yields ``req.wait()`` (or ``waitall([...])``) inside its simulated
-process; ``req.test()`` is an instantaneous poll.
+process; ``req.test()`` is an instantaneous poll.  The completion event's
+value is the request's :class:`~repro.mpi.status.Status` (what
+``MPI_Wait`` hands back), not the request itself, so a request and its
+event refer to each other in one direction only.
 
 Persistent requests (``send_init``/``recv_init``) hold their arguments and
 re-arm a fresh underlying operation on each ``start()`` — the semantics a
@@ -43,7 +46,8 @@ class Request:
         return self.status.completed_at
 
     def wait(self) -> Event:
-        """The event to ``yield`` on for completion."""
+        """The event to ``yield`` on for completion; its value is
+        :attr:`status`."""
         return self._completion
 
     def test(self) -> bool:
@@ -61,7 +65,7 @@ class Request:
         self.status.nbytes = nbytes
         self.status.payload = payload
         self.status.completed_at = now
-        self._completion.succeed(self)
+        self._completion.succeed(self.status)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "complete" if self.complete else "pending"

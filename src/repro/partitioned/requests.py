@@ -86,6 +86,7 @@ class _PartitionedBase:
                                  f"{type(self).__name__}")
         self.epoch = 0
         self.active = False
+        #: The bound receive half (send side only; see :meth:`bind`).
         self.peer: Any = None
         self._epoch_done: Optional[Event] = None
         #: Triggers when init-time matching binds us to the remote half;
@@ -99,8 +100,11 @@ class _PartitionedBase:
 
         This is the once-only matching step; the MPIPCL restriction that
         both sides declare the same partition count is enforced here.
+        Only the send half keeps its peer (its frames address the
+        receive half); the receive half needs nothing from the sender, so
+        the pair holds no reference cycle.
         """
-        if self.peer is not None:
+        if self.bound:
             raise RequestStateError("partitioned request already bound")
         if peer.partitions != self.partitions:
             raise PartitionError(
@@ -112,13 +116,14 @@ class _PartitionedBase:
         if peer.impl != self.impl:
             raise PartitionError(
                 f"implementation mismatch: {self.impl} vs {peer.impl}")
-        self.peer = peer
-        self._bound_event.succeed(peer)
+        if self.side == "send":
+            self.peer = peer
+        self._bound_event.succeed()
 
     @property
     def bound(self) -> bool:
         """True once init-time matching paired this request with its peer."""
-        return self.peer is not None
+        return self._bound_event.triggered
 
     def _await_bound(self):
         """Generator: block until the remote init half has been matched."""

@@ -35,6 +35,21 @@ observable ordering (the instrumentation digests of
   a list on the second subscriber, eliminating a list allocation plus an
   iteration per processed event.
 
+No reference cycles
+-------------------
+A simulation that runs to completion frees itself by reference counting
+and leaves nothing for Python's cycle collector.  In the kernel that
+takes three rules: a :class:`Process` drops its cached resume callback
+(a bound method, so a reference back to the process) when its generator
+returns or raises, and :meth:`Process.abandon` drops it for a loop that
+never ends; a recycled sleep carries ``sim = None``, so the simulator's
+free list holds nothing that refers back to it; and a processed event
+drops its callbacks.  Events still queued or waited on when a run is cut
+short refer to their simulator and are left to the collector.  The
+layers above follow the same rule (DESIGN.md, section 8, lists who drops
+what, and when); ``tests/test_no_cycles.py`` holds every figure path to
+it.
+
 Example
 -------
 >>> sim = Simulator()
@@ -247,13 +262,16 @@ class _Sleep(Timeout):
     contract is strict: a sleep event must be yielded immediately by the
     process that created it and never stored, composed into a condition,
     or inspected after it fires — the kernel resets its state the moment
-    its callbacks have run.
+    its callbacks have run.  A sleep's ``sim`` is ``None``: the simulator
+    owns its free list, and nothing on a sleep's path (queueing,
+    dispatch, ``Process`` resumption) reads it, so the list holds no
+    reference back to its owner.
     """
 
     __slots__ = ()
 
-    def __init__(self, sim: "Simulator"):
-        Event.__init__(self, sim)
+    def __init__(self):
+        Event.__init__(self, None)
         self.delay = 0.0
         self._ok = True
         self._scheduled = True
@@ -350,14 +368,10 @@ class Process(Event):
                     exc = event._value
                     next_ev = gen.throw(exc)
             except StopIteration as stop:
-                self._ok = True
-                self._value = stop.value
-                self.sim._schedule(self)
+                self._end(True, stop.value)
                 break
             except BaseException as exc:
-                self._ok = False
-                self._value = exc
-                self.sim._schedule(self)
+                self._end(False, exc)
                 break
 
             if not isinstance(next_ev, Event):
@@ -366,14 +380,10 @@ class Process(Event):
                 try:
                     gen.throw(exc2)
                 except StopIteration as stop:
-                    self._ok = True
-                    self._value = stop.value
-                    self.sim._schedule(self)
+                    self._end(True, stop.value)
                     break
                 except BaseException as raised:
-                    self._ok = False
-                    self._value = raised
-                    self.sim._schedule(self)
+                    self._end(False, raised)
                     break
                 continue
 
@@ -393,6 +403,37 @@ class Process(Event):
             self._target = next_ev
             break
         self.sim._active_proc = None
+
+    def _end(self, ok: bool, value: Any) -> None:
+        """The generator is done: trigger the process with its outcome.
+
+        The cached resume callback refers back to this process; dropping
+        it here leaves a finished process in no reference cycle.
+        """
+        self._ok = ok
+        self._value = value
+        self._resume_cb = None
+        self.sim._schedule(self)
+
+    def abandon(self) -> None:
+        """Give up on a blocked process for good, adding no event.
+
+        For loops that never return, such as a rank's progress engine,
+        once their owner is gone.  The process is detached from the event
+        it waits on and releases its cached resume callback, so nothing
+        refers back to it; it is never resumed and never triggers, and
+        its generator is closed when the process is freed.
+        """
+        target = self._target
+        resume = self._resume_cb
+        if target is not None:
+            cbs = target._callbacks
+            if cbs is resume:
+                target._callbacks = _NO_WAITERS
+            elif type(cbs) is list and resume in cbs:
+                cbs.remove(resume)
+            self._target = None
+        self._resume_cb = None
 
 
 class Condition(Event):
@@ -552,7 +593,7 @@ class Simulator:
             ev._callbacks = _NO_WAITERS
             ev._defused = False
         else:
-            ev = _Sleep(self)
+            ev = _Sleep()
         ev.delay = delay
         ev._value = value
         seq = self._seq = self._seq + 1

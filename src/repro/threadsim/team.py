@@ -26,31 +26,29 @@ class ThreadContext:
     Every MPI verb takes the calling thread's context so threading-mode
     rules, the library lock, and NUMA injection penalties land on the right
     actor.  ``thread_id`` 0 with ``team=None`` denotes a rank's main thread.
+
+    The context copies what its thread reads from the rank context and
+    the team at construction and keeps neither: a rank context owns its
+    main thread's context and a team owns its members', so a reference
+    back would make each pair a reference cycle.
     """
 
     def __init__(self, rank_ctx: Any, thread_id: int, core: int,
                  team: Optional["ThreadTeam"] = None):
-        self.rank_ctx = rank_ctx
+        #: The kernel, instrumentation bus and node this thread runs on.
+        self.sim: Simulator = rank_ctx.sim
+        self.obs = rank_ctx.obs
+        self.spec = rank_ctx.spec
+        #: The MPI rank this thread belongs to.
+        self.rank: int = rank_ctx.rank
+        #: Fault-plan per-rank slowdown (bare mock contexts in tests carry
+        #: no ``compute_scale`` and mean 1.0).
+        self.compute_scale = getattr(rank_ctx, "compute_scale", 1.0)
         self.thread_id = thread_id
         self.core = core
-        self.team = team
-
-    @property
-    def sim(self) -> Simulator:
-        """The kernel this thread lives in."""
-        return self.rank_ctx.sim
-
-    @property
-    def rank(self) -> int:
-        """The MPI rank this thread belongs to."""
-        return self.rank_ctx.rank
-
-    @property
-    def share(self) -> int:
-        """How many team threads time-share this thread's core."""
-        if self.team is None:
-            return 1
-        return self.team.binding.shares[self.thread_id]
+        #: How many team threads time-share this thread's core.
+        self.share: int = (1 if team is None
+                           else team.binding.shares[thread_id])
 
     def compute(self, seconds: float) -> Generator:
         """Generator: burn ``seconds`` of nominal CPU work on this thread.
@@ -59,18 +57,15 @@ class ThreadContext:
         slicing plus context switches); callers add noise *before* calling,
         by inflating ``seconds`` with a sample from a noise model.
         """
-        rank_ctx = self.rank_ctx
-        wall = scaled_compute_time(seconds, self.share, rank_ctx.spec)
-        # Fault-plan per-rank slowdown (getattr: bare mock contexts in
-        # tests carry no compute_scale and mean 1.0).
-        scale = getattr(rank_ctx, "compute_scale", 1.0)
+        wall = scaled_compute_time(seconds, self.share, self.spec)
+        scale = self.compute_scale
         if scale != 1.0:
             wall *= scale
-        sim = rank_ctx.sim
+        sim = self.sim
         if wall > 0:
             yield sim.sleep(wall)
-        rank_ctx.obs.emit(THREAD_COMPUTED, sim.now, rank_ctx.rank,
-                          self.thread_id, seconds, wall)
+        self.obs.emit(THREAD_COMPUTED, sim.now, self.rank, self.thread_id,
+                      seconds, wall)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<ThreadContext rank={self.rank} tid={self.thread_id} "

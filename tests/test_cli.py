@@ -200,6 +200,37 @@ class TestAnalysisCommands:
         assert captured.err == "error: nranks must be >= 1, got 0\n"
         assert captured.out == ""
 
+    def test_check_python_error_is_a_runtime_error(self, capsys, tmp_path):
+        program = tmp_path / "typo.py"
+        program.write_text("def program(ctx):\n"
+                           "    yield from ctx.elapse(0.0)\n"
+                           "    return ctx.nope\n")
+        assert main(["check", str(program)]) == 1
+        captured = capsys.readouterr()
+        assert ("runtime error: AttributeError: 'RankContext' object has "
+                "no attribute 'nope'") in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["lint", str(FIXTURES / "static_clean.py"), "--disable", "SIM999"],
+        ["check", str(FIXTURES / "clean.py"), "--disable", "SIM110"],
+    ], ids=["lint", "check"])
+    def test_unknown_disabled_rule_exits_two(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unknown rule id {argv[-1]}\n"
+        assert captured.out == ""
+
+    def test_check_unknown_cluster_kwarg_exits_two(self, capsys, tmp_path):
+        program = tmp_path / "bogus.py"
+        program.write_text((FIXTURES / "clean.py").read_text()
+                           + "\nCLUSTER_KWARGS = {\"bogus\": 1}\n")
+        assert main(["check", str(program)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid cluster arguments: ")
+        assert "'bogus'" in captured.err
+        assert captured.out == ""
+
 
 _TRACE_ARGS = ["--message-bytes", "4096", "--partitions", "2",
                "--compute-ms", "0.1", "--iterations", "2"]
