@@ -8,8 +8,8 @@ run against the service's own contract:
 * **zero failed requests** — every reply is a 200 with a digest;
 * **exactly one execution per unique uncached fingerprint** — the
   server's ``/stats`` counters must show ``executed == unique configs``
-  no matter how many clients raced on each config (the cache's
-  single-flight plus the scheduler's batching absorb the rest);
+  no matter how many clients raced on each config (the scheduler's
+  request coalescing and the cache absorb the rest);
 * **cache hit-rate at least the arithmetic floor** — with R requests
   over U unique configs, ``(cache_hits + singleflight_hits) / R`` must
   be exactly ``(R - U) / R``;

@@ -489,8 +489,7 @@ def _cmd_serve(args) -> int:
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     scheduler = SweepScheduler(
         cache=cache, jobs=jobs, analytic=args.analytic,
-        quota=args.quota, batch_window=args.batch_window,
-        max_batch=args.max_batch, dispatchers=args.dispatchers)
+        quota=args.quota, batch_window=args.batch_window)
     service = SweepService(scheduler, host=args.host, port=args.port,
                            request_timeout=args.request_timeout,
                            verbose=args.verbose)
@@ -602,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes behind the daemon (default: all cores)")
     sv.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="shared result cache: repeated and concurrent requests for "
-             "one fingerprint execute once")
+        help="shared result cache: a repeated request is a hit "
+             "(concurrent identical requests coalesce without one)")
     sv.add_argument(
         "--analytic", default="off", choices=list(ANALYTIC_MODES),
         help="closed-form fast path for deterministic cells")
@@ -615,12 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-window", type=float, default=0.005, metavar="SECONDS",
         help="how long a dispatcher waits for more requests before "
              "cutting a batch (default 0.005)")
-    sv.add_argument(
-        "--max-batch", type=int, default=64, metavar="N",
-        help="requests per dispatched batch at most (default 64)")
-    sv.add_argument(
-        "--dispatchers", type=int, default=2, metavar="N",
-        help="dispatcher threads feeding the engine (default 2)")
     sv.add_argument(
         "--request-timeout", type=float, default=300.0, metavar="SECONDS",
         help="per-request wall-clock ceiling before a 504 (default 300)")

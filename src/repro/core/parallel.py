@@ -51,17 +51,8 @@ from .runner import PtpResult
 from .wire import WireError, decode_result, encode_result
 
 __all__ = ["CACHE_SCHEMA_VERSION", "FINGERPRINT_VERSION", "ANALYTIC_MODES",
-           "JOIN_TIMEOUT_SECONDS", "SweepStats", "ResultCache",
-           "config_fingerprint", "derive_cell_seed", "plan_cells",
-           "run_cells"]
-
-#: Default bound on how long a single-flight joiner waits for another
-#: caller's in-flight computation before falling back to computing the
-#: cell itself.  A leader that dies without reaching ``put`` *or*
-#: ``abandon`` (a killed thread, a hard-crashed process) would otherwise
-#: park every joiner forever; generous enough that no legitimate cell —
-#: even a full-grid faulty one — comes close.
-JOIN_TIMEOUT_SECONDS = 120.0
+           "SweepStats", "ResultCache", "config_fingerprint",
+           "derive_cell_seed", "plan_cells", "run_cells"]
 
 #: Bumped whenever cached entries become unreadable by newer code (layout
 #: changes).  The cache is derived data: an entry of another schema is a
@@ -184,18 +175,6 @@ def derive_cell_seed(base_seed: int, message_bytes: int,
 # The content-addressed result cache
 # ---------------------------------------------------------------------------
 
-class _Flight:
-    """One in-flight computation another caller can wait on."""
-
-    __slots__ = ("event", "entry")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        #: Set by the leader's put(): (samples, digest, outcome, source,
-        #: trials) — the memory-tier entry shape.  None after abandon().
-        self.entry: Optional[tuple] = None
-
-
 class ResultCache:
     """Content-addressed store of :class:`PtpResult` objects on disk.
 
@@ -215,14 +194,10 @@ class ResultCache:
     ``memory_hits`` counts the gets it absorbed (also included in
     ``hits``).
 
-    Concurrent *computations* of the same fingerprint are collapsed by a
-    per-fingerprint single-flight registry (:meth:`claim` /
-    :meth:`join`): the first caller becomes the leader and executes; any
-    other caller that arrives before the leader's :meth:`put` blocks on
-    the registration and shares the leader's result instead of
-    recomputing it.  The engine surfaces those as
-    ``SweepStats.singleflight_hits``.  All bookkeeping is thread-safe;
-    a cache instance may be shared by concurrent sweeps.
+    All bookkeeping is thread-safe; a cache instance may be shared by
+    concurrent sweeps.  The cache stores and serves results; it does not
+    collapse concurrent computations of one fingerprint — the service
+    scheduler, the one place that runs sweeps concurrently, does.
     """
 
     def __init__(self, root: Union[str, pathlib.Path],
@@ -238,17 +213,12 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
         self.memory_hits = 0
-        #: Gets answered by joining another caller's in-flight
-        #: computation instead of reading or recomputing.
-        self.singleflight_hits = 0
         self._memory_entries = memory_entries
         #: fingerprint -> (samples, event_digest, fault_outcome, source,
         #: trials); samples are frozen PtpSample objects, shared between
         #: the tier and every result handed out (copied lists, so caller
         #: mutations of ``result.samples`` cannot corrupt the tier).
         self._memory: "OrderedDict[str, tuple]" = OrderedDict()
-        #: fingerprint -> _Flight for computations currently in flight.
-        self._inflight: Dict[str, _Flight] = {}
         self._lock = threading.Lock()
 
     def _file(self, fingerprint: str) -> str:
@@ -337,11 +307,7 @@ class ResultCache:
 
     def put(self, config: PtpBenchmarkConfig, result: PtpResult,
             salt: Optional[str] = None) -> None:
-        """Store ``result`` under ``config``'s fingerprint (atomic).
-
-        Also publishes the result to any caller blocked in :meth:`join`
-        on the same fingerprint (the single-flight hand-off).
-        """
+        """Store ``result`` under ``config``'s fingerprint (atomic)."""
         fingerprint = config_fingerprint(config, salt)
         self._write(fingerprint, config.label(), encode_result(result))
         with self._lock:
@@ -351,56 +317,6 @@ class ResultCache:
             # matches what is on disk (e.g. after an external rewrite).
             # The first get pays one decode; every later one is free.
             self._memory.pop(fingerprint, None)
-            flight = self._inflight.pop(fingerprint, None)
-        if flight is not None:
-            flight.entry = (tuple(result.samples), result.event_digest,
-                            result.fault_outcome, result.source,
-                            result.trials)
-            flight.event.set()
-
-    # -- single-flight ----------------------------------------------------
-
-    def claim(self, fingerprint: str) -> Optional[_Flight]:
-        """Try to become the computation leader for ``fingerprint``.
-
-        Returns None when the caller now leads — it *must* eventually
-        :meth:`put` the result (which publishes it) or :meth:`abandon`
-        the claim.  Otherwise returns the existing in-flight
-        registration, to be handed to :meth:`join`.
-        """
-        with self._lock:
-            flight = self._inflight.get(fingerprint)
-            if flight is None:
-                self._inflight[fingerprint] = _Flight()
-                return None
-            return flight
-
-    def join(self, flight: _Flight, config: PtpBenchmarkConfig,
-             timeout: Optional[float] = JOIN_TIMEOUT_SECONDS,
-             ) -> Optional[PtpResult]:
-        """Wait for a claimed computation and share its result.
-
-        Returns None if the leader abandoned (or ``timeout`` expired) —
-        the caller should then compute the cell itself.  The default
-        timeout is bounded (:data:`JOIN_TIMEOUT_SECONDS`): a leader that
-        dies without reaching :meth:`put` or :meth:`abandon` must not
-        park joiners forever.  Pass ``None`` only when the caller has
-        its own liveness guarantee for the leader.
-        """
-        if not flight.event.wait(timeout):
-            return None
-        if flight.entry is None:
-            return None
-        with self._lock:
-            self.singleflight_hits += 1
-        return self._from_entry(config, flight.entry)
-
-    def abandon(self, fingerprint: str) -> None:
-        """Release a claim without a result (leader failed); wakes joiners."""
-        with self._lock:
-            flight = self._inflight.pop(fingerprint, None)
-        if flight is not None:
-            flight.event.set()
 
     # -- maintenance ------------------------------------------------------
 
@@ -416,8 +332,8 @@ class ResultCache:
         The counters are snapshotted atomically under the lock; the
         on-disk entry count — a glob over the whole shard tree — is
         taken *after* the lock is released.  Holding the lock across
-        that filesystem walk would stall every concurrent ``put``,
-        ``claim``, and memory-tier ``get`` behind disk latency, which a
+        that filesystem walk would stall every concurrent ``put`` and
+        memory-tier ``get`` behind disk latency, which a
         many-client service polling ``/stats`` would turn into a
         periodic whole-cache convoy.
         """
@@ -427,9 +343,7 @@ class ResultCache:
                 "misses": self.misses,
                 "stores": self.stores,
                 "memory_hits": self.memory_hits,
-                "singleflight_hits": self.singleflight_hits,
                 "memory_entries": len(self._memory),
-                "inflight": len(self._inflight),
             }
         snapshot["entries"] = len(self)
         return snapshot
@@ -437,12 +351,9 @@ class ResultCache:
     def describe(self) -> str:
         """One-line cache summary for reports and the CLI."""
         s = self.stats()
-        line = (f"cache at {self.root}: {s['entries']} entry(ies), "
+        return (f"cache at {self.root}: {s['entries']} entry(ies), "
                 f"{s['hits']} hits ({s['memory_hits']} memory), "
                 f"{s['misses']} misses, {s['stores']} stored")
-        if s["singleflight_hits"]:
-            line += f", {s['singleflight_hits']} single-flight"
-        return line
 
     def clear(self) -> int:
         """Delete every entry and reset *all* counters with the store.
@@ -460,7 +371,6 @@ class ResultCache:
             self.misses = 0
             self.stores = 0
             self.memory_hits = 0
-            self.singleflight_hits = 0
         return removed
 
 
@@ -483,9 +393,10 @@ class SweepStats:
     #: this is accurate under ``jobs > 1`` where the in-process
     #: ``ExecutionCounter`` by design is not.
     trials: int = 0
-    #: Cells answered by sharing another identical cell's in-flight
-    #: execution (duplicates in this grid, or a concurrent sweep on the
-    #: same cache) instead of executing or reading a stored entry.
+    #: Cells answered by sharing another identical cell's execution
+    #: instead of executing or reading a stored entry: duplicates in this
+    #: grid, or, in the service scheduler's lifetime total, requests that
+    #: rode a request already running for the same fingerprint.
     singleflight_hits: int = 0
     #: The worker-pool counters of this sweep's pooled drains (warm and
     #: stolen tasks, tasks per worker id, -1 = inline after crash
@@ -666,11 +577,9 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
         warm workers are reused and left running (the sweep-service
         execution path).  Overrides ``jobs``.
 
-    Waiting on a *concurrent* sweep's in-flight computation of an
-    identical cell is bounded by :data:`JOIN_TIMEOUT_SECONDS` (read at
-    call time); past it the cell is computed here.
-
-    Cache hits and analytic answers never open a pool session.
+    Identical uncached cells in ``cells`` execute once; the duplicates
+    share the first one's result.  Cache hits and analytic answers never
+    open a pool session.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -695,32 +604,11 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
 
     stats = SweepStats(jobs=jobs, total_cells=len(cells))
     results: Dict[int, PtpResult] = {}
-
-    def execute(batch: List[Tuple[int, PtpBenchmarkConfig]]) -> None:
-        """Run ``batch`` through one session drain, then store it."""
-        engine = pool
-        if engine is None and jobs > 1:
-            engine = shared_pool(jobs)
-        run = _run_pooled(engine if engine is not None else _inline_pool(),
-                          batch, results, planner)
-        if engine is not None:
-            # Worker counters describe a pool; the inline path has none.
-            if stats.pool is None:
-                stats.pool = PoolRunStats()
-            stats.pool.absorb(run)
-        for i, config in batch:
-            stats.trials += results[i].trials
-            if cache is not None:
-                # put() also publishes to any concurrent joiner.
-                cache.put(config, results[i], salt=cell_salt(config))
-
     pending: List[Tuple[int, PtpBenchmarkConfig]] = []
     #: fingerprint -> leader cell index, for cells this call executes.
-    claimed: Dict[str, int] = {}
+    leaders: Dict[str, int] = {}
     #: This grid's duplicate cells: they share the leader's result.
     followers: List[Tuple[int, str]] = []
-    #: Cells a *concurrent* sweep (same cache) is already computing.
-    joiners: List[Tuple[int, PtpBenchmarkConfig, _Flight]] = []
     for i, config in enumerate(cells):
         if progress is not None:
             progress(config)
@@ -742,47 +630,31 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
                     f"simulator: {reason}")
         # Single-flight: identical uncached cells execute exactly once.
         fingerprint = config_fingerprint(config, cell_salt(config))
-        if fingerprint in claimed:
+        if fingerprint in leaders:
             followers.append((i, fingerprint))
             stats.singleflight_hits += 1
             continue
-        if cache is not None:
-            flight = cache.claim(fingerprint)
-            if flight is not None:
-                joiners.append((i, config, flight))
-                stats.singleflight_hits += 1
-                continue
-        claimed[fingerprint] = i
+        leaders[fingerprint] = i
         pending.append((i, config))
 
     stats.executed = len(pending)
     if pending:
-        try:
-            execute(pending)
-        except BaseException:
+        engine = pool
+        if engine is None and jobs > 1:
+            engine = shared_pool(jobs)
+        run = _run_pooled(engine if engine is not None else _inline_pool(),
+                          pending, results, planner)
+        if engine is not None:
+            # Worker counters describe a pool; the inline path has none.
+            stats.pool = run
+        for i, config in pending:
+            stats.trials += results[i].trials
             if cache is not None:
-                # Wake anyone waiting on our claims; they recompute.
-                for fingerprint in claimed:
-                    cache.abandon(fingerprint)
-            raise
+                cache.put(config, results[i], salt=cell_salt(config))
 
     for i, fingerprint in followers:
         # Duplicate configs are bit-identical by construction, so the
         # leader's (immutable-sample) result is shared as-is.
-        results[i] = results[claimed[fingerprint]]
-    orphaned: List[Tuple[int, PtpBenchmarkConfig]] = []
-    for i, config, flight in joiners:
-        joined = cache.join(flight, config, timeout=JOIN_TIMEOUT_SECONDS)
-        if joined is None:
-            orphaned.append((i, config))
-        else:
-            results[i] = joined
-    if orphaned:
-        # The concurrent leader abandoned (or died without ever
-        # publishing, and the bounded join expired): compute the cells
-        # here.  Each put pops the stale flight and wakes its remaining
-        # joiners with this result.
-        stats.executed += len(orphaned)
-        execute(orphaned)
+        results[i] = results[leaders[fingerprint]]
 
     return [results[i] for i in range(len(cells))], stats

@@ -59,9 +59,9 @@ class ExecutionCounter:
     inline (non-pooled) executions; use
     :class:`~repro.core.parallel.SweepStats` for sweep-level accounting.
 
-    Increments are lock-protected: concurrent sweeps sharing one cache
-    (the single-flight tests) drive trials from several threads, and an
-    unguarded ``+= 1`` can lose counts across an interleaving.
+    Increments are lock-protected: the service scheduler's dispatchers
+    drive trials from several threads, and an unguarded ``+= 1`` can
+    lose counts across an interleaving.
     """
 
     def __init__(self) -> None:

@@ -346,11 +346,16 @@ class Cluster:
             for r in targets
         ]
         self.sim.run(until=until)
-        stuck = [p.name for p in procs if not p.triggered]
+        stuck = [p for p in procs if not p.triggered]
         if stuck:
+            names = ", ".join(p.name for p in stuck)
+            # The run stopped short for good: let go of the blocked
+            # programs and the queued events, so the world still frees
+            # itself by reference counting.
+            self.sim.abandon(stuck)
             raise DeadlockError(
                 f"programs never completed (likely unmatched communication "
-                f"or missing start/wait): {', '.join(stuck)}")
+                f"or missing start/wait): {names}")
         results = []
         for p in procs:
             if not p.ok:

@@ -130,6 +130,14 @@ class MatchingEngine:
             self.stats.max_posted_depth = len(self._posted)
         return entry
 
+    def posted_entry(self, request: Any) -> Optional[PostedRecv]:
+        """``request``'s entry while it waits in the posted queue, else None.
+
+        Requests do not keep their entry (it refers back to them), and
+        only cancellation, which is rare, needs to find it.
+        """
+        return next((e for e in self._posted if e.request is request), None)
+
     def cancel_posted(self, entry: PostedRecv) -> bool:
         """Remove a posted receive (for request cancellation)."""
         try:

@@ -291,8 +291,7 @@ class MPIProcess:
         if entry is None:
             # Atomic with the search above (no yield in between), so no
             # frame can slip into the unexpected queue unseen.
-            req._posted_entry = self.matching.post_recv(req, source, tag,
-                                                        comm_id)
+            self.matching.post_recv(req, source, tag, comm_id)
             self.obs.emit(RECV_POST, self.sim.now, self.rank, source, tag)
             if scanned:
                 yield self.sim.sleep(scanned * self._match_cost)
@@ -324,12 +323,11 @@ class MPIProcess:
         leaves that case to complete normally).  Returns True on success.
         """
         yield from self._mpi_entry(tc, self.costs.call_overhead)
-        entry = getattr(req, "_posted_entry", None)
+        entry = self.matching.posted_entry(req)
         if req.complete or entry is None:
             return False
         cancelled = self.matching.cancel_posted(entry)
         if cancelled:
-            req._posted_entry = None
             req._finish(self.sim.now, source=-1, tag=req.tag, nbytes=0)
             req.status.cancelled = True
             self.obs.emit(RECV_CANCELLED, self.sim.now, self.rank, req.tag)
@@ -395,9 +393,6 @@ class MPIProcess:
                 yield delay
             return
         req: RecvRequest = entry.request
-        # Matched: the entry has left the posted queue, so the request
-        # lets go of it (the entry refers back to the request).
-        req._posted_entry = None
         params = self.fabric.params_between(frame.src_rank, self.rank)
         self._check_truncation(req, frame)
         if frame.kind is FrameKind.EAGER:

@@ -2,8 +2,8 @@
 
 Requests arrive one at a time from many HTTP handler threads; the
 simulation engine is at its best when handed *grids* (shared pool
-sessions, chunked dispatch, single-flight dedup).  The scheduler is the
-adapter between those shapes:
+sessions, chunked dispatch).  The scheduler is the adapter between those
+shapes, and the one place that runs the engine concurrently:
 
 * **Admission** enforces a per-client in-flight quota — the one knob
   that keeps a single greedy client from parking everyone else's
@@ -15,10 +15,15 @@ adapter between those shapes:
 * **Batching**: a dispatcher thread cuts the queue into batches — it
   takes what is queued, waits at most ``batch_window`` seconds for
   stragglers, and hands the batch to
-  :func:`~repro.core.parallel.run_cells` as one grid.  A thundering
-  herd on one config lands in one batch (deduplicated as in-grid
-  followers) or across concurrent batches (deduplicated by the cache's
-  claim/join single-flight); either way the cell executes **once**.
+  :func:`~repro.core.parallel.run_cells` as one grid.
+* **Coalescing**: a fingerprint executes **once** however a herd lands.
+  While it cuts a batch, a dispatcher attaches each request whose
+  fingerprint is already running, in this batch or in another
+  dispatcher's, to that request (its *leader*) instead of adding it to
+  the batch.  A leader stays registered until it is answered, which is
+  after ``run_cells`` stored its result, so any later request is a
+  cache hit.  Riders take the leader's result or error and count as
+  ``singleflight_hits``.
 
 Every request's result is published through a per-request event, so
 handler threads block only on their own request.  Engine failures fan
@@ -109,7 +114,7 @@ class _Request:
     """One admitted request travelling through the scheduler."""
 
     __slots__ = ("seq", "priority", "client", "config", "fingerprint",
-                 "event", "result", "error", "admitted_at")
+                 "event", "result", "error", "admitted_at", "riders")
 
     def __init__(self, seq: int, priority: int, client: str,
                  config: PtpBenchmarkConfig, admitted_at: float) -> None:
@@ -122,6 +127,8 @@ class _Request:
         self.result: Optional[PtpResult] = None
         self.error: Optional[BaseException] = None
         self.admitted_at = admitted_at
+        #: Requests for the same fingerprint answered with this one.
+        self.riders: List[_Request] = []
 
     def sort_key(self):
         # Higher priority first; FIFO (by admission sequence) within.
@@ -138,9 +145,8 @@ class SweepScheduler:
         :func:`~repro.core.parallel.run_cells`.  A live ``pool`` keeps
         its warm workers across every batch (the daemon's normal mode);
         ``jobs=1`` with no pool executes inline in dispatcher threads.
-        The cache is the shared store that deduplicates across batches,
-        dispatchers, and any concurrent CLI sweep on the same
-        directory.
+        The cache turns a repeated request into a hit; concurrent
+        identical requests coalesce without one.
     quota:
         Per-client in-flight ceiling (queued + executing).  ``0``
         rejects everything — useful for drain mode and tests.
@@ -150,8 +156,8 @@ class SweepScheduler:
         at most ``max_batch`` requests) before cutting the batch.
     dispatchers:
         Dispatcher threads.  More than one lets an expensive batch
-        overlap a cheap one — and exercises the cache's claim/join
-        single-flight across batches.
+        overlap a cheap one; a request whose fingerprint is running in
+        another dispatcher's batch rides it.
     """
 
     def __init__(self, pool: Optional[WorkerPool] = None,
@@ -188,6 +194,9 @@ class SweepScheduler:
         self._queue: List[tuple] = []  # heap of (sort_key, _Request)
         self._cv = threading.Condition()
         self._inflight: Dict[str, int] = {}
+        #: fingerprint -> the request running it, from the batch cut
+        #: until the request is answered.
+        self._leaders: Dict[str, _Request] = {}
         self._stopped = False
         self._threads = [
             threading.Thread(target=self._dispatch_loop,
@@ -255,36 +264,73 @@ class SweepScheduler:
     # -- dispatch ----------------------------------------------------------
 
     def _take_batch(self) -> Optional[List[_Request]]:
-        """Block for the next batch (None when the scheduler stops)."""
+        """Block for the next batch (None when the scheduler stops).
+
+        The batch holds only leaders, so it is empty when every request
+        popped rode one already running.
+        """
         with self._cv:
             while not self._queue:
                 if self._stopped:
                     return None
                 self._cv.wait()
-            batch = [heapq.heappop(self._queue)[1]]
+            batch: List[_Request] = []
+            self._cut(batch)
             # The batching window: give the rest of a herd a moment to
             # land so it rides the same grid.
             deadline = time.monotonic() + self.batch_window  # simlint: disable=SIM101
             while len(batch) < self.max_batch:
                 remaining = deadline - time.monotonic()  # simlint: disable=SIM101
                 if self._queue:
-                    batch.append(heapq.heappop(self._queue)[1])
+                    self._cut(batch)
                 elif self._stopped or remaining <= 0:
                     break
                 else:
                     self._cv.wait(remaining)
             queued = len(self._queue)
-        self.obs.emit(SERVICE_BATCH, self._now(), len(batch), queued)
+        if batch:
+            self.obs.emit(SERVICE_BATCH, self._now(), len(batch), queued)
         return batch
 
+    def _cut(self, batch: List[_Request]) -> None:
+        """Pop the next request into ``batch`` or onto its leader.
+
+        Called under ``_cv``, which also guards every leader's riders.
+        """
+        request = heapq.heappop(self._queue)[1]
+        leader = self._leaders.get(request.fingerprint)
+        if leader is None:
+            self._leaders[request.fingerprint] = request
+            batch.append(request)
+        else:
+            leader.riders.append(request)
+
     def _finish(self, request: _Request) -> None:
+        """Answer ``request`` and its riders; release their quota."""
         with self._cv:
-            held = self._inflight.get(request.client, 0) - 1
-            if held > 0:
-                self._inflight[request.client] = held
-            else:
-                self._inflight.pop(request.client, None)
-        request.event.set()
+            if self._leaders.get(request.fingerprint) is request:
+                del self._leaders[request.fingerprint]
+            group = [request, *request.riders]
+            for each in group:
+                held = self._inflight.get(each.client, 0) - 1
+                if held > 0:
+                    self._inflight[each.client] = held
+                else:
+                    self._inflight.pop(each.client, None)
+        if request.error is None:
+            self.stats.bump("served", len(group))
+            if request.riders:
+                self.stats.absorb(
+                    SweepStats(singleflight_hits=len(request.riders)))
+            now = self._now()
+            for each in group:
+                self.obs.emit(SERVICE_RESPONSE, now, each.client,
+                              each.fingerprint, now - each.admitted_at)
+        else:
+            self.stats.bump("failed", len(group))
+        for each in group:
+            each.result, each.error = request.result, request.error
+            each.event.set()
 
     def _run_batch(self, batch: List[_Request]) -> None:
         self.stats.bump("batches")
@@ -307,16 +353,11 @@ class SweepScheduler:
             # the dispatcher survives.
             for request in requests:
                 request.error = exc
-                self.stats.bump("failed")
                 self._finish(request)
             return
         self.stats.absorb(stats)
-        now = self._now()
         for request, result in zip(requests, results):
             request.result = result
-            self.stats.bump("served")
-            self.obs.emit(SERVICE_RESPONSE, now, request.client,
-                          request.fingerprint, now - request.admitted_at)
             self._finish(request)
 
     def _dispatch_loop(self) -> None:
@@ -324,7 +365,8 @@ class SweepScheduler:
             batch = self._take_batch()
             if batch is None:
                 return
-            self._run_batch(batch)
+            if batch:
+                self._run_batch(batch)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -347,7 +389,6 @@ class SweepScheduler:
         for request in pending:
             request.error = ServiceError("scheduler shut down before the "
                                          "request ran", status=503)
-            self.stats.bump("failed")
             self._finish(request)
         for thread in self._threads:
             thread.join(timeout=timeout)

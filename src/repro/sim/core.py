@@ -44,11 +44,11 @@ takes three rules: a :class:`Process` drops its cached resume callback
 returns or raises, and :meth:`Process.abandon` drops it for a loop that
 never ends; a recycled sleep carries ``sim = None``, so the simulator's
 free list holds nothing that refers back to it; and a processed event
-drops its callbacks.  Events still queued or waited on when a run is cut
-short refer to their simulator and are left to the collector.  The
-layers above follow the same rule (DESIGN.md, section 8, lists who drops
-what, and when); ``tests/test_no_cycles.py`` holds every figure path to
-it.
+drops its callbacks.  A run cut short for good is given up with
+:meth:`Simulator.abandon`, which closes the processes still blocked and
+forgets every queued event.  The layers above follow the same rule
+(DESIGN.md, section 8, lists who drops what, and when);
+``tests/test_no_cycles.py`` holds every figure path to it.
 
 Example
 -------
@@ -93,6 +93,16 @@ _PENDING = object()
 _NO_WAITERS = object()
 
 _INF = float("inf")
+
+
+def _detach(event: "Event", callback: Callable) -> None:
+    """Remove ``callback`` from ``event``'s waiters, if it is one."""
+    cbs = event._callbacks
+    if type(cbs) is list:
+        if callback in cbs:
+            cbs.remove(callback)
+    elif cbs == callback:
+        event._callbacks = _NO_WAITERS
 
 
 class Interrupt(Exception):
@@ -419,20 +429,21 @@ class Process(Event):
         """Give up on a blocked process for good, adding no event.
 
         For loops that never return, such as a rank's progress engine,
-        once their owner is gone.  The process is detached from the event
-        it waits on and releases its cached resume callback, so nothing
-        refers back to it; it is never resumed and never triggers, and
-        its generator is closed when the process is freed.
+        once their owner is gone, and for programs blocked in a run cut
+        short.  The process is detached from the event it waits on and
+        releases its cached resume callback, so nothing refers back to
+        it; it is never resumed and never triggers, and its generator is
+        closed when the process is freed.  A condition left with no
+        waiter lets go of its sub-events in turn.
         """
         target = self._target
-        resume = self._resume_cb
         if target is not None:
-            cbs = target._callbacks
-            if cbs is resume:
-                target._callbacks = _NO_WAITERS
-            elif type(cbs) is list and resume in cbs:
-                cbs.remove(resume)
+            _detach(target, self._resume_cb)
             self._target = None
+            if isinstance(target, Condition) and \
+                    target._callbacks is _NO_WAITERS:
+                for event in target.events:
+                    _detach(event, target._check)
         self._resume_cb = None
 
 
@@ -635,6 +646,38 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event: all of ``events`` triggered."""
         return AllOf(self, events)
+
+    def abandon(self, processes: Iterable[Process] = ()) -> None:
+        """Give up a run that stopped short, for good.
+
+        Abandons and closes ``processes`` (programs still blocked) and
+        every process a queued event would resume, then forgets every
+        queued event, so the simulation frees itself by reference
+        counting like one that ran to completion.  The simulator must
+        not run again.
+        """
+        blocked = list(processes)
+        queued = [event for _, event in self._ring]
+        queued += self._init_ring
+        for bucket in self._buckets.values():
+            if bucket.__class__ is tuple:
+                queued.append(bucket[1])
+            else:
+                queued.extend(event for _, event in bucket)
+        for event in queued:
+            cbs = event._callbacks
+            for cb in (cbs if type(cbs) is list else (cbs,)):
+                if getattr(cb, "__func__", None) is Process._resume:
+                    blocked.append(cb.__self__)
+        for proc in blocked:
+            proc.abandon()
+            # Closing runs the generators' cleanup, which may queue more
+            # events; they are forgotten below with the rest.
+            proc.gen.close()
+        self._queue.clear()
+        self._buckets.clear()
+        self._ring.clear()
+        self._init_ring.clear()
 
     def run(self, until: Optional[float] = None,
             detect_deadlock: bool = False) -> None:

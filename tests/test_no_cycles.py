@@ -65,6 +65,10 @@ TRIALS = {
     "one_partition": _trial(partitions=1),
     "32_partitions": _trial(partitions=32),
     "lossy": _trial(faults=parse_fault_spec("drop=0.2")),
+    "failstop_deadline": _trial(
+        faults=parse_fault_spec("failstop=1@0.0005,deadline=0.01")),
+    "drop_deadline": _trial(
+        faults=parse_fault_spec("drop=0.9,deadline=0.002")),
 }
 
 

@@ -3,7 +3,6 @@
 import json
 import struct
 import threading
-import time
 
 import pytest
 
@@ -352,12 +351,10 @@ class TestCacheCounters:
                 cache.memory_hits) == (2, 1, 1, 1)
         cache.clear()
         assert (cache.hits, cache.misses, cache.stores,
-                cache.memory_hits, cache.singleflight_hits) == \
-            (0, 0, 0, 0, 0)
+                cache.memory_hits) == (0, 0, 0, 0)
         assert cache.stats() == {
             "entries": 0, "hits": 0, "misses": 0, "stores": 0,
-            "memory_hits": 0, "singleflight_hits": 0,
-            "memory_entries": 0, "inflight": 0}
+            "memory_hits": 0, "memory_entries": 0}
 
     def test_stats_snapshot_and_describe(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -374,7 +371,6 @@ class TestCacheCounters:
         line = cache.describe()
         assert "1 entry(ies)" in line
         assert "2 hits (1 memory)" in line
-        assert "single-flight" not in line  # only shown when nonzero
 
 
 # ---------------------------------------------------------------------------
@@ -403,69 +399,6 @@ class TestSingleFlight:
         assert EXECUTIONS.value == 1
         assert stats.singleflight_hits == 2
         assert results[0] is results[1] is results[2]
-
-    def test_claim_join_and_abandon(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        config = plan_cells(_base(), [1024], [1])[0]
-        fingerprint = config_fingerprint(config)
-        assert cache.claim(fingerprint) is None     # first caller leads
-        flight = cache.claim(fingerprint)
-        assert flight is not None                   # second caller joins
-        result = run_ptp_benchmark(config)
-        cache.put(config, result)                   # leader publishes
-        joined = cache.join(flight, config, timeout=5.0)
-        assert joined is not None
-        assert joined.event_digest == result.event_digest
-        assert cache.singleflight_hits == 1
-        # A fresh claim after put leads again (the flight is gone).
-        assert cache.claim(fingerprint) is None
-        follower = cache.claim(fingerprint)
-        cache.abandon(fingerprint)                  # leader gives up
-        assert cache.join(follower, config, timeout=5.0) is None
-
-    def test_concurrent_sweeps_share_one_execution(self, tmp_path):
-        """Two sweeps, two pools, one cache: each cell executes once."""
-        from repro.core import WorkerPool
-
-        cells = plan_cells(_base(seed=9), SIZES, COUNTS)
-        serial, _ = run_cells(cells, jobs=1)
-        cache = ResultCache(tmp_path / "cache")
-        pools = {"lead": WorkerPool(2), "follow": WorkerPool(2)}
-        outputs = {}
-
-        def follow():
-            # Enter only once the lead sweep holds every claim, so each
-            # of this sweep's cells deterministically joins an in-flight
-            # computation rather than racing the claim.
-            deadline = time.monotonic() + 60.0
-            while len(cache._inflight) < len(cells):
-                assert time.monotonic() < deadline, "lead never claimed"
-                time.sleep(0.001)
-            outputs["follow"] = run_cells(cells, jobs=2, cache=cache,
-                                          pool=pools["follow"])
-
-        try:
-            follower = threading.Thread(target=follow)
-            follower.start()
-            outputs["lead"] = run_cells(cells, jobs=2, cache=cache,
-                                        pool=pools["lead"])
-            follower.join(timeout=120.0)
-            assert not follower.is_alive()
-        finally:
-            for p in pools.values():
-                p.shutdown()
-
-        lead_results, lead_stats = outputs["lead"]
-        follow_results, follow_stats = outputs["follow"]
-        # Between them the sweeps executed each unique cell exactly once.
-        assert lead_stats.executed == len(cells)
-        assert follow_stats.executed == 0
-        assert follow_stats.singleflight_hits + follow_stats.cache_hits \
-            == len(cells)
-        assert cache.stats()["inflight"] == 0
-        for got in (lead_results, follow_results):
-            assert [r.event_digest for r in got] == \
-                [r.event_digest for r in serial]
 
 
 class TestFingerprintMemoization:
@@ -565,10 +498,12 @@ class TestResultPlaneConcurrency:
 
         Regression: stats() used to call ``len(self)`` — a glob over the
         whole shard tree — while holding ``self._lock``, so a slow disk
-        walk (or just a big cache) stalled every concurrent claim/put
-        behind it.  A stats() stuck mid-count must not block claim().
+        walk (or just a big cache) stalled every concurrent put behind
+        it.  A stats() stuck mid-count must not block put().
         """
         cache = ResultCache(tmp_path / "cache")
+        config = plan_cells(_base(), [1024], [1])[0]
+        result = run_ptp_benchmark(config)
         entered = threading.Event()
         release = threading.Event()
 
@@ -583,118 +518,15 @@ class TestResultPlaneConcurrency:
         stats_thread.start()
         try:
             assert entered.wait(10.0), "stats() never reached the count"
-            claimed = threading.Event()
+            stored = threading.Event()
 
             def use_lock():
-                cache.claim("ab" * 32)
-                claimed.set()
+                cache.put(config, result)
+                stored.set()
 
             threading.Thread(target=use_lock, daemon=True).start()
-            assert claimed.wait(5.0), \
-                "claim() blocked behind stats()'s disk walk"
+            assert stored.wait(5.0), \
+                "put() blocked behind stats()'s disk walk"
         finally:
             release.set()
             stats_thread.join(timeout=10.0)
-
-    def test_join_times_out_on_a_leader_that_never_publishes(self,
-                                                             tmp_path):
-        """A dead leader must not park joiners forever (bounded join)."""
-        cache = ResultCache(tmp_path / "cache")
-        config = plan_cells(_base(), [1024], [1])[0]
-        fingerprint = config_fingerprint(config)
-        assert cache.claim(fingerprint) is None     # leader, never puts
-        flight = cache.claim(fingerprint)
-        t0 = time.monotonic()
-        assert cache.join(flight, config, timeout=0.2) is None
-        assert time.monotonic() - t0 < 5.0
-
-    def test_engine_recomputes_after_join_timeout_and_wakes_stragglers(
-            self, tmp_path, monkeypatch):
-        """run_cells falls back to computing when its join times out.
-
-        The recompute's put() must also pop the stale flight and wake
-        any *other* joiner still blocked on it — with the result, and
-        exactly once.
-        """
-        cache = ResultCache(tmp_path / "cache")
-        config = plan_cells(_base(seed=21), [1024], [1])[0]
-        fingerprint = config_fingerprint(config)
-        assert cache.claim(fingerprint) is None     # leader dies silently
-        stale = cache.claim(fingerprint)
-        wakes = []
-        straggler = threading.Thread(
-            target=lambda: wakes.append(
-                cache.join(stale, config, timeout=60.0)))
-        straggler.start()
-
-        import repro.core.parallel as parallel_mod
-        monkeypatch.setattr(parallel_mod, "JOIN_TIMEOUT_SECONDS", 0.2)
-        results, stats = run_cells([config], jobs=1, cache=cache)
-        straggler.join(timeout=30.0)
-        assert not straggler.is_alive(), "straggler never woke"
-        assert stats.executed == 1                  # the fallback compute
-        assert results[0].event_digest is not None
-        assert wakes == [results[0]] or (
-            wakes[0].event_digest == results[0].event_digest)
-        assert cache.stats()["inflight"] == 0
-        # The flight is gone: a fresh claim leads again.
-        assert cache.claim(fingerprint) is None
-
-    def test_leader_raising_mid_trial_wakes_joiners_exactly_once(
-            self, tmp_path, monkeypatch):
-        """A leader that raises abandons its claims and wakes joiners.
-
-        The leader is a real ``run_cells`` sweep whose trial crashes
-        *while joiners are registered on its claim* — the crash is
-        gated on every joiner having joined, so the abandon path is
-        exercised with real waiters, not an empty flight.
-        """
-        cache = ResultCache(tmp_path / "cache")
-        config = plan_cells(_base(seed=22), [1024], [1])[0]
-        fingerprint = config_fingerprint(config)
-
-        n = 4
-        wakes = []
-        wakes_lock = threading.Lock()
-        registered = threading.Barrier(n + 1)
-
-        def join_one():
-            # Wait for the sweep to claim leadership, then ride it.
-            deadline = time.monotonic() + 30.0
-            while fingerprint not in cache._inflight:
-                assert time.monotonic() < deadline, "leader never claimed"
-                time.sleep(0.001)
-            flight = cache.claim(fingerprint)
-            assert flight is not None
-            registered.wait(timeout=30.0)
-            got = cache.join(flight, config, timeout=60.0)
-            with wakes_lock:
-                wakes.append(got)
-
-        import repro.core.pool as pool_mod
-
-        def boom(config):
-            # "Mid-trial": the leader holds the claim, every joiner is
-            # blocked on it, and then the trial crashes.
-            registered.wait(timeout=30.0)
-            raise RuntimeError("mid-trial crash")
-
-        monkeypatch.setattr(pool_mod, "run_ptp_benchmark", boom)
-        joiners = [threading.Thread(target=join_one) for _ in range(n)]
-        for thread in joiners:
-            thread.start()
-
-        # The leader's sweep raises mid-trial; run_cells must abandon.
-        with pytest.raises(RuntimeError):
-            run_cells([config], jobs=1, cache=cache)
-        for thread in joiners:
-            thread.join(timeout=30.0)
-            assert not thread.is_alive(), "joiner never woke"
-        # Exactly one wake per joiner, each with "recompute yourself".
-        assert wakes == [None] * n
-        assert cache.stats()["inflight"] == 0
-        # And the flight is really gone: a fresh sweep leads and runs.
-        monkeypatch.undo()
-        results, stats = run_cells([config], jobs=1, cache=cache)
-        assert stats.executed == 1
-        assert results[0].event_digest is not None

@@ -503,11 +503,10 @@ class TestShutdownHygiene:
 
     def test_shutdown_under_inflight_sweep_leaves_no_stale_claims(
             self, tmp_path):
-        """A pool shut down mid-sweep must not strand cache claims.
+        """A pool shut down mid-sweep still answers and stores every cell.
 
-        The sweep degrades to inline execution and still publishes every
-        result, so the shared cache ends with zero in-flight claims and
-        a full result set.
+        The sweep degrades to inline execution, returns every result and
+        leaves the full result set in the shared cache.
         """
         import threading
 
@@ -516,6 +515,7 @@ class TestShutdownHygiene:
         cache = ResultCache(tmp_path / "cache")
         cells = plan_cells(_base(seed=32), [1024, 65536], [1, 4])
         p = WorkerPool(2)
+        dispatched = p.obs.record("pool.dispatch")
         outcome = {}
 
         def sweep():
@@ -523,10 +523,10 @@ class TestShutdownHygiene:
 
         runner = threading.Thread(target=sweep)
         runner.start()
-        # Shut the pool down as soon as the sweep holds its claims.
+        # Shut the pool down as soon as the sweep hands out its first task.
         deadline = time.monotonic() + 60.0
-        while not cache._inflight and runner.is_alive():
-            assert time.monotonic() < deadline, "sweep never claimed"
+        while not len(dispatched) and runner.is_alive():
+            assert time.monotonic() < deadline, "sweep never dispatched"
             time.sleep(0.001)
         p.shutdown()
         runner.join(timeout=120.0)
@@ -535,54 +535,6 @@ class TestShutdownHygiene:
         results, stats = outcome["run"]
         assert len(results) == len(cells)
         assert all(r.event_digest is not None for r in results)
-        assert cache.stats()["inflight"] == 0
         # Every cell's result is really in the shared store.
         for config in cells:
             assert cache.get(config) is not None
-
-    def test_killed_worker_leader_still_wakes_joiners(self, tmp_path):
-        """A leader whose worker dies must still publish to its joiners.
-
-        Crash recovery reruns the cell inline, so the put() happens and
-        a concurrent sweep's joiner wakes exactly once — with the
-        result, not a timeout.
-        """
-        import threading
-
-        from repro.core import ResultCache, config_fingerprint
-
-        cache = ResultCache(tmp_path / "cache")
-        config = plan_cells(_base(seed=33), [65536], [4])[0]
-        fingerprint = config_fingerprint(config)
-        p = WorkerPool(1)
-        outcome = {}
-        wakes = []
-
-        def joiner():
-            deadline = time.monotonic() + 60.0
-            while fingerprint not in cache._inflight:
-                assert time.monotonic() < deadline, "leader never claimed"
-                time.sleep(0.001)
-            flight = cache.claim(fingerprint)
-            assert flight is not None
-            # Kill the leader's worker while we're registered on the
-            # flight; recovery must still publish a result to us.
-            for worker in list(p._workers.values()):
-                worker.process.kill()
-            wakes.append(cache.join(flight, config, timeout=120.0))
-
-        watcher = threading.Thread(target=joiner)
-        watcher.start()
-        try:
-            outcome["run"] = run_cells([config], jobs=1, cache=cache,
-                                       pool=p)
-        finally:
-            watcher.join(timeout=120.0)
-            p.shutdown()
-        assert not watcher.is_alive(), "joiner never woke"
-
-        results, stats = outcome["run"]
-        assert len(wakes) == 1              # woken exactly once
-        assert wakes[0] is not None, "joiner woke without a result"
-        assert wakes[0].event_digest == results[0].event_digest
-        assert cache.stats()["inflight"] == 0

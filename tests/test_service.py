@@ -460,6 +460,87 @@ class TestScheduler:
         finally:
             scheduler.stop()
 
+    @staticmethod
+    def _held_run_cells(monkeypatch, fail=False):
+        """Patch the scheduler's engine to park each call on a gate.
+
+        Returns ``(entered, gate, calls)``: ``entered`` is set once a
+        dispatcher is inside the engine, which waits for ``gate`` and
+        then runs the batch (or raises, with ``fail``).
+        """
+        from repro.service import scheduler as module
+        real = module.run_cells
+        entered, gate, calls = threading.Event(), threading.Event(), []
+
+        def held(configs, **kwargs):
+            calls.append(len(configs))
+            entered.set()
+            assert gate.wait(30.0), "test never opened the gate"
+            if fail:
+                raise RuntimeError("leader cell exploded")
+            return real(configs, **kwargs)
+
+        monkeypatch.setattr(module, "run_cells", held)
+        return entered, gate, calls
+
+    def test_request_rides_a_running_leader_without_a_cache(
+            self, monkeypatch):
+        """Two dispatchers, no cache: the second request for a config
+        still running in the other dispatcher rides it, so the config
+        executes once."""
+        entered, gate, calls = self._held_run_cells(monkeypatch)
+        scheduler = SweepScheduler(jobs=1, quota=64, batch_window=0.0,
+                                   dispatchers=2)
+        EXECUTIONS.reset()
+        try:
+            leader = scheduler.submit(_base(seed=5), client="a")
+            assert entered.wait(30.0), "leader never reached the engine"
+            rider = scheduler.submit(_base(seed=5), client="b")
+            _wait_until_taken(scheduler)    # the idle dispatcher cut it
+            assert scheduler.inflight("b") == 1     # held until answered
+            gate.set()
+            first = scheduler.wait(leader, timeout=60.0)
+            second = scheduler.wait(rider, timeout=60.0)
+        finally:
+            gate.set()
+            scheduler.stop()
+        assert EXECUTIONS.value == 1
+        assert calls == [1]
+        assert first.event_digest == second.event_digest is not None
+        stats = scheduler.stats.as_dict()
+        assert (stats["executed"], stats["singleflight_hits"],
+                stats["served"], stats["batches"]) == (1, 1, 2, 1)
+        assert scheduler.inflight() == 0
+
+    def test_rider_of_a_failing_leader_gets_its_error(self, tmp_path,
+                                                      monkeypatch):
+        entered, gate, calls = self._held_run_cells(monkeypatch, fail=True)
+        scheduler = SweepScheduler(cache=ResultCache(tmp_path / "c"),
+                                   quota=64, batch_window=0.0,
+                                   dispatchers=2)
+        try:
+            leader = scheduler.submit(_base(seed=6), client="a")
+            assert entered.wait(30.0), "leader never reached the engine"
+            rider = scheduler.submit(_base(seed=6), client="b")
+            _wait_until_taken(scheduler)
+            gate.set()
+            errors = []
+            for request in (leader, rider):
+                with pytest.raises(ServiceError) as err:
+                    scheduler.wait(request, timeout=60.0)
+                errors.append((err.value.status, err.value.reason))
+        finally:
+            gate.set()
+            scheduler.stop()
+        assert errors[0] == errors[1]
+        assert errors[0][0] == 500
+        assert "leader cell exploded" in errors[0][1]
+        assert calls == [1]
+        stats = scheduler.stats.as_dict()
+        assert (stats["failed"], stats["served"],
+                stats["singleflight_hits"]) == (2, 0, 0)
+        assert scheduler.inflight() == 0
+
     def test_jobs_below_one_rejected_at_construction(self, tmp_path):
         with pytest.raises(ServiceError, match="jobs must be >= 1: 0"):
             SweepScheduler(cache=ResultCache(tmp_path / "c"), jobs=0)
