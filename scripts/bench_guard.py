@@ -237,6 +237,27 @@ def motif_run():
     return len(run_motif("halo3d", config, grid=Halo3DGrid(2, 2, 2)).elapsed)
 
 
+@kernel(80.68776560128195)
+def noise_draws():
+    """100 rounds of the paper's three noise models at 10 ms, all drawn
+    from ``RandomStreams(7).stream("k")``: ``UniformNoise(4)`` over 32
+    threads, ``GaussianNoise(4)`` over 16, ``SingleThreadNoise(4)`` over
+    32.  Holds the pure-Python PCG64 and ziggurat draws
+    (:class:`repro.sim.rng.Generator`) to their cost; the value is the
+    exact sum of every compute time drawn."""
+    import math
+
+    from repro.noise import GaussianNoise, SingleThreadNoise, UniformNoise
+    from repro.sim import RandomStreams
+    rng = RandomStreams(7).stream("k")
+    draws = []
+    for _ in range(100):
+        draws += UniformNoise(4.0).compute_times(rng, 32, 0.010)
+        draws += GaussianNoise(4.0).compute_times(rng, 16, 0.010)
+        draws += SingleThreadNoise(4.0).compute_times(rng, 32, 0.010)
+    return math.fsum(draws)
+
+
 @kernel(("analytic", 10))
 def analytic_eval():
     """The closed-form answer for the same cell (no simulator): the

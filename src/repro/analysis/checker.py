@@ -294,6 +294,11 @@ def run_checked(program: Callable, nranks: int = 2,
         error = f"{type(exc).__name__}: {exc}"
         aborted = True
     checker.finalize(aborted=aborted)
+    # The verdict is in: unhook the checker and its monitor, which refer
+    # back to the cluster and simulator, so the checked world frees
+    # itself by reference counting.
+    cluster.checker = cluster.sim.monitor = None
+    cluster.obs.detach(checker)
     return CheckReport(findings=list(checker.findings), error=error,
                        results=results, nranks=nranks)
 

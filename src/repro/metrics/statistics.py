@@ -9,10 +9,9 @@ bundles the dispersion numbers the reports print.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import List, Sequence
 
 from ..errors import ConfigurationError
 
@@ -20,8 +19,57 @@ __all__ = ["pruned_mean", "trim_outliers", "SampleSummary", "summarize",
            "ci_halfwidth"]
 
 
+# numpy's mean/std/median, reproduced to the last bit: the archived tables
+# and service digests were computed with numpy, and Python's ``sum`` adds
+# in a different order (and compensates, from 3.12 on).
+
+def _pairwise_sum(a: Sequence[float], lo: int, n: int) -> float:
+    """``sum(a[lo:lo + n])`` in numpy's ``pairwise_sum_DOUBLE`` order."""
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += a[i]
+        return res
+    if n <= 128:
+        stop = lo + n - n % 8
+        acc = []
+        for j in range(lo, lo + 8):
+            s = a[j]
+            for i in range(j + 8, stop, 8):
+                s += a[i]
+            acc.append(s)
+        res = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+               + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+        for i in range(stop, lo + n):
+            res += a[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_sum(a, lo, half)
+            + _pairwise_sum(a, lo + half, n - half))
+
+
+def _mean(a: Sequence[float]) -> float:
+    """``np.mean(a)`` for a non-empty float sequence."""
+    return _pairwise_sum(a, 0, len(a)) / len(a)
+
+
+def _std(a: Sequence[float], ddof: int = 0) -> float:
+    """``np.std(a, ddof=ddof)`` for ``len(a) > ddof``."""
+    m = _mean(a)
+    sq = [(x - m) * (x - m) for x in a]
+    return math.sqrt(_pairwise_sum(sq, 0, len(sq)) / (len(a) - ddof))
+
+
+def _median(a: Sequence[float]) -> float:
+    """``np.median(a)`` for a non-empty float sequence."""
+    s = sorted(a)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
+
+
 def trim_outliers(values: Sequence[float],
-                  trim_fraction: float = 0.05) -> np.ndarray:
+                  trim_fraction: float = 0.05) -> List[float]:
     """Drop the top and bottom ``trim_fraction`` of samples (by value).
 
     With fewer than ``1 / trim_fraction`` samples nothing is dropped, so
@@ -30,21 +78,21 @@ def trim_outliers(values: Sequence[float],
     if not (0.0 <= trim_fraction < 0.5):
         raise ConfigurationError(
             f"trim_fraction must be in [0, 0.5): {trim_fraction}")
-    arr = np.sort(np.asarray(list(values), dtype=float))
-    if arr.size == 0:
+    arr = sorted(float(v) for v in values)
+    if not arr:
         raise ConfigurationError("cannot trim an empty sample set")
-    if not np.isfinite(arr).all():
+    if not all(map(math.isfinite, arr)):
         raise ConfigurationError("sample set contains non-finite values")
-    k = int(arr.size * trim_fraction)
+    k = int(len(arr) * trim_fraction)
     if k == 0:
         return arr
-    return arr[k:arr.size - k]
+    return arr[k:len(arr) - k]
 
 
 def pruned_mean(values: Sequence[float],
                 trim_fraction: float = 0.05) -> float:
     """The paper's reporting statistic: mean after pruning extremes."""
-    return float(np.mean(trim_outliers(values, trim_fraction)))
+    return _mean(trim_outliers(values, trim_fraction))
 
 
 def ci_halfwidth(values: Sequence[float],
@@ -63,9 +111,9 @@ def ci_halfwidth(values: Sequence[float],
     if len(values) < 2:
         return float("inf")
     arr = trim_outliers(values, trim_fraction)
-    if arr.size < 2:
+    if len(arr) < 2:
         return float("inf")
-    return float(confidence_z * np.std(arr, ddof=1) / np.sqrt(arr.size))
+    return confidence_z * _std(arr, ddof=1) / math.sqrt(len(arr))
 
 
 @dataclass(frozen=True)
@@ -100,18 +148,18 @@ class SampleSummary:
 def summarize(values: Sequence[float],
               trim_fraction: float = 0.05) -> SampleSummary:
     """Build a :class:`SampleSummary` (pruned mean, raw dispersion)."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
+    arr = [float(v) for v in values]
+    if not arr:
         raise ConfigurationError("cannot summarize an empty sample set")
-    if not np.isfinite(arr).all():
+    if not all(map(math.isfinite, arr)):
         # NaN *and* ±inf: one infinite sample would silently poison
         # mean/std/max, so reject every non-finite value up front.
         raise ConfigurationError("sample set contains non-finite values")
     return SampleSummary(
         mean=pruned_mean(arr, trim_fraction),
-        median=float(np.median(arr)),
-        std=float(np.std(arr)),
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-        count=int(arr.size),
+        median=_median(arr),
+        std=_std(arr),
+        minimum=min(arr),
+        maximum=max(arr),
+        count=len(arr),
     )

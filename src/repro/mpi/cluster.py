@@ -32,7 +32,7 @@ from ..network import (Fabric, INTRA_NODE, NIAGARA_EDR, NetworkParams,
                        Placement, validate_params)
 from ..obs import EventBus
 from ..obs.kinds import FAULT_DROP, FAULT_FAILSTOP, PART_INIT, TEAM_FORK
-from ..sim import RandomStreams, Simulator
+from ..sim import Process, RandomStreams, Simulator
 from ..threadsim import (DEFAULT_OPENMP_COSTS, OpenMPCosts, ThreadContext,
                          ThreadTeam)
 from .comm import Communicator
@@ -345,14 +345,17 @@ class Cluster:
             self.sim.process(program(self.contexts[r]), name=f"rank{r}.main")
             for r in targets
         ]
-        self.sim.run(until=until)
+        try:
+            self.sim.run(until=until)
+        except BaseException:
+            # A failure ended the run mid-way: give it up like one that
+            # stopped short.
+            self._abandon([p for p in procs if not p.triggered])
+            raise
         stuck = [p for p in procs if not p.triggered]
         if stuck:
             names = ", ".join(p.name for p in stuck)
-            # The run stopped short for good: let go of the blocked
-            # programs and the queued events, so the world still frees
-            # itself by reference counting.
-            self.sim.abandon(stuck)
+            self._abandon(stuck)
             raise DeadlockError(
                 f"programs never completed (likely unmatched communication "
                 f"or missing start/wait): {names}")
@@ -362,6 +365,17 @@ class Cluster:
                 raise p.value
             results.append(p.value)
         return results
+
+    def _abandon(self, stuck: List[Process]) -> None:
+        """Give up a run that stopped short for good.
+
+        Lets go of the blocked programs, the queued events and every
+        NIC's unfinished transmissions, so the world still frees itself
+        by reference counting.
+        """
+        self.sim.abandon(stuck)
+        for proc in self.procs:
+            proc.nic.abandon()
 
     @property
     def now(self) -> float:

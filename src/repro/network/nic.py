@@ -200,6 +200,16 @@ class NIC:
         tx = event.value
         self.deliver(tx.dst_rank, tx.payload)
 
+    def abandon(self) -> None:
+        """Forget the transmission in flight and the backlog, for good.
+
+        For a run cut short: a waiting transmission's ``injected`` hooks
+        refer back to its request and, through the request's process, to
+        this NIC.
+        """
+        self._current = None
+        self._backlog.clear()
+
     def _next(self) -> None:
         """Wake for the next backlogged transmission, or go idle."""
         if self._backlog:

@@ -14,18 +14,20 @@ amounts actually simulated:
 
 Models are stateless — randomness comes from the generator handed to
 :meth:`NoiseModel.compute_times`, so trials can replay identical draws for
-the partitioned and single-send phases (common random numbers).
+the partitioned and single-send phases (common random numbers).  Any
+generator with numpy's ``integers``/``uniform``/``normal``/``exponential``
+signatures works: a :class:`repro.sim.rng.Generator` stream or a
+``numpy.random.Generator``; the same seed gives the same floats.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Optional
-
-import numpy as np
+from typing import List, Optional
 
 from ..errors import ConfigurationError
+from ..sim.rng import Generator
 
 __all__ = ["NoiseModel", "NoNoise", "SingleThreadNoise", "UniformNoise",
            "GaussianNoise", "ExponentialNoise", "NOISE_MODELS",
@@ -39,9 +41,9 @@ class NoiseModel(abc.ABC):
     name: str = "abstract"
 
     @abc.abstractmethod
-    def compute_times(self, rng: np.random.Generator, nthreads: int,
-                      compute_seconds: float) -> np.ndarray:
-        """Per-thread compute seconds for one trial.
+    def compute_times(self, rng: Generator, nthreads: int,
+                      compute_seconds: float) -> List[float]:
+        """Per-thread compute seconds for one trial, one float per thread.
 
         Parameters
         ----------
@@ -73,11 +75,11 @@ class NoNoise(NoiseModel):
 
     name = "none"
 
-    def compute_times(self, rng: np.random.Generator, nthreads: int,
-                      compute_seconds: float) -> np.ndarray:
+    def compute_times(self, rng: Generator, nthreads: int,
+                      compute_seconds: float) -> List[float]:
         """Every thread gets exactly ``compute_seconds``."""
         self._check(nthreads, compute_seconds)
-        return np.full(nthreads, compute_seconds, dtype=float)
+        return [float(compute_seconds)] * nthreads
 
 
 class _PercentNoise(NoiseModel):
@@ -122,11 +124,11 @@ class SingleThreadNoise(_PercentNoise):
         #: Fix the delayed thread (None = choose uniformly per trial).
         self.victim = victim
 
-    def compute_times(self, rng: np.random.Generator, nthreads: int,
-                      compute_seconds: float) -> np.ndarray:
+    def compute_times(self, rng: Generator, nthreads: int,
+                      compute_seconds: float) -> List[float]:
         """Delay one victim thread; everyone else runs clean."""
         self._check(nthreads, compute_seconds)
-        times = np.full(nthreads, compute_seconds, dtype=float)
+        times = [float(compute_seconds)] * nthreads
         victim = (self.victim if self.victim is not None
                   else int(rng.integers(nthreads)))
         if victim >= nthreads:
@@ -143,12 +145,13 @@ class UniformNoise(_PercentNoise):
 
     name = "uniform"
 
-    def compute_times(self, rng: np.random.Generator, nthreads: int,
-                      compute_seconds: float) -> np.ndarray:
+    def compute_times(self, rng: Generator, nthreads: int,
+                      compute_seconds: float) -> List[float]:
         """Per-thread draws from ``U[comp, comp * (1 + noise%)]``."""
         self._check(nthreads, compute_seconds)
         hi = compute_seconds * (1.0 + self.fraction)
-        return rng.uniform(compute_seconds, hi, size=nthreads)
+        return [float(t) for t in
+                rng.uniform(compute_seconds, hi, size=nthreads)]
 
 
 class GaussianNoise(_PercentNoise):
@@ -161,13 +164,13 @@ class GaussianNoise(_PercentNoise):
 
     name = "gaussian"
 
-    def compute_times(self, rng: np.random.Generator, nthreads: int,
-                      compute_seconds: float) -> np.ndarray:
+    def compute_times(self, rng: Generator, nthreads: int,
+                      compute_seconds: float) -> List[float]:
         """Per-thread draws from ``N(comp, comp * noise%)``, clipped."""
         self._check(nthreads, compute_seconds)
         sigma = compute_seconds * self.fraction
-        draws = rng.normal(compute_seconds, sigma, size=nthreads)
-        return np.clip(draws, 0.0, None)
+        return [float(t) if t > 0.0 else 0.0 for t in
+                rng.normal(compute_seconds, sigma, size=nthreads)]
 
 
 class ExponentialNoise(_PercentNoise):
@@ -183,14 +186,15 @@ class ExponentialNoise(_PercentNoise):
 
     name = "exponential"
 
-    def compute_times(self, rng: np.random.Generator, nthreads: int,
-                      compute_seconds: float) -> np.ndarray:
+    def compute_times(self, rng: Generator, nthreads: int,
+                      compute_seconds: float) -> List[float]:
         """Additive exponential delays with mean ``comp * noise%``."""
         self._check(nthreads, compute_seconds)
         scale = compute_seconds * self.fraction
         if scale == 0.0:
-            return np.full(nthreads, compute_seconds, dtype=float)
-        return compute_seconds + rng.exponential(scale, size=nthreads)
+            return [float(compute_seconds)] * nthreads
+        return [float(compute_seconds + d) for d in
+                rng.exponential(scale, size=nthreads)]
 
 
 #: Model name -> class: the one noise vocabulary of the CLI, the service

@@ -125,13 +125,21 @@ class EventBus:
             sink.accept(record)
 
     def finalize(self) -> None:
-        """Tell every attached sink the stream is complete."""
+        """Tell every attached sink the stream is complete, then detach all.
+
+        A finished stream's bus holds no sink, so a sink that keeps
+        records (whose internal fields may hold live requests, and through
+        them this bus) forms no reference cycle with the run it watched.
+        """
         seen = []
         for sink, _ in self._subs:
             if any(sink is s for s in seen):
                 continue
             seen.append(sink)
             sink.finalize()
+        self._by_kind = [[] for _ in self._by_kind]
+        self._raw_by_kind = [() for _ in self._raw_by_kind]
+        self._subs = []
 
     def _ensure(self, kind_id: int) -> List[Sink]:
         while len(self._by_kind) <= kind_id:

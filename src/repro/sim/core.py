@@ -719,6 +719,7 @@ class Simulator:
         # the finally block (nothing observes the counter mid-run; tests
         # and benchmarks read it after run() returns).
         processed = 0
+        event = None
         try:
             while queue or ring or init_ring:
                 if init_ring:
@@ -775,6 +776,14 @@ class Simulator:
                     # alive (a delivery's frame, a store's item).
                     event._value = None
                     pool.append(event)
+        except BaseException as exc:
+            # A failure no one waited for leaves as this exception.  Its
+            # event lets go of it: the traceback's frames hold the event
+            # (a failed process, in its own frames too), which would
+            # otherwise close a reference cycle through the exception.
+            if event is not None and event._value is exc:
+                event._value = None
+            raise
         finally:
             self.events_processed += processed
         if detect_deadlock and self._now < until:

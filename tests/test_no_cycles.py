@@ -10,17 +10,25 @@ left behind, which only the collector would have freed (see DESIGN.md,
 from __future__ import annotations
 
 import gc
+import traceback
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from repro.analysis import run_checked
+from repro.analysis.checker import load_program
 from repro.core import COLD, PtpBenchmarkConfig
 from repro.core.runner import run_ptp_trial
 from repro.faults import parse_fault_spec
+from repro.mpi import Cluster
 from repro.noise import UniformNoise
+from repro.obs import MemorySink
 from repro.patterns import CommMode, PatternConfig, run_motif
 from repro.proxy.snap import SnapConfig, run_snap
 from repro.service import SweepScheduler
+
+FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 
 
 def _cyclic_garbage(run) -> Counter:
@@ -69,6 +77,9 @@ TRIALS = {
         faults=parse_fault_spec("failstop=1@0.0005,deadline=0.01")),
     "drop_deadline": _trial(
         faults=parse_fault_spec("drop=0.9,deadline=0.002")),
+    # The deadline lands while a NIC is still serializing a partition.
+    "deadline_mid_transmission": _trial(
+        message_bytes=1 << 20, faults=parse_fault_spec("deadline=0.00105")),
 }
 
 
@@ -100,3 +111,54 @@ def test_inline_service_request_leaves_no_cycles():
     finally:
         scheduler.stop()
 
+
+
+def test_trial_with_a_record_keeping_sink_leaves_no_cycles():
+    """A kept ``part.*`` record holds its request, whose bus held the
+    sink until the stream was finalized."""
+    sinks = []
+
+    def run():
+        sink = MemorySink()
+        run_ptp_trial(_trial(), sinks=[sink])
+        sinks.append(len(sink.filter("part.pready")))
+
+    assert_no_cycles(run)
+    assert sinks == [12]  # 4 partitions x 3 iterations, still kept
+
+
+def test_run_ended_by_a_program_error_leaves_no_cycles():
+    """Rank 0 fails while rank 1 waits in ``recv``: the caller gets the
+    program's own exception and traceback, and the world is freed."""
+    seen = []
+
+    def program(ctx):
+        if ctx.rank == 0:
+            yield ctx.sim.timeout(1e-4)
+            raise ValueError("rank 0 gives up")
+        yield from ctx.comm.recv(ctx.main, 0, 5, 1024)
+
+    def run():
+        try:
+            Cluster(nranks=2).run(program)
+        except ValueError as exc:
+            frames = traceback.extract_tb(exc.__traceback__)
+            seen.append((str(exc), frames[0].name, frames[-1].name))
+
+    assert_no_cycles(run)
+    assert seen == [("rank 0 gives up", "run", "program")]
+
+
+@pytest.mark.parametrize("fixture", sorted(
+    p.name for p in FIXTURES.glob("*.py")
+    if not p.name.startswith("static_")))
+def test_checked_run_leaves_no_cycles(fixture):
+    """``repro check``: the checker, its resource monitor, the cluster
+    and the simulator let go of each other once the verdict is in.  The
+    program module is loaded first: its functions and their globals
+    refer to each other as any module's do."""
+    loaded = load_program(FIXTURES / fixture)
+    reports = []
+    assert_no_cycles(lambda: reports.append(run_checked(
+        loaded["program"], nranks=loaded["nranks"], **loaded["kwargs"])))
+    assert reports[0].ok == (fixture == "clean.py")

@@ -16,10 +16,10 @@ def _rng(seed=0):
 class TestNoNoise:
     def test_all_threads_equal(self):
         times = NoNoise().compute_times(_rng(), 8, 0.01)
-        assert np.all(times == 0.01)
+        assert times == [0.01] * 8
 
     def test_zero_compute(self):
-        assert np.all(NoNoise().compute_times(_rng(), 4, 0.0) == 0.0)
+        assert NoNoise().compute_times(_rng(), 4, 0.0) == [0.0] * 4
 
     def test_bad_args_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -31,15 +31,15 @@ class TestNoNoise:
 class TestSingleThreadNoise:
     def test_exactly_one_victim(self):
         times = SingleThreadNoise(4.0).compute_times(_rng(), 16, 0.01)
-        delayed = np.sum(times > 0.01)
+        delayed = sum(t > 0.01 for t in times)
         assert delayed == 1
-        assert np.isclose(times.max(), 0.01 * 1.04)
+        assert max(times) == pytest.approx(0.01 * 1.04, rel=1e-5, abs=1e-8)
 
     def test_fixed_victim(self):
         times = SingleThreadNoise(10.0, victim=3).compute_times(
             _rng(), 8, 0.01)
         assert times[3] == pytest.approx(0.011)
-        assert np.sum(times > 0.01) == 1
+        assert sum(t > 0.01 for t in times) == 1
 
     def test_victim_varies_with_rng(self):
         noise = SingleThreadNoise(4.0)
@@ -68,8 +68,8 @@ class TestSingleThreadNoise:
 class TestUniformNoise:
     def test_bounds(self):
         times = UniformNoise(4.0).compute_times(_rng(), 1000, 0.01)
-        assert np.all(times >= 0.01)
-        assert np.all(times <= 0.01 * 1.04)
+        assert min(times) >= 0.01
+        assert max(times) <= 0.01 * 1.04
 
     def test_mean_near_center(self):
         times = UniformNoise(10.0).compute_times(_rng(), 20000, 0.01)
@@ -77,7 +77,7 @@ class TestUniformNoise:
 
     def test_zero_percent_is_noise_free(self):
         times = UniformNoise(0.0).compute_times(_rng(), 8, 0.01)
-        assert np.all(times == 0.01)
+        assert times == [0.01] * 8
 
 
 class TestGaussianNoise:
@@ -89,26 +89,27 @@ class TestGaussianNoise:
     def test_clipped_at_zero(self):
         # Absurd sigma to force tail draws below zero.
         times = GaussianNoise(500.0).compute_times(_rng(), 10000, 0.01)
-        assert np.all(times >= 0.0)
+        assert min(times) >= 0.0
 
 
 class TestExponentialNoise:
     def test_delays_are_additive_and_nonnegative(self):
         times = ExponentialNoise(4.0).compute_times(_rng(), 1000, 0.01)
-        assert np.all(times >= 0.01)
+        assert min(times) >= 0.01
 
     def test_mean_delay_matches_scale(self):
         times = ExponentialNoise(10.0).compute_times(_rng(), 50000, 0.01)
-        assert np.mean(times - 0.01) == pytest.approx(0.001, rel=0.02)
+        assert np.mean([t - 0.01 for t in times]) == pytest.approx(
+            0.001, rel=0.02)
 
     def test_heavy_tail_exceeds_uniform_bound(self):
         """The point of the model: some draws land far past comp*(1+p)."""
         times = ExponentialNoise(4.0).compute_times(_rng(), 50000, 0.01)
-        assert (times > 0.01 * 1.04).sum() > 0
+        assert sum(t > 0.01 * 1.04 for t in times) > 0
 
     def test_zero_percent_is_noise_free(self):
         times = ExponentialNoise(0.0).compute_times(_rng(), 8, 0.01)
-        assert np.all(times == 0.01)
+        assert times == [0.01] * 8
 
     def test_factory(self):
         assert isinstance(noise_model_from_name("exponential", 4.0),

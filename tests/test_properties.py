@@ -140,8 +140,8 @@ class TestNoiseProperties:
         rng = np.random.default_rng(seed)
         times = UniformNoise(pct).compute_times(rng, nthreads, comp)
         assert len(times) == nthreads
-        assert np.all(times >= comp - 1e-15)
-        assert np.all(times <= comp * (1 + pct / 100) + 1e-12)
+        assert all(t >= comp - 1e-15 for t in times)
+        assert all(t <= comp * (1 + pct / 100) + 1e-12 for t in times)
 
     @given(st.integers(min_value=1, max_value=128),
            st.floats(min_value=1e-6, max_value=1.0),
@@ -152,10 +152,10 @@ class TestNoiseProperties:
                                                     pct, seed):
         rng = np.random.default_rng(seed)
         times = SingleThreadNoise(pct).compute_times(rng, nthreads, comp)
-        assert np.sum(times > comp) <= 1
+        assert sum(t > comp for t in times) <= 1
         if nthreads > 1:
             # At least one thread always runs clean.
-            assert times.min() == pytest.approx(comp)
+            assert min(times) == pytest.approx(comp)
 
     @given(st.integers(min_value=1, max_value=128),
            st.floats(min_value=1e-6, max_value=1.0),
@@ -165,7 +165,7 @@ class TestNoiseProperties:
     def test_gaussian_noise_non_negative(self, nthreads, comp, pct, seed):
         rng = np.random.default_rng(seed)
         times = GaussianNoise(pct).compute_times(rng, nthreads, comp)
-        assert np.all(times >= 0.0)
+        assert all(t >= 0.0 for t in times)
 
 
 class TestMetricProperties:
