@@ -308,7 +308,9 @@ def load_program(path) -> Dict[str, Any]:
 
     The file must define ``program(ctx)``; it may define ``NRANKS``
     (default 2) and ``CLUSTER_KWARGS`` (default empty) to shape the
-    cluster.  Returns ``{"program": ..., "nranks": ..., "kwargs": ...}``.
+    cluster.  Returns ``{"program": ..., "nranks": ..., "kwargs": ...,
+    "namespace": ...}``; ``namespace`` is the module's dict, which its
+    functions hold as their globals.
     """
     path = Path(path)
     if not path.exists():
@@ -332,11 +334,21 @@ def load_program(path) -> Dict[str, Any]:
         "program": program,
         "nranks": int(getattr(module, "NRANKS", 2)),
         "kwargs": dict(getattr(module, "CLUSTER_KWARGS", {})),
+        "namespace": module.__dict__,
     }
 
 
 def check_file(path, disabled: Iterable[str] = ()) -> CheckReport:
-    """Load ``path`` (see :func:`load_program`) and run it checked."""
+    """Load ``path`` (see :func:`load_program`) and run it checked.
+
+    The loaded module is this call's alone, so once the verdict is in
+    its namespace is cleared: the module's functions and its dict refer
+    to each other, a cycle only the collector would free.  Per-rank
+    results that call back into the module's globals stop working then.
+    """
     loaded = load_program(path)
-    return run_checked(loaded["program"], nranks=loaded["nranks"],
-                       disabled=disabled, **loaded["kwargs"])
+    try:
+        return run_checked(loaded["program"], nranks=loaded["nranks"],
+                           disabled=disabled, **loaded["kwargs"])
+    finally:
+        loaded["namespace"].clear()

@@ -28,6 +28,7 @@ iteration would differ from the rest) — falls back to the DES.
 from __future__ import annotations
 
 import heapq
+from array import array
 from typing import List, Optional
 
 from ..core.config import COLD, HOT, PtpBenchmarkConfig
@@ -177,8 +178,8 @@ def evaluate_timeline(config: PtpBenchmarkConfig) -> PartitionTimeline:
     # partitions, on around the PRTS -> PCTS -> PDATA loop.  A small
     # chronological merge keeps each server's service order equal to its
     # arrival order, exactly as the DES's FIFO queues do.
-    pready = [0.0] * n
-    arrival = [0.0] * n
+    pready = array("d", [0.0]) * n
+    arrival = array("d", [0.0]) * n
     free = {"lock": 0.0, "snic": 0.0, "rprog": 0.0,
             "rnic": 0.0, "sprog": 0.0}
     heap: list = []
@@ -278,8 +279,8 @@ def evaluate_timeline(config: PtpBenchmarkConfig) -> PartitionTimeline:
 
     return PartitionTimeline(
         message_bytes=m,
-        pready_times=tuple(pready),
-        arrival_times=tuple(arrival),
+        pready_times=pready,
+        arrival_times=arrival,
         join_time=join_time,
         pt2pt_time=pt2pt,
     )

@@ -84,7 +84,7 @@ class ExecutionCounter:
 EXECUTIONS = ExecutionCounter()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PtpSample:
     """One measured iteration: the raw timeline plus its four metrics."""
 
@@ -93,7 +93,7 @@ class PtpSample:
     metrics: PtpMetrics
 
 
-@dataclass
+@dataclass(slots=True)
 class PtpResult:
     """All measured iterations of one configuration, with summaries.
 

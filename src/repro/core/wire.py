@@ -20,10 +20,12 @@ about.  This module replaces it with a versioned, struct-packed frame:
 All integers and floats are little-endian; timestamps are IEEE-754
 binary64, which round-trips every Python float *exactly*, so a decoded
 result reproduces its metrics — and its SHA-256 event digest — bit for
-bit.  The four derived metric names (:data:`METRIC_NAMES`) are interned
-here as frame vocabulary rather than serialized per sample: only raw
-timelines cross the boundary, and the decoder recomputes metrics the
-same way a deserializing load does.
+bit.  A timeline's ``array('d')`` fields are copied to and from the
+frame as raw buffers (byte-swapped on a big-endian host), so neither
+side boxes a float per timestamp.  The four derived metric names
+(:data:`METRIC_NAMES`) are interned here as frame vocabulary rather
+than serialized per sample: only raw timelines cross the boundary, and
+the decoder recomputes metrics the same way a deserializing load does.
 
 The frame is the *only* result format: pool workers ship it, the
 :class:`ResultCache` stores it, and the inline ``jobs=1`` path round
@@ -37,6 +39,8 @@ corrupt cache entry is a miss, never a crash.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from typing import Union
 
 from ..errors import ReproError
@@ -79,6 +83,9 @@ _SAMPLE = struct.Struct("<IQIdd")           # iteration, bytes, partitions,
                                             # join, pt2pt
 _FAULT = struct.Struct("<B7IH")             # delivered, 7 counters,
                                             # reason length
+
+#: Frames are little-endian; a big-endian host swaps its timestamps.
+_SWAP = sys.byteorder != "little"
 
 
 class WireError(ReproError):
@@ -150,8 +157,10 @@ def encode_result(result: PtpResult) -> bytes:
                 timeline.join_time, timeline.pt2pt_time))
         except struct.error as exc:
             raise WireError(f"sample out of frame range: {exc}") from exc
-        pieces.append(struct.pack(f"<{2 * p}d", *timeline.pready_times,
-                                  *timeline.arrival_times))
+        times = timeline.pready_times + timeline.arrival_times   # a copy
+        if _SWAP:
+            times.byteswap()
+        pieces.append(times.tobytes())
     return b"".join(pieces)
 
 
@@ -219,12 +228,18 @@ def decode_result(config: PtpBenchmarkConfig,
             iteration, message_bytes, p, join_time, pt2pt_time = \
                 _SAMPLE.unpack_from(view, offset)
             offset += _SAMPLE.size
-            times = struct.unpack_from(f"<{2 * p}d", view, offset)
-            offset += 16 * p
+            end = offset + 16 * p
+            if end > len(view):
+                raise WireError("truncated timeline in wire frame")
+            times = array("d")
+            times.frombytes(view[offset:end])
+            if _SWAP:
+                times.byteswap()
+            offset = end
             timeline = PartitionTimeline(
                 message_bytes=message_bytes,
-                pready_times=list(times[:p]),
-                arrival_times=list(times[p:]),
+                pready_times=times[:p],
+                arrival_times=times[p:],
                 join_time=join_time,
                 pt2pt_time=pt2pt_time)
             result.samples.append(PtpSample(

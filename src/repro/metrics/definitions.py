@@ -87,7 +87,7 @@ def early_bird_fraction(t_before_join: float, t_part: float) -> float:
     return min(frac, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PtpMetrics:
     """All four §3.1 metrics for one measured iteration."""
 

@@ -6,10 +6,16 @@ receiver (``MPI_Parrived`` observable), plus the equivalent single-send
 model's thread-join time and one-send duration.  The four §3.1 metrics are
 all pure functions of this record (see :mod:`repro.metrics.definitions`),
 mirroring the paper's Figure 3.
+
+The two timestamp fields are ``array('d')``: raw binary64 doubles, not a
+list of boxed floats, so a kept result costs a few hundred bytes per
+partition-iteration less and the wire codec packs and unpacks them with
+one buffer copy each.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -18,7 +24,7 @@ from ..errors import ConfigurationError
 __all__ = ["PartitionTimeline"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionTimeline:
     """One iteration's timestamps (all in simulated seconds).
 
@@ -28,9 +34,11 @@ class PartitionTimeline:
         Total message size ``m`` (all partitions together).
     pready_times:
         ``pready_times[i]`` — when partition ``i`` was marked ready.
+        Any float sequence is accepted and stored as ``array('d')``
+        (an ``array('d')`` is kept as given, not copied).
     arrival_times:
         ``arrival_times[i]`` — when partition ``i`` became visible to
-        ``MPI_Parrived`` at the receiver.
+        ``MPI_Parrived`` at the receiver; stored like ``pready_times``.
     join_time:
         When the *equivalent single-send model's* threads joined (the
         reference point for availability and early-bird, §3.1.3–3.1.4).
@@ -46,6 +54,10 @@ class PartitionTimeline:
     pt2pt_time: float
 
     def __post_init__(self) -> None:
+        for name in ("pready_times", "arrival_times"):
+            times = getattr(self, name)
+            if not (isinstance(times, array) and times.typecode == "d"):
+                object.__setattr__(self, name, array("d", times))
         if len(self.pready_times) != len(self.arrival_times):
             raise ConfigurationError(
                 f"{len(self.pready_times)} pready vs "
@@ -89,9 +101,9 @@ class PartitionTimeline:
         pready to its arrival, including any queueing behind earlier
         partitions still on the wire.
         """
-        idx = max(range(self.partitions),
-                  key=lambda i: self.arrival_times[i])
-        return self.arrival_times[idx] - self.pready_times[idx]
+        arrival = self.arrival_times
+        idx = max(range(len(arrival)), key=arrival.__getitem__)
+        return arrival[idx] - self.pready_times[idx]
 
     @property
     def t_after_join(self) -> float:

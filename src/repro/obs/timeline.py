@@ -15,6 +15,7 @@ Clock convention (matching the paper's Figure 3 side-by-side timelines):
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -157,10 +158,11 @@ class TimelineBuilder(Sink):
             raise SimulationError(
                 f"iteration {draft.iteration} closed with incomplete "
                 f"timeline data: missing {', '.join(missing)}")
+        anchor = draft.anchor
         timeline = PartitionTimeline(
             message_bytes=draft.message_bytes,
-            pready_times=[t - draft.anchor for t in draft.pready],
-            arrival_times=[t - draft.anchor for t in draft.arrival],
+            pready_times=array("d", [t - anchor for t in draft.pready]),
+            arrival_times=array("d", [t - anchor for t in draft.arrival]),
             join_time=draft.join_abs - draft.single_anchor,
             pt2pt_time=time - draft.send_start,
         )

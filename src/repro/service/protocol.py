@@ -329,8 +329,8 @@ def _sample_to_dict(sample: PtpSample) -> Dict:
     return {
         "iteration": sample.iteration,
         "message_bytes": sample.timeline.message_bytes,
-        "pready_times": list(sample.timeline.pready_times),
-        "arrival_times": list(sample.timeline.arrival_times),
+        "pready_times": sample.timeline.pready_times.tolist(),
+        "arrival_times": sample.timeline.arrival_times.tolist(),
         "join_time": sample.timeline.join_time,
         "pt2pt_time": sample.timeline.pt2pt_time,
     }

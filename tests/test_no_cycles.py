@@ -16,8 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_checked
-from repro.analysis.checker import load_program
+from repro.analysis import check_file
 from repro.core import COLD, PtpBenchmarkConfig
 from repro.core.runner import run_ptp_trial
 from repro.faults import parse_fault_spec
@@ -153,12 +152,10 @@ def test_run_ended_by_a_program_error_leaves_no_cycles():
     p.name for p in FIXTURES.glob("*.py")
     if not p.name.startswith("static_")))
 def test_checked_run_leaves_no_cycles(fixture):
-    """``repro check``: the checker, its resource monitor, the cluster
-    and the simulator let go of each other once the verdict is in.  The
-    program module is loaded first: its functions and their globals
-    refer to each other as any module's do."""
-    loaded = load_program(FIXTURES / fixture)
+    """``check_file``: the checker, its resource monitor, the cluster
+    and the simulator let go of each other once the verdict is in, and
+    so does the program module it loaded (whose functions and globals
+    refer to each other as any module's do)."""
     reports = []
-    assert_no_cycles(lambda: reports.append(run_checked(
-        loaded["program"], nranks=loaded["nranks"], **loaded["kwargs"])))
+    assert_no_cycles(lambda: reports.append(check_file(FIXTURES / fixture)))
     assert reports[0].ok == (fixture == "clean.py")

@@ -1,16 +1,20 @@
 """The binary wire codec: lossless frames, strict and total decoding."""
 
 import struct
+import tracemalloc
+from array import array
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import PtpBenchmarkConfig, plan_cells, run_ptp_benchmark
+from repro.core.runner import PtpResult, PtpSample
 from repro.core.wire import (WIRE_MAGIC, WIRE_VERSION, WireError,
                              decode_result, encode_result)
 from repro.errors import ReproError
 from repro.faults import FaultOutcome
+from repro.metrics import PartitionTimeline, PtpMetrics
 from repro.noise import UniformNoise
 
 
@@ -229,3 +233,117 @@ class TestDecodeIsTotal:
         frame[arrival:] = struct.pack("<d", 1e-300)
         with pytest.raises(WireError, match="arrived"):
             decode_result(_CONFIG, bytes(frame))
+
+
+def _reference_frame(result) -> bytes:
+    """The frame of a plain result (no digest, no fault outcome, source
+    ``"des"``) packed value by value with ``struct``: the reference the
+    array codec must match byte for byte."""
+    pieces = [struct.pack("<4sBBBxII", WIRE_MAGIC, WIRE_VERSION, 0, 0,
+                          result.trials, len(result.samples))]
+    for sample in result.samples:
+        tl = sample.timeline
+        p = len(tl.pready_times)
+        pieces.append(struct.pack("<IQIdd", sample.iteration,
+                                  tl.message_bytes, p, tl.join_time,
+                                  tl.pt2pt_time))
+        pieces.append(struct.pack(f"<{2 * p}d", *tl.pready_times,
+                                  *tl.arrival_times))
+    return b"".join(pieces)
+
+
+#: Signed zeros, the smallest subnormal, the subnormal/normal boundary
+#: and values near the top of the binary64 range, plus any finite float.
+_TIMES = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308,
+    2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+    -1.7976931348623157e308,
+]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _timelines(draw):
+    pairs = draw(st.lists(st.tuples(_TIMES, _TIMES), min_size=1,
+                          max_size=8))
+    return PartitionTimeline(
+        message_bytes=draw(st.integers(1, 2 ** 64 - 1)),
+        pready_times=[min(pair) for pair in pairs],
+        arrival_times=[max(pair) for pair in pairs],
+        join_time=draw(_TIMES),
+        pt2pt_time=draw(_TIMES.filter(lambda t: t > 0)))
+
+
+_TIMELINE_FUZZ = settings(_FUZZ, max_examples=100)
+
+
+def _plain_result(timelines) -> PtpResult:
+    unframed = PtpMetrics(0.0, 0.0, 0.0, 0.0)   # metrics never ride
+    return PtpResult(config=_CONFIG, samples=[
+        PtpSample(iteration=i, timeline=tl, metrics=unframed)
+        for i, tl in enumerate(timelines)])
+
+
+class TestArrayTimelines:
+    """Timelines are ``array('d')``; the frame is byte for byte the one
+    the struct-per-sample encoder wrote."""
+
+    @_TIMELINE_FUZZ
+    @given(st.lists(_timelines(), min_size=1, max_size=4))
+    def test_frame_matches_the_struct_reference(self, timelines):
+        result = _plain_result(timelines)
+        assert encode_result(result) == _reference_frame(result)
+
+    @_TIMELINE_FUZZ
+    @given(st.lists(_timelines(), min_size=1, max_size=4))
+    def test_decoded_arrays_carry_every_timestamp_exactly(self, timelines):
+        # The metrics recomputed on decode need a positive duration for
+        # the partition that arrives last.
+        assume(all(tl.last_transfer_time > 0 for tl in timelines))
+        back = decode_result(_CONFIG, encode_result(_plain_result(timelines)))
+        for sample, tl in zip(back.samples, timelines):
+            for got, want in ((sample.timeline.pready_times, tl.pready_times),
+                              (sample.timeline.arrival_times,
+                               tl.arrival_times)):
+                assert type(got) is array and got.typecode == "d"
+                assert [t.hex() for t in got] == [t.hex() for t in want]
+
+    def test_every_producer_yields_arrays(self):
+        config, fresh = _result()
+        listed = PartitionTimeline(message_bytes=8, pready_times=[0.0],
+                                   arrival_times=(1.0,), join_time=0.5,
+                                   pt2pt_time=1.0)
+        for tl in (fresh.samples[0].timeline,
+                   decode_result(config, encode_result(fresh))
+                   .samples[0].timeline, listed):
+            assert type(tl.pready_times) is array
+            assert type(tl.arrival_times) is array
+            assert tl.pready_times.typecode == "d"
+
+
+class TestDecodedFootprint:
+    """A kept result holds raw doubles, not boxed floats and dicts."""
+
+    def test_records_take_no_instance_dict(self):
+        config, fresh = _result()
+        sample = decode_result(config, encode_result(fresh)).samples[0]
+        for record in (fresh, sample, sample.timeline, sample.metrics):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+        # The frozen three refused ad hoc attributes already.
+        with pytest.raises(AttributeError):
+            fresh.ad_hoc = 1
+
+    def test_decoded_result_retains_at_most_12000_bytes(self):
+        config = plan_cells(_base(message_bytes=64 * 1024, partitions=32,
+                                  iterations=8), [64 * 1024], [32])[0]
+        frame = encode_result(run_ptp_benchmark(config))
+        decode_result(config, frame)     # warm any first-call caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = decode_result(config, frame)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(kept.samples) == 8
+        assert kept.samples[0].timeline.partitions == 32
+        assert retained <= 12_000, retained
