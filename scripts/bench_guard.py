@@ -110,9 +110,9 @@ def _temp_dir(prefix: str) -> pathlib.Path:
     return root
 
 
-def _kept_pool(**kwargs):
+def _kept_pool():
     from repro.core import WorkerPool
-    pool = WorkerPool(2, **kwargs)
+    pool = WorkerPool(2)
     _CLEANUPS.append(pool.shutdown)
     return pool
 
@@ -430,9 +430,8 @@ def cache_flat_get():
 
 @_fixture
 def _batch_cells():
-    """The grid behind the batched-dispatch pair: 64 distinct cheap DES
-    cells, where per-message queue + pickling overhead dominates unless
-    many cells ride one message."""
+    """The grid behind ``pool_batched_sweep64``: 64 distinct cheap DES
+    cells, where the pool's per-task dispatch overhead dominates."""
     from repro.core import plan_cells
     base = PtpBenchmarkConfig(message_bytes=64, partitions=1,
                               compute_seconds=1e-5, iterations=1, warmup=0)
@@ -440,31 +439,17 @@ def _batch_cells():
 
 
 _batched_pool = _fixture(_kept_pool)
-_pertask_pool = _fixture(lambda: _kept_pool(max_chunk=1))
 
 
 @kernel(64)
 def pool_batched_sweep64():
-    """64 cheap cells on a warm pool with adaptive chunked dispatch.
+    """64 cheap cells on a warm pool, one executor future per cell.
 
-    The first (untimed warmup) call feeds the pool's per-task cost EMA,
-    so the timed repeats dispatch calibrated multi-task chunks.
-    Budgeted at <= 1.0x ``pool_pertask_sweep64`` in the same run: the
-    batched result plane must beat strict per-task dispatch on exactly
-    the workload batching exists for.
+    Keeps the pool's per-task dispatch cost visible: a change that
+    slows every submit, result hand-off or decode shows up here first.
     """
     from repro.core import run_cells
     results, _ = run_cells(_batch_cells(), jobs=2, pool=_batched_pool())
-    return len(results)
-
-
-@kernel(64)
-def pool_pertask_sweep64():
-    """The same 64 cells with ``max_chunk=1``: one queue message per task
-    (the pre-batching wire behaviour, kept as the comparison baseline).
-    """
-    from repro.core import run_cells
-    results, _ = run_cells(_batch_cells(), jobs=2, pool=_pertask_pool())
     return len(results)
 
 
@@ -639,9 +624,6 @@ RATIO_CHECKS = (
     # A hot get through the sharded cache (envelope check, shard path,
     # counters) may cost at most 10% over a bare flat read+decode.
     ("cache_hot_get", "cache_flat_get", 1.1),
-    # Batched dispatch must beat strict per-task dispatch on a warm
-    # 64-cheap-cell sweep — the workload chunking exists for.
-    ("pool_batched_sweep64", "pool_pertask_sweep64", 1.0),
 )
 
 

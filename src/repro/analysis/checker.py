@@ -338,8 +338,11 @@ def load_program(path) -> Dict[str, Any]:
     }
 
 
-def check_file(path, disabled: Iterable[str] = ()) -> CheckReport:
+def check_file(path, disabled: Iterable[str] = (),
+               nranks: Optional[int] = None) -> CheckReport:
     """Load ``path`` (see :func:`load_program`) and run it checked.
+
+    ``nranks`` overrides the program's own ``NRANKS``.
 
     The loaded module is this call's alone, so once the verdict is in
     its namespace is cleared: the module's functions and its dict refer
@@ -348,7 +351,9 @@ def check_file(path, disabled: Iterable[str] = ()) -> CheckReport:
     """
     loaded = load_program(path)
     try:
-        return run_checked(loaded["program"], nranks=loaded["nranks"],
+        if nranks is None:
+            nranks = loaded["nranks"]
+        return run_checked(loaded["program"], nranks=nranks,
                            disabled=disabled, **loaded["kwargs"])
     finally:
         loaded["namespace"].clear()

@@ -5,22 +5,16 @@ static linter attaches a file, line and column, the dynamic checker
 attaches a rank and a simulated time — so the CLI, the diagnostics report
 and the tests can treat every verdict uniformly.
 
-This module also owns the two interchange formats that let findings
-travel beyond the terminal:
-
-* :func:`to_sarif` / :func:`sarif_json` — SARIF 2.1.0 export, the format
-  code-scanning UIs (GitHub, VS Code SARIF viewers) ingest;
-* :func:`write_baseline` / :func:`load_baseline` / :func:`new_findings` —
-  a fingerprint baseline so pre-existing findings can be grandfathered
-  while CI still fails on anything *new*.
+This module also owns the interchange format that lets findings travel
+beyond the terminal: :func:`to_sarif` / :func:`sarif_json`, SARIF 2.1.0
+export, the format code-scanning UIs (GitHub, VS Code SARIF viewers)
+ingest.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
 __all__ = [
@@ -29,20 +23,12 @@ __all__ = [
     "sort_findings",
     "to_sarif",
     "sarif_json",
-    "finding_fingerprint",
-    "write_baseline",
-    "load_baseline",
-    "new_findings",
     "SARIF_VERSION",
-    "BASELINE_VERSION",
 ]
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                 "master/Schemata/sarif-schema-2.1.0.json")
-
-#: Baseline file schema marker (bump on incompatible fingerprint changes).
-BASELINE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -178,64 +164,3 @@ def to_sarif(findings: Iterable[Finding]) -> Dict:
 def sarif_json(findings: Iterable[Finding]) -> str:
     """:func:`to_sarif` rendered as an indented JSON document."""
     return json.dumps(to_sarif(findings), indent=2) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Baselines
-# ---------------------------------------------------------------------------
-
-def finding_fingerprint(finding: Finding) -> str:
-    """Location-tolerant identity used by the baseline gate.
-
-    Deliberately excludes the line/column so that unrelated edits moving
-    a finding do not make it "new"; the message includes enough detail
-    (names, indices) to keep distinct findings distinct.
-    """
-    return f"{finding.rule}|{finding.file}|{finding.message}"
-
-
-def write_baseline(findings: Iterable[Finding], path) -> int:
-    """Write the baseline file for ``findings``; returns the count."""
-    counts = Counter(finding_fingerprint(f) for f in findings)
-    payload = {
-        "version": BASELINE_VERSION,
-        "fingerprints": {fp: n for fp, n in sorted(counts.items())},
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n",
-                          encoding="utf-8")
-    return sum(counts.values())
-
-
-def load_baseline(path) -> Counter:
-    """Load a baseline written by :func:`write_baseline`.
-
-    Raises ``ValueError`` on a missing or incompatible file — a stale
-    baseline silently gating nothing would defeat CI.
-    """
-    p = Path(path)
-    if not p.exists():
-        raise ValueError(f"no baseline at {p}; write one with "
-                         f"--write-baseline")
-    data = json.loads(p.read_text(encoding="utf-8"))
-    if data.get("version") != BASELINE_VERSION:
-        raise ValueError(f"baseline version {data.get('version')!r} != "
-                         f"{BASELINE_VERSION}; regenerate it")
-    return Counter(data.get("fingerprints", {}))
-
-
-def new_findings(findings: Iterable[Finding],
-                 baseline: Counter) -> List[Finding]:
-    """Findings not covered by ``baseline`` (fingerprint-count aware).
-
-    If the baseline recorded a fingerprint N times, the first N matching
-    findings are grandfathered and any further ones are new.
-    """
-    budget = Counter(baseline)
-    fresh: List[Finding] = []
-    for finding in findings:
-        fp = finding_fingerprint(finding)
-        if budget[fp] > 0:
-            budget[fp] -= 1
-        else:
-            fresh.append(finding)
-    return fresh

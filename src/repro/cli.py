@@ -267,8 +267,7 @@ def _reject_unknown_rules(ids) -> bool:
 
 def _cmd_lint(args) -> int:
     from .analysis import format_findings, lint_paths
-    from .analysis.findings import (load_baseline, new_findings, sarif_json,
-                                    write_baseline)
+    from .analysis.findings import sarif_json
     if _reject_unknown_rules(args.disable):
         return 2
     try:
@@ -276,18 +275,6 @@ def _cmd_lint(args) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        count = write_baseline(findings, args.write_baseline)
-        print(f"wrote baseline with {count} finding(s) to "
-              f"{args.write_baseline}")
-        return 0
-    gating = findings
-    if args.baseline:
-        try:
-            gating = new_findings(findings, load_baseline(args.baseline))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     if args.format == "sarif":
         output = sarif_json(findings)
         if args.output:
@@ -301,13 +288,10 @@ def _cmd_lint(args) -> int:
         print(_findings_json(findings))
     elif findings:
         print(format_findings(findings))
-        suffix = ""
-        if args.baseline:
-            suffix = f" ({len(gating)} new vs baseline)"
-        print(f"{len(findings)} finding(s){suffix}")
+        print(f"{len(findings)} finding(s)")
     else:
         print("clean: no findings")
-    return 1 if gating else 0
+    return 1 if findings else 0
 
 
 def _resolve_kinds(kinds_arg: str):
@@ -392,18 +376,15 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .analysis import run_checked
-    from .analysis.checker import load_program
+    from .analysis.checker import check_file
     if _reject_unknown_rules(args.disable):
         return 2
     try:
-        loaded = load_program(args.program)
-        nranks = args.nranks if args.nranks is not None else loaded["nranks"]
         # A cluster the program cannot run on (nranks < 1, a
         # CLUSTER_KWARGS key or value it rejects) is a bad input, not a
         # violation.
-        report = run_checked(loaded["program"], nranks=nranks,
-                             disabled=args.disable, **loaded["kwargs"])
+        report = check_file(args.program, disabled=args.disable,
+                            nranks=args.nranks)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -631,12 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--disable", action="append", default=[],
                       metavar="RULE", help="rule id to skip "
                       "(repeatable, e.g. --disable SIM103)")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="exit non-zero only for findings absent from "
-                           "this baseline file")
-    lint.add_argument("--write-baseline", default=None, metavar="FILE",
-                      help="record the current findings as the baseline "
-                           "and exit 0")
 
     chk = sub.add_parser(
         "check", help="run a program under the dynamic checker")

@@ -6,12 +6,12 @@ config, so cells can run in any order — or concurrently — without
 changing a single bit of any result.  This module exploits that twice:
 
 * :func:`run_cells` drains every executed cell through one
-  :class:`~repro.core.pool.WorkerPool` session — a passed-in pool, the
+  :class:`~repro.core.pool.PoolRun` — on a passed-in pool, on the
   process-wide :func:`~repro.core.pool.shared_pool` for ``jobs > 1``,
-  or a workerless pool that runs each task inline for ``jobs=1`` —
-  reassembling streamed results in the serial cell order, so a
-  parallel sweep is bit-identical to ``jobs=1`` and a reused warm pool
-  is bit-identical to both.
+  or inline in the calling thread for ``jobs=1`` — reassembling
+  streamed results in the serial cell order, so a parallel sweep is
+  bit-identical to ``jobs=1`` and a reused warm pool is bit-identical
+  to both.
   Under an :class:`~repro.metrics.AdaptiveTrialPlanner` the unit of
   pool work shrinks from a cell to a single trial, so CI-targeted
   refinement of one noisy cell overlaps with every other cell's trials.
@@ -46,7 +46,7 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
 
 from ..errors import ConfigurationError
 from .config import PtpBenchmarkConfig
-from .pool import PoolRunStats, WorkerPool, _inline_pool, shared_pool
+from .pool import PoolRun, PoolRunStats, WorkerPool, shared_pool
 from .runner import PtpResult
 from .wire import WireError, decode_result, encode_result
 
@@ -399,8 +399,7 @@ class SweepStats:
     #: rode a request already running for the same fingerprint.
     singleflight_hits: int = 0
     #: The worker-pool counters of this sweep's pooled drains (warm and
-    #: stolen tasks, tasks per worker id, -1 = inline after crash
-    #: recovery).  ``None`` when every drain ran inline (``jobs=1``):
+    #: inline tasks).  ``None`` when every drain ran inline (``jobs=1``):
     #: worker counters describe a pool, and the inline path has none.
     pool: Optional[PoolRunStats] = None
 
@@ -431,12 +430,10 @@ class SweepStats:
         line += f", {self.cache_hits} cache hits"
         if self.singleflight_hits:
             line += f", {self.singleflight_hits} single-flight"
-        if self.pool is not None and self.pool.worker_tasks:
-            spread = " ".join(
-                (f"w{w}:{c}" if w >= 0 else f"inline:{c}")
-                for w, c in sorted(self.pool.worker_tasks.items()))
-            line += (f", {self.pool.warm_tasks} warm, "
-                     f"{self.pool.stolen_tasks} stolen [{spread}]")
+        if self.pool is not None:
+            line += f", {self.pool.warm_tasks} warm"
+            if self.pool.inline_tasks:
+                line += f", {self.pool.inline_tasks} inline"
         line += f" (jobs={self.jobs})"
         return line
 
@@ -468,11 +465,11 @@ def plan_cells(base: PtpBenchmarkConfig,
     return cells
 
 
-def _run_pooled(pool: WorkerPool,
+def _run_pooled(run: PoolRun,
                 pending: List[Tuple[int, PtpBenchmarkConfig]],
                 results: Dict[int, PtpResult],
-                planner=None) -> PoolRunStats:
-    """Stream the pending cells through one :class:`WorkerPool` session.
+                planner=None) -> None:
+    """Stream the pending cells through one :class:`PoolRun`.
 
     Plain (or deterministic) cells are whole-cell tasks keyed
     ``(cell, -1)``.  Under a planner, each nondeterministic cell is
@@ -482,8 +479,7 @@ def _run_pooled(pool: WorkerPool,
     :meth:`~repro.metrics.AdaptiveTrialPlanner.plan_next` on the
     trial-ordered results — so trial counts and merged digests do not
     depend on the pool, its size, or completion order, while one cell's
-    refinement overlaps every other cell's work.  Returns the session's
-    counters (closing the session adds them to ``pool.stats``).
+    refinement overlaps every other cell's work.
     """
     configs = dict(pending)
     #: (cell, trial) -> the reseeded config that trial runs.
@@ -491,40 +487,36 @@ def _run_pooled(pool: WorkerPool,
     trial_results: Dict[int, Dict[int, PtpResult]] = {}
     scheduled: Dict[int, int] = {}
 
-    with pool.session() as session:
+    def submit_trials(i: int, count: int) -> None:
+        start = scheduled.get(i, 0)
+        for t, cfg in enumerate(
+                planner.trial_configs(configs[i], start, count), start):
+            trial_cfgs[i, t] = cfg
+            run.submit((i, t), cfg)
+        scheduled[i] = start + count
 
-        def submit_trials(i: int, count: int) -> None:
-            start = scheduled.get(i, 0)
-            for t, cfg in enumerate(
-                    planner.trial_configs(configs[i], start, count), start):
-                trial_cfgs[i, t] = cfg
-                session.submit((i, t), cfg)
-            scheduled[i] = start + count
+    for i, config in pending:
+        if planner is not None and not config.is_deterministic:
+            trial_results[i] = {}
+            submit_trials(i, planner.plan_next(config, []))
+        else:
+            run.submit((i, -1), config)
 
-        for i, config in pending:
-            if planner is not None and not config.is_deterministic:
-                trial_results[i] = {}
-                submit_trials(i, planner.plan_next(config, []))
-            else:
-                session.submit((i, -1), config)
-
-        for (i, t), frame in session.results():
-            config = configs[i]
-            if t < 0:
-                results[i] = decode_result(config, frame)
-                continue
-            done = trial_results[i]
-            done[t] = decode_result(trial_cfgs.pop((i, t)), frame)
-            if len(done) < scheduled[i]:
-                continue
-            ordered = [done[trial] for trial in range(len(done))]
-            more = planner.plan_next(config, ordered)
-            if more:
-                submit_trials(i, more)
-            else:
-                results[i] = planner.merge_trials(config, ordered)
-
-    return session.stats
+    for (i, t), frame in run.results():
+        config = configs[i]
+        if t < 0:
+            results[i] = decode_result(config, frame)
+            continue
+        done = trial_results[i]
+        done[t] = decode_result(trial_cfgs.pop((i, t)), frame)
+        if len(done) < scheduled[i]:
+            continue
+        ordered = [done[trial] for trial in range(len(done))]
+        more = planner.plan_next(config, ordered)
+        if more:
+            submit_trials(i, more)
+        else:
+            results[i] = planner.merge_trials(config, ordered)
 
 
 #: ``analytic`` dispatch modes accepted by :func:`run_cells`.
@@ -549,8 +541,8 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
         Worker processes; ``None`` means ``os.cpu_count()``.  Without a
         ``pool``, ``jobs > 1`` runs on the process-wide
         :func:`~repro.core.pool.shared_pool` and ``jobs=1`` runs every
-        task inline in this thread — through the same session drain and
-        wire frame, with no process, queue, or pipe.  Results are
+        task inline in this thread — through the same drain and wire
+        frame, with no process, queue, or pipe.  Results are
         identical either way.
     cache:
         A :class:`ResultCache`, or a path to create one at, or ``None`` to
@@ -579,7 +571,7 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
 
     Identical uncached cells in ``cells`` execute once; the duplicates
     share the first one's result.  Cache hits and analytic answers never
-    open a pool session.
+    reach the pool.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -642,11 +634,11 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
         engine = pool
         if engine is None and jobs > 1:
             engine = shared_pool(jobs)
-        run = _run_pooled(engine if engine is not None else _inline_pool(),
-                          pending, results, planner)
+        run = PoolRun(engine, len(pending))
+        _run_pooled(run, pending, results, planner)
         if engine is not None:
             # Worker counters describe a pool; the inline path has none.
-            stats.pool = run
+            stats.pool = run.stats
         for i, config in pending:
             stats.trials += results[i].trials
             if cache is not None:

@@ -36,13 +36,14 @@ Categories
     clearing pending frames, and frames abandoned after the retry
     budget.
 ``pool.*``
-    Lifecycle of the persistent worker pool (:mod:`repro.core.pool`):
-    worker boots, task dispatch/completion, work stealing, crash
-    recovery, and end-of-run drains.  Unlike every other category these
-    are *manager-side* events stamped with host-monotonic seconds since
-    pool creation — they describe how a sweep was executed, never what
-    it computed, so they are excluded from result event digests by
-    construction (the per-cell digest is sealed inside the worker).
+    The persistent worker pool (:mod:`repro.core.pool`): one
+    ``pool.dispatch_batch`` per task submitted to its executor.  Unlike
+    every other category it is a *manager-side* event stamped with
+    host-monotonic seconds since pool creation — it describes how a
+    sweep was executed, never what it computed, so it is excluded from
+    result event digests by construction (the per-cell digest is sealed
+    inside the worker).  The end-to-end benchmark's trace counts it; it
+    stays until that benchmark is next revised (ROADMAP item 1).
 ``service.*``
     The benchmark daemon (:mod:`repro.service`): request admission,
     quota rejections, scheduler batches, and responses.  Like ``pool.*``
@@ -67,9 +68,7 @@ __all__ = [
     "BENCH_SEND_BEGIN", "BENCH_RECV_COMPLETE",
     "FAULT_DROP", "FAULT_STALL", "FAULT_DEGRADE", "FAULT_DUPLICATE",
     "FAULT_FAILSTOP", "RETRY_RETRANSMIT", "RETRY_ACK", "RETRY_ABANDONED",
-    "POOL_WORKER_BOOT", "POOL_DISPATCH", "POOL_RESULT",
-    "POOL_DISPATCH_BATCH", "POOL_RESULT_BATCH", "POOL_STEAL",
-    "POOL_WORKER_CRASH", "POOL_DRAIN",
+    "POOL_DISPATCH_BATCH",
     "SERVICE_REQUEST", "SERVICE_RESPONSE", "SERVICE_REJECT",
     "SERVICE_QUOTA_REJECT", "SERVICE_BATCH",
 ]
@@ -213,33 +212,10 @@ RETRY_ABANDONED = SCHEMA.register(
     doc="retry budget exhausted; the frame is given up for lost")
 
 # -- persistent worker pool (repro.core.pool; manager-side) ----------------
-POOL_WORKER_BOOT = SCHEMA.register(
-    "pool.worker_boot", ("worker", "pid", "boot_seconds"),
-    doc="a pool worker finished booting (imports + warm tables)")
-POOL_DISPATCH = SCHEMA.register(
-    "pool.dispatch", ("worker", "task"),
-    doc="the manager handed one task to a worker")
-POOL_RESULT = SCHEMA.register(
-    "pool.result", ("worker", "task"),
-    doc="one task's streamed result reached the manager")
 POOL_DISPATCH_BATCH = SCHEMA.register(
-    "pool.dispatch_batch", ("worker", "tasks"),
-    doc="the manager handed one chunk of tasks to a worker in a single "
-        "queue message (batched dispatch)")
-POOL_RESULT_BATCH = SCHEMA.register(
-    "pool.result_batch", ("worker", "tasks"),
-    doc="one chunk's worth of streamed results reached the manager in a "
-        "single queue message")
-POOL_STEAL = SCHEMA.register(
-    "pool.steal", ("thief", "victim", "task"),
-    doc="an idle worker stole a queued task from a loaded peer")
-POOL_WORKER_CRASH = SCHEMA.register(
-    "pool.worker_crash", ("worker", "task"),
-    doc="a worker process died; its work is requeued or run inline "
-        "(task is -1 when nothing was in flight)")
-POOL_DRAIN = SCHEMA.register(
-    "pool.drain", ("tasks", "stolen", "crashes"),
-    doc="one pool run drained: every streamed result was consumed")
+    "pool.dispatch_batch", ("tasks",),
+    doc="the manager submitted one task to the pool's executor (tasks "
+        "is always 1)")
 
 # -- benchmark daemon (repro.service; host-side) ---------------------------
 SERVICE_REQUEST = SCHEMA.register(

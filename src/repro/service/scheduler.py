@@ -1,8 +1,8 @@
 """The daemon's scheduler: admission, batching, and engine dispatch.
 
 Requests arrive one at a time from many HTTP handler threads; the
-simulation engine is at its best when handed *grids* (shared pool
-sessions, chunked dispatch).  The scheduler is the adapter between those
+simulation engine is at its best when handed *grids* (one pool run
+per grid, single-flight within it).  The scheduler is the adapter between those
 shapes, and the one place that runs the engine concurrently:
 
 * **Admission** enforces a per-client in-flight quota — the one knob

@@ -1,5 +1,5 @@
 """Static analyzer (simlint): rules, suppression, ordering, SARIF export,
-baselines, and the shipped tree."""
+and the shipped tree."""
 
 import json
 from pathlib import Path
@@ -8,10 +8,7 @@ import pytest
 
 from repro.analysis import (all_rule_infos, lint_file, lint_paths,
                             lint_source)
-from repro.analysis.findings import (BASELINE_VERSION, Finding,
-                                     finding_fingerprint, load_baseline,
-                                     new_findings, sort_findings, to_sarif,
-                                     write_baseline)
+from repro.analysis.findings import Finding, sort_findings, to_sarif
 from repro.analysis.lint import PARSE_ERROR_RULE, UNKNOWN_SUPPRESSION_RULE
 from repro.cli import main
 
@@ -216,47 +213,6 @@ class TestSarifExport:
         assert result["level"] == "warning"
 
 
-class TestBaseline:
-    def test_round_trip_same_tree_exits_clean(self, tmp_path):
-        findings = lint_file(FIXTURES / "static_set_iteration.py")
-        path = tmp_path / "baseline.json"
-        assert write_baseline(findings, path) == len(findings) == 1
-        assert new_findings(findings, load_baseline(path)) == []
-
-    def test_new_violation_not_grandfathered(self, tmp_path):
-        findings = lint_file(FIXTURES / "static_set_iteration.py")
-        path = tmp_path / "baseline.json"
-        write_baseline(findings, path)
-        extra = lint_file(FIXTURES / "static_global_random.py")
-        fresh = new_findings(findings + extra, load_baseline(path))
-        assert [f.rule for f in fresh] == ["SIM102"]
-
-    def test_fingerprint_tolerates_line_moves(self):
-        a = Finding(rule="SIM103", message="m", file="x.py", line=10)
-        b = Finding(rule="SIM103", message="m", file="x.py", line=99)
-        assert finding_fingerprint(a) == finding_fingerprint(b)
-
-    def test_repeat_count_budget(self, tmp_path):
-        f = Finding(rule="SIM103", message="m", file="x.py", line=1)
-        g = Finding(rule="SIM103", message="m", file="x.py", line=2)
-        path = tmp_path / "baseline.json"
-        write_baseline([f], path)
-        # One occurrence grandfathered; a second identical fingerprint
-        # is new.
-        assert new_findings([f, g], load_baseline(path)) == [g]
-
-    def test_missing_baseline_raises(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_baseline(tmp_path / "absent.json")
-
-    def test_version_mismatch_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps(
-            {"version": BASELINE_VERSION + 1, "fingerprints": {}}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-
 class TestCli:
     def test_sarif_format(self, capsys):
         code = main(["lint", str(FIXTURES / "static_set_iteration.py"),
@@ -272,20 +228,3 @@ class TestCli:
                      "--format", "sarif", "--output", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["runs"][0]["results"] == []
-
-    def test_baseline_round_trip(self, capsys, tmp_path):
-        target = str(FIXTURES / "static_set_iteration.py")
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", target,
-                     "--write-baseline", str(baseline)]) == 0
-        # The same tree against its own fresh baseline gates green ...
-        assert main(["lint", target, "--baseline", str(baseline)]) == 0
-        # ... and a tree with a new violation gates red.
-        assert main(["lint", target,
-                     str(FIXTURES / "static_global_random.py"),
-                     "--baseline", str(baseline)]) == 1
-
-    def test_missing_baseline_is_config_error(self, capsys, tmp_path):
-        code = main(["lint", str(FIXTURES / "static_clean.py"),
-                     "--baseline", str(tmp_path / "absent.json")])
-        assert code == 2

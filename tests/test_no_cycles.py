@@ -159,3 +159,19 @@ def test_checked_run_leaves_no_cycles(fixture):
     reports = []
     assert_no_cycles(lambda: reports.append(check_file(FIXTURES / fixture)))
     assert reports[0].ok == (fixture == "clean.py")
+
+
+@pytest.mark.parametrize("fixture", sorted(
+    p.name for p in FIXTURES.glob("*.py")
+    if not p.name.startswith("static_")))
+def test_check_command_leaves_no_cycles(fixture, capsys):
+    """``repro check`` runs the same path as ``check_file``, the rank
+    count override included, and frees its program module too.  (The
+    arguments are parsed first: argparse's parser is cyclic itself.)"""
+    from repro.cli import _cmd_check, build_parser
+    args = build_parser().parse_args(
+        ["check", str(FIXTURES / fixture), "--nranks", "2"])
+    codes = []
+    assert_no_cycles(lambda: codes.append(_cmd_check(args)))
+    assert codes == [0 if fixture == "clean.py" else 1]
+    capsys.readouterr()

@@ -1,6 +1,10 @@
-"""The persistent worker pool: warm reuse, stealing, crash recovery."""
+"""The persistent worker pool: warm reuse, crash recovery, shutdown."""
 
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -10,8 +14,8 @@ import repro.core.pool as pool_module
 from repro.core import (METRIC_NAMES, PtpBenchmarkConfig, SweepStats,
                         WorkerPool, plan_cells, run_cells, run_ptp_benchmark,
                         sweep_ptp)
-from repro.core.pool import (PoolRunStats, PoolTaskError, shared_pool,
-                             shutdown_shared_pool)
+from repro.core.pool import (PoolRun, PoolRunStats, PoolTaskError,
+                             shared_pool, shutdown_shared_pool)
 from repro.core.wire import decode_result, encode_result
 from repro.errors import ConfigurationError
 from repro.metrics import AdaptiveTrialPlanner
@@ -37,6 +41,32 @@ def pool():
     p = WorkerPool(2)
     yield p
     p.shutdown()
+
+
+FORK_ONLY = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched task body reaches workers only through fork")
+
+_REAL_EXECUTE = pool_module._execute
+#: The test process: crash hooks below never fire in it, so the inline
+#: fallback (which runs the same task body) computes normally.
+_MANAGER_PID = os.getpid()
+#: Set per test: a file whose creation claims the one crash, or None
+#: for a worker that dies on every task.
+_CRASH_ONCE = None
+
+
+def _crash_worker(config):
+    """A pool task body that SIGKILLs the worker running it: once per
+    test when ``_CRASH_ONCE`` names a marker file, else every time."""
+    if os.getpid() != _MANAGER_PID:
+        try:
+            if _CRASH_ONCE is not None:
+                os.close(os.open(_CRASH_ONCE, os.O_CREAT | os.O_EXCL))
+            os.kill(os.getpid(), signal.SIGKILL)
+        except FileExistsError:
+            pass
+    return _REAL_EXECUTE(config)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +99,7 @@ class TestValidation:
         try:
             cells = plan_cells(_base(seed=2), SIZES, COUNTS)
             _, stats = run_cells(cells, jobs=64)
-            assert len(stats.pool.worker_tasks) <= len(cells)
+            assert stats.pool.booted_workers <= len(cells)
             assert shared_pool(64).started_workers <= len(cells)
         finally:
             shutdown_shared_pool()
@@ -77,7 +107,9 @@ class TestValidation:
     def test_closed_pool_rejects_sessions(self, pool):
         pool.shutdown()
         with pytest.raises(ConfigurationError):
-            pool.session()
+            list(pool.run([_base()]))
+        with pytest.raises(ConfigurationError):
+            run_cells(plan_cells(_base(), [1024], [1]), jobs=2, pool=pool)
 
     def test_run_key_length_mismatch_rejected(self, pool):
         with pytest.raises(ConfigurationError):
@@ -131,7 +163,7 @@ class TestWarmReuse:
         assert p_stats.trials == s_stats.trials
         # Trial decomposition: the pool saw one task per trial, not one
         # per cell.
-        assert sum(p_stats.pool.worker_tasks.values()) == s_stats.trials
+        assert p_stats.pool.tasks == s_stats.trials
 
     def test_shared_pool_is_process_wide_and_grows(self):
         shutdown_shared_pool()
@@ -150,32 +182,19 @@ class TestWarmReuse:
 
 
 # ---------------------------------------------------------------------------
-# Work stealing under a skewed grid
+# The pool's counters in the sweep report
 # ---------------------------------------------------------------------------
 
 class TestWorkStealing:
-    def test_skewed_grid_steals_and_stays_deterministic(self, pool):
-        # One expensive cell submitted first, cheap cells behind it: the
-        # second worker drains its own queue and must steal the heavy
-        # worker's backlog instead of idling.
-        heavy = _base(message_bytes=1 << 20, partitions=32, iterations=6,
-                      noise=UniformNoise(4.0), seed=9)
-        light = [_base(message_bytes=256, partitions=1, iterations=1,
-                       noise=UniformNoise(4.0), seed=9 + i)
-                 for i in range(5)]
-        cells = [heavy] + light
-        serial, _ = run_cells(cells, jobs=1)
-        pooled, stats = run_cells(cells, jobs=2, pool=pool)
-        assert _digests(pooled) == _digests(serial)
-        assert stats.pool.stolen_tasks >= 1
-        assert pool.stats.stolen_tasks == stats.pool.stolen_tasks
+    """The pool steals no work: the executor hands each task to whichever
+    worker is idle.  What the report shows in place of steal counts."""
 
     def test_describe_surfaces_pool_counters(self, pool):
         cells = plan_cells(_base(seed=6), SIZES, COUNTS)
         _, stats = run_cells(cells, jobs=2, pool=pool)
         line = stats.describe()
-        assert "warm" in line and "stolen" in line
-        assert "w0:" in line            # per-worker spread
+        assert f", {stats.pool.warm_tasks} warm (jobs=2)" in line
+        assert "stolen" not in line and stats.pool.stolen_tasks == 0
         # Serial runs keep the pre-pool provenance line.
         _, serial_stats = run_cells(cells, jobs=1)
         assert "warm" not in serial_stats.describe()
@@ -188,33 +207,59 @@ class TestWorkStealing:
 class TestCrashRecovery:
     def test_dead_worker_is_detected_and_work_rescued(self, pool):
         cells = plan_cells(_base(seed=8), SIZES, COUNTS)
+        before = {p.pid for p in multiprocessing.active_children()}
         run_cells(cells, jobs=2, pool=pool)           # boot both workers
-        victim = min(pool._workers)                   # lowest id gets
-        pool._workers[victim].process.kill()          # the next dispatch
-        pool._workers[victim].process.join()
+        victim = next(p for p in multiprocessing.active_children()
+                      if p.pid not in before)
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join()
         serial, _ = run_cells(cells, jobs=1)
         rescued, stats = run_cells(cells, jobs=2, pool=pool)
         assert _digests(rescued) == _digests(serial)
-        assert pool.stats.crashed_workers >= 1
-        assert victim not in pool._workers
+        # The broken executor was replaced by a freshly booted one.
+        assert stats.pool.booted_workers == 2
+        assert victim.pid not in {
+            p.pid for p in multiprocessing.active_children()}
 
-    @pytest.mark.skipif(pool_module._START_METHOD != "fork",
-                        reason="the patched worker loop reaches workers "
-                               "only through fork")
+    @FORK_ONLY
+    def test_sigkill_mid_sweep_yields_serial_digests(self, monkeypatch,
+                                                     tmp_path):
+        monkeypatch.setattr(sys.modules[__name__], "_CRASH_ONCE",
+                            str(tmp_path / "crashed"))
+        monkeypatch.setattr(pool_module, "_execute", _crash_worker)
+        cells = plan_cells(_base(seed=10, noise=UniformNoise(4.0)),
+                           SIZES, COUNTS)
+        serial, _ = run_cells(cells, jobs=1)
+        p = WorkerPool(2)
+        try:
+            rescued, stats = run_cells(cells, jobs=2, pool=p)
+        finally:
+            p.shutdown()
+        assert (tmp_path / "crashed").exists()
+        assert _digests(rescued) == _digests(serial)
+        # One rebuild, and every lost task ran again on the new workers.
+        assert stats.pool.booted_workers == 4
+        assert stats.pool.inline_tasks == 0
+
+    @FORK_ONLY
     def test_worker_dying_with_the_result_lock_held_does_not_hang(
-            self, monkeypatch):
+            self, monkeypatch, tmp_path):
         """Regression: a worker killed mid-send left the shared result
         queue's write lock held, so the surviving worker's results
         blocked behind it and the sweep hung forever."""
-        real_main = pool_module._worker_main
+        import concurrent.futures.process as cf_process
+        real_worker = cf_process._process_worker
+        marker = str(tmp_path / "crashed")
 
-        def worker_main(worker_id, tasks, results):
-            if worker_id == 0:
-                results._wlock.acquire()    # as if killed mid-send
-                os._exit(1)
-            real_main(worker_id, tasks, results)
+        def worker_main(call_queue, result_queue, *args):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return real_worker(call_queue, result_queue, *args)
+            result_queue._wlock.acquire()    # as if killed mid-send
+            os._exit(1)
 
-        monkeypatch.setattr(pool_module, "_worker_main", worker_main)
+        monkeypatch.setattr(cf_process, "_process_worker", worker_main)
         cells = plan_cells(_base(seed=9), SIZES, COUNTS)
         serial, _ = run_cells(cells, jobs=1)
         p = WorkerPool(2)
@@ -231,28 +276,34 @@ class TestCrashRecovery:
             p.shutdown()
         rescued, stats = outcome["run"]
         assert _digests(rescued) == _digests(serial)
-        assert stats.pool.crashed_workers >= 1
+        assert stats.pool.booted_workers == 4
 
-    def test_no_spawnable_workers_degrades_inline(self):
-        # With the worker ceiling forced to zero the manager must run
-        # every task itself rather than hang waiting for processes that
-        # can never exist.
-        p = WorkerPool(1)
+    @FORK_ONLY
+    def test_no_spawnable_workers_degrades_inline(self, monkeypatch):
+        # Every worker dies on its first task, so no worker the pool
+        # spawns survives: the rebuilt executor breaks too, and the
+        # manager must run every task itself rather than rebuild
+        # forever or hang.
+        monkeypatch.setattr(pool_module, "_execute", _crash_worker)
+        cells = plan_cells(_base(seed=8), [1024], COUNTS)
+        serial, _ = run_cells(cells, jobs=1)
+        p = WorkerPool(2)
         try:
-            p.max_workers = 0
-            cells = plan_cells(_base(seed=8), [1024], COUNTS)
-            serial, _ = run_cells(cells, jobs=1)
             inline, stats = run_cells(cells, jobs=2, pool=p)
-            assert _digests(inline) == _digests(serial)
-            assert stats.pool.worker_tasks == {-1: len(cells)}
         finally:
             p.shutdown()
+        assert _digests(inline) == _digests(serial)
+        assert stats.pool.booted_workers == 4       # two executors
+        assert stats.pool.inline_tasks == len(cells)
+        assert f"{len(cells)} inline" in stats.describe()
 
     def test_worker_exception_raises_structured_error(self, pool):
-        with pytest.raises(PoolTaskError, match="boom-key"):
+        with pytest.raises(PoolTaskError, match="boom-key") as info:
             list(pool.run(["not-a-config"], keys=["boom-key"]))
-        # The pool survives a failed run: the next session's epoch
-        # ignores any stale leftovers and fresh work still completes.
+        # The worker's traceback text rides along.
+        assert "Traceback (most recent call last)" in str(info.value)
+        assert "run_ptp_benchmark" in str(info.value)
+        # The pool survives a failed run: fresh work still completes.
         config = plan_cells(_base(seed=8), [1024], [1])[0]
         (key, frame), = pool.run([config])
         assert decode_result(config, frame).event_digest == \
@@ -279,17 +330,14 @@ class TestShippedRoundTrip:
 class TestPoolRunStats:
     def test_absorb_accumulates_everything(self):
         total = PoolRunStats()
-        total.absorb(PoolRunStats(tasks=3, warm_tasks=1, stolen_tasks=1,
-                                  booted_workers=2, crashed_workers=1,
-                                  inline_tasks=1, worker_tasks={0: 2, 1: 1}))
-        total.absorb(PoolRunStats(tasks=2, worker_tasks={1: 2}))
+        total.absorb(PoolRunStats(tasks=3, warm_tasks=1, booted_workers=2,
+                                  inline_tasks=1))
+        total.absorb(PoolRunStats(tasks=2, warm_tasks=2, inline_tasks=1))
         assert total.tasks == 5
-        assert total.warm_tasks == 1
-        assert total.stolen_tasks == 1
+        assert total.warm_tasks == 3
         assert total.booted_workers == 2
-        assert total.crashed_workers == 1
-        assert total.inline_tasks == 1
-        assert total.worker_tasks == {0: 2, 1: 3}
+        assert total.inline_tasks == 2
+        assert total.stolen_tasks == 0
 
     def test_session_adds_its_counters_to_the_pool_once(self, pool):
         cells = plan_cells(_base(seed=5), SIZES, COUNTS)
@@ -304,8 +352,7 @@ class TestPoolRunStats:
         inline = SweepStats(jobs=2, total_cells=3, executed=2, cache_hits=1,
                             analytic=1, trials=4, singleflight_hits=1)
         pooled = SweepStats(jobs=2, total_cells=2, executed=2, trials=2,
-                            pool=PoolRunStats(tasks=2, warm_tasks=2,
-                                              worker_tasks={0: 2}))
+                            pool=PoolRunStats(tasks=2, warm_tasks=2))
         total = SweepStats(jobs=2)
         total.absorb(inline)
         assert total.pool is None       # inline drains carry no pool
@@ -315,9 +362,10 @@ class TestPoolRunStats:
                 total.analytic, total.trials, total.singleflight_hits) == \
             (7, 6, 1, 1, 8, 1)
         assert total.pool.warm_tasks == 4
-        assert total.pool.worker_tasks == {0: 4}
+        assert total.pool.tasks == 4
         assert pooled.pool.tasks == 2   # the absorbed record is untouched
-        assert "4 warm, 0 stolen [w0:4]" in total.describe()
+        assert total.describe().endswith(
+            ", 1 single-flight, 4 warm (jobs=2)")
 
     def test_pool_emits_lifecycle_events(self, pool):
         from repro.obs import MemorySink
@@ -325,57 +373,32 @@ class TestPoolRunStats:
         pool.obs.attach(sink, ["pool.*"])
         cells = plan_cells(_base(seed=3), [1024], COUNTS)
         run_cells(cells, jobs=2, pool=pool)
-        kinds = {rec.kind.name for rec in sink.records}
-        assert "pool.worker_boot" in kinds
-        assert "pool.dispatch" in kinds
-        assert "pool.dispatch_batch" in kinds
-        assert "pool.result" in kinds
-        assert "pool.result_batch" in kinds
-        assert "pool.drain" in kinds
+        # One dispatch per submitted task, and nothing else.
+        assert [(rec.kind.name, rec.values) for rec in sink.records] == \
+            [("pool.dispatch_batch", (1,))] * len(cells)
 
 
 # ---------------------------------------------------------------------------
-# Batched dispatch
+# Dispatch: one future per task
 # ---------------------------------------------------------------------------
 
 class TestBatchedDispatch:
     def test_warm_pool_batches_and_matches_serial(self, pool):
-        # The first run observes per-task cost; the second runs with a
-        # calibrated chunk size.  Digests must match serial either way.
+        # Cold and warm runs dispatch one task per batch and match serial.
         cells = plan_cells(_base(seed=13, noise=UniformNoise(4.0)),
                            SIZES, COUNTS)
+        dispatched = pool.obs.record("pool.dispatch_batch")
         serial, _ = run_cells(cells, jobs=1)
         cold, _ = run_cells(cells, jobs=2, pool=pool)
         warm, _ = run_cells(cells, jobs=2, pool=pool)
         assert _digests(cold) == _digests(serial)
         assert _digests(warm) == _digests(serial)
-        assert pool._task_cost is not None  # the EMA is being fed
-
-    def test_chunk_size_tracks_observed_cost(self):
-        p = WorkerPool(2, max_chunk=32)
-        try:
-            assert p._chunk_size() == 1          # cold: per-task dispatch
-            p._observe_cost(1e-4)                # cheap tasks -> big chunks
-            assert p._chunk_size() == 32
-            p._observe_cost(10.0)                # expensive -> per-task
-            assert p._chunk_size() == 1
-        finally:
-            p.shutdown()
-
-    def test_max_chunk_one_restores_per_task_dispatch(self):
-        p = WorkerPool(2, max_chunk=1)
-        try:
-            p._observe_cost(1e-6)
-            assert p._chunk_size() == 1
-            cells = plan_cells(_base(seed=13), [1024], COUNTS)
-            serial, _ = run_cells(cells, jobs=1)
-            per_task, _ = run_cells(cells, jobs=2, pool=p)
-            assert _digests(per_task) == _digests(serial)
-        finally:
-            p.shutdown()
+        assert [rec.values for rec in dispatched.records] == \
+            [(1,)] * (2 * len(cells))
 
     def test_invalid_max_chunk_rejected(self):
-        with pytest.raises(ConfigurationError):
+        # Chunked dispatch is gone, and its option with it.
+        with pytest.raises(TypeError):
             WorkerPool(2, max_chunk=0)
 
 
@@ -386,37 +409,28 @@ class TestBatchedDispatch:
 class TestDeferredInlineFallback:
     def test_inline_fallback_defers_execution_to_drain(self):
         from repro.core.runner import EXECUTIONS
-        p = WorkerPool(1)
-        try:
-            p.max_workers = 0  # no worker can ever spawn
-            config = plan_cells(_base(seed=8), [1024], [1])[0]
-            session = p.session()
-            EXECUTIONS.reset()
-            session.submit("cell", config)
-            # submit() must only *queue* the task; a crash-degraded
-            # manager does no simulation work until the drain loop runs.
-            assert EXECUTIONS.value == 0
-            drained = dict(session.results())
-            assert EXECUTIONS.value == 1
-            assert session.stats.inline_tasks == 1
-            assert decode_result(config, drained["cell"]) \
-                .event_digest == run_ptp_benchmark(config).event_digest
-        finally:
-            p.shutdown()
+        run = PoolRun(None)  # no pool: every task runs inline
+        config = plan_cells(_base(seed=8), [1024], [1])[0]
+        EXECUTIONS.reset()
+        run.submit("cell", config)
+        # submit() must only *queue* the task; the inline engine does no
+        # simulation work until the drain loop runs.
+        assert EXECUTIONS.value == 0
+        drained = dict(run.results())
+        assert EXECUTIONS.value == 1
+        assert run.stats.inline_tasks == 1
+        assert decode_result(config, drained["cell"]) \
+            .event_digest == run_ptp_benchmark(config).event_digest
 
 
 # ---------------------------------------------------------------------------
-# One session owns the pool at a time
+# Runs sharing one pool
 # ---------------------------------------------------------------------------
 
 class TestSessionOwnership:
     def test_concurrent_sweeps_on_one_pool_both_finish(self, pool):
-        """Regression: two live sessions used to deadlock one pool.
-
-        Each session bumped the pool-wide epoch, so the other one's
-        chunk replies looked stale and never freed their workers, and
-        both sessions' task ids mixed in one worker deque.
-        """
+        """Four threads sweep on one pool at once; each gets exactly its
+        own results (a regression once deadlocked two live runs)."""
         import sys
         grids = [plan_cells(_base(seed=41 + k), SIZES, COUNTS)
                  for k in range(4)]
@@ -443,12 +457,12 @@ class TestSessionOwnership:
 
     def test_abandoned_session_releases_the_pool(self, pool):
         cells = plan_cells(_base(seed=43), SIZES, COUNTS)
-        with pool.session() as session:
-            for i, config in enumerate(cells):
-                session.submit(i, config)
-            next(session.results())       # walk away mid-run
-        # Chunks still running from the abandoned run arrive stale; the
-        # next sweep frees their workers and drains normally.
+        abandoned = pool.run(cells)
+        next(abandoned)                   # walk away mid-run
+        abandoned.close()                 # cancels what had not started
+        assert pool.stats.tasks == 1
+        # Tasks still running from the abandoned run finish unread; the
+        # next sweep drains normally.
         serial, _ = run_cells(cells, jobs=1)
         again, _ = run_cells(cells, jobs=2, pool=pool)
         assert _digests(again) == _digests(serial)
@@ -470,6 +484,27 @@ class TestSessionOwnership:
         assert len(results) == len(cells)
         assert stats.pool is None
 
+    def test_jobs1_never_imports_the_executor(self):
+        # Neither importing the package nor an inline sweep may pay for
+        # concurrent.futures or multiprocessing; a fresh interpreter shows
+        # what this one, which other tests have pooled in, cannot.
+        code = (
+            "import sys\n"
+            "from repro.core import PtpBenchmarkConfig, plan_cells, "
+            "run_cells\n"
+            "base = PtpBenchmarkConfig(message_bytes=64, partitions=1, "
+            "compute_seconds=1e-4, iterations=1)\n"
+            "run_cells(plan_cells(base, [1024], [1, 4]), jobs=1)\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('concurrent', 'multiprocessing'))))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(pool_module.__file__))]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
 
 # ---------------------------------------------------------------------------
 # Shutdown hygiene: queue draining and fd release
@@ -477,29 +512,29 @@ class TestSessionOwnership:
 
 class TestShutdownHygiene:
     def test_shutdown_closes_every_queue_end(self):
-        """shutdown() must close task pipes and wind down the result queue.
+        """shutdown() joins every worker and winds the executor down.
 
-        Regression: shutdown() used to leave every worker's SimpleQueue
-        pipe fds open and cancel the result queue's feeder thread with
-        live buffers — a per-pool fd/thread leak once a long-running
-        service starts and stops pools repeatedly.
+        Regression: an earlier pool left pipe fds and a queue feeder
+        thread behind on shutdown — a per-pool leak once a long-running
+        service starts and stops pools repeatedly.  (CI runs this file
+        with ResourceWarning as an error, which catches unclosed pipes.)
         """
+        before = {p.pid for p in multiprocessing.active_children()}
         p = WorkerPool(2)
         cells = plan_cells(_base(seed=31), [1024, 65536], [1, 4])
         run_cells(cells, jobs=2, pool=p)
-        workers = list(p._workers.values())
-        assert workers, "the sweep should have spawned workers"
-        drained = p.shutdown()
-        assert isinstance(drained, int)     # the drained-message count
-        for worker in workers:
-            assert worker.tasks._reader.closed
-            assert worker.tasks._writer.closed
-        assert p._results._closed
-        assert p.shutdown() == 0            # idempotent, still an int
+        workers = [w for w in multiprocessing.active_children()
+                   if w.pid not in before]
+        assert len(workers) == 2, "the sweep should have started workers"
+        p.shutdown()
+        assert not any(w.is_alive() for w in workers)
+        assert p.started_workers == 0
+        p.shutdown()                        # idempotent
 
     def test_shutdown_on_fresh_pool_drains_nothing(self):
         p = WorkerPool(1)
-        assert p.shutdown() == 0
+        p.shutdown()                        # no executor was ever built
+        assert p.started_workers == 0 and p.stats.booted_workers == 0
 
     def test_shutdown_under_inflight_sweep_leaves_no_stale_claims(
             self, tmp_path):
@@ -515,7 +550,7 @@ class TestShutdownHygiene:
         cache = ResultCache(tmp_path / "cache")
         cells = plan_cells(_base(seed=32), [1024, 65536], [1, 4])
         p = WorkerPool(2)
-        dispatched = p.obs.record("pool.dispatch")
+        dispatched = p.obs.record("pool.dispatch_batch")
         outcome = {}
 
         def sweep():

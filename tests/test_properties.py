@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +12,7 @@ from repro.noise import GaussianNoise, SingleThreadNoise, UniformNoise
 from repro.partitioned import partition_sizes
 from repro.proxy import process_grid, project_speedup
 from repro.sim import Simulator
+from repro.sim.rng import Generator
 from repro.threadsim import SimBarrier
 
 
@@ -137,7 +137,7 @@ class TestNoiseProperties:
            st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=100)
     def test_uniform_noise_bounds(self, nthreads, comp, pct, seed):
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
         times = UniformNoise(pct).compute_times(rng, nthreads, comp)
         assert len(times) == nthreads
         assert all(t >= comp - 1e-15 for t in times)
@@ -150,7 +150,7 @@ class TestNoiseProperties:
     @settings(max_examples=100)
     def test_single_thread_noise_delays_at_most_one(self, nthreads, comp,
                                                     pct, seed):
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
         times = SingleThreadNoise(pct).compute_times(rng, nthreads, comp)
         assert sum(t > comp for t in times) <= 1
         if nthreads > 1:
@@ -163,7 +163,7 @@ class TestNoiseProperties:
            st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=100)
     def test_gaussian_noise_non_negative(self, nthreads, comp, pct, seed):
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
         times = GaussianNoise(pct).compute_times(rng, nthreads, comp)
         assert all(t >= 0.0 for t in times)
 
@@ -240,13 +240,15 @@ class TestBarrierProperties:
     def test_barrier_rounds_never_interleave(self, parties, rounds, seed):
         sim = Simulator()
         bar = SimBarrier(sim, parties, cost_per_party=0.0)
-        rng = np.random.default_rng(seed)
-        delays = rng.uniform(0.1, 1.0, size=(parties, rounds))
+        rng = Generator(seed)
+        # Row by row: the draws numpy's uniform(size=(parties, rounds))
+        # makes, in the same order.
+        delays = [rng.uniform(0.1, 1.0, size=rounds) for _ in range(parties)]
         leave_times = {r: [] for r in range(rounds)}
 
         def member(tid):
             for r in range(rounds):
-                yield sim.timeout(float(delays[tid, r]))
+                yield sim.timeout(delays[tid][r])
                 yield from bar.wait()
                 leave_times[r].append(sim.now)
 
