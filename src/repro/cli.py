@@ -25,7 +25,9 @@ suite is usable without pytest, the way the paper's artifact is driven
 from a shell.  ``lint`` and ``check`` expose the
 :mod:`repro.analysis` correctness analyzer (exit code 1 on findings).
 ``trace export`` and ``report`` observe one instrumented trial through
-:mod:`repro.obs` sinks (exit code 2 on unknown ``--kinds`` patterns).
+:mod:`repro.obs` sinks.  Bad input to any command (a
+:class:`~repro.errors.ConfigurationError`) prints ``error: <reason>`` on
+stderr and exits 2.
 The point-to-point figures and ``sweep`` run on the parallel engine
 (:mod:`repro.core.parallel`): ``--jobs`` fans grid cells out over worker
 processes — one warm pool (:mod:`repro.core.pool`) reused across every
@@ -254,27 +256,20 @@ def _findings_json(findings) -> str:
     }, indent=2)
 
 
-def _reject_unknown_rules(ids) -> bool:
-    """Name the ``--disable`` ids no rule has on stderr; True if any."""
+def _reject_unknown_rules(ids) -> None:
+    """Raise naming the ``--disable`` ids no rule has."""
     from .analysis.rules import known_rule_ids
     known = set(known_rule_ids())
     unknown = [rule_id for rule_id in ids if rule_id not in known]
     if unknown:
-        print(f"error: unknown rule id {', '.join(unknown)}",
-              file=sys.stderr)
-    return bool(unknown)
+        raise ConfigurationError(f"unknown rule id {', '.join(unknown)}")
 
 
 def _cmd_lint(args) -> int:
     from .analysis import format_findings, lint_paths
     from .analysis.findings import sarif_json
-    if _reject_unknown_rules(args.disable):
-        return 2
-    try:
-        findings = lint_paths(args.paths, disabled=args.disable)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _reject_unknown_rules(args.disable)
+    findings = lint_paths(args.paths, disabled=args.disable)
     if args.format == "sarif":
         output = sarif_json(findings)
         if args.output:
@@ -307,11 +302,7 @@ def _resolve_kinds(kinds_arg: str):
 def _cmd_trace(args) -> int:
     from .core import run_ptp_trial
     from .obs import MemorySink, write_chrome_trace, write_jsonl
-    try:
-        patterns = _resolve_kinds(args.kinds)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    patterns = _resolve_kinds(args.kinds)
     mem = MemorySink()
     result, _ = run_ptp_trial(_benchmark_config(args),
                               sinks=[(mem, patterns)])
@@ -330,11 +321,7 @@ def _cmd_report(args) -> int:
     from .core import run_ptp_trial
     from .mpi.diagnostics import cluster_report, collect_diagnostics
     from .obs import CounterSink, MemorySink, write_chrome_trace
-    try:
-        patterns = _resolve_kinds(args.kinds)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    patterns = _resolve_kinds(args.kinds)
     counters = CounterSink()
     sinks = [(counters, patterns)]
     mem = None
@@ -377,17 +364,11 @@ def _cmd_report(args) -> int:
 
 def _cmd_check(args) -> int:
     from .analysis.checker import check_file
-    if _reject_unknown_rules(args.disable):
-        return 2
-    try:
-        # A cluster the program cannot run on (nranks < 1, a
-        # CLUSTER_KWARGS key or value it rejects) is a bad input, not a
-        # violation.
-        report = check_file(args.program, disabled=args.disable,
-                            nranks=args.nranks)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _reject_unknown_rules(args.disable)
+    # A cluster the program cannot run on (nranks < 1, a CLUSTER_KWARGS
+    # key or value it rejects) raises: a bad input, not a violation.
+    report = check_file(args.program, disabled=args.disable,
+                        nranks=args.nranks)
     print(report.to_json() if args.format == "json" else report.format())
     return 0 if report.ok else 1
 
@@ -462,14 +443,28 @@ def _cmd_serve(args) -> int:
     HTTP/JSON (see ``docs/service.md``).  The bound address is printed
     on stdout before serving — with ``--port 0`` that line is how a
     supervisor (or ``scripts/load_test.py --boot``) learns the port.
+    With ``--jobs`` above 1 the pool's workers are forked before any
+    thread starts.
     """
     # Imported here: the service package is only needed by this command.
+    from .core.pool import shared_pool
     from .service import SweepScheduler, SweepService
 
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    if jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1: {jobs}")
+    if args.quota < 0:
+        raise ConfigurationError(f"--quota must be >= 0: {args.quota}")
+    if not 0 <= args.port <= 65535:
+        raise ConfigurationError(
+            f"--port must be in 0-65535: {args.port}")
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    pool = None
+    if jobs > 1:
+        pool = shared_pool(jobs)
+        pool.start()
     scheduler = SweepScheduler(
-        cache=cache, jobs=jobs, analytic=args.analytic,
+        pool=pool, cache=cache, jobs=jobs, analytic=args.analytic,
         quota=args.quota, batch_window=args.batch_window)
     service = SweepService(scheduler, host=args.host, port=args.port,
                            request_timeout=args.request_timeout,
@@ -628,9 +623,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """CLI entry point; returns the process exit code.
+
+    Bad input — a :class:`~repro.errors.ConfigurationError` from any
+    command — prints ``error: <reason>`` on stderr and exits 2.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "list":
         print(_cmd_list(args))
     elif args.command == "sweep":

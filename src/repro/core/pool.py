@@ -258,12 +258,7 @@ class WorkerPool:
         with self._lock:
             if self._closed:
                 return None
-            size = min(expected, self.max_workers)
-            if self._live is None or self._size < size:
-                if self._live is not None:
-                    self._live.shutdown(wait=False)  # its tasks finish
-                self._live, self._size = _new_executor(size), size
-                stats.booted_workers += size
+            self._grow(min(expected, self.max_workers), stats)
             executor = self._live
             try:
                 future = executor.submit(_execute, config)
@@ -274,6 +269,30 @@ class WorkerPool:
                       time.monotonic() - self._t0,  # simlint: disable=SIM101
                       1)
         return future, executor
+
+    def _grow(self, size: int, stats: PoolRunStats) -> None:
+        """Make the live executor at least ``size`` workers (under
+        ``_lock``)."""
+        if self._live is None or self._size < size:
+            if self._live is not None:
+                self._live.shutdown(wait=False)  # its tasks finish
+            self._live, self._size = _new_executor(size), size
+            stats.booted_workers += size
+
+    def start(self) -> None:
+        """Start all ``max_workers`` workers now.
+
+        An executor forks its workers when its first task is submitted,
+        which may be on any thread.  A process about to start threads
+        (``repro serve``) calls this first, so it forks while it still
+        has one thread.
+        """
+        with self._lock:
+            if self._closed:
+                raise ConfigurationError("worker pool is shut down")
+            self._grow(self.max_workers, self.stats)
+            ready = self._live.submit(int)
+        ready.result()
 
     def _retire(self, executor) -> None:
         """Drop a broken executor; the next submit builds a fresh one."""

@@ -19,7 +19,7 @@ partitioned
     once-only matching happens inside these calls through the cluster's
     registry.
 collectives
-    ``barrier``, ``bcast``, ``allreduce``.
+    ``barrier``, ``allreduce``.
 """
 
 from __future__ import annotations
@@ -203,11 +203,6 @@ class Communicator:
     def barrier(self, tc):
         """Generator: dissemination barrier."""
         return _coll.barrier(self, tc)
-
-    def bcast(self, tc, root: int, nbytes: int, payload: Any = None):
-        """Generator: binomial broadcast; returns the payload everywhere."""
-        result = yield from _coll.bcast(self, tc, root, nbytes, payload)
-        return result
 
     def allreduce(self, tc, nbytes: int, value: float = 0.0, op=None):
         """Generator: allreduce; returns the reduced value everywhere."""

@@ -4,7 +4,7 @@ A persistent request freezes the envelope and buffer of a point-to-point
 operation so it can be restarted cheaply each iteration.  The paper uses
 persistent point-to-point as the conceptual 1-partition baseline: a
 partitioned transfer with one partition *is* a persistent send/receive
-(§3.1.1), which our tests verify.
+(§3.1.1).
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ Access is normally through :class:`repro.mpi.comm.Communicator`
 state machines.
 """
 
-from .collectives import PartitionedBroadcast, binomial_children
 from .requests import (
     IMPL_MPIPCL,
     IMPL_NATIVE,
@@ -22,8 +21,6 @@ from .requests import (
 )
 
 __all__ = [
-    "PartitionedBroadcast",
-    "binomial_children",
     "IMPL_MPIPCL",
     "IMPL_NATIVE",
     "PartitionedRecvRequest",

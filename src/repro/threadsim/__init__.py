@@ -2,13 +2,10 @@
 
 from .barrier import SimBarrier
 from .openmp import DEFAULT_OPENMP_COSTS, OpenMPCosts
-from .stream import DeviceStream, KernelHandle
 from .team import ThreadContext, ThreadTeam
 
 __all__ = [
     "SimBarrier",
-    "DeviceStream",
-    "KernelHandle",
     "DEFAULT_OPENMP_COSTS",
     "OpenMPCosts",
     "ThreadContext",

@@ -85,15 +85,29 @@ class TestCommands:
                        "application availability", "early-bird"):
             assert phrase in out
 
-    def test_metrics_rejects_non_finite_compute(self):
+    def test_metrics_rejects_non_finite_compute(self, capsys):
         # Regression: NaN compute once printed availability -1.338, exit 0;
         # a finite 1e300 ms once overflowed the simulated clock mid-trial.
-        from repro.errors import ConfigurationError
-        for compute_ms, reason in (("nan", "finite"),
-                                   ("1e300", r"2\*\*22")):
-            with pytest.raises(ConfigurationError, match=reason):
-                main(["metrics", "--message-bytes", "1024",
-                      "--partitions", "4", "--compute-ms", compute_ms])
+        for compute_ms, reason in (("nan", "finite"), ("1e300", "2**22")):
+            assert main(["metrics", "--message-bytes", "1024",
+                         "--partitions", "4",
+                         "--compute-ms", compute_ms]) == 2
+            assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--sizes", "0", "--counts", "1", "--jobs", "1"],
+        ["sweep", "--sizes", "abc"],
+        ["sweep", "--faults", "bogus", "--jobs", "1"],
+        ["fig4", "--jobs", "0"],
+        ["metrics", "--message-bytes", "4096", "--partitions", "8192"],
+        ["serve", "--jobs", "0"],
+        ["serve", "--quota", "-1"],
+        ["serve", "--port", "70000"],
+    ], ids=" ".join)
+    def test_bad_input_is_an_error_line_and_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_metrics_native_impl(self, capsys):
         assert main(["metrics", "--message-bytes", "65536",
@@ -295,11 +309,10 @@ class TestPoolFlags:
             build_parser().parse_args(["sweep", "--pool", "keep"])
         capsys.readouterr()
 
-    def test_invalid_jobs_raises_not_falls_back(self):
-        from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            main(["sweep", "--sizes", "1024", "--counts", "1",
-                  "--jobs", "0"])
+    def test_invalid_jobs_raises_not_falls_back(self, capsys):
+        assert main(["sweep", "--sizes", "1024", "--counts", "1",
+                     "--jobs", "0"]) == 2
+        assert "jobs must be >= 1: 0" in capsys.readouterr().err
 
     def test_sweep_on_kept_pool_reports_pool_counters(self, capsys):
         from repro.core.pool import shutdown_shared_pool

@@ -36,11 +36,6 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "overhead" in out and "early-bird" in out
 
-    def test_gpu_stream_runs(self, capsys):
-        _load("gpu_stream_partitioned").main()
-        out = capsys.readouterr().out
-        assert "device-triggered" in out
-
     def test_noise_study_runs(self, capsys):
         _load("noise_study").main()
         out = capsys.readouterr().out

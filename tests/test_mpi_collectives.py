@@ -1,8 +1,7 @@
-"""Collective-operation tests: barrier, bcast, allreduce."""
+"""Collective-operation tests: barrier, allreduce, communicator dup."""
 
 import pytest
 
-from repro.errors import MPIError
 from repro.mpi import Cluster
 
 
@@ -31,31 +30,6 @@ class TestBarrier:
             return "ok"
 
         assert _run(program, 4) == ["ok"] * 4
-
-
-class TestBcast:
-    @pytest.mark.parametrize("nranks,root", [(2, 0), (4, 1), (5, 3), (8, 7)])
-    def test_bcast_reaches_all(self, nranks, root):
-        def program(ctx):
-            payload = "secret" if ctx.rank == root else None
-            value = yield from ctx.comm.bcast(ctx.main, root, 4096, payload)
-            return value
-
-        assert _run(program, nranks) == ["secret"] * nranks
-
-    def test_bad_root_rejected(self):
-        def program(ctx):
-            yield from ctx.comm.bcast(ctx.main, 9, 64)
-
-        with pytest.raises(MPIError):
-            _run(program, 2)
-
-    def test_single_rank_bcast_is_identity(self):
-        def program(ctx):
-            value = yield from ctx.comm.bcast(ctx.main, 0, 64, payload="x")
-            return value
-
-        assert _run(program, 1) == ["x"]
 
 
 class TestAllreduce:

@@ -8,6 +8,7 @@ and end-to-end bit-identity of the runner's event stream.
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +83,27 @@ class TestSchema:
                      "bench.part_begin", "bench.recv_complete",
                      "send.complete", "nic.tx_start"):
             assert name in SCHEMA
+
+    def test_kind_table_in_docs_matches_schema(self):
+        # docs/observability.md lists every kind: a kind added, removed
+        # or reshaped without its row fails here.
+        doc = Path(__file__).parent.parent / "docs" / "observability.md"
+
+        def names(cell):
+            cell = cell.strip()
+            return () if cell == "—" else tuple(
+                name.strip() for name in cell.split(","))
+
+        rows = {}
+        for line in doc.read_text().splitlines():
+            cells = line.split("|")
+            if len(cells) > 4 and cells[1].strip().startswith("`"):
+                rows[cells[1].strip().strip("`")] = (names(cells[2]),
+                                                     names(cells[3]))
+        assert rows == {
+            kind.name: (kind.wire_fields, tuple(
+                f for f in kind.fields if f in kind.internal))
+            for kind in SCHEMA.kinds()}
 
 
 class TestEventRecord:

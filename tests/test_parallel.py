@@ -76,14 +76,15 @@ class TestDerivedSeeds:
             assert cell.seed == derive_cell_seed(
                 7, cell.message_bytes, cell.partitions)
 
-    def test_plan_cells_skips_unsplittable_and_rejects_empty(self):
+    def test_plan_cells_skips_unsplittable_and_rejects_empty(self, capsys):
         cells = plan_cells(_base(), [2], [1, 4])
         assert [(c.message_bytes, c.partitions) for c in cells] == [(2, 1)]
         for sizes, counts in (([], COUNTS), ([16], [32])):
             with pytest.raises(ConfigurationError):
                 plan_cells(_base(), sizes, counts)
-        with pytest.raises(ConfigurationError, match="grid is empty"):
-            main(["sweep", "--sizes", "16", "--counts", "32", "--jobs", "1"])
+        assert main(["sweep", "--sizes", "16", "--counts", "32",
+                     "--jobs", "1"]) == 2
+        assert "grid is empty" in capsys.readouterr().err
         with pytest.raises(ProtocolError, match="grid is empty"):
             parse_sweep_request({"base": {"message_bytes": 16, "partitions": 1},
                                  "sizes": [16], "counts": [32]})

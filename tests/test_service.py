@@ -1,6 +1,9 @@
 """The sweep service: protocol, scheduler, daemon, and client."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -545,7 +548,8 @@ class TestScheduler:
         with pytest.raises(ServiceError, match="jobs must be >= 1: 0"):
             SweepScheduler(cache=ResultCache(tmp_path / "c"), jobs=0)
 
-    def test_serve_with_jobs_zero_exits_before_binding(self, monkeypatch):
+    def test_serve_with_jobs_zero_exits_before_binding(self, monkeypatch,
+                                                       capsys):
         from repro.cli import main
         from repro.service import server
 
@@ -553,8 +557,44 @@ class TestScheduler:
             raise AssertionError("bound a port with --jobs 0")
 
         monkeypatch.setattr(server, "ThreadingHTTPServer", no_bind)
-        with pytest.raises(ServiceError, match="jobs must be >= 1"):
-            main(["serve", "--port", "0", "--jobs", "0"])
+        assert main(["serve", "--port", "0", "--jobs", "0"]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+#: A ``repro serve --jobs 2`` daemon that reports, on stderr, how many
+#: threads its process runs at each fork.
+_COUNTING_FORKS = """
+import os, sys, threading
+from repro.cli import main
+fork = os.fork
+def counting_fork():
+    print(f"fork {threading.active_count()}", file=sys.stderr, flush=True)
+    return fork()
+os.fork = counting_fork
+sys.exit(main(["serve", "--port", "0", "--jobs", "2"]))
+"""
+
+
+def test_serve_forks_its_workers_before_any_thread_starts():
+    """Forking a multi-threaded process can deadlock the child, so the
+    daemon forks its pool's workers before its dispatcher and HTTP
+    threads start, and a cold request forks nothing more."""
+    import repro
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(repro.__file__)))
+    daemon = subprocess.Popen([sys.executable, "-c", _COUNTING_FORKS],
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        url = daemon.stdout.readline().split()[2]
+        with ServiceClient(url) as client:
+            assert client.trial(_payload(seed=7))["source"] == "des"
+    finally:
+        daemon.terminate()
+        _, err = daemon.communicate(timeout=60)
+    forks = [int(line.split()[1]) for line in err.splitlines()
+             if line.startswith("fork ")]
+    assert forks == [1, 1], err
 
 
 # ---------------------------------------------------------------------------
