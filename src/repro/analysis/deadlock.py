@@ -131,10 +131,6 @@ class ResourceMonitor:
             if entry is not None:
                 self.holders.setdefault(resource, []).append(entry[1])
 
-    def on_resource_cancel(self, resource: Any, event: Any) -> None:
-        """A queued request was withdrawn before being granted."""
-        self.waiting.pop(event, None)
-
     # -- analysis --------------------------------------------------------
     def wait_for_graph(self) -> WaitForGraph:
         """Build the wait-for graph from the current holder/waiter state.

@@ -18,7 +18,7 @@ from . import Rule, register
 __all__ = ["BareYieldRule", "BlockWhileLockedRule"]
 
 #: Method names whose call results are events a sim process may yield.
-_EVENT_FACTORIES = {"timeout", "sleep", "event", "any_of", "all_of", "get",
+_EVENT_FACTORIES = {"timeout", "sleep", "event", "all_of", "get",
                     "request", "wait", "join"}
 
 

@@ -443,13 +443,18 @@ def plan_cells(base: PtpBenchmarkConfig,
                partition_counts: Sequence[int]) -> List[PtpBenchmarkConfig]:
     """Resolve a grid into its per-cell configs, in serial sweep order.
 
-    Cells where the message is smaller than the partition count are
-    skipped (they cannot be split), matching how the paper's figures leave
-    those cells empty; a grid with no cell left raises.  Each cell's seed
-    comes from :func:`derive_cell_seed`.
+    A size or count below 1 raises.  Cells where the message is smaller
+    than the partition count are skipped (they cannot be split), matching
+    how the paper's figures leave those cells empty; a grid with no cell
+    left raises.  Each cell's seed comes from :func:`derive_cell_seed`.
     """
     if not message_sizes or not partition_counts:
         raise ConfigurationError("sweep needs at least one size and count")
+    for name, values in (("message_bytes", message_sizes),
+                         ("partitions", partition_counts)):
+        for value in values:
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1: {value}")
     cells: List[PtpBenchmarkConfig] = []
     for n in partition_counts:
         for m in message_sizes:

@@ -271,11 +271,12 @@ class WorkerPool:
         return future, executor
 
     def _grow(self, size: int, stats: PoolRunStats) -> None:
-        """Make the live executor at least ``size`` workers (under
-        ``_lock``)."""
+        """Make the live executor at least ``size`` workers, and no
+        smaller than the one it replaces (under ``_lock``)."""
         if self._live is None or self._size < size:
             if self._live is not None:
                 self._live.shutdown(wait=False)  # its tasks finish
+            size = max(size, self._size)
             self._live, self._size = _new_executor(size), size
             stats.booted_workers += size
 
@@ -295,7 +296,8 @@ class WorkerPool:
         ready.result()
 
     def _retire(self, executor) -> None:
-        """Drop a broken executor; the next submit builds a fresh one."""
+        """Drop a broken executor; the next submit builds a fresh one of
+        at least its size."""
         with self._lock:
             if self._live is executor:
                 self._live = None

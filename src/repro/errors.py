@@ -38,8 +38,9 @@ class TruncationError(MPIError):
 class RequestStateError(MPIError):
     """An operation was applied to a request in an illegal state.
 
-    Examples: calling ``pready`` before ``start``, starting an active
-    persistent request, or double-completing a request.
+    Examples: calling ``pready`` before ``start``, starting a partitioned
+    request before the previous epoch's ``wait``, or double-completing a
+    request.
     """
 
 

@@ -4,7 +4,7 @@ Entry points:
 
 * :class:`Cluster` — build a world and run per-rank programs.
 * :class:`Communicator` — the application-facing verb set (point-to-point,
-  persistent, partitioned, collectives).
+  partitioned, collectives).
 * :class:`ThreadingMode` / :class:`MPICosts` — runtime configuration.
 """
 
@@ -15,7 +15,6 @@ from .diagnostics import (RankDiagnostics, cluster_report,
 from .constants import (ANY_SOURCE, ANY_TAG, DEFAULT_COSTS, MPICosts,
                         ThreadingMode)
 from .matching import Envelope, MatchingEngine
-from .persistent import PersistentRecv, PersistentSend
 from .process import MPIProcess
 from .request import RecvRequest, Request, SendRequest, waitall
 from .status import Status
@@ -34,8 +33,6 @@ __all__ = [
     "ThreadingMode",
     "Envelope",
     "MatchingEngine",
-    "PersistentRecv",
-    "PersistentSend",
     "MPIProcess",
     "RecvRequest",
     "Request",

@@ -249,8 +249,6 @@ class Cluster:
         ]
         self._part_pending: Dict[Tuple[int, int, int, int],
                                  Dict[str, deque]] = {}
-        self._dup_ids: Dict[Tuple[int, int], int] = {}
-        self._next_comm_id = 1
         #: ``(nthreads, policy)`` -> ThreadBinding (pure, so shared).
         self._bindings: Dict[Tuple[int, BindPolicy], ThreadBinding] = {}
         #: Dynamic-correctness checker attached by
@@ -319,13 +317,6 @@ class Cluster:
             if len(self._bindings) < MEMO_CAP:
                 self._bindings[nthreads, policy] = binding
         return binding
-
-    def _dup_comm_id(self, base_id: int, nth: int) -> int:
-        key = (base_id, nth)
-        if key not in self._dup_ids:
-            self._dup_ids[key] = self._next_comm_id
-            self._next_comm_id += 1
-        return self._dup_ids[key]
 
     # ------------------------------------------------------------------
     # running programs

@@ -12,8 +12,7 @@ it, which saves one generator frame on every resume.
 Verbs
 -----
 point-to-point
-    ``send`` / ``recv`` (blocking), ``isend`` / ``irecv`` (nonblocking),
-    ``send_init`` / ``recv_init`` (persistent).
+    ``send`` / ``recv`` (blocking), ``isend`` / ``irecv`` (nonblocking).
 partitioned
     ``psend_init`` / ``precv_init`` — MPI 4.0 partitioned transfers; the
     once-only matching happens inside these calls through the cluster's
@@ -32,7 +31,6 @@ from ..partitioned import (IMPL_MPIPCL, PartitionedRecvRequest,
                            PartitionedSendRequest)
 from . import collectives as _coll
 from .constants import ANY_SOURCE, ANY_TAG
-from .persistent import PersistentRecv, PersistentSend
 from .process import MPIProcess
 from .request import waitall
 from .status import Status
@@ -47,8 +45,8 @@ class Communicator:
     ----------
     cluster:
         The owning :class:`~repro.mpi.cluster.Cluster` (supplies the
-        partitioned-init registry and communicator-id allocation); held
-        weakly, since the cluster owns its ranks' communicators.
+        partitioned-init registry); held weakly, since the cluster owns
+        its ranks' communicators.
     proc:
         This rank's MPI engine.
     comm_id:
@@ -63,7 +61,6 @@ class Communicator:
         self.proc = proc
         self.comm_id = comm_id
         self.size = size
-        self._ndups = 0
         self._coll_seq = 0
 
     @property
@@ -118,12 +115,6 @@ class Communicator:
         yield from self.proc.blocking_wait(tc, req.wait())
         return req.status
 
-    def cancel(self, tc, request):
-        """Generator: ``MPI_Cancel`` a pending receive; returns True when
-        the receive was still unmatched and has been withdrawn."""
-        result = yield from self.proc.cancel_recv(tc, request)
-        return result
-
     def wait(self, tc, request):
         """Generator: blocking ``MPI_Wait`` on one request.
 
@@ -140,24 +131,6 @@ class Communicator:
         yield from self.proc.blocking_wait(
             tc, waitall(self.sim, list(requests)))
         return list(requests)
-
-    # ------------------------------------------------------------------
-    # persistent point-to-point
-    # ------------------------------------------------------------------
-    def send_init(self, tc, dest: int, tag: int, nbytes: int,
-                  payload: Any = None,
-                  bufkey: Optional[str] = None) -> PersistentSend:
-        """Generator: create a persistent send handle (``MPI_Send_init``)."""
-        self._check_peer(dest)
-        yield from self.proc._mpi_entry(tc, self.proc.costs.call_overhead)
-        return PersistentSend(self, dest, tag, nbytes, payload, bufkey)
-
-    def recv_init(self, tc, source: int, tag: int, nbytes: int,
-                  bufkey: Optional[str] = None) -> PersistentRecv:
-        """Generator: create a persistent receive handle."""
-        self._check_peer(source, wildcard_ok=True)
-        yield from self.proc._mpi_entry(tc, self.proc.costs.call_overhead)
-        return PersistentRecv(self, source, tag, nbytes, bufkey)
 
     # ------------------------------------------------------------------
     # partitioned point-to-point (MPI 4.0)
@@ -208,16 +181,3 @@ class Communicator:
         """Generator: allreduce; returns the reduced value everywhere."""
         result = yield from _coll.allreduce(self, tc, nbytes, value, op)
         return result
-
-    # ------------------------------------------------------------------
-    # management
-    # ------------------------------------------------------------------
-    def dup(self) -> "Communicator":
-        """Duplicate this communicator into a fresh matching context.
-
-        Collective: every rank must dup the same communicator in the same
-        order, which is what makes the derived ids agree across ranks.
-        """
-        self._ndups += 1
-        new_id = self.cluster._dup_comm_id(self.comm_id, self._ndups)
-        return Communicator(self.cluster, self.proc, new_id, self.size)

@@ -121,30 +121,13 @@ class MatchingEngine:
         return None, scanned
 
     def post_recv(self, request: Any, source: int, tag: int,
-                  comm_id: int) -> PostedRecv:
+                  comm_id: int) -> None:
         """Append a receive to the posted queue (no match was found)."""
-        entry = PostedRecv(request=request, source=source, tag=tag,
-                           comm_id=comm_id, seq=self._next_seq())
-        self._posted.append(entry)
+        self._posted.append(PostedRecv(request=request, source=source,
+                                       tag=tag, comm_id=comm_id,
+                                       seq=self._next_seq()))
         if len(self._posted) > self.stats.max_posted_depth:
             self.stats.max_posted_depth = len(self._posted)
-        return entry
-
-    def posted_entry(self, request: Any) -> Optional[PostedRecv]:
-        """``request``'s entry while it waits in the posted queue, else None.
-
-        Requests do not keep their entry (it refers back to them), and
-        only cancellation, which is rare, needs to find it.
-        """
-        return next((e for e in self._posted if e.request is request), None)
-
-    def cancel_posted(self, entry: PostedRecv) -> bool:
-        """Remove a posted receive (for request cancellation)."""
-        try:
-            self._posted.remove(entry)
-            return True
-        except ValueError:
-            return False
 
     # -- arrival side -------------------------------------------------------
     def match_arrival(self, envelope: Envelope) -> Tuple[Optional[PostedRecv], int]:

@@ -28,8 +28,7 @@ from ..errors import ThreadingModeError, TruncationError
 from ..machine import CacheModel, MachineSpec, NUMAModel
 from ..network import NIC, Fabric, Transmission
 from ..obs import EventBus
-from ..obs.kinds import (RECV_CANCELLED, RECV_COMPLETE, RECV_POST,
-                         SEND_COMPLETE, SEND_START)
+from ..obs.kinds import RECV_COMPLETE, RECV_POST, SEND_COMPLETE, SEND_START
 from ..sim import Mutex, Simulator, Store
 from .constants import MPICosts, ThreadingMode
 from .matching import Envelope, MatchingEngine
@@ -314,24 +313,6 @@ class MPIProcess:
                         nbytes=frame.nbytes, sreq=frame.sreq, rreq=req)
             self.transmit(frame.src_rank, 0, cts)
         return req
-
-    def cancel_recv(self, tc, req: RecvRequest):
-        """Generator: ``MPI_Cancel`` on a pending receive.
-
-        Succeeds only while the receive still sits in the posted queue; a
-        matched or completed receive cannot be cancelled (the standard
-        leaves that case to complete normally).  Returns True on success.
-        """
-        yield from self._mpi_entry(tc, self.costs.call_overhead)
-        entry = self.matching.posted_entry(req)
-        if req.complete or entry is None:
-            return False
-        cancelled = self.matching.cancel_posted(entry)
-        if cancelled:
-            req._finish(self.sim.now, source=-1, tag=req.tag, nbytes=0)
-            req.status.cancelled = True
-            self.obs.emit(RECV_CANCELLED, self.sim.now, self.rank, req.tag)
-        return cancelled
 
     # ------------------------------------------------------------------
     # progress engine (receive-side protocol state machine)

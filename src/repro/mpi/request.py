@@ -1,4 +1,4 @@
-"""Request objects for nonblocking and persistent operations.
+"""Request objects for nonblocking operations.
 
 A request wraps a completion :class:`~repro.sim.core.Event`.  Application
 code yields ``req.wait()`` (or ``waitall([...])``) inside its simulated
@@ -6,11 +6,6 @@ process; ``req.test()`` is an instantaneous poll.  The completion event's
 value is the request's :class:`~repro.mpi.status.Status` (what
 ``MPI_Wait`` hands back), not the request itself, so a request and its
 event refer to each other in one direction only.
-
-Persistent requests (``send_init``/``recv_init``) hold their arguments and
-re-arm a fresh underlying operation on each ``start()`` — the semantics a
-1-partition partitioned transfer degenerates to, which the paper uses as
-its equivalence baseline.
 """
 
 from __future__ import annotations

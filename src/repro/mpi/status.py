@@ -31,6 +31,3 @@ class Status:
     nbytes: int = 0
     payload: Optional[Any] = None
     completed_at: float = float("nan")
-    #: True when the operation was cancelled rather than matched
-    #: (``MPI_Test_cancelled`` analogue).
-    cancelled: bool = False

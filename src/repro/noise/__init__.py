@@ -1,9 +1,7 @@
-"""Injected system-noise models (§3.3 of the paper, plus an exponential
-extension)."""
+"""Injected system-noise models (§3.3 of the paper)."""
 
 from .models import (
     NOISE_MODELS,
-    ExponentialNoise,
     GaussianNoise,
     NoNoise,
     NoiseModel,
@@ -14,7 +12,6 @@ from .models import (
 
 __all__ = [
     "NOISE_MODELS",
-    "ExponentialNoise",
     "GaussianNoise",
     "NoNoise",
     "NoiseModel",

@@ -15,8 +15,8 @@ amounts actually simulated:
 Models are stateless — randomness comes from the generator handed to
 :meth:`NoiseModel.compute_times`, so trials can replay identical draws for
 the partitioned and single-send phases (common random numbers).  Any
-generator with numpy's ``integers``/``uniform``/``normal``/``exponential``
-signatures works: a :class:`repro.sim.rng.Generator` stream or a
+generator with numpy's ``integers``/``uniform``/``normal`` signatures
+works: a :class:`repro.sim.rng.Generator` stream or a
 ``numpy.random.Generator``; the same seed gives the same floats.
 """
 
@@ -30,7 +30,7 @@ from ..errors import ConfigurationError
 from ..sim.rng import Generator
 
 __all__ = ["NoiseModel", "NoNoise", "SingleThreadNoise", "UniformNoise",
-           "GaussianNoise", "ExponentialNoise", "NOISE_MODELS",
+           "GaussianNoise", "NOISE_MODELS",
            "noise_model_from_name"]
 
 
@@ -173,35 +173,10 @@ class GaussianNoise(_PercentNoise):
                 rng.normal(compute_seconds, sigma, size=nthreads)]
 
 
-class ExponentialNoise(_PercentNoise):
-    """Every thread adds an exponential delay with mean ``comp * noise%``.
-
-    An extension beyond the paper's three models: OS interference events
-    (daemon wakeups, page-cache flushes) are classically heavy-tailed, and
-    an exponential additive term is the standard first approximation
-    (Ferreira et al.'s kernel-injection study the paper cites uses similar
-    shapes).  Lets the suite probe tail-dominated regimes the bounded
-    uniform model cannot express.
-    """
-
-    name = "exponential"
-
-    def compute_times(self, rng: Generator, nthreads: int,
-                      compute_seconds: float) -> List[float]:
-        """Additive exponential delays with mean ``comp * noise%``."""
-        self._check(nthreads, compute_seconds)
-        scale = compute_seconds * self.fraction
-        if scale == 0.0:
-            return [float(compute_seconds)] * nthreads
-        return [float(compute_seconds + d) for d in
-                rng.exponential(scale, size=nthreads)]
-
-
 #: Model name -> class: the one noise vocabulary of the CLI, the service
 #: protocol and sweep configs.
 NOISE_MODELS = {cls.name: cls for cls in (
-    NoNoise, SingleThreadNoise, UniformNoise, GaussianNoise,
-    ExponentialNoise)}
+    NoNoise, SingleThreadNoise, UniformNoise, GaussianNoise)}
 
 def noise_model_from_name(name: str,
                           noise_percent: Optional[float] = None

@@ -62,7 +62,7 @@ __all__ = [
     "PART_SEND_START", "PART_RECV_START", "PART_SEND_INJECTED",
     "PART_SEND_EPOCH_COMPLETE", "PART_RECV_EPOCH_COMPLETE",
     "SEND_START", "SEND_COMPLETE", "RECV_POST", "RECV_COMPLETE",
-    "RECV_CANCELLED", "THREAD_COMPUTED", "TEAM_FORK", "TEAM_JOIN",
+    "THREAD_COMPUTED", "TEAM_FORK", "TEAM_JOIN",
     "NIC_TX_START", "NIC_TX_DONE",
     "BENCH_PART_BEGIN", "BENCH_SINGLE_BEGIN", "BENCH_JOIN",
     "BENCH_SEND_BEGIN", "BENCH_RECV_COMPLETE",
@@ -137,9 +137,6 @@ RECV_POST = SCHEMA.register(
 RECV_COMPLETE = SCHEMA.register(
     "recv.complete", ("rank", "source", "tag", "nbytes"),
     doc="receive-side completion (data in the user buffer)")
-RECV_CANCELLED = SCHEMA.register(
-    "recv.cancelled", ("rank", "tag"),
-    doc="MPI_Cancel succeeded on a pending receive")
 
 # -- simulated threads -----------------------------------------------------
 THREAD_COMPUTED = SCHEMA.register(

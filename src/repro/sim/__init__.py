@@ -15,9 +15,7 @@ given a master seed.  Instrumentation lives one layer up, in
 
 from .core import (
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     Process,
     Simulator,
     Timeout,
@@ -27,9 +25,7 @@ from .rng import RandomStreams
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
     "Simulator",
     "Timeout",

@@ -20,8 +20,8 @@ observable ordering (the instrumentation digests of
 :mod:`repro.obs` are bit-identical with and without them):
 
 * **Immediate-event ring** — events scheduled at the current time (every
-  :meth:`Event.succeed` hand-off, process kick-offs, interrupts, store
-  wake-ups) go to FIFO deques drained ahead of the heap, skipping the
+  :meth:`Event.succeed` hand-off, process kick-offs, store wake-ups) go
+  to FIFO deques drained ahead of the heap, skipping the
   ``heappush``/``heappop`` pair while preserving the exact
   ``(time, priority, seq)`` tie-break order.  Future events are
   time-bucketed: the heap orders unique float timestamps and a deque per
@@ -76,9 +76,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "Simulator",
-    "AnyOf",
     "AllOf",
 ]
 
@@ -103,17 +101,6 @@ def _detach(event: "Event", callback: Callable) -> None:
             cbs.remove(callback)
     elif cbs == callback:
         event._callbacks = _NO_WAITERS
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -337,35 +324,8 @@ class Process(Event):
         """True while the wrapped generator has not finished."""
         return self._value is _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield."""
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt dead process {self.name}")
-        target = self._target
-        if target is None:
-            raise SimulationError(
-                f"cannot interrupt process {self.name} from within itself")
-        # O(1) detach from the event we were waiting on: a sole waiter is
-        # cleared outright; on a multi-waiter list our entry is left in
-        # place and neutralized by the ``_target`` guard in ``_resume``
-        # when the event eventually fires (no O(n) ``list.remove``).
-        resume = self._resume_cb
-        if target._callbacks is resume:
-            target._callbacks = _NO_WAITERS
-        hit = Event(self.sim)
-        hit._ok = False
-        hit._value = Interrupt(cause)
-        hit._defused = True
-        hit._callbacks = resume
-        self._target = hit
-        self.sim._schedule(hit)
-
     # -- kernel plumbing --------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self._target is not event and type(event) is not _Initialize:
-            # Stale wake-up: an interrupt moved us off this event while it
-            # still held our callback (see interrupt()).
-            return
         self.sim._active_proc = self
         self._target = None
         gen = self.gen
@@ -433,22 +393,25 @@ class Process(Event):
         short.  The process is detached from the event it waits on and
         releases its cached resume callback, so nothing refers back to
         it; it is never resumed and never triggers, and its generator is
-        closed when the process is freed.  A condition left with no
-        waiter lets go of its sub-events in turn.
+        closed when the process is freed.  An :class:`AllOf` left with
+        no waiter lets go of its sub-events in turn.
         """
         target = self._target
         if target is not None:
             _detach(target, self._resume_cb)
             self._target = None
-            if isinstance(target, Condition) and \
+            if isinstance(target, AllOf) and \
                     target._callbacks is _NO_WAITERS:
                 for event in target.events:
                     _detach(event, target._check)
         self._resume_cb = None
 
 
-class Condition(Event):
-    """Base for composite events over a fixed set of sub-events."""
+class AllOf(Event):
+    """Triggers when *all* sub-events have triggered (fails fast on failure).
+
+    Succeeds with a dict mapping each sub-event to its value.
+    """
 
     __slots__ = ("events", "_count")
 
@@ -460,7 +423,7 @@ class Condition(Event):
             if ev.sim is not sim:
                 raise SimulationError("condition spans multiple simulators")
         if not self.events:
-            self.succeed(self._collect())
+            self.succeed({})
             return
         check = self._check
         for ev in self.events:
@@ -474,51 +437,16 @@ class Condition(Event):
             else:
                 ev._callbacks = [cbs, check]
 
-    def _collect(self) -> dict:
-        return {
-            ev: ev._value
-            for ev in self.events
-            if ev._value is not _PENDING and ev._ok
-        }
-
     def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _finish(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-        else:
-            self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Triggers when *all* sub-events have triggered (fails fast on failure)."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self._finish(event)
             return
         self._count += 1
         if self._count == len(self.events):
-            self._finish(event)
-
-
-class AnyOf(Condition):
-    """Triggers when *any* sub-event triggers."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._finish(event)
+            self.succeed({ev: ev._value for ev in self.events})
 
 
 class Simulator:
@@ -591,8 +519,8 @@ class Simulator:
         comes from a per-simulator free list and goes back on it as soon as
         it has been processed, so steady-state compute delays and NIC gaps
         allocate nothing.  The contract: ``yield sim.sleep(d)`` immediately
-        and let go — never store the event, pass it to :class:`AnyOf` /
-        :class:`AllOf`, or read it after it fires.  Use :meth:`timeout`
+        and let go — never store the event, pass it to :class:`AllOf`,
+        or read it after it fires.  Use :meth:`timeout`
         for anything fancier.
         """
         if not (0.0 <= delay < _INF):
@@ -638,10 +566,6 @@ class Simulator:
     def process(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from a generator and return its handle."""
         return Process(self, gen, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event: first of ``events`` to trigger."""
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event: all of ``events`` triggered."""

@@ -90,17 +90,6 @@ class Resource:
         if monitor is not None:
             monitor.on_resource_release(self, handed)
 
-    def cancel(self, event: Event) -> bool:
-        """Withdraw a pending request; returns False if already granted."""
-        try:
-            self._waiters.remove(event)
-        except ValueError:
-            return False
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_resource_cancel(self, event)
-        return True
-
 
 @dataclass
 class MutexStats:

@@ -8,7 +8,7 @@ code revisions — the standard "common random numbers" variance-reduction
 technique used in simulation studies.
 
 Each stream is a :class:`Generator`: numpy's ``default_rng`` algorithms
-(SeedSequence seeding, PCG64, ziggurat normal and exponential) in pure
+(SeedSequence seeding, PCG64, ziggurat normal) in pure
 Python.  A stream's draws equal ``numpy.random.default_rng(seed)``'s bit
 for bit, so the runtime needs no numpy and every digest stays the one
 numpy produced.
@@ -20,7 +20,7 @@ import hashlib
 import math
 from typing import Dict, List, Optional, Union
 
-from ._ziggurat import FE, FI, KE, KI, WE, WI
+from ._ziggurat import FI, KI, WI
 
 __all__ = ["Generator", "RandomStreams"]
 
@@ -37,7 +37,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 #: Ziggurat tail constants (``numpy/random/src/distributions``).
 _NOR_R = 3.6541528853610088
 _NOR_INV_R = 0.27366123732975828
-_EXP_R = 7.69711747013104972
 
 
 def _seed_words(seed: int) -> List[int]:
@@ -155,21 +154,6 @@ class Generator:
                   < math.exp(-0.5 * x * x)):
                 return x
 
-    def _standard_exponential(self) -> float:
-        """numpy's ``random_standard_exponential`` (ziggurat)."""
-        while True:
-            ri = self._next64() >> 3
-            idx = ri & 0xFF
-            ri >>= 8
-            x = ri * WE[idx]
-            if ri < KE[idx]:
-                return x
-            if idx == 0:
-                return _EXP_R - math.log1p(-self.random())
-            if ((FE[idx - 1] - FE[idx]) * self.random() + FE[idx]
-                    < math.exp(-x)):
-                return x
-
     def random(self, size: Optional[int] = None
                ) -> Union[float, List[float]]:
         """Uniform draws from ``[0, 1)`` with 53 random bits."""
@@ -206,15 +190,6 @@ class Generator:
             return loc + scale * self._standard_normal()
         draw = self._standard_normal
         return [loc + scale * draw() for _ in range(size)]
-
-    def exponential(self, scale: float = 1.0, size: Optional[int] = None
-                    ) -> Union[float, List[float]]:
-        """Exponential draws with mean ``scale`` (ziggurat)."""
-        scale = float(scale)
-        if size is None:
-            return scale * self._standard_exponential()
-        draw = self._standard_exponential
-        return [scale * draw() for _ in range(size)]
 
 
 class RandomStreams:

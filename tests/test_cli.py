@@ -96,6 +96,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--sizes", "0", "--counts", "1", "--jobs", "1"],
+        ["sweep", "--sizes", "0,16", "--counts", "1", "--jobs", "1"],
         ["sweep", "--sizes", "abc"],
         ["sweep", "--faults", "bogus", "--jobs", "1"],
         ["fig4", "--jobs", "0"],

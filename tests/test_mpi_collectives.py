@@ -60,32 +60,3 @@ class TestAllreduce:
             return value
 
         assert _run(program, 4) == [4, 4, 4, 4]
-
-
-class TestCommDup:
-    def test_dup_separates_matching_contexts(self):
-        def program(ctx):
-            dup = ctx.comm.dup()
-            if ctx.rank == 0:
-                # Same tag on both communicators; payloads must not cross.
-                yield from ctx.comm.send(ctx.main, 1, 5, 64, payload="world")
-                yield from dup.send(ctx.main, 1, 5, 64, payload="dup")
-            else:
-                s_dup = yield from dup.recv(ctx.main, 0, 5, 64)
-                s_world = yield from ctx.comm.recv(ctx.main, 0, 5, 64)
-                return (s_world.payload, s_dup.payload)
-
-        cluster = Cluster(nranks=2)
-        results = cluster.run(program)
-        assert results[1] == ("world", "dup")
-
-    def test_dup_ids_agree_across_ranks(self):
-        def program(ctx):
-            yield from ctx.comm.barrier(ctx.main)
-            dup = ctx.comm.dup()
-            return dup.comm_id
-
-        cluster = Cluster(nranks=4)
-        ids = cluster.run(program)
-        assert len(set(ids)) == 1
-        assert ids[0] != 0

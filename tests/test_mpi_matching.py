@@ -65,13 +65,6 @@ class TestMatchingEngine:
         entry, _ = eng.match_arrival(Envelope(7, 3, 0))
         assert entry.request == "wild"
 
-    def test_cancel_posted(self):
-        eng = MatchingEngine()
-        entry = eng.post_recv("req", source=0, tag=1, comm_id=0)
-        assert eng.cancel_posted(entry)
-        assert not eng.cancel_posted(entry)
-        assert eng.match_arrival(Envelope(0, 1, 0))[0] is None
-
     def test_depth_tracking(self):
         eng = MatchingEngine()
         for i in range(3):

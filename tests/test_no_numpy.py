@@ -80,5 +80,5 @@ def test_runs_without_numpy_match_runs_in_process():
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout)
     assert set(child) == {"none", "single", "uniform", "gaussian",
-                          "exponential", "halo3d"}
+                          "halo3d"}
     assert child == observe()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.noise import (ExponentialNoise, GaussianNoise, NoNoise,
+from repro.noise import (NOISE_MODELS, GaussianNoise, NoNoise,
                          SingleThreadNoise, UniformNoise,
                          noise_model_from_name)
 from repro.sim.rng import Generator
@@ -97,31 +97,6 @@ class TestGaussianNoise:
         assert min(times) >= 0.0
 
 
-class TestExponentialNoise:
-    def test_delays_are_additive_and_nonnegative(self):
-        times = ExponentialNoise(4.0).compute_times(_rng(), 1000, 0.01)
-        assert min(times) >= 0.01
-
-    def test_mean_delay_matches_scale(self):
-        np = pytest.importorskip("numpy")
-        times = ExponentialNoise(10.0).compute_times(_rng(), 50000, 0.01)
-        assert np.mean([t - 0.01 for t in times]) == pytest.approx(
-            0.001, rel=0.02)
-
-    def test_heavy_tail_exceeds_uniform_bound(self):
-        """The point of the model: some draws land far past comp*(1+p)."""
-        times = ExponentialNoise(4.0).compute_times(_rng(), 50000, 0.01)
-        assert sum(t > 0.01 * 1.04 for t in times) > 0
-
-    def test_zero_percent_is_noise_free(self):
-        times = ExponentialNoise(0.0).compute_times(_rng(), 8, 0.01)
-        assert times == [0.01] * 8
-
-    def test_factory(self):
-        assert isinstance(noise_model_from_name("exponential", 4.0),
-                          ExponentialNoise)
-
-
 class TestDeterminism:
     @pytest.mark.parametrize("model", [
         SingleThreadNoise(4.0), UniformNoise(4.0), GaussianNoise(4.0)])
@@ -131,8 +106,7 @@ class TestDeterminism:
         assert a == b
 
     @pytest.mark.parametrize("model", [
-        SingleThreadNoise(4.0), UniformNoise(4.0), GaussianNoise(4.0),
-        ExponentialNoise(4.0)])
+        SingleThreadNoise(4.0), UniformNoise(4.0), GaussianNoise(4.0)])
     def test_numpy_generator_draws_the_same_times(self, model):
         # The models take any numpy-Generator-shaped stream; numpy's own
         # gives bit-identical times.
@@ -156,6 +130,12 @@ class TestFactory:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
             noise_model_from_name("pink")
+
+    def test_models_are_the_papers_three_plus_none(self):
+        assert sorted(NOISE_MODELS) == ["gaussian", "none", "single",
+                                        "uniform"]
+        with pytest.raises(ConfigurationError):
+            noise_model_from_name("exponential")
 
     def test_none_with_percent_rejected(self):
         # "none" with a nonzero magnitude is a contradiction the factory

@@ -221,6 +221,26 @@ class TestCrashRecovery:
         assert victim.pid not in {
             p.pid for p in multiprocessing.active_children()}
 
+    def test_rebuilt_executor_keeps_the_pool_size(self, pool):
+        before = {p.pid for p in multiprocessing.active_children()}
+        pool.start()
+        executor = pool._live
+        victim = next(p for p in multiprocessing.active_children()
+                      if p.pid not in before)
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join()
+        deadline = time.monotonic() + 30
+        while not executor._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert executor._broken
+        config = plan_cells(_base(seed=8), [1024], [1])[0]
+        (_, frame), = pool.run([config])
+        assert decode_result(config, frame).event_digest == \
+            run_ptp_benchmark(config).event_digest
+        # A one-task run rebuilds at the retired executor's size, so the
+        # next larger run does not fork again.
+        assert pool.started_workers == 2
+
     @FORK_ONLY
     def test_sigkill_mid_sweep_yields_serial_digests(self, monkeypatch,
                                                      tmp_path):

@@ -167,6 +167,15 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             parse_sweep_request({"base": _payload(), "sizes": [64]})
 
+    @pytest.mark.parametrize("sizes", [[0, 16], [-5, 16]])
+    def test_sweep_axis_value_below_one_is_rejected(self, sizes):
+        # Not skipped as an unsplittable cell next to a valid one.
+        with pytest.raises(ProtocolError, match="message_bytes must be >= 1"
+                           ) as err:
+            parse_sweep_request({"base": _payload(partitions=1),
+                                 "sizes": sizes, "counts": [1]})
+        assert err.value.status == 400
+
     def test_result_payload_carries_identity_and_metrics(self):
         config = _base()
         result = run_ptp_benchmark(config)

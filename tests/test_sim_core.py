@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import (ConfigurationError, DeadlockError,
                           SimulationError)
-from repro.sim import (AllOf, AnyOf, Event, Interrupt, Process,
-                       Timeout)
+from repro.sim import AllOf, Event, Process, Timeout
 
 
 class TestEvent:
@@ -178,34 +177,45 @@ class TestProcess:
         assert not p.is_alive
 
 
-class TestInterrupt:
-    def test_interrupt_wakes_process_with_cause(self, sim):
-        log = []
+class TestAbandon:
+    def test_abandoned_all_of_waiter_releases_its_sub_events(self, sim):
+        a, b = sim.event(), sim.event()
+        resumed = []
 
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as exc:
-                log.append((sim.now, exc.cause))
+        def waiter():
+            yield AllOf(sim, [a, b])
+            resumed.append(sim.now)
 
-        p = sim.process(sleeper())
-
-        def interrupter():
-            yield sim.timeout(3.0)
-            p.interrupt("wakeup")
-
-        sim.process(interrupter())
+        p = sim.process(waiter())
         sim.run()
-        assert log == [(3.0, "wakeup")]
-
-    def test_interrupt_dead_process_raises(self, sim):
-        def quick():
-            yield sim.timeout(1.0)
-
-        p = sim.process(quick())
+        cond = p._target
+        assert isinstance(cond, AllOf)
+        p.abandon()
+        # The condition had no other waiter, so it lets go of both.
+        assert a.callbacks == [] and b.callbacks == []
+        a.succeed()
+        b.succeed()
         sim.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
+        assert resumed == []
+        assert not cond.triggered and not p.triggered
+
+    def test_abandoned_waiter_leaves_a_shared_event(self, sim):
+        gate = sim.event()
+        woke = []
+
+        def waiter(i):
+            yield gate
+            woke.append(i)
+
+        procs = [sim.process(waiter(i)) for i in range(3)]
+        sim.run()
+        assert len(gate.callbacks) == 3
+        procs[1].abandon()
+        assert len(gate.callbacks) == 2
+        gate.succeed()
+        sim.run()
+        assert woke == [0, 2]
+        assert not procs[1].triggered
 
 
 class TestConditions:
@@ -217,15 +227,6 @@ class TestConditions:
         p = sim.process(waiter())
         sim.run()
         assert p.value == 5.0
-
-    def test_any_of_fires_on_first(self, sim):
-        def waiter():
-            yield AnyOf(sim, [sim.timeout(1.0), sim.timeout(5.0)])
-            return sim.now
-
-        p = sim.process(waiter())
-        sim.run()
-        assert p.value == 1.0
 
     def test_empty_all_of_triggers_immediately(self, sim):
         cond = AllOf(sim, [])
@@ -380,61 +381,6 @@ class TestSleepRecycling:
                                        for ev in sim._sleep_pool)
 
 
-class TestInterruptDetach:
-    def test_interrupt_on_heavily_subscribed_event(self, sim):
-        """Interrupting one of many waiters must not disturb the rest.
-
-        The interrupted process's callback stays in the event's waiter
-        list (O(1) detach) and is neutralized by the stale-wakeup guard
-        when the event eventually fires.
-        """
-        gate = sim.event()
-        woke, interrupted = [], []
-
-        def waiter(i):
-            try:
-                yield gate
-                woke.append(i)
-            except Interrupt:
-                interrupted.append(i)
-                yield sim.timeout(5.0)
-
-        procs = [sim.process(waiter(i)) for i in range(20)]
-
-        def controller():
-            yield sim.timeout(1.0)
-            procs[7].interrupt("out")
-            gate.succeed()
-
-        sim.process(controller())
-        sim.run()
-        assert interrupted == [7]
-        assert sorted(woke) == [i for i in range(20) if i != 7]
-
-    def test_interrupt_sole_waiter_clears_callback(self, sim):
-        gate = sim.event()
-
-        def waiter():
-            try:
-                yield gate
-            except Interrupt:
-                yield sim.timeout(1.0)
-
-        p = sim.process(waiter())
-
-        def controller():
-            yield sim.timeout(1.0)
-            p.interrupt()
-
-        sim.process(controller())
-        sim.run()
-        # The interrupted process never wakes on the gate: firing it
-        # later must find no stale waiter to resume.
-        gate.succeed()
-        sim.run()
-        assert sim.now == 2.0
-
-
 class TestImmediateRing:
     def test_heap_event_at_now_beats_newer_ring_event(self, sim):
         """A heaped event landing exactly at the current instant still
@@ -457,18 +403,6 @@ class TestImmediateRing:
         sim.run()
         assert sim.now == 1.0
 
-    def test_zero_delay_any_of(self, sim):
-        results = []
-
-        def proc():
-            first = yield sim.any_of([sim.timeout(0.0, "a"),
-                                      sim.event()])
-            results.append((sim.now, sorted(first.values())))
-
-        sim.process(proc())
-        sim.run()
-        assert results == [(0.0, ["a"])]
-
     def test_zero_delay_all_of(self, sim):
         results = []
 
@@ -480,25 +414,6 @@ class TestImmediateRing:
         sim.process(proc())
         sim.run()
         assert results == [(0.0, ["a", "b"])]
-
-    def test_zero_delay_interrupt(self, sim):
-        log = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(10.0)
-            except Interrupt as exc:
-                log.append((sim.now, exc.cause))
-
-        p = sim.process(sleeper())
-
-        def interrupter():
-            yield sim.timeout(0.0)
-            p.interrupt("now")
-
-        sim.process(interrupter())
-        sim.run()
-        assert log == [(0.0, "now")]
 
     def test_many_same_time_timeouts_preserve_order(self, sim):
         order = []

@@ -63,18 +63,6 @@ class TestResource:
         assert w.value == 1.0
         assert res.in_use == 1  # waiter still holds
 
-    def test_cancel_pending_request(self, sim):
-        res = Resource(sim, capacity=1)
-        res.request()  # grabs the unit
-        pending = res.request()
-        assert res.cancel(pending)
-        assert res.queue_length == 0
-
-    def test_cancel_granted_request_returns_false(self, sim):
-        res = Resource(sim, capacity=1)
-        granted = res.request()
-        assert not res.cancel(granted)
-
 
 class TestMutex:
     def test_uncontended_acquisition_has_no_wait(self, sim):
