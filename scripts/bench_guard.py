@@ -8,10 +8,10 @@ kernel's value on its untimed warm-up call:
 
 * this script, which times the working tree against a baseline commit
   (``--against REV``, default ``HEAD``).  Each tree runs its own
-  registry in its own runner process (``scripts/bench_runner.py``); a
-  fixed-seed shuffle interleaves every kernel of both trees in each of
-  :data:`ROUNDS` rounds, so host-speed drift lands on both sides of a
-  ratio.  A kernel fails when the whole confidence interval of its
+  registry in its own runner process (``scripts/bench_runner.py``), and
+  the :data:`SOLO` kernels in a second one; a fixed-seed shuffle
+  interleaves every kernel of both trees in each of :data:`ROUNDS`
+  rounds, so host-speed drift lands on both sides of a ratio.  A kernel fails when the whole confidence interval of its
   per-round candidate/baseline time ratio lies above its budget
   (:data:`DEFAULT_LIMIT`, or its :data:`THRESHOLDS` entry), and a
   :data:`RATIO_CHECKS` pair fails under the same rule on the per-round
@@ -189,7 +189,7 @@ def end_to_end_trial():
     """One full micro-benchmark trial (the unit every sweep repeats)."""
     cfg = PtpBenchmarkConfig(message_bytes=1 << 16, partitions=8,
                              compute_seconds=1e-3, iterations=1, warmup=0)
-    return len(run_ptp_benchmark(cfg).samples)
+    return run_ptp_benchmark(cfg).n_samples
 
 
 @kernel((16, None))
@@ -207,7 +207,7 @@ def faults_off_overhead():
                              compute_seconds=1e-3, iterations=16, warmup=0,
                              faults=None)
     result = run_ptp_benchmark(cfg)
-    return len(result.samples), result.fault_outcome
+    return result.n_samples, result.fault_outcome
 
 
 #: The cell behind ``paper_cell_trial``/``analytic_eval``: a real
@@ -221,7 +221,7 @@ _PAPER_CELL = dict(message_bytes=1 << 20, partitions=32,
 @kernel(10)
 def paper_cell_trial():
     """One full DES trial of the reference paper-grid cell."""
-    return len(run_ptp_benchmark(PtpBenchmarkConfig(**_PAPER_CELL)).samples)
+    return run_ptp_benchmark(PtpBenchmarkConfig(**_PAPER_CELL)).n_samples
 
 
 @kernel(2)
@@ -264,7 +264,7 @@ def analytic_eval():
     cost of answering an analytic-eligible cache miss."""
     from repro.analytic import evaluate_analytic
     result = evaluate_analytic(PtpBenchmarkConfig(**_PAPER_CELL))
-    return result.source, len(result.samples)
+    return result.source, result.n_samples
 
 
 #: The cell behind the planner-overhead pair: noisy, so the planner does
@@ -280,7 +280,7 @@ def _planner_run(planner):
     from repro.noise import UniformNoise
     cfg = PtpBenchmarkConfig(noise=UniformNoise(4.0), **_PLANNER_CELL)
     (result,), _ = run_cells([cfg], jobs=1, planner=planner)
-    return result.trials, len(result.samples)
+    return result.trials, result.n_samples
 
 
 @kernel((1, 16))
@@ -370,8 +370,8 @@ def ship_roundtrip_codec():
     """Result -> binary wire frame -> queue pickle -> result, 50 times.
 
     The result plane's only format: one packed bytes object crosses the
-    boundary.  Each timeline field is copied in and out of the frame as
-    one ``array('d')`` buffer, so decoding boxes no float per timestamp.
+    boundary.  Decoding reads the frame's doubles with one buffer copy
+    into the result's packed record, so it boxes no float per timestamp.
     """
     import pickle
     from repro.core.wire import decode_result, encode_result
@@ -379,7 +379,7 @@ def ship_roundtrip_codec():
     n = 0
     for _ in range(50):
         frame = pickle.loads(pickle.dumps(encode_result(result)))
-        n += len(decode_result(config, frame).samples)
+        n += decode_result(config, frame).n_samples
     return n
 
 
@@ -413,7 +413,7 @@ def cache_hot_get():
     cache, _, config = _cache_fixture()
     n = 0
     for _ in range(100):
-        n += len(cache.get(config).samples)
+        n += cache.get(config).n_samples
     return n
 
 
@@ -424,7 +424,7 @@ def cache_flat_get():
     _, flat, config = _cache_fixture()
     n = 0
     for _ in range(100):
-        n += len(decode_result(config, flat.read_bytes()).samples)
+        n += decode_result(config, flat.read_bytes()).n_samples
     return n
 
 
@@ -631,6 +631,13 @@ RATIO_CHECKS = (
 # The gate
 # ---------------------------------------------------------------------------
 
+#: Kernels timed in a runner of their own, where no fixture keeps a
+#: thread: a pool built there forks its workers, as a ``repro figN
+#: --jobs N`` process does.  Beside the other kernels' kept pools and
+#: live daemon, a process runs threads, and a pool built in it starts
+#: its workers from a fork server instead (``repro.core.pool``).
+SOLO = ("pool_cold_spawn",)
+
 #: Interleaved rounds; each times every kernel once in both trees.
 ROUNDS = 60
 
@@ -665,12 +672,13 @@ def verdict(ratios, limit: float) -> Verdict:
 
 
 class _Runner:
-    """One tree's ``bench_runner.py`` process and its warm-up report."""
+    """One ``bench_runner.py`` process of a tree (running the kernels
+    ``select`` picks) and its warm-up report."""
 
-    def __init__(self, tree: pathlib.Path):
+    def __init__(self, tree: pathlib.Path, *select: str):
         self.proc = subprocess.Popen(
             [sys.executable, str(REPO_ROOT / "scripts" / "bench_runner.py"),
-             str(tree)],
+             str(tree), *select],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
             env=_RUNNER_ENV, cwd=tree)
         line = self.proc.stdout.readline()
@@ -696,6 +704,36 @@ class _Runner:
         """End the runner's input; it tears its fixtures down and exits."""
         self.proc.stdin.close()
         self.proc.wait()
+
+
+class _Tree:
+    """A tree's two runners: one for the :data:`SOLO` kernels, one for
+    the rest, behind the interface of a single :class:`_Runner`."""
+
+    def __init__(self, tree: pathlib.Path):
+        self.runners = []
+        self.kernels: Dict[str, str] = {}
+        self.failed: Dict[str, str] = {}
+        self.seconds: Dict[str, float] = {}
+        self._owner: Dict[str, _Runner] = {}
+        try:
+            for select in ("--skip", "--only"):
+                runner = _Runner(tree, select, ",".join(SOLO))
+                self.runners.append(runner)
+                self.kernels.update(runner.kernels)
+                self.failed.update(runner.failed)
+                self.seconds.update(runner.seconds)
+                self._owner.update(dict.fromkeys(runner.kernels, runner))
+        except BaseException:
+            self.close()
+            raise
+
+    def time(self, name: str, n: int) -> float:
+        return self._owner[name].time(name, n)
+
+    def close(self) -> None:
+        for runner in self.runners:
+            runner.close()
 
 
 @contextlib.contextmanager
@@ -816,9 +854,9 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     with contextlib.ExitStack() as stack:
         base = stack.enter_context(_tree_at(args.against))
-        candidate = _Runner(REPO_ROOT)
+        candidate = _Tree(REPO_ROOT)
         stack.callback(candidate.close)
-        baseline = _Runner(base)
+        baseline = _Tree(base)
         stack.callback(baseline.close)
         report = gate(candidate, baseline)
     report["against"] = args.against

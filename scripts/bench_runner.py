@@ -1,12 +1,12 @@
 """Run one tree's kernel registry for ``scripts/bench_guard.py``.
 
-Usage: ``python scripts/bench_runner.py TREE``.  Loads
-``TREE/scripts/bench_guard.py`` by path, so only ``TREE/src`` provides
-``repro``, and uses nothing of it but ``KERNELS``, ``warm_up`` and
-``teardown`` — the interface every tree the guard compares against
-exports.
+Usage: ``python scripts/bench_runner.py TREE [--only|--skip NAME,...]``.
+Loads ``TREE/scripts/bench_guard.py`` by path, so only ``TREE/src``
+provides ``repro``, and uses nothing of it but ``KERNELS``, ``warm_up``
+and ``teardown`` — the interface every tree the guard compares against
+exports.  ``--only`` runs just the named kernels, ``--skip`` all others.
 
-It warm-up-checks every kernel, then writes one JSON line::
+It warm-up-checks every kernel it runs, then writes one JSON line::
 
     {"kernels": {name: repr(expected)}, "failed": {name: reason},
      "seconds": {name: seconds of one call after its warm-up}}
@@ -22,10 +22,8 @@ import pathlib
 import sys
 import time
 
-del sys.path[0]                 # this script's directory is not the tree
 
-
-def main(tree: str) -> None:
+def main(tree: str, select: str = "", names: str = "") -> None:
     path = pathlib.Path(tree).resolve() / "scripts" / "bench_guard.py"
     spec = importlib.util.spec_from_file_location("tree_bench_guard", path)
     registry = importlib.util.module_from_spec(spec)
@@ -36,9 +34,12 @@ def main(tree: str) -> None:
         raise SystemExit(f"repro loaded from {source}, not from {tree}")
     # The protocol owns stdout; anything a kernel prints goes to stderr.
     out, sys.stdout = sys.stdout, sys.stderr
+    listed = set(names.split(","))
     kernels, failed, seconds = {}, {}, {}
     try:
         for name, (fn, expected) in registry.KERNELS.items():
+            if select and (name in listed) != (select == "--only"):
+                continue
             kernels[name] = repr(expected)
             try:
                 registry.warm_up(name)
@@ -63,4 +64,7 @@ def main(tree: str) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1])
+    # This script's directory is not the tree.  (Only here: a pool
+    # worker started from a fork server runs this file's top level.)
+    del sys.path[0]
+    main(*sys.argv[1:])

@@ -32,9 +32,9 @@ from array import array
 from typing import List, Optional
 
 from ..core.config import COLD, HOT, PtpBenchmarkConfig
-from ..core.runner import PtpResult, PtpSample
+from ..core.runner import PtpResult
 from ..machine import bind_threads, scaled_compute_time
-from ..metrics import PartitionTimeline, PtpMetrics
+from ..metrics import PartitionTimeline
 from ..mpi.constants import ThreadingMode
 from ..partitioned.requests import IMPL_NATIVE, partition_sizes
 from ..threadsim.openmp import DEFAULT_OPENMP_COSTS
@@ -290,20 +290,23 @@ def evaluate_analytic(config: PtpBenchmarkConfig) -> PtpResult:
     """A ``PtpResult`` for a deterministic cell, without a simulator.
 
     Every measured iteration of a deterministic trial is identical, so
-    the one closed-form timeline is replicated ``config.iterations``
-    times (sharing the frozen timeline/metrics objects).  The result is
-    marked ``source="analytic"`` with ``trials=0`` — no simulation ran —
-    and carries no event digest (there was no event stream to hash).
+    the one closed-form sample is packed once and repeated
+    ``config.iterations`` times.
+    The result is marked ``source="analytic"`` with ``trials=0`` — no
+    simulation ran — and carries no event digest (there was no event
+    stream to hash).
     """
     reason = analytic_supported(config)
     if reason is not None:
         from ..errors import ConfigurationError
         raise ConfigurationError(
             f"config not analytic-eligible: {reason}")
-    timeline = evaluate_timeline(config)
-    metrics = PtpMetrics.from_timeline(timeline)
+    tl = evaluate_timeline(config)
+    one = PtpResult(config=config)
+    one.add_sample(0, tl.message_bytes, tl.pready_times, tl.arrival_times,
+                   tl.join_time, tl.pt2pt_time)
     result = PtpResult(config=config, source="analytic", trials=0)
-    for it in range(config.iterations):
-        result.samples.append(
-            PtpSample(iteration=it, timeline=timeline, metrics=metrics))
+    for _ in range(config.iterations):
+        result.extend(one)
+    result.trim()
     return result

@@ -137,7 +137,7 @@ def _benchmark_config(args, **cell) -> PtpBenchmarkConfig:
 
 def _cmd_metrics(args) -> str:
     result = run_ptp_benchmark(_benchmark_config(args))
-    if result.fault_outcome is not None and not result.samples:
+    if result.fault_outcome is not None and not result.n_samples:
         return (f"{result.config.label()}\n"
                 f"no measured samples: {result.fault_outcome.describe()}")
     rows = [

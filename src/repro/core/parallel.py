@@ -214,11 +214,10 @@ class ResultCache:
         self.stores = 0
         self.memory_hits = 0
         self._memory_entries = memory_entries
-        #: fingerprint -> (samples, event_digest, fault_outcome, source,
-        #: trials); samples are frozen PtpSample objects, shared between
-        #: the tier and every result handed out (copied lists, so caller
-        #: mutations of ``result.samples`` cannot corrupt the tier).
-        self._memory: "OrderedDict[str, tuple]" = OrderedDict()
+        #: fingerprint -> a decoded result, kept without its config (each
+        #: get supplies one); every get hands out a new result sharing
+        #: its packed record, which is never written once built.
+        self._memory: "OrderedDict[str, PtpResult]" = OrderedDict()
         self._lock = threading.Lock()
 
     def _file(self, fingerprint: str) -> str:
@@ -230,20 +229,12 @@ class ResultCache:
     def _remember(self, fingerprint: str, result: PtpResult) -> None:
         if self._memory_entries == 0:
             return
+        kept = result.with_config(None)
         with self._lock:
-            self._memory[fingerprint] = (
-                tuple(result.samples), result.event_digest,
-                result.fault_outcome, result.source, result.trials)
+            self._memory[fingerprint] = kept
             self._memory.move_to_end(fingerprint)
             while len(self._memory) > self._memory_entries:
                 self._memory.popitem(last=False)
-
-    @staticmethod
-    def _from_entry(config: PtpBenchmarkConfig, entry: tuple) -> PtpResult:
-        samples, digest, outcome, source, trials = entry
-        return PtpResult(config=config, samples=list(samples),
-                         event_digest=digest, fault_outcome=outcome,
-                         source=source, trials=trials)
 
     def get(self, config: PtpBenchmarkConfig,
             salt: Optional[str] = None) -> Optional[PtpResult]:
@@ -262,7 +253,7 @@ class ResultCache:
                 self.hits += 1
                 self.memory_hits += 1
         if entry is not None:
-            return self._from_entry(config, entry)
+            return entry.with_config(config)
         try:
             with open(self._file(fingerprint), "rb", buffering=0) as handle:
                 blob = handle.read()

@@ -14,12 +14,13 @@ alive from sweep to sweep — the manager/worker shape of nengo-mpi's
 already provides.  Its workers boot **once** and stay warm: module
 imports, the process-wide interned :data:`repro.obs.SCHEMA`, and every
 memoized machine/network model survive across sweeps.  Workers start by
-fork where the platform has it (they inherit the manager's imports),
-spawn otherwise.  Each task — a whole cell, or one adaptive-planner
-trial — is one future whose result is the cell's binary
-:mod:`~repro.core.wire` frame.  A :class:`PoolRun` streams one sweep's
-frames back as they complete; runs sharing a pool (the service's
-dispatchers, a figure sweep) each see only their own futures.
+fork where the platform has it and the manager runs one thread (they
+inherit its imports), from a fork server when it runs more, and by
+spawn on platforms without fork.  Each task — a whole cell, or one
+adaptive-planner trial — is one future whose result is the cell's
+binary :mod:`~repro.core.wire` frame.  A :class:`PoolRun` streams one
+sweep's frames back as they complete; runs sharing a pool (the
+service's dispatchers, a figure sweep) each see only their own futures.
 
 Determinism is untouched: a task is a fully resolved, self-seeded
 :class:`~repro.core.config.PtpBenchmarkConfig`, so *which* worker runs
@@ -73,14 +74,29 @@ def _execute(config: PtpBenchmarkConfig) -> bytes:
 
 
 def _new_executor(workers: int):
-    """A process executor of ``workers`` workers, forked where the
-    platform can fork (workers inherit the manager's imports)."""
+    """A process executor of ``workers`` workers.
+
+    A process running one thread forks them, so they inherit its
+    imports.  One running more — a rebuild after a crash, while the
+    broken executor's threads still live, or a server — must not fork:
+    the child would copy locks other threads hold.  It starts them from
+    a fork server instead, which imports this package once so that the
+    workers it forks start with it imported too.  Platforms without fork
+    spawn.
+    """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-              else "spawn")
-    return ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context(method))
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" in methods and threading.active_count() == 1:
+        method = "fork"
+    elif "forkserver" in methods:
+        method = "forkserver"
+    else:
+        method = "spawn"
+    context = multiprocessing.get_context(method)
+    if method == "forkserver":
+        context.set_forkserver_preload([__name__])
+    return ProcessPoolExecutor(workers, mp_context=context)
 
 
 @dataclass

@@ -30,20 +30,23 @@ install the buffers.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple, Union
+from array import array
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError, DeadlockError
 from ..faults import FaultOutcome
 from ..metrics import PartitionTimeline, PtpMetrics, SampleSummary, summarize
+from ..metrics.definitions import timeline_metrics
+from ..metrics.timeline import check_timeline
 from ..mpi import Cluster
 from ..obs import DigestSink, Sink, TimelineBuilder
 from ..obs.kinds import (BENCH_JOIN, BENCH_PART_BEGIN, BENCH_RECV_COMPLETE,
                          BENCH_SEND_BEGIN, BENCH_SINGLE_BEGIN)
 from .config import COLD, PtpBenchmarkConfig
 
-__all__ = ["PtpSample", "PtpResult", "run_ptp_benchmark", "run_ptp_trial",
-           "ExecutionCounter", "EXECUTIONS"]
+__all__ = ["PtpSample", "PtpResult", "METRIC_NAMES", "run_ptp_benchmark",
+           "run_ptp_trial", "ExecutionCounter", "EXECUTIONS"]
 
 #: Tags used by the two phases (ordinary user tag space).
 _PART_TAG = 100
@@ -93,7 +96,17 @@ class PtpSample:
     metrics: PtpMetrics
 
 
-@dataclass(slots=True)
+#: The four §3.1 metric names, in :class:`PtpMetrics` field order — the
+#: order a sample's metrics take in the record.
+METRIC_NAMES = ("overhead", "perceived_bandwidth",
+                "application_availability", "early_bird_fraction")
+_METRIC_INDEX = {name: k for k, name in enumerate(METRIC_NAMES)}
+
+#: Doubles a sample keeps after its ``2 * partitions`` timestamps:
+#: ``join_time``, ``pt2pt_time`` and the four metrics.
+_TAIL = 2 + len(METRIC_NAMES)
+
+
 class PtpResult:
     """All measured iterations of one configuration, with summaries.
 
@@ -113,17 +126,141 @@ class PtpResult:
     samples — 1 for a plain trial, more when an
     :class:`~repro.metrics.AdaptiveTrialPlanner` merged repetitions, and
     0 for analytic results (nothing was simulated).
+
+    The measured iterations live in one packed record, in sample order
+    (DESIGN.md, section 10): an ``array('Q')`` of ``iteration``,
+    ``message_bytes`` and partition count per sample, and an
+    ``array('d')`` of each sample's pready times, arrival times,
+    ``join_time``, ``pt2pt_time`` and Eq. 1–4 metrics.  :meth:`add_sample`
+    is the one writer; it validates the timeline and computes the
+    metrics once, and :meth:`trim` ends a producer's writes.  After that
+    the record is never written, so results may share it
+    (:meth:`with_config`).  :attr:`samples` builds :class:`PtpSample`
+    views on access, while counts and summaries read the record.
     """
 
-    config: PtpBenchmarkConfig
-    samples: List[PtpSample] = field(default_factory=list)
-    event_digest: Optional[str] = None
-    fault_outcome: Optional[FaultOutcome] = None
-    source: str = "des"
-    trials: int = 1
+    __slots__ = ("config", "event_digest", "fault_outcome", "source",
+                 "trials", "_ints", "_doubles")
+
+    def __init__(self, config: PtpBenchmarkConfig,
+                 samples: Iterable[PtpSample] = (),
+                 event_digest: Optional[str] = None,
+                 fault_outcome: Optional[FaultOutcome] = None,
+                 source: str = "des", trials: int = 1) -> None:
+        self.config = config
+        self.event_digest = event_digest
+        self.fault_outcome = fault_outcome
+        self.source = source
+        self.trials = trials
+        self._ints = array("Q")
+        self._doubles = array("d")
+        for sample in samples:
+            tl = sample.timeline
+            self.add_sample(sample.iteration, tl.message_bytes,
+                            tl.pready_times, tl.arrival_times,
+                            tl.join_time, tl.pt2pt_time,
+                            [getattr(sample.metrics, name)
+                             for name in METRIC_NAMES])
+
+    def add_sample(self, iteration: int, message_bytes: int,
+                   pready_times: Sequence[float],
+                   arrival_times: Sequence[float], join_time: float,
+                   pt2pt_time: float,
+                   metrics: Optional[Sequence[float]] = None) -> None:
+        """Append one measured iteration to the record.
+
+        The timeline is validated like a
+        :class:`~repro.metrics.PartitionTimeline` and, unless ``metrics``
+        is given, Eqs. (1)–(4) are evaluated on it; either check raises
+        :class:`~repro.errors.ConfigurationError`.
+        """
+        check_timeline(message_bytes, pready_times, arrival_times,
+                       pt2pt_time)
+        if metrics is None:
+            metrics = timeline_metrics(message_bytes, pready_times,
+                                       arrival_times, join_time, pt2pt_time)
+        try:
+            ints = array("Q", (iteration, message_bytes, len(pready_times)))
+        except OverflowError as exc:
+            raise ConfigurationError(
+                f"sample out of record range: {exc}") from None
+        self._ints += ints
+        doubles = self._doubles
+        doubles.extend(pready_times)
+        doubles.extend(arrival_times)
+        doubles.extend((join_time, pt2pt_time, *metrics))
+
+    def trim(self) -> None:
+        """Give back the spare room appends leave in the record; a
+        producer calls this once, after its last sample."""
+        self._ints, self._doubles = self._ints[:], self._doubles[:]
+
+    def extend(self, other: "PtpResult") -> None:
+        """Append ``other``'s samples, renumbered to follow this record's."""
+        start = self.n_samples
+        ints = self._ints
+        ints += other._ints
+        self._doubles += other._doubles
+        ints[3 * start::3] = array("Q", range(start, self.n_samples))
+
+    def with_config(self, config: PtpBenchmarkConfig) -> "PtpResult":
+        """This result under ``config``, sharing (not copying) the record."""
+        twin = PtpResult(config, event_digest=self.event_digest,
+                         fault_outcome=self.fault_outcome,
+                         source=self.source, trials=self.trials)
+        twin._ints, twin._doubles = self._ints, self._doubles
+        return twin
+
+    @property
+    def n_samples(self) -> int:
+        """How many measured iterations the record holds."""
+        return len(self._ints) // 3
+
+    def rows(self) -> Iterator[Tuple[int, int, float, float, array,
+                                     array]]:
+        """Each sample's fields, without views: ``(iteration,
+        message_bytes, join_time, pt2pt_time, times, metrics)``.
+        ``times`` is a copy of the pready then the arrival times (the
+        wire frame's order), ``metrics`` an array of the four Eq. 1–4
+        values in :data:`METRIC_NAMES` order."""
+        ints, doubles = self._ints, self._doubles
+        offset = 0
+        for i in range(0, len(ints), 3):
+            tail = offset + 2 * ints[i + 2]
+            yield (ints[i], ints[i + 1], doubles[tail], doubles[tail + 1],
+                   doubles[offset:tail], doubles[tail + 2:tail + _TAIL])
+            offset = tail + _TAIL
+
+    @property
+    def samples(self) -> Tuple[PtpSample, ...]:
+        """The measured iterations as views, built on each access."""
+        return tuple(
+            PtpSample(iteration, PartitionTimeline(
+                message_bytes, times[:len(times) // 2],
+                times[len(times) // 2:], join_time, pt2pt_time),
+                PtpMetrics(*metrics))
+            for iteration, message_bytes, join_time, pt2pt_time, times,
+            metrics in self.rows())
+
+    def metric_values(self, metric: str) -> Sequence[float]:
+        """One metric's value per sample, in sample order (no views)."""
+        k = _METRIC_INDEX.get(metric)
+        if k is None:
+            raise ConfigurationError(f"unknown metric {metric!r}")
+        ints, doubles = self._ints, self._doubles
+        counts = ints[2::3]
+        if counts and counts.count(counts[0]) == len(counts):
+            stride = 2 * counts[0] + _TAIL
+            return doubles[stride - len(METRIC_NAMES) + k::stride]
+        values = []
+        offset = 0
+        for p in counts:
+            offset += 2 * p + _TAIL
+            values.append(doubles[offset - len(METRIC_NAMES) + k])
+        return values
 
     def _summary(self, attr: str) -> SampleSummary:
-        return summarize([getattr(s.metrics, attr) for s in self.samples])
+        return summarize(self.metric_values(attr))
 
     @property
     def overhead(self) -> SampleSummary:
@@ -147,10 +284,22 @@ class PtpResult:
 
     def metric_summary(self, metric: str) -> SampleSummary:
         """Summary by metric name (the four attribute names above)."""
-        if not hasattr(PtpMetrics, "__dataclass_fields__") or \
-                metric not in PtpMetrics.__dataclass_fields__:
-            raise ConfigurationError(f"unknown metric {metric!r}")
         return self._summary(metric)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PtpResult):
+            return NotImplemented
+        return ((self.config, self.event_digest, self.fault_outcome,
+                 self.source, self.trials, self._ints, self._doubles)
+                == (other.config, other.event_digest, other.fault_outcome,
+                    other.source, other.trials, other._ints, other._doubles))
+
+    def __repr__(self) -> str:
+        return (f"PtpResult(config={self.config!r}, "
+                f"n_samples={self.n_samples}, "
+                f"event_digest={self.event_digest!r}, "
+                f"fault_outcome={self.fault_outcome!r}, "
+                f"source={self.source!r}, trials={self.trials!r})")
 
 
 def _sender_program(ctx, config: PtpBenchmarkConfig):
@@ -301,14 +450,12 @@ def run_ptp_trial(config: PtpBenchmarkConfig,
         result.fault_outcome = cluster.fault_stats.outcome(
             delivered=abandoned_reason is None,
             reason=abandoned_reason or "")
-    for it, timeline in builder.timelines:
-        if it < config.warmup:
-            continue
-        result.samples.append(PtpSample(
-            iteration=it - config.warmup,
-            timeline=timeline,
-            metrics=PtpMetrics.from_timeline(timeline),
-        ))
+    for it, tl in builder.timelines:
+        if it >= config.warmup:
+            result.add_sample(it - config.warmup, tl.message_bytes,
+                              tl.pready_times, tl.arrival_times,
+                              tl.join_time, tl.pt2pt_time)
+    result.trim()
     return result, cluster
 
 

@@ -19,14 +19,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import ConfigurationError
 from ..metrics import SampleSummary
 from .config import PtpBenchmarkConfig
-from .runner import PtpResult
+from .runner import METRIC_NAMES, PtpResult
 
 __all__ = ["SweepPoint", "SweepResult", "sweep_ptp",
            "METRIC_NAMES"]
-
-#: The four §3.1 metric attribute names on :class:`PtpResult`.
-METRIC_NAMES = ("overhead", "perceived_bandwidth",
-                "application_availability", "early_bird_fraction")
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,7 @@ class SweepResult:
         out: Dict[int, List[Tuple[int, float]]] = {}
         for m, n in self._iter_sorted():
             result = index[(m, n)].result
-            if not result.samples:
+            if not result.n_samples:
                 continue  # abandoned cell: nothing to summarize
             summary: SampleSummary = getattr(result, metric)
             out.setdefault(n, []).append((m, summary.mean))

@@ -20,20 +20,22 @@ about.  This module replaces it with a versioned, struct-packed frame:
 All integers and floats are little-endian; timestamps are IEEE-754
 binary64, which round-trips every Python float *exactly*, so a decoded
 result reproduces its metrics — and its SHA-256 event digest — bit for
-bit.  A timeline's ``array('d')`` fields are copied to and from the
-frame as raw buffers (byte-swapped on a big-endian host), so neither
-side boxes a float per timestamp.  The four derived metric names
-(:data:`METRIC_NAMES`) are interned here as frame vocabulary rather
-than serialized per sample: only raw timelines cross the boundary, and
-the decoder recomputes metrics the same way a deserializing load does.
+bit.  The frame keeps samples in the order of a result's packed record
+(:class:`~repro.core.runner.PtpResult`): the encoder copies each
+sample's timestamps out of the record's ``array('d')`` and the decoder
+reads all of a frame's doubles with one buffer copy (byte-swapped on a
+big-endian host), so neither side boxes a float per timestamp.  The
+four metrics (:data:`METRIC_NAMES`) are derived, so they are not
+framed: the decoder recomputes them as the record is built, and a
+timeline the validation rejects fails the decode.
 
 The frame is the *only* result format: pool workers ship it, the
 :class:`ResultCache` stores it, and the inline ``jobs=1`` path round
 trips through it too.  Encoding refuses only what no simulation
-produces (a string over 64 KiB, an out-of-range count, a ragged
-timeline) and raises :class:`WireError` for it.  Decoding is total:
-any byte string either decodes or raises :class:`WireError`, so a
-corrupt cache entry is a miss, never a crash.
+produces (a string over 64 KiB, an out-of-range count) and raises
+:class:`WireError` for it.  Decoding is total: any byte string either
+decodes or raises :class:`WireError`, so a corrupt cache entry is a
+miss, never a crash.
 """
 
 from __future__ import annotations
@@ -45,9 +47,8 @@ from typing import Union
 
 from ..errors import ReproError
 from ..faults import FaultOutcome
-from ..metrics import PartitionTimeline, PtpMetrics
 from .config import PtpBenchmarkConfig
-from .runner import PtpResult, PtpSample
+from .runner import METRIC_NAMES, PtpResult
 
 __all__ = ["WIRE_VERSION", "WIRE_MAGIC", "METRIC_NAMES", "WireError",
            "encode_result", "decode_result"]
@@ -59,13 +60,6 @@ WIRE_VERSION = 1
 
 #: First four bytes of every frame.
 WIRE_MAGIC = b"RPWF"
-
-#: The interned metric vocabulary of the frame.  Metrics are *derived*:
-#: only raw timelines are packed, and the decoder recomputes these four
-#: via :meth:`PtpMetrics.from_timeline`, so the names live here once
-#: instead of riding every sample.
-METRIC_NAMES = ("overhead", "perceived_bandwidth",
-                "application_availability", "early_bird_fraction")
 
 #: Interned ``source`` values (index = wire byte).  Unknown sources are
 #: carried verbatim as a length-prefixed string.
@@ -139,28 +133,24 @@ def encode_result(result: PtpResult) -> bytes:
             raise WireError("source tag too long for a wire frame")
         source_piece = struct.pack("<H", len(encoded)) + encoded
     trials = result.trials
-    n_samples = len(result.samples)
+    n_samples = result.n_samples
     if not 0 <= trials <= 0xFFFFFFFF or n_samples > 0xFFFFFFFF:
         raise WireError("trial/sample count out of frame range")
 
     pieces = [_HEADER.pack(WIRE_MAGIC, WIRE_VERSION, flags, source_idx,
                            trials, n_samples),
               source_piece, digest_piece, fault_piece]
-    for sample in result.samples:
-        timeline = sample.timeline
-        p = len(timeline.pready_times)
-        if len(timeline.arrival_times) != p:
-            raise WireError("ragged timeline cannot be framed")
+    for iteration, message_bytes, join_time, pt2pt_time, times, _ in \
+            result.rows():
         try:
-            pieces.append(_SAMPLE.pack(
-                sample.iteration, timeline.message_bytes, p,
-                timeline.join_time, timeline.pt2pt_time))
+            pieces.append(_SAMPLE.pack(iteration, message_bytes,
+                                       len(times) // 2, join_time,
+                                       pt2pt_time))
         except struct.error as exc:
             raise WireError(f"sample out of frame range: {exc}") from exc
-        times = timeline.pready_times + timeline.arrival_times   # a copy
         if _SWAP:
             times.byteswap()
-        pieces.append(times.tobytes())
+        pieces.append(times)
     return b"".join(pieces)
 
 
@@ -224,27 +214,25 @@ def decode_result(config: PtpBenchmarkConfig,
         result = PtpResult(config=config, event_digest=digest,
                            fault_outcome=outcome, source=source,
                            trials=trials)
+        # A sample is a header of whole doubles' size and then doubles,
+        # so the rest of the frame reads as doubles at once.
+        base = offset
+        raw = array("d")
+        raw.frombytes(view[base:base + (len(view) - base) // 8 * 8])
+        if _SWAP:
+            raw.byteswap()
         for _ in range(n_samples):
             iteration, message_bytes, p, join_time, pt2pt_time = \
                 _SAMPLE.unpack_from(view, offset)
-            offset += _SAMPLE.size
-            end = offset + 16 * p
-            if end > len(view):
+            pready = (offset - base + _SAMPLE.size) // 8
+            offset += _SAMPLE.size + 16 * p
+            if offset > len(view):
                 raise WireError("truncated timeline in wire frame")
-            times = array("d")
-            times.frombytes(view[offset:end])
-            if _SWAP:
-                times.byteswap()
-            offset = end
-            timeline = PartitionTimeline(
-                message_bytes=message_bytes,
-                pready_times=times[:p],
-                arrival_times=times[p:],
-                join_time=join_time,
-                pt2pt_time=pt2pt_time)
-            result.samples.append(PtpSample(
-                iteration=iteration, timeline=timeline,
-                metrics=PtpMetrics.from_timeline(timeline)))
+            result.add_sample(iteration, message_bytes,
+                              raw[pready:pready + p],
+                              raw[pready + p:pready + 2 * p],
+                              join_time, pt2pt_time)
+        result.trim()
     except (struct.error, IndexError, ValueError, ArithmeticError,
             ReproError) as exc:
         # ValueError covers bad UTF-8; ReproError the timeline

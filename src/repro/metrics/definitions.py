@@ -7,19 +7,21 @@ Each function implements one numbered equation of the paper:
 * :func:`application_availability` — Eq. (3): ``1 - t_after_join/t_pt2pt``.
 * :func:`early_bird_fraction` — Eq. (4): ``t_before_join / t_part``.
 
-:class:`PtpMetrics` evaluates all four on a
+:func:`timeline_metrics` evaluates all four on a timeline's raw fields
+and :class:`PtpMetrics` bundles them for one
 :class:`~repro.metrics.timeline.PartitionTimeline`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 from ..errors import ConfigurationError
 from .timeline import PartitionTimeline
 
 __all__ = ["overhead", "perceived_bandwidth", "application_availability",
-           "early_bird_fraction", "PtpMetrics"]
+           "early_bird_fraction", "PtpMetrics", "timeline_metrics"]
 
 
 def overhead(t_part: float, t_pt2pt: float) -> float:
@@ -99,12 +101,28 @@ class PtpMetrics:
     @classmethod
     def from_timeline(cls, tl: PartitionTimeline) -> "PtpMetrics":
         """Evaluate Eqs. (1)–(4) on one timeline."""
-        return cls(
-            overhead=overhead(tl.t_part, tl.pt2pt_time),
-            perceived_bandwidth=perceived_bandwidth(
-                tl.message_bytes, tl.last_transfer_time),
-            application_availability=application_availability(
-                tl.t_after_join, tl.pt2pt_time),
-            early_bird_fraction=early_bird_fraction(
-                tl.t_before_join, tl.t_part),
-        )
+        return cls(*timeline_metrics(tl.message_bytes, tl.pready_times,
+                                     tl.arrival_times, tl.join_time,
+                                     tl.pt2pt_time))
+
+
+def timeline_metrics(message_bytes: int, pready_times: Sequence[float],
+                     arrival_times: Sequence[float], join_time: float,
+                     pt2pt_time: float) -> Tuple[float, float, float, float]:
+    """Eqs. (1)–(4), in :class:`PtpMetrics` field order, on a timeline's
+    raw fields; the same arithmetic as the
+    :class:`~repro.metrics.timeline.PartitionTimeline` properties."""
+    first_pready = min(pready_times)
+    last_arrival = max(arrival_times)
+    # The transfer that finishes last (the first one, on a tie).
+    last = max(range(len(arrival_times)), key=arrival_times.__getitem__)
+    t_part = last_arrival - first_pready
+    return (
+        overhead(t_part, pt2pt_time),
+        perceived_bandwidth(message_bytes,
+                            arrival_times[last] - pready_times[last]),
+        application_availability(max(0.0, last_arrival - join_time),
+                                 pt2pt_time),
+        early_bird_fraction(
+            max(0.0, min(last_arrival, join_time) - first_pready), t_part),
+    )

@@ -156,8 +156,7 @@ class AdaptiveTrialPlanner:
             return self.min_trials - n
         if n >= self.max_trials:
             return 0
-        values = [[getattr(s.metrics, name)
-                   for r in results for s in r.samples]
+        values = [[v for r in results for v in r.metric_values(name)]
                   for name in self.metrics]
         # A faulty cell can abandon every iteration; empty sample sets
         # carry no information, so keep sampling to the cap.
@@ -173,16 +172,12 @@ class AdaptiveTrialPlanner:
         the merged event digest hashes the per-trial digests in order,
         so it still proves "same trials, same events, same order".
         """
-        from ..core.runner import PtpResult, PtpSample
+        from ..core.runner import PtpResult
 
         merged = PtpResult(config=config, source="des", trials=len(results))
-        iteration = 0
         for r in results:
-            for s in r.samples:
-                merged.samples.append(PtpSample(
-                    iteration=iteration, timeline=s.timeline,
-                    metrics=s.metrics))
-                iteration += 1
+            merged.extend(r)
+        merged.trim()
         if len(results) == 1:
             merged.event_digest = results[0].event_digest
         else:

@@ -8,20 +8,45 @@ all pure functions of this record (see :mod:`repro.metrics.definitions`),
 mirroring the paper's Figure 3.
 
 The two timestamp fields are ``array('d')``: raw binary64 doubles, not a
-list of boxed floats, so a kept result costs a few hundred bytes per
-partition-iteration less and the wire codec packs and unpacks them with
-one buffer copy each.
+list of boxed floats.  A kept result stores no timeline object at all:
+its packed record (:class:`~repro.core.runner.PtpResult`) holds the raw
+fields, validated by :func:`check_timeline`, and builds timelines as
+views on access.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from operator import lt
 from typing import List, Sequence
 
 from ..errors import ConfigurationError
 
-__all__ = ["PartitionTimeline"]
+__all__ = ["PartitionTimeline", "check_timeline"]
+
+
+def check_timeline(message_bytes: int, pready_times: Sequence[float],
+                   arrival_times: Sequence[float],
+                   pt2pt_time: float) -> None:
+    """Raise :class:`ConfigurationError` unless the fields make a valid
+    timeline: as many arrivals as preadys (at least one), a positive size
+    and ``t_pt2pt``, and no partition arriving before its pready."""
+    if len(pready_times) != len(arrival_times):
+        raise ConfigurationError(
+            f"{len(pready_times)} pready vs "
+            f"{len(arrival_times)} arrival timestamps")
+    if not pready_times:
+        raise ConfigurationError("timeline needs at least one partition")
+    if message_bytes <= 0:
+        raise ConfigurationError("message_bytes must be positive")
+    if pt2pt_time <= 0:
+        raise ConfigurationError("pt2pt_time must be positive")
+    if any(map(lt, arrival_times, pready_times)):
+        p, a = next((p, a) for p, a in zip(pready_times, arrival_times)
+                    if a < p)
+        raise ConfigurationError(
+            f"partition arrived at {a} before its pready at {p}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,20 +83,8 @@ class PartitionTimeline:
             times = getattr(self, name)
             if not (isinstance(times, array) and times.typecode == "d"):
                 object.__setattr__(self, name, array("d", times))
-        if len(self.pready_times) != len(self.arrival_times):
-            raise ConfigurationError(
-                f"{len(self.pready_times)} pready vs "
-                f"{len(self.arrival_times)} arrival timestamps")
-        if not self.pready_times:
-            raise ConfigurationError("timeline needs at least one partition")
-        if self.message_bytes <= 0:
-            raise ConfigurationError("message_bytes must be positive")
-        if self.pt2pt_time <= 0:
-            raise ConfigurationError("pt2pt_time must be positive")
-        for p, a in zip(self.pready_times, self.arrival_times):
-            if a < p:
-                raise ConfigurationError(
-                    f"partition arrived at {a} before its pready at {p}")
+        check_timeline(self.message_bytes, self.pready_times,
+                       self.arrival_times, self.pt2pt_time)
 
     @property
     def partitions(self) -> int:

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.config import PtpBenchmarkConfig
 from ..core.parallel import config_fingerprint, plan_cells
 from ..core.runner import PtpResult, PtpSample
-from ..core.wire import METRIC_NAMES
+from ..core.runner import METRIC_NAMES
 from ..errors import ConfigurationError, ReproError
 from ..faults import parse_fault_spec
 from ..noise import NOISE_MODELS, noise_model_from_name
@@ -311,10 +311,10 @@ def result_to_payload(result: PtpResult,
         "source": result.source,
         "trials": result.trials,
         "event_digest": result.event_digest,
-        "n_samples": len(result.samples),
+        "n_samples": result.n_samples,
         "metrics": {},
     }
-    if result.samples:
+    if result.n_samples:
         for name in METRIC_NAMES:
             payload["metrics"][name] = getattr(result, name).mean
     if result.fault_outcome is not None:

@@ -178,8 +178,9 @@ class TestEligibility:
         assert result.event_digest is None
         assert len(result.samples) == 3
         assert [s.iteration for s in result.samples] == [0, 1, 2]
-        # One frozen timeline shared across iterations, not recomputed.
-        assert result.samples[0].timeline is result.samples[1].timeline
+        # One closed-form timeline, packed once per iteration.
+        assert result.samples[0].timeline == result.samples[1].timeline
+        assert result.samples[0].metrics == result.samples[1].metrics
 
 
 # ---------------------------------------------------------------------------

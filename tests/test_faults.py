@@ -207,7 +207,7 @@ class TestGracefulDegradation:
         result = run_ptp_benchmark(config)
         assert not result.fault_outcome.delivered
         assert "deadline" in result.fault_outcome.reason
-        assert result.samples == []
+        assert result.samples == ()
 
     def test_lossy_trial_delivers_with_outcome(self):
         result = run_ptp_benchmark(_config(faults=LOSSY))

@@ -307,8 +307,11 @@ class TestMemoryTier:
         a = cache.get(config)
         b = cache.get(config)
         assert a is not b
-        a.samples.clear()             # mutating one copy must not leak
-        assert cache.get(config).samples
+        a.event_digest = None         # relabelling one copy must not leak
+        assert cache.get(config).event_digest is not None
+        # The samples are an immutable tuple of views over a shared record.
+        assert isinstance(b.samples, tuple)
+        assert b._doubles is cache.get(config)._doubles
 
     def test_put_invalidates_memory_entry(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -1,5 +1,6 @@
 """The persistent worker pool: warm reuse, crash recovery, shutdown."""
 
+import concurrent.futures.process as cf_process
 import multiprocessing
 import os
 import signal
@@ -43,30 +44,76 @@ def pool():
     p.shutdown()
 
 
+@pytest.fixture(autouse=True)
+def no_fork_under_threads(monkeypatch):
+    """Fail a test in which this process forks while it runs other
+    threads: the child could inherit a lock one of them holds.  (Python
+    3.12 warns about such a fork, but its ``os.fork`` drops the warning
+    even when warnings are errors, so the suite checks for itself.)"""
+    real_fork = os.fork
+    crowded = []
+
+    def fork():
+        threads = threading.active_count()
+        pid = real_fork()
+        if pid and threads > 1:
+            crowded.append(threads)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield
+    assert not crowded, f"forked while {crowded} threads ran"
+
+
 FORK_ONLY = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the patched task body reaches workers only through fork")
+    reason="workers are killed with POSIX signals")
 
 _REAL_EXECUTE = pool_module._execute
-#: The test process: crash hooks below never fire in it, so the inline
-#: fallback (which runs the same task body) computes normally.
-_MANAGER_PID = os.getpid()
-#: Set per test: a file whose creation claims the one crash, or None
-#: for a worker that dies on every task.
-_CRASH_ONCE = None
+_REAL_PROCESS_WORKER = cf_process._process_worker
 
 
-def _crash_worker(config):
+def _claim(marker):
+    """True for the one caller that creates ``marker``."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return False
+    return True
+
+
+class _CrashWorker:
     """A pool task body that SIGKILLs the worker running it: once per
-    test when ``_CRASH_ONCE`` names a marker file, else every time."""
-    if os.getpid() != _MANAGER_PID:
-        try:
-            if _CRASH_ONCE is not None:
-                os.close(os.open(_CRASH_ONCE, os.O_CREAT | os.O_EXCL))
+    test when ``marker`` names a file whose creation claims the crash,
+    else every time.  It never fires in the test process, so the inline
+    fallback (which runs the same body) computes normally.  An instance
+    pickles by value, so it reaches workers however they start: forked,
+    or (after a crash, under threads) from a fork server."""
+
+    def __init__(self, marker=None):
+        self.marker = marker
+        self.manager = os.getpid()
+
+    def __call__(self, config):
+        if os.getpid() != self.manager and (
+                self.marker is None or _claim(self.marker)):
             os.kill(os.getpid(), signal.SIGKILL)
-        except FileExistsError:
-            pass
-    return _REAL_EXECUTE(config)
+        return _REAL_EXECUTE(config)
+
+
+class _HoldResultLockOnce:
+    """A worker main that, in the first worker to start, takes the
+    shared result queue's write lock and exits, as if killed mid-send;
+    later workers run normally."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __call__(self, call_queue, result_queue, *args):
+        if not _claim(self.marker):
+            return _REAL_PROCESS_WORKER(call_queue, result_queue, *args)
+        result_queue._wlock.acquire()
+        os._exit(1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +289,39 @@ class TestCrashRecovery:
         assert pool.started_workers == 2
 
     @FORK_ONLY
+    def test_rebuild_while_another_thread_runs_does_not_fork(self, pool):
+        before = {p.pid for p in multiprocessing.active_children()}
+        pool.start()
+        executor = pool._live
+        victim = next(p for p in multiprocessing.active_children()
+                      if p.pid not in before)
+        release = threading.Event()
+        bystander = threading.Thread(target=release.wait, daemon=True)
+        bystander.start()
+        try:
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            deadline = time.monotonic() + 30
+            while not executor._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert executor._broken
+            cells = plan_cells(_base(seed=12), SIZES, COUNTS)
+            serial, _ = run_cells(cells, jobs=1)
+            rescued, _ = run_cells(cells, jobs=2, pool=pool)
+            rebuilt = pool._live
+            assert rebuilt is not None and rebuilt is not executor
+            # A fork now would copy the bystander's state mid-flight.
+            assert rebuilt._mp_context.get_start_method() != "fork"
+            assert _digests(rescued) == _digests(serial)
+        finally:
+            release.set()
+            bystander.join()
+
+    @FORK_ONLY
     def test_sigkill_mid_sweep_yields_serial_digests(self, monkeypatch,
                                                      tmp_path):
-        monkeypatch.setattr(sys.modules[__name__], "_CRASH_ONCE",
-                            str(tmp_path / "crashed"))
-        monkeypatch.setattr(pool_module, "_execute", _crash_worker)
+        monkeypatch.setattr(pool_module, "_execute",
+                            _CrashWorker(str(tmp_path / "crashed")))
         cells = plan_cells(_base(seed=10, noise=UniformNoise(4.0)),
                            SIZES, COUNTS)
         serial, _ = run_cells(cells, jobs=1)
@@ -267,19 +342,8 @@ class TestCrashRecovery:
         """Regression: a worker killed mid-send left the shared result
         queue's write lock held, so the surviving worker's results
         blocked behind it and the sweep hung forever."""
-        import concurrent.futures.process as cf_process
-        real_worker = cf_process._process_worker
-        marker = str(tmp_path / "crashed")
-
-        def worker_main(call_queue, result_queue, *args):
-            try:
-                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
-            except FileExistsError:
-                return real_worker(call_queue, result_queue, *args)
-            result_queue._wlock.acquire()    # as if killed mid-send
-            os._exit(1)
-
-        monkeypatch.setattr(cf_process, "_process_worker", worker_main)
+        monkeypatch.setattr(cf_process, "_process_worker",
+                            _HoldResultLockOnce(str(tmp_path / "crashed")))
         cells = plan_cells(_base(seed=9), SIZES, COUNTS)
         serial, _ = run_cells(cells, jobs=1)
         p = WorkerPool(2)
@@ -304,7 +368,7 @@ class TestCrashRecovery:
         # spawns survives: the rebuilt executor breaks too, and the
         # manager must run every task itself rather than rebuild
         # forever or hang.
-        monkeypatch.setattr(pool_module, "_execute", _crash_worker)
+        monkeypatch.setattr(pool_module, "_execute", _CrashWorker())
         cells = plan_cells(_base(seed=8), [1024], COUNTS)
         serial, _ = run_cells(cells, jobs=1)
         p = WorkerPool(2)

@@ -1,5 +1,6 @@
 """The binary wire codec: lossless frames, strict and total decoding."""
 
+import math
 import struct
 import tracemalloc
 from array import array
@@ -9,10 +10,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import PtpBenchmarkConfig, plan_cells, run_ptp_benchmark
-from repro.core.runner import PtpResult, PtpSample
+from repro.core.runner import METRIC_NAMES, PtpResult, PtpSample
 from repro.core.wire import (WIRE_MAGIC, WIRE_VERSION, WireError,
                              decode_result, encode_result)
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.faults import FaultOutcome
 from repro.metrics import PartitionTimeline, PtpMetrics
 from repro.noise import UniformNoise
@@ -150,11 +151,13 @@ class TestEncodeRefusals:
 
     def test_ragged_timeline_raises(self):
         config, fresh = _result()
-        # Bypass the timeline's own validation to build the ragged shape.
-        object.__setattr__(fresh.samples[0].timeline, "arrival_times",
-                           fresh.samples[0].timeline.arrival_times[:-1])
-        with pytest.raises(WireError, match="ragged"):
-            encode_result(fresh)
+        sample = fresh.samples[0]
+        # Bypass the timeline's own validation to build the ragged shape;
+        # the record refuses it, so no frame can carry one.
+        object.__setattr__(sample.timeline, "arrival_times",
+                           sample.timeline.arrival_times[:-1])
+        with pytest.raises(ConfigurationError, match="pready vs"):
+            PtpResult(config, samples=[sample])
 
     def test_oversized_string_raises(self):
         config, fresh = _result()
@@ -170,8 +173,14 @@ class TestEncodeRefusals:
 
     def test_out_of_range_message_size_raises(self):
         config, fresh = _result()
-        object.__setattr__(fresh.samples[0].timeline, "message_bytes",
-                           10 ** 26)
+        sample = fresh.samples[0]
+        object.__setattr__(sample.timeline, "message_bytes", 10 ** 26)
+        with pytest.raises(ConfigurationError, match="out of record range"):
+            PtpResult(config, samples=[sample])
+        # The record holds 64-bit iterations; the frame only 32-bit ones.
+        tl = fresh.samples[0].timeline
+        fresh.add_sample(2 ** 32, tl.message_bytes, tl.pready_times,
+                         tl.arrival_times, tl.join_time, tl.pt2pt_time)
         with pytest.raises(WireError, match="out of frame range"):
             encode_result(fresh)
 
@@ -283,6 +292,84 @@ def _plain_result(timelines) -> PtpResult:
         for i, tl in enumerate(timelines)])
 
 
+def _frame_samples(frame: bytes):
+    """``(iteration, message_bytes, join, pt2pt, pready, arrival)`` per
+    sample of a plain frame, unpacked value by value with ``struct``."""
+    (n_samples,) = struct.unpack_from("<I", frame, 12)
+    offset = 16
+    for _ in range(n_samples):
+        iteration, message_bytes, p, join, pt2pt = \
+            struct.unpack_from("<IQIdd", frame, offset)
+        offset += 32
+        times = struct.unpack_from(f"<{2 * p}d", frame, offset)
+        offset += 16 * p
+        yield iteration, message_bytes, join, pt2pt, times[:p], times[p:]
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestRecordRoundTrip:
+    """A decoded result is a packed record whose views carry the frame's
+    doubles bit for bit, and which encodes back to the same frame."""
+
+    @_TIMELINE_FUZZ
+    @given(st.lists(_timelines(), min_size=1, max_size=4))
+    def test_decode_then_encode_is_the_identity(self, timelines):
+        assume(all(tl.last_transfer_time > 0 for tl in timelines))
+        frame = encode_result(_plain_result(timelines))
+        back = decode_result(_CONFIG, frame)
+        assert encode_result(back) == frame
+        assert back.n_samples == len(timelines)
+        for view, (iteration, message_bytes, join, pt2pt, pready,
+                   arrival) in zip(back.samples, _frame_samples(frame)):
+            tl = view.timeline
+            assert view.iteration == iteration
+            assert tl.message_bytes == message_bytes
+            assert _hexes(tl.pready_times) == _hexes(pready)
+            assert _hexes(tl.arrival_times) == _hexes(arrival)
+            assert _hexes([tl.join_time, tl.pt2pt_time]) == \
+                _hexes([join, pt2pt])
+            # The metrics were computed once, at decode, exactly as a
+            # timeline computes them.
+            assert _hexes(getattr(view.metrics, name)
+                          for name in METRIC_NAMES) == \
+                _hexes(getattr(PtpMetrics.from_timeline(tl), name)
+                       for name in METRIC_NAMES)
+        for name in METRIC_NAMES:
+            assert _hexes(back.metric_values(name)) == \
+                _hexes(getattr(view.metrics, name) for view in back.samples)
+
+    @_TIMELINE_FUZZ
+    @given(st.lists(_timelines(), min_size=1, max_size=4),
+           st.integers(1, 64), st.booleans())
+    def test_truncated_or_padded_frames_raise(self, timelines, cut, pad):
+        frame = encode_result(_plain_result(timelines))
+        broken = frame + bytes(cut) if pad else frame[:-cut]
+        with pytest.raises(WireError):
+            decode_result(_CONFIG, broken)
+
+    @_TIMELINE_FUZZ
+    @given(st.lists(_timelines(), min_size=1, max_size=4), st.data())
+    def test_arrival_before_pready_raises(self, timelines, data):
+        # The samples before the victim must decode.
+        assume(all(tl.last_transfer_time > 0 for tl in timelines))
+        victim = data.draw(st.integers(0, len(timelines) - 1))
+        frame = bytearray(encode_result(_plain_result(timelines)))
+        offset = 16
+        for k, tl in enumerate(timelines):
+            p = tl.partitions
+            if k == victim:
+                part = data.draw(st.integers(0, p - 1))
+                early = math.nextafter(tl.pready_times[part], -math.inf)
+                struct.pack_into("<d", frame,
+                                 offset + 32 + 8 * (p + part), early)
+            offset += 32 + 16 * p
+        with pytest.raises(WireError, match="before its pready"):
+            decode_result(_CONFIG, bytes(frame))
+
+
 class TestArrayTimelines:
     """Timelines are ``array('d')``; the frame is byte for byte the one
     the struct-per-sample encoder wrote."""
@@ -332,9 +419,12 @@ class TestDecodedFootprint:
         with pytest.raises(AttributeError):
             fresh.ad_hoc = 1
 
-    def test_decoded_result_retains_at_most_12000_bytes(self):
-        config = plan_cells(_base(message_bytes=64 * 1024, partitions=32,
-                                  iterations=8), [64 * 1024], [32])[0]
+    @staticmethod
+    def _retained(partitions):
+        """Bytes one decoded 8-iteration result keeps alive."""
+        config = plan_cells(_base(message_bytes=64 * 1024,
+                                  partitions=partitions, iterations=8),
+                            [64 * 1024], [partitions])[0]
         frame = encode_result(run_ptp_benchmark(config))
         decode_result(config, frame)     # warm any first-call caches
         tracemalloc.start()
@@ -345,5 +435,16 @@ class TestDecodedFootprint:
         finally:
             tracemalloc.stop()
         assert len(kept.samples) == 8
-        assert kept.samples[0].timeline.partitions == 32
-        assert retained <= 12_000, retained
+        assert kept.samples[0].timeline.partitions == partitions
+        return retained
+
+    def test_decoded_8x32_result_retains_at_most_5600_bytes(self):
+        # The packed record: 8 x (64 timestamps + 6) doubles and
+        # 8 x 3 integers, plus the result and its digest string.
+        retained = self._retained(32)
+        assert retained <= 5_600, retained
+
+    def test_decoded_8x2_result_retains_at_most_1400_bytes(self):
+        # Per-sample objects used to dominate small results (3,609 bytes).
+        retained = self._retained(2)
+        assert retained <= 1_400, retained
