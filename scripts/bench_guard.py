@@ -192,24 +192,6 @@ def end_to_end_trial():
     return run_ptp_benchmark(cfg).n_samples
 
 
-@kernel((16, None))
-def faults_off_overhead():
-    """A clean trial driven through the fault-hook plumbing.
-
-    The ``end_to_end_trial`` workload at 16 iterations with
-    ``faults=None`` spelled out: the config rides the full hook path
-    (NIC fault checks, transmit tracking test, frame-handler prelude)
-    with every hook disabled, and reports no fault outcome.  Its 1.05x
-    budget holds the disabled hooks to what they cost at the baseline
-    commit.
-    """
-    cfg = PtpBenchmarkConfig(message_bytes=1 << 16, partitions=8,
-                             compute_seconds=1e-3, iterations=16, warmup=0,
-                             faults=None)
-    result = run_ptp_benchmark(cfg)
-    return result.n_samples, result.fault_outcome
-
-
 #: The cell behind ``paper_cell_trial``/``analytic_eval``: a real
 #: paper-grid point (1 MiB × 32 partitions, 10 ms compute, warmup + 10
 #: iterations) — big enough that the DES run amortizes timer noise, and
@@ -600,10 +582,6 @@ DEFAULT_LIMIT = 1.2
 #: every simulator hot path — so it gets a hard 5% budget.
 THRESHOLDS = {
     "obs_emission_disabled": 1.05,
-    # A clean trial through the disabled fault hooks on the
-    # NIC/transmit/handler paths may cost at most 5% more than the same
-    # kernel at the baseline commit.
-    "faults_off_overhead": 1.05,
     # The two kernels the fast-path work targeted: a tight budget keeps
     # the ring / bucket / free-list wins from silently eroding.
     "timeout_dispatch": 1.25,

@@ -3,7 +3,7 @@
 An AST-based linter for programs written against the simulated substrate
 (:mod:`repro.sim`, :mod:`repro.mpi`, :mod:`repro.partitioned`): one
 pattern pass of per-node rules for determinism hazards and
-simulation-API misuse (SIM101–SIM108) over every module.  Misuse of the
+simulation-API misuse (SIM101–SIM107) over every module.  Misuse of the
 partitioned-request lifecycle is left to the runtime, which raises on
 it, and to the dynamic checker (:mod:`repro.analysis.checker`).
 

@@ -135,9 +135,8 @@ class UnknownSuppressionRule(Rule):
 
 
 # Importing the rule modules populates the registry.
-from . import caching as _caching  # noqa: E402  (registration import)
 from . import determinism as _determinism  # noqa: E402  (registration import)
 from . import instrumentation as _instrumentation  # noqa: E402
 from . import simapi as _simapi  # noqa: E402  (registration import)
 
-_ = (_caching, _determinism, _instrumentation, _simapi)
+_ = (_determinism, _instrumentation, _simapi)

@@ -1,6 +1,6 @@
 """Closed-form (simulation-free) evaluation of deterministic cells.
 
-For noise-free, fault-free configurations the DES is a deterministic
+For noise-free configurations the DES is a deterministic
 composition of LogGP-class costs, so its timeline — and therefore the
 paper's four metrics — can be computed directly from ``NetworkParams`` +
 ``PtpBenchmarkConfig`` in microseconds.  :func:`evaluate_analytic`

@@ -1,6 +1,6 @@
 """Closed-form evaluation of deterministic benchmark cells.
 
-For a noise-free, fault-free configuration the DES is a deterministic
+For a noise-free configuration the DES is a deterministic
 function of its parameters: every thread computes for exactly
 ``compute_seconds``, every MPI call costs a fixed amount, and every frame
 moves through four FIFO stations (the library lock, the sender NIC, the
@@ -19,7 +19,7 @@ eager/rendezvous boundary; the property-test gate in
 ``docs/analytic.md`` is :data:`ANALYTIC_RTOL`).
 
 Eligibility (:func:`analytic_supported`) is strict: any configuration it
-cannot reproduce *exactly* — noise, faults, non-MULTIPLE threading, a
+cannot reproduce *exactly* — noise, non-MULTIPLE threading, a
 hot-cache working set that does not fit the LLC (eviction order starts
 to matter), or a hot cache with no warmup iteration (the first measured
 iteration would differ from the rest) — falls back to the DES.
@@ -103,9 +103,9 @@ def analytic_supported(config: PtpBenchmarkConfig) -> Optional[str]:
 
     The rules (see ``docs/analytic.md``):
 
-    * the configuration must be deterministic — no fault plan, and a
-      noise model that returns exactly ``compute_seconds`` for every
-      thread (``NoNoise`` or any percent model at 0%);
+    * the configuration must be deterministic — a noise model that
+      returns exactly ``compute_seconds`` for every thread (``NoNoise``
+      or any percent model at 0%);
     * ``MPI_THREAD_MULTIPLE`` (the benchmark's mode; FUNNELED/SERIALIZED
       change the lock discipline);
     * a hot cache needs ``warmup >= 1`` (iteration 0 would otherwise
@@ -113,8 +113,6 @@ def analytic_supported(config: PtpBenchmarkConfig) -> Optional[str]:
       LLC, so every timed access is a guaranteed hit.
     """
     if not config.is_deterministic:
-        if config.faults is not None:
-            return "fault plan attached"
         return f"nondeterministic noise model ({config.noise.describe()})"
     if config.mode is not ThreadingMode.MULTIPLE:
         return f"threading mode {config.mode.value} (model assumes MULTIPLE)"

@@ -13,9 +13,6 @@ Usage::
         --noise single --noise-percent 4
     python -m repro lint src/repro benchmarks examples
     python -m repro check path/to/program.py
-    python -m repro faults --spec 'drop=0.05,deadline=30'
-    python -m repro metrics --message-bytes 65536 --partitions 8 \\
-        --faults 'drop=0.02,stall=0.5/0.05'
     python -m repro trace export --message-bytes 1048576 --partitions 8 \\
         --format chrome --kinds 'part.*,bench.*' -o trace.json
     python -m repro report --message-bytes 1048576 --partitions 8
@@ -47,11 +44,10 @@ from typing import Dict, List, Optional
 
 from .core import (ANALYTIC_MODES, CACHE_SCHEMA_VERSION, METRIC_NAMES,
                    PtpBenchmarkConfig, ResultCache, SweepStats, ascii_table,
-                   fault_table, metric_table, provenance_line,
-                   recommend_partitions, run_ptp_benchmark, sweep_ptp)
+                   metric_table, provenance_line, recommend_partitions,
+                   run_ptp_benchmark, sweep_ptp)
 from .core.suite import FIGURES, figure_sweeps
 from .errors import ConfigurationError
-from .faults import parse_fault_spec
 from .metrics import AdaptiveTrialPlanner
 from .noise import NOISE_MODELS, noise_model_from_name
 
@@ -131,15 +127,11 @@ def _benchmark_config(args, **cell) -> PtpBenchmarkConfig:
         impl=args.impl,
         iterations=args.iterations,
         seed=args.seed,
-        faults=parse_fault_spec(args.faults) if args.faults else None,
     )
 
 
 def _cmd_metrics(args) -> str:
     result = run_ptp_benchmark(_benchmark_config(args))
-    if result.fault_outcome is not None and not result.n_samples:
-        return (f"{result.config.label()}\n"
-                f"no measured samples: {result.fault_outcome.describe()}")
     rows = [
         ["overhead (eq.1)", f"{result.overhead.mean:.2f}x"],
         ["perceived bandwidth (eq.2)",
@@ -149,11 +141,8 @@ def _cmd_metrics(args) -> str:
         ["early-bird communication (eq.4)",
          f"{result.early_bird_fraction.mean * 100:.1f}%"],
     ]
-    table = ascii_table(["metric", "pruned mean"], rows,
-                        title=result.config.label())
-    if result.fault_outcome is not None:
-        table += f"\n\nfault outcome: {result.fault_outcome.describe()}"
-    return table
+    return ascii_table(["metric", "pruned mean"], rows,
+                       title=result.config.label())
 
 
 def _cmd_advisor(args) -> str:
@@ -171,36 +160,6 @@ def _cmd_advisor(args) -> str:
         marker = " <-- recommended" if n == rec.partitions else ""
         lines.append(f"  n={n:3d}: {score:8.3f}{marker}")
     return "\n".join(lines)
-
-
-def _cmd_faults(args) -> str:
-    """Show a parsed fault plan's contents, or the spec grammar."""
-    if not args.spec:
-        return parse_fault_spec.GRAMMAR.strip()
-    plan = parse_fault_spec(args.spec)
-    rows = [
-        ["drop probability", f"{plan.drop_probability:g}"],
-        ["degrade windows",
-         "; ".join(f"[{w.start:g}s, {w.end:g}s) bw x{w.bandwidth_scale:g} "
-                   f"lat x{w.latency_scale:g}"
-                   for w in plan.degrade_windows) or "-"],
-        ["NIC stall", (f"{plan.stall_duration:g}s every "
-                       f"{plan.stall_period:g}s"
-                       if plan.stall_period else "-")],
-        ["rank slowdown",
-         "; ".join(f"rank {r} x{f:g}" for r, f in plan.rank_slowdown)
-         or "-"],
-        ["fail-stop", (f"rank {plan.fail_stop.rank} at "
-                       f"{plan.fail_stop.time:g}s"
-                       if plan.fail_stop else "-")],
-        ["deadline", f"{plan.deadline:g}s" if plan.deadline else "-"],
-        ["retry: ack timeout", f"{plan.retry.ack_timeout:g}s"],
-        ["retry: backoff factor", f"{plan.retry.backoff_factor:g}"],
-        ["retry: max backoff", f"{plan.retry.max_backoff:g}s"],
-        ["retry: max retries", str(plan.retry.max_retries)],
-    ]
-    return ascii_table(["knob", "value"], rows,
-                       title=f"fault plan: {plan.describe()}")
 
 
 def _parse_int_list(text: str, what: str) -> List[int]:
@@ -225,9 +184,6 @@ def _cmd_sweep(args) -> str:
     metrics = METRIC_NAMES if args.metric == "all" else (args.metric,)
     parts = [metric_table(sweep, metric, title=f"sweep — {metric}")
              for metric in metrics]
-    faults_summary = fault_table(sweep)
-    if faults_summary is not None:
-        parts.append(faults_summary)
     parts.append(f"sweep engine: {sweep.stats.describe()}")
     provenance = provenance_line(sweep)
     if provenance is not None:
@@ -337,9 +293,6 @@ def _cmd_report(args) -> int:
         print(json.dumps({
             "config": result.config.label(),
             "event_digest": result.event_digest,
-            "fault_outcome": (result.fault_outcome.to_dict()
-                              if result.fault_outcome is not None
-                              else None),
             "event_counts": [
                 {"kind": kind, "rank": rank, "count": n}
                 for kind, rank, n in counters.rows()
@@ -356,8 +309,6 @@ def _cmd_report(args) -> int:
         }, indent=2))
         return 0
     print(cluster_report(cluster, counters=counters))
-    if result.fault_outcome is not None:
-        print(f"\nfault outcome: {result.fault_outcome.describe()}")
     print(f"\nevent stream digest: {result.event_digest}")
     return 0
 
@@ -394,10 +345,6 @@ def _add_config_args(parser: argparse.ArgumentParser,
                         choices=["mpipcl", "native"])
     parser.add_argument("--iterations", type=int, default=iterations)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--faults", default=None, metavar="SPEC",
-                        help="fault-injection plan, e.g. "
-                             "'drop=0.05,deadline=30' "
-                             "(see 'repro faults' for the grammar)")
 
 
 def _add_measurement_args(parser: argparse.ArgumentParser,
@@ -425,7 +372,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
              "documented tolerance), 'only' refuses ineligible cells")
     parser.add_argument(
         "--ci-target", type=float, default=None, metavar="REL",
-        help="adaptive trials: stop each noisy/faulty cell once the "
+        help="adaptive trials: stop each noisy cell once the "
              "pruned-mean CI half-width is within REL (e.g. 0.05) of "
              "the mean, instead of a fixed trial count")
     parser.add_argument(
@@ -497,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list the figure reproductions")
 
     for name, figure in FIGURES.items():
-        p = sub.add_parser(name, help=figure.blurb)
+        # argparse %-formats help text; a blurb's own '%' is literal.
+        p = sub.add_parser(name, help=figure.blurb.replace("%", "%%"))
         p.add_argument("--full", action="store_true",
                        help="run the paper's full grid (slow)")
         if figure.on_engine:
@@ -549,12 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--kinds", default="*", metavar="PATTERNS",
                     help="comma-separated event-kind patterns to count "
                          "(exit 2 on unknown kinds)")
-
-    fa = sub.add_parser(
-        "faults", help="inspect a fault-injection spec (or its grammar)")
-    fa.add_argument("--spec", default=None, metavar="SPEC",
-                    help="fault spec to parse and display; omit to print "
-                         "the grammar")
 
     a = sub.add_parser("advisor", help="recommend a partition count")
     a.add_argument("--message-bytes", type=int, required=True)
@@ -647,8 +589,6 @@ def _dispatch(args) -> int:
         print(_cmd_metrics(args))
     elif args.command == "advisor":
         print(_cmd_advisor(args))
-    elif args.command == "faults":
-        print(_cmd_faults(args))
     elif args.command == "serve":
         return _cmd_serve(args)
     elif args.command == "lint":

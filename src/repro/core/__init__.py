@@ -15,7 +15,6 @@ Layers:
 * :mod:`~repro.core.report` — the text tables the harness prints.
 """
 
-from .compare import Drift, compare_sweeps, drift_table, gate_sweeps
 from .config import (COLD, HOT, PAPER_MESSAGE_SIZES, PAPER_PARTITION_COUNTS,
                      PtpBenchmarkConfig)
 from .guidance import OBJECTIVES, Recommendation, recommend_partitions
@@ -25,7 +24,7 @@ from .parallel import (ANALYTIC_MODES, CACHE_SCHEMA_VERSION,
                        run_cells)
 from .pool import (PoolRunStats, PoolTaskError, WorkerPool, shared_pool,
                    shutdown_shared_pool)
-from .report import (METRIC_FORMATS, ascii_table, fault_table, format_bytes,
+from .report import (METRIC_FORMATS, ascii_table, format_bytes,
                      format_seconds, metric_table, provenance_line,
                      series_table)
 from .runner import PtpResult, PtpSample, run_ptp_benchmark, run_ptp_trial
@@ -41,10 +40,6 @@ __all__ = [
     "PAPER_MESSAGE_SIZES",
     "PAPER_PARTITION_COUNTS",
     "PtpBenchmarkConfig",
-    "Drift",
-    "compare_sweeps",
-    "drift_table",
-    "gate_sweeps",
     "ANALYTIC_MODES",
     "CACHE_SCHEMA_VERSION",
     "FINGERPRINT_VERSION",
@@ -64,7 +59,6 @@ __all__ = [
     "shutdown_shared_pool",
     "METRIC_FORMATS",
     "ascii_table",
-    "fault_table",
     "format_bytes",
     "format_seconds",
     "metric_table",

@@ -12,10 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
-from typing import Optional
-
 from ..errors import ConfigurationError
-from ..faults import FaultPlan
 from ..machine import BindPolicy, MachineSpec, NIAGARA_NODE
 from ..mpi import DEFAULT_COSTS, MPICosts, ThreadingMode
 from ..network import INTRA_NODE, NIAGARA_EDR, NetworkParams
@@ -74,10 +71,6 @@ class PtpBenchmarkConfig:
         Master seed for noise streams.
     mode / bind_policy / spec / inter_node / intra_node / costs:
         Substrate configuration, defaulting to the Niagara calibration.
-    faults:
-        Optional :class:`~repro.faults.FaultPlan`; part of the config
-        fingerprint, so a cached clean result is never returned for a
-        faulty configuration (and vice versa).
     """
 
     message_bytes: int
@@ -100,7 +93,6 @@ class PtpBenchmarkConfig:
     inter_node: NetworkParams = NIAGARA_EDR
     intra_node: NetworkParams = INTRA_NODE
     costs: MPICosts = DEFAULT_COSTS
-    faults: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
         if self.message_bytes < 1:
@@ -171,14 +163,12 @@ class PtpBenchmarkConfig:
     def is_deterministic(self) -> bool:
         """True when every trial of this cell is bit-identical.
 
-        No fault plan, and a noise model that hands every thread exactly
+        A noise model that hands every thread exactly
         ``compute_seconds``: :class:`~repro.noise.NoNoise`, or any
         percent-parameterised model dialled to 0% (the sweeps' noise
         axes start at 0).  Deterministic cells need one trial — and are
         the candidates for the :mod:`repro.analytic` fast path.
         """
-        if self.faults is not None:
-            return False
         return (isinstance(self.noise, NoNoise)
                 or getattr(self.noise, "noise_percent", None) == 0)
 
@@ -188,10 +178,7 @@ class PtpBenchmarkConfig:
 
     def label(self) -> str:
         """Compact description used in reports."""
-        base = (f"m={self.message_bytes}B n={self.partitions} "
+        return (f"m={self.message_bytes}B n={self.partitions} "
                 f"comp={self.compute_seconds * 1e3:g}ms "
                 f"noise={self.noise.describe()} cache={self.cache} "
                 f"impl={self.impl}")
-        if self.faults is not None:
-            base += f" faults[{self.faults.describe()}]"
-        return base

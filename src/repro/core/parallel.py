@@ -58,16 +58,18 @@ __all__ = ["CACHE_SCHEMA_VERSION", "FINGERPRINT_VERSION", "ANALYTIC_MODES",
 #: changes).  The cache is derived data: an entry of another schema is a
 #: miss, recomputed and overwritten on the next put.
 #: 2: results carry the instrumentation-stream digest (repro.obs).
-#: 3: results carry the fault outcome (repro.faults).
+#: 3: results carry a fault outcome (fault injection, since removed).
 #: 4: results carry their provenance (source + merged trial count).
 #: 5: values are binary wire frames (repro.core.wire) instead of JSON.
 CACHE_SCHEMA_VERSION = 5
 
 #: Mixed into :func:`config_fingerprint` — bumped only when *simulation
-#: semantics* change, so stored results are actually stale.  The v5
-#: on-disk format change was layout-only (the same timelines, digests,
-#: and provenance, packed differently), so fingerprints stayed at 4.
-FINGERPRINT_VERSION = 4
+#: semantics* change, so stored results are actually stale, or when the
+#: canonical config changes shape.  The v5 on-disk format change was
+#: layout-only (the same timelines, digests, and provenance, packed
+#: differently), so fingerprints stayed at 4 then.
+#: 5: the config lost its ``faults`` field; no result changed.
+FINGERPRINT_VERSION = 5
 
 #: Cache entry envelope: magic, schema, label length; the config label
 #: (debuggability only) and the wire frame follow.

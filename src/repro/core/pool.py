@@ -288,10 +288,13 @@ class WorkerPool:
 
     def _grow(self, size: int, stats: PoolRunStats) -> None:
         """Make the live executor at least ``size`` workers, and no
-        smaller than the one it replaces (under ``_lock``)."""
+        smaller than the one it replaces (under ``_lock``).
+
+        The smaller executor's tasks finish and its threads end before
+        the larger one is built, so a one-threaded process forks it."""
         if self._live is None or self._size < size:
             if self._live is not None:
-                self._live.shutdown(wait=False)  # its tasks finish
+                self._live.shutdown(wait=True)
             size = max(size, self._size)
             self._live, self._size = _new_executor(size), size
             stats.booted_workers += size

@@ -14,8 +14,8 @@ from ..errors import ConfigurationError
 from .sweep import METRIC_NAMES, SweepResult
 
 __all__ = ["format_bytes", "format_seconds", "ascii_table",
-           "metric_table", "series_table", "fault_table",
-           "provenance_line", "METRIC_FORMATS"]
+           "metric_table", "series_table", "provenance_line",
+           "METRIC_FORMATS"]
 
 
 def format_bytes(n: int) -> str:
@@ -124,35 +124,6 @@ def provenance_line(sweep: SweepResult) -> Optional[str]:
     if des:
         parts.append(f"{des} cell(s) simulated ({trials} trials)")
     return "sources: " + ", ".join(parts)
-
-
-def fault_table(sweep: SweepResult,
-                title: Optional[str] = None) -> Optional[str]:
-    """Fault-outcome summary for sweeps run under a fault plan.
-
-    One row per cell that carries a :class:`~repro.faults.FaultOutcome`:
-    what the fault machinery counted (drops, retransmits, duplicates,
-    abandoned sends, stalls, fail-stops) and whether the trial delivered
-    its samples or was abandoned (with the reason).  Returns ``None``
-    for fault-free sweeps so callers can print it unconditionally.
-    """
-    points = sweep.fault_points()
-    if not points:
-        return None
-    headers = ["parts", "msg", "status", "drops", "rtx", "dup",
-               "abandoned", "stalls", "reason"]
-    rows: List[List[str]] = []
-    for p in points:
-        o = p.result.fault_outcome
-        rows.append([
-            str(p.config.partitions),
-            format_bytes(p.config.message_bytes),
-            "ok" if o.delivered else "ABANDONED",
-            str(o.drops), str(o.retransmits), str(o.duplicates),
-            str(o.abandoned), str(o.stalls),
-            o.reason or "-",
-        ])
-    return ascii_table(headers, rows, title=title or "fault outcomes")
 
 
 def series_table(series: Dict[str, List[Tuple[int, float]]],

@@ -34,8 +34,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
-from ..errors import ConfigurationError, DeadlockError
-from ..faults import FaultOutcome
+from ..errors import ConfigurationError
 from ..metrics import PartitionTimeline, PtpMetrics, SampleSummary, summarize
 from ..metrics.definitions import timeline_metrics
 from ..metrics.timeline import check_timeline
@@ -115,11 +114,6 @@ class PtpResult:
     that predate it); equal digests prove two executions saw the same
     events in the same order with bit-identical payloads.
 
-    ``fault_outcome`` is populated only for trials run under a
-    :class:`~repro.faults.FaultPlan`: what the fault machinery saw, and —
-    for trials that hit the deadline, a fail-stop, or an exhausted retry
-    budget — why the samples are partial or absent.
-
     ``source`` records how the samples were produced: ``"des"`` for
     simulated trials, ``"analytic"`` for closed-form evaluations (see
     :mod:`repro.analytic`).  ``trials`` is how many simulations fed the
@@ -139,17 +133,15 @@ class PtpResult:
     views on access, while counts and summaries read the record.
     """
 
-    __slots__ = ("config", "event_digest", "fault_outcome", "source",
-                 "trials", "_ints", "_doubles")
+    __slots__ = ("config", "event_digest", "source", "trials", "_ints",
+                 "_doubles")
 
     def __init__(self, config: PtpBenchmarkConfig,
                  samples: Iterable[PtpSample] = (),
                  event_digest: Optional[str] = None,
-                 fault_outcome: Optional[FaultOutcome] = None,
                  source: str = "des", trials: int = 1) -> None:
         self.config = config
         self.event_digest = event_digest
-        self.fault_outcome = fault_outcome
         self.source = source
         self.trials = trials
         self._ints = array("Q")
@@ -206,7 +198,6 @@ class PtpResult:
     def with_config(self, config: PtpBenchmarkConfig) -> "PtpResult":
         """This result under ``config``, sharing (not copying) the record."""
         twin = PtpResult(config, event_digest=self.event_digest,
-                         fault_outcome=self.fault_outcome,
                          source=self.source, trials=self.trials)
         twin._ints, twin._doubles = self._ints, self._doubles
         return twin
@@ -289,16 +280,15 @@ class PtpResult:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PtpResult):
             return NotImplemented
-        return ((self.config, self.event_digest, self.fault_outcome,
-                 self.source, self.trials, self._ints, self._doubles)
-                == (other.config, other.event_digest, other.fault_outcome,
-                    other.source, other.trials, other._ints, other._doubles))
+        return ((self.config, self.event_digest, self.source, self.trials,
+                 self._ints, self._doubles)
+                == (other.config, other.event_digest, other.source,
+                    other.trials, other._ints, other._doubles))
 
     def __repr__(self) -> str:
         return (f"PtpResult(config={self.config!r}, "
                 f"n_samples={self.n_samples}, "
                 f"event_digest={self.event_digest!r}, "
-                f"fault_outcome={self.fault_outcome!r}, "
                 f"source={self.source!r}, trials={self.trials!r})")
 
 
@@ -393,7 +383,6 @@ def run_ptp_trial(config: PtpBenchmarkConfig,
     discarded — and carries the digest of the *full* event stream.
     """
     EXECUTIONS.bump()
-    faults = config.faults
     cluster = Cluster(
         nranks=2,
         spec=config.spec,
@@ -403,9 +392,8 @@ def run_ptp_trial(config: PtpBenchmarkConfig,
         mode=config.mode,
         bind_policy=config.bind_policy,
         seed=config.seed,
-        faults=faults,
     )
-    builder = TimelineBuilder(allow_partial=faults is not None)
+    builder = TimelineBuilder()
     cluster.obs.attach(builder, TimelineBuilder.PATTERNS)
     digest = DigestSink()
     cluster.obs.attach(digest, ("*",))
@@ -422,34 +410,10 @@ def run_ptp_trial(config: PtpBenchmarkConfig,
         else:
             yield from _receiver_program(ctx, config)
 
-    abandoned_reason = None
-    if faults is None:
-        cluster.run(program)
-    else:
-        try:
-            cluster.run(program, until=faults.deadline)
-        except DeadlockError:
-            # Graceful degradation: the trial could not finish under the
-            # fault plan.  Record a structured outcome instead of
-            # crashing the sweep; completed iterations are kept.
-            stats = cluster.fault_stats
-            if stats.fail_stops:
-                abandoned_reason = "rank fail-stop"
-            elif faults.deadline is not None and \
-                    cluster.now >= faults.deadline:
-                abandoned_reason = (f"simulated deadline "
-                                    f"{faults.deadline:g}s exceeded")
-            elif stats.abandoned:
-                abandoned_reason = "retry budget exhausted"
-            else:
-                abandoned_reason = "deadlocked under fault plan"
+    cluster.run(program)
     cluster.obs.finalize()
 
     result = PtpResult(config=config, event_digest=digest.hexdigest())
-    if faults is not None:
-        result.fault_outcome = cluster.fault_stats.outcome(
-            delivered=abandoned_reason is None,
-            reason=abandoned_reason or "")
     for it, tl in builder.timelines:
         if it >= config.warmup:
             result.add_sample(it - config.warmup, tl.message_bytes,

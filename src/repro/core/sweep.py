@@ -97,9 +97,7 @@ class SweepResult:
     def series(self, metric: str) -> Dict[int, List[Tuple[int, float]]]:
         """Figure-shaped data: ``{partitions: [(message_bytes, mean), ...]}``.
 
-        ``metric`` is one of :data:`METRIC_NAMES`.  Cells abandoned under
-        a fault plan (no measured samples) are skipped — the tables
-        print them as ``-`` and :meth:`fault_points` lists why.
+        ``metric`` is one of :data:`METRIC_NAMES`.
         """
         if metric not in METRIC_NAMES:
             raise ConfigurationError(
@@ -107,18 +105,9 @@ class SweepResult:
         index = self._sync_index()
         out: Dict[int, List[Tuple[int, float]]] = {}
         for m, n in self._iter_sorted():
-            result = index[(m, n)].result
-            if not result.n_samples:
-                continue  # abandoned cell: nothing to summarize
-            summary: SampleSummary = getattr(result, metric)
+            summary: SampleSummary = getattr(index[(m, n)].result, metric)
             out.setdefault(n, []).append((m, summary.mean))
         return out
-
-    def fault_points(self) -> List[SweepPoint]:
-        """Cells that ran under a fault plan, in sorted cell order."""
-        index = self._sync_index()
-        return [index[key] for key in self._iter_sorted()
-                if index[key].result.fault_outcome is not None]
 
     def value(self, metric: str, message_bytes: int,
               partitions: int) -> float:

@@ -10,7 +10,7 @@ about.  This module replaces it with a versioned, struct-packed frame:
 
 ``
 +------+----+-----+--------+--------+-----------+-----------------+
-| RPWF | v1 | flg | source | trials | n_samples | digest? fault?  |
+| RPWF | v1 | flg | source | trials | n_samples | digest?         |
 +------+----+-----+--------+--------+-----------+-----------------+
 | per sample: iteration u32 | message_bytes u64 | partitions u32  |
 |             join f64 | pt2pt f64 | pready[P] f64 | arrival[P] f64|
@@ -46,7 +46,6 @@ from array import array
 from typing import Union
 
 from ..errors import ReproError
-from ..faults import FaultOutcome
 from .config import PtpBenchmarkConfig
 from .runner import METRIC_NAMES, PtpResult
 
@@ -69,14 +68,12 @@ _SOURCE_INLINE = 0xFF
 # Header flag bits.
 _FLAG_DIGEST_SHA256 = 0x01   # digest present as raw 32 bytes (hex sha256)
 _FLAG_DIGEST_STRING = 0x02   # digest present as length-prefixed UTF-8
-_FLAG_FAULT_OUTCOME = 0x04
+_FLAGS_KNOWN = _FLAG_DIGEST_SHA256 | _FLAG_DIGEST_STRING
 
 _HEADER = struct.Struct("<4sBBBxII")        # magic, ver, flags, source,
                                             # pad, trials, n_samples
 _SAMPLE = struct.Struct("<IQIdd")           # iteration, bytes, partitions,
                                             # join, pt2pt
-_FAULT = struct.Struct("<B7IH")             # delivered, 7 counters,
-                                            # reason length
 
 #: Frames are little-endian; a big-endian host swaps its timestamps.
 _SWAP = sys.byteorder != "little"
@@ -90,7 +87,7 @@ def encode_result(result: PtpResult) -> bytes:
     """Pack one result into a binary frame.
 
     Only the boundary-crossing state is packed — raw timelines, the
-    event digest, trial count, provenance, and any fault outcome; the
+    event digest, trial count and provenance; the
     config is deliberately *not* part of the frame (the receiver always
     holds the live config the frame answers).
     """
@@ -111,18 +108,6 @@ def encode_result(result: PtpResult) -> bytes:
                 raise WireError("event digest too long for a wire frame")
             flags |= _FLAG_DIGEST_STRING
             digest_piece = struct.pack("<H", len(encoded)) + encoded
-    fault_piece = b""
-    outcome = result.fault_outcome
-    if outcome is not None:
-        flags |= _FLAG_FAULT_OUTCOME
-        reason = outcome.reason.encode("utf-8")
-        if len(reason) > 0xFFFF:
-            raise WireError("fault reason too long for a wire frame")
-        fault_piece = _FAULT.pack(
-            1 if outcome.delivered else 0, outcome.drops,
-            outcome.retransmits, outcome.duplicates, outcome.acks,
-            outcome.abandoned, outcome.stalls, outcome.fail_stops,
-            len(reason)) + reason
     try:
         source_idx = _SOURCES.index(result.source)
         source_piece = b""
@@ -139,7 +124,7 @@ def encode_result(result: PtpResult) -> bytes:
 
     pieces = [_HEADER.pack(WIRE_MAGIC, WIRE_VERSION, flags, source_idx,
                            trials, n_samples),
-              source_piece, digest_piece, fault_piece]
+              source_piece, digest_piece]
     for iteration, message_bytes, join_time, pt2pt_time, times, _ in \
             result.rows():
         try:
@@ -177,6 +162,8 @@ def decode_result(config: PtpBenchmarkConfig,
         raise WireError(
             f"wire frame version {version} (this build reads "
             f"{WIRE_VERSION})")
+    if flags & ~_FLAGS_KNOWN:
+        raise WireError(f"unknown wire frame flags {flags:#04x}")
     offset = _HEADER.size
     try:
         if source_idx == _SOURCE_INLINE:
@@ -197,23 +184,8 @@ def decode_result(config: PtpBenchmarkConfig,
             offset += 2
             digest = bytes(view[offset:offset + length]).decode("utf-8")
             offset += length
-        outcome = None
-        if flags & _FLAG_FAULT_OUTCOME:
-            unpacked = _FAULT.unpack_from(view, offset)
-            offset += _FAULT.size
-            reason_len = unpacked[8]
-            reason = bytes(
-                view[offset:offset + reason_len]).decode("utf-8")
-            offset += reason_len
-            outcome = FaultOutcome(
-                delivered=bool(unpacked[0]), drops=unpacked[1],
-                retransmits=unpacked[2], duplicates=unpacked[3],
-                acks=unpacked[4], abandoned=unpacked[5],
-                stalls=unpacked[6], fail_stops=unpacked[7],
-                reason=reason)
         result = PtpResult(config=config, event_digest=digest,
-                           fault_outcome=outcome, source=source,
-                           trials=trials)
+                           source=source, trials=trials)
         # A sample is a header of whole doubles' size and then doubles,
         # so the rest of the frame reads as doubles at once.
         base = offset

@@ -1,4 +1,4 @@
-"""CI-width-targeted trial allocation for noisy and faulty cells.
+"""CI-width-targeted trial allocation for noisy cells.
 
 Hunold & Carpen-Amarie ("MPI Benchmarking Revisited", PAPERS.md) showed
 that a fixed repetition count spends most of its budget on cells that
@@ -158,9 +158,7 @@ class AdaptiveTrialPlanner:
             return 0
         values = [[v for r in results for v in r.metric_values(name)]
                   for name in self.metrics]
-        # A faulty cell can abandon every iteration; empty sample sets
-        # carry no information, so keep sampling to the cap.
-        if all(v and self._converged(v) for v in values):
+        if all(self._converged(v) for v in values):
             return 0
         return min(self.batch, self.max_trials - n)
 
@@ -184,9 +182,4 @@ class AdaptiveTrialPlanner:
             blob = "|".join(r.event_digest or "-" for r in results)
             merged.event_digest = hashlib.sha256(
                 blob.encode("ascii")).hexdigest()
-        outcomes = [r.fault_outcome for r in results if r.fault_outcome]
-        if outcomes:
-            # Trial 0 runs the configuration's own seed; its outcome is
-            # the one an unplanned run would have reported.
-            merged.fault_outcome = outcomes[0]
         return merged

@@ -25,13 +25,12 @@ from collections import deque
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..errors import ConfigurationError, DeadlockError
-from ..faults import FaultPlan, FaultStats, LinkFaults, ReliableTransport
 from ..machine import (BindPolicy, MachineSpec, NIAGARA_NODE, ThreadBinding,
                        bind_threads, validate_spec)
 from ..network import (Fabric, INTRA_NODE, NIAGARA_EDR, NetworkParams,
                        Placement, validate_params)
 from ..obs import EventBus
-from ..obs.kinds import FAULT_DROP, FAULT_FAILSTOP, PART_INIT, TEAM_FORK
+from ..obs.kinds import PART_INIT, TEAM_FORK
 from ..sim import Process, RandomStreams, Simulator
 from ..threadsim import (DEFAULT_OPENMP_COSTS, OpenMPCosts, ThreadContext,
                          ThreadTeam)
@@ -73,10 +72,6 @@ class RankContext:
         self.proc = cluster.procs[rank]
         self.comm = Communicator(cluster, self.proc, comm_id=0,
                                  size=cluster.nranks)
-        #: Compute-time multiplier from the fault plan's per-rank
-        #: slowdown (1.0 = unaffected); consumed by ThreadContext.compute.
-        self.compute_scale = (cluster.faults.slowdown_for(rank)
-                              if cluster.faults is not None else 1.0)
         main_core = cluster.spec.nic_socket * cluster.spec.cores_per_socket
         self.main = ThreadContext(self, thread_id=0, core=main_core,
                                   team=None)
@@ -159,14 +154,6 @@ class Cluster:
         Default thread binding for parallel regions.
     seed:
         Master seed for all RNG streams.
-    faults:
-        Optional :class:`~repro.faults.FaultPlan`.  When present the
-        cluster wires a :class:`~repro.faults.LinkFaults` decision
-        engine into every NIC (drop/stall/degrade decisions drawn from
-        the ``faults/rank{r}/link`` stream of the same seed scheme as
-        everything else), switches every rank onto the reliable
-        ACK/retransmit transport when the plan is lossy, and schedules
-        any fail-stop.  ``None`` (the default) adds no work anywhere.
     """
 
     def __init__(self, nranks: int, *,
@@ -178,8 +165,7 @@ class Cluster:
                  omp_costs: OpenMPCosts = DEFAULT_OPENMP_COSTS,
                  placement: Optional[Placement] = None,
                  bind_policy: BindPolicy = BindPolicy.COMPACT,
-                 seed: int = 0,
-                 faults: Optional[FaultPlan] = None):
+                 seed: int = 0):
         if nranks < 1:
             raise ConfigurationError(f"nranks must be >= 1, got {nranks}")
         validate_spec(spec)
@@ -202,30 +188,10 @@ class Cluster:
         self.obs = EventBus()
         self.streams = RandomStreams(seed)
         self.fabric = Fabric(placement, inter_node, intra_node)
-        self.faults = faults
-        self.fault_stats: Optional[FaultStats] = None
-        link_faults: List[Optional[LinkFaults]] = [None] * nranks
-        if faults is not None:
-            if faults.fail_stop is not None and \
-                    faults.fail_stop.rank >= nranks:
-                raise ConfigurationError(
-                    f"fail-stop rank {faults.fail_stop.rank} outside world "
-                    f"of {nranks}")
-            for rank, _ in faults.rank_slowdown:
-                if rank >= nranks:
-                    raise ConfigurationError(
-                        f"slowdown rank {rank} outside world of {nranks}")
-            self.fault_stats = FaultStats()
-            link_faults = [
-                LinkFaults(faults, r, self.sim, self.obs,
-                           self.streams.stream(f"faults/rank{r}/link"),
-                           self.fault_stats)
-                for r in range(nranks)
-            ]
         route = _weak_route(self)
         self.procs: List[MPIProcess] = [
             MPIProcess(self.sim, r, self.fabric, spec, costs, mode,
-                       self.obs, route, link_faults=link_faults[r])
+                       self.obs, route)
             for r in range(nranks)
         ]
         #: Each rank's progress loop, kept here rather than on its engine
@@ -235,15 +201,6 @@ class Cluster:
                              name=f"rank{proc.rank}.progress")
             for proc in self.procs
         ]
-        if faults is not None and faults.lossy:
-            for proc in self.procs:
-                proc.retry = ReliableTransport(
-                    self.sim, proc.nic, proc.rank, faults.retry,
-                    self.fault_stats, self.obs)
-        if faults is not None and faults.fail_stop is not None:
-            timer = self.sim.timeout(faults.fail_stop.time)
-            ref, victim = weakref.ref(self), faults.fail_stop.rank
-            timer.callbacks.append(lambda ev: ref()._fail_stop(victim))
         self.contexts: List[RankContext] = [
             RankContext(self, r) for r in range(nranks)
         ]
@@ -270,24 +227,7 @@ class Cluster:
     # plumbing used by the runtime
     # ------------------------------------------------------------------
     def _route(self, dst_rank: int, frame: Frame) -> None:
-        dst = self.procs[dst_rank]
-        if dst.failed:
-            # Fail-stopped destination: the frame is black-holed.  The
-            # sender's retry machinery (if any) times out and abandons.
-            self.fault_stats.drops += 1
-            self.obs.emit(FAULT_DROP, self.sim.now, frame.src_rank,
-                          dst_rank, frame.kind.value, frame.seq,
-                          frame.nbytes)
-            return
-        dst.deliver(frame)
-
-    def _fail_stop(self, rank: int) -> None:
-        """Fault-plan callback: kill ``rank`` at the scheduled time."""
-        proc = self.procs[rank]
-        proc.failed = True
-        proc.nic.failed = True
-        self.fault_stats.fail_stops += 1
-        self.obs.emit(FAULT_FAILSTOP, self.sim.now, rank)
+        self.procs[dst_rank].deliver(frame)
 
     def _register_partitioned(self, req, is_send: bool) -> None:
         """Init-time matching of partitioned halves, in posting order."""
@@ -322,8 +262,7 @@ class Cluster:
     # running programs
     # ------------------------------------------------------------------
     def run(self, program: Callable[[RankContext], Generator],
-            ranks: Optional[List[int]] = None,
-            until: Optional[float] = None) -> List[Any]:
+            ranks: Optional[List[int]] = None) -> List[Any]:
         """Run ``program`` on every rank (or on ``ranks``) to completion.
 
         Returns the per-rank return values.  Raises
@@ -337,7 +276,7 @@ class Cluster:
             for r in targets
         ]
         try:
-            self.sim.run(until=until)
+            self.sim.run()
         except BaseException:
             # A failure ended the run mid-way: give it up like one that
             # stopped short.

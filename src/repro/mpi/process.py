@@ -63,20 +63,12 @@ class MPIProcess:
     router:
         ``router(dst_rank, frame)`` delivering a frame into the destination
         rank's inbox (wired up by the cluster).
-    link_faults:
-        Optional :class:`~repro.faults.LinkFaults` handed to this rank's
-        NIC (``None`` = perfect fabric, zero overhead).
-    retry:
-        Optional :class:`~repro.faults.ReliableTransport`; present only
-        in lossy mode.  Wired up by the cluster *after* construction
-        because the transport needs the NIC this constructor creates.
     """
 
     def __init__(self, sim: Simulator, rank: int, fabric: Fabric,
                  spec: MachineSpec, costs: MPICosts, mode: ThreadingMode,
                  obs: EventBus,
-                 router: Callable[[int, Frame], None],
-                 link_faults=None):
+                 router: Callable[[int, Frame], None]):
         self.sim = sim
         self.rank = rank
         self.fabric = fabric
@@ -85,17 +77,13 @@ class MPIProcess:
         self.mode = mode
         self.obs = obs
         self._router = router
-        #: Reliable transport (lossy mode only); set by the cluster.
-        self.retry = None
-        #: Fail-stop flag mirrored onto the NIC by the cluster.
-        self.failed = False
 
         self.cache = CacheModel(spec)
         self.numa = NUMAModel(spec)
         self.lock = Mutex(sim, name=f"rank{rank}.liblock")
         self.matching = MatchingEngine()
         self.inbox: Store = Store(sim, name=f"rank{rank}.inbox")
-        self.nic = NIC(sim, rank, router, obs=obs, faults=link_faults)
+        self.nic = NIC(sim, rank, router, obs=obs)
         self._match_cost = fabric.inter_node.match_cost
         #: ``(peer, wire_bytes)`` -> ``(wire_time, latency, gap)``.
         self._paths: dict = {}
@@ -213,10 +201,6 @@ class MPIProcess:
 
         ``wire_bytes`` is what occupies the link (0 for control frames,
         which are clamped to the path's minimum message size).
-
-        In lossy mode every frame except the ACKs themselves is handed
-        to the reliable transport first: it stamps ``frame.seq`` and
-        arms the ACK-timeout retransmission timer on injection.
         """
         path = self._paths.get((dst_rank, wire_bytes))
         if path is None:
@@ -229,11 +213,7 @@ class MPIProcess:
         wire_time, latency, gap = path
         tx = Transmission(dst_rank, wire_bytes, wire_time, latency, frame,
                           gap)
-        retry = self.retry
-        self.nic.enqueue(tx)
-        if retry is not None and frame.kind is not FrameKind.ACK:
-            retry.track(tx, frame)
-        return tx
+        return self.nic.enqueue(tx)
 
     def deliver(self, frame: Frame) -> None:
         """Entry point used by the fabric: enqueue into our inbox."""
@@ -321,8 +301,6 @@ class MPIProcess:
         inbox = self.inbox
         while True:
             frame = yield inbox.get()
-            if self.retry is not None and not self._accept_tracked(frame):
-                continue
             kind = frame.kind
             if kind is FrameKind.EAGER or kind is FrameKind.RTS:
                 yield from self._handle_match(frame)
@@ -345,23 +323,6 @@ class MPIProcess:
                 yield from self._handle_pcts(frame)
             else:  # pragma: no cover - exhaustive over enum
                 raise AssertionError(f"unhandled frame kind {kind}")
-
-    def _accept_tracked(self, frame: Frame) -> bool:
-        """Lossy mode: ACK a sequenced frame; False when the protocol
-        must not see it (an ACK itself, or a duplicate delivery)."""
-        retry = self.retry
-        if frame.kind is FrameKind.ACK:
-            retry.on_ack(frame.src_rank, frame.seq)
-            return False
-        if frame.seq >= 0:
-            # ACK first — a duplicate usually means our previous ACK
-            # was lost, so the sender needs a fresh one either way.
-            self.transmit(frame.src_rank, 0,
-                          Frame(FrameKind.ACK, self.rank,
-                                frame.src_rank, seq=frame.seq))
-            if not retry.accept(frame.src_rank, frame.seq):
-                return False  # duplicate delivery: already handled once
-        return True
 
     def _handle_match(self, frame: Frame):
         entry, scanned = self.matching.match_arrival(frame.envelope)

@@ -10,9 +10,6 @@ The runtime speaks a small protocol modelled on UCX-class transports:
   carry a *direct reference* to the peer partitioned request (matching was
   performed once at init time), so the receiver never searches a queue —
   the defining software advantage of partitioned communication.
-* ``ACK`` — reliable-transport acknowledgement, only exchanged in lossy
-  mode (``repro.faults``): confirms receipt of the frame whose sender
-  sequence number it echoes in ``seq``.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ class FrameKind(enum.Enum):
     PDATA = "pdata"
     PRTS = "prts"
     PCTS = "pcts"
-    ACK = "ack"
 
 
 @dataclass(slots=True)
@@ -63,9 +59,6 @@ class Frame:
     preq: Any = None
     partition: int = -1
     epoch: int = -1
-    #: Reliable-transport sequence number (lossy mode only).  -1 means the
-    #: frame is untracked; ACK frames echo the acknowledged sequence here.
-    seq: int = -1
 
     def control_size(self) -> int:
         """Bytes this frame occupies on the wire when it is pure control."""

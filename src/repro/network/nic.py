@@ -75,8 +75,8 @@ class NIC:
     holds at most one transmission in flight (:attr:`_current`) and a FIFO
     backlog behind it.  Each transmission walks through the same kernel
     events a generator worker would yield, in the same order: a zero-delay
-    wake, an optional fault stall, the ``gap + wire_time`` service sleep,
-    then the ``injected`` trigger and the delivery timeout.
+    wake, the ``gap + wire_time`` service sleep, then the ``injected``
+    trigger and the delivery timeout.
 
     Parameters
     ----------
@@ -90,34 +90,22 @@ class NIC:
     obs:
         Instrumentation bus ``nic.tx_*`` events go to; a private empty bus
         when omitted, so standalone NICs stay valid and emission free.
-    faults:
-        Optional :class:`~repro.faults.LinkFaults` decision engine.  When
-        ``None`` (the default) the transmit engine pays exactly one ``is
-        not None`` test per step and nothing else — the budget the
-        ``faults_off_overhead`` kernel in ``scripts/bench_guard.py``
-        enforces.
     """
 
     def __init__(self, sim: Simulator, rank: int,
                  deliver: Callable[[int, Any], None],
-                 obs: Optional[EventBus] = None,
-                 faults=None):
+                 obs: Optional[EventBus] = None):
         self.sim = sim
         self.rank = rank
         self.deliver = deliver
         self.obs = obs if obs is not None else EventBus()
-        self.faults = faults
-        #: Fail-stop flag: a failed NIC silently discards everything it
-        #: is asked to inject (the rank is dead, not slow).
-        self.failed = False
         self.stats = NICStats()
         #: Transmissions waiting behind the one in flight.
         self._backlog: Deque[Transmission] = deque()
         #: The transmission the engine is serving (None when idle).
         self._current: Optional[Transmission] = None
-        #: Service start and (possibly degraded) latency of ``_current``.
+        #: Service start of ``_current``.
         self._start = 0.0
-        self._latency = 0.0
 
     @property
     def queue_length(self) -> int:
@@ -140,44 +128,16 @@ class NIC:
 
     # -- the transmit engine ----------------------------------------------
     def _wake(self) -> None:
-        """Schedule the zero-delay wake that picks up ``_current``.
-
-        Without faults the wake has nothing to decide, so it goes straight
-        to :meth:`_inject`.
-        """
-        self.sim.call_in(0.0, self._inject if self.faults is None
-                         else self._on_wake)
-
-    def _on_wake(self, _event) -> None:
-        """Under a fault plan, ``_current`` is dropped, stalled or
-        injected."""
-        faults = self.faults
-        if self.failed:
-            # Fail-stopped rank: nothing leaves the NIC.  The injected
-            # event never fires, so no completion hooks or retry timers
-            # run for this frame.
-            faults.note_drop(self._current)
-            self._next()
-            return
-        stall = faults.stall_delay(self.sim.now)
-        if stall > 0.0:
-            self.sim.call_in(stall, self._inject)
-            return
-        self._inject(None)
+        """Schedule the zero-delay wake that picks up ``_current``."""
+        self.sim.call_in(0.0, self._inject)
 
     def _inject(self, _event) -> None:
         """Start serializing ``_current`` onto the wire."""
         tx = self._current
         now = self.sim.now
-        wire_time = tx.wire_time
-        latency = tx.latency
-        if self.faults is not None:
-            wire_time, latency = self.faults.degraded(
-                now, tx.dst_rank, wire_time, latency)
         self._start = now
-        self._latency = latency
         self.obs.emit(NIC_TX_START, now, self.rank, tx.dst_rank, tx.nbytes)
-        self.sim.call_in(tx.gap + wire_time, self._on_injected)
+        self.sim.call_in(tx.gap + tx.wire_time, self._on_injected)
 
     def _on_injected(self, _event) -> None:
         """``_current`` left the NIC: complete it and serve the next."""
@@ -189,11 +149,7 @@ class NIC:
         stats.busy_time += now - self._start
         self.obs.emit(NIC_TX_DONE, now, self.rank, tx.dst_rank, tx.nbytes)
         tx.injected.succeed(now)
-        faults = self.faults
-        if faults is None or not faults.drop(tx):
-            # (A dropped frame is eaten by the fabric; retransmission
-            # recovers it.)
-            self.sim.call_in(self._latency, self._on_delivered, tx)
+        self.sim.call_in(tx.latency, self._on_delivered, tx)
         self._next()
 
     def _on_delivered(self, event) -> None:

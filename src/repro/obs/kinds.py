@@ -26,15 +26,6 @@ Categories
     :class:`~repro.obs.timeline.TimelineBuilder` turns them (plus
     ``part.pready``/``part.arrived``) into
     :class:`~repro.metrics.timeline.PartitionTimeline` objects.
-``fault.*``
-    Injected faults firing (``repro.faults``): dropped frames, NIC
-    stalls, degraded-link transmissions, duplicate deliveries, and
-    fail-stops.  Silent when no :class:`~repro.faults.FaultPlan` is
-    configured.
-``retry.*``
-    The reliable transport reacting to faults: retransmissions, ACKs
-    clearing pending frames, and frames abandoned after the retry
-    budget.
 ``pool.*``
     The persistent worker pool (:mod:`repro.core.pool`): one
     ``pool.dispatch_batch`` per task submitted to its executor.  Unlike
@@ -66,8 +57,6 @@ __all__ = [
     "NIC_TX_START", "NIC_TX_DONE",
     "BENCH_PART_BEGIN", "BENCH_SINGLE_BEGIN", "BENCH_JOIN",
     "BENCH_SEND_BEGIN", "BENCH_RECV_COMPLETE",
-    "FAULT_DROP", "FAULT_STALL", "FAULT_DEGRADE", "FAULT_DUPLICATE",
-    "FAULT_FAILSTOP", "RETRY_RETRANSMIT", "RETRY_ACK", "RETRY_ABANDONED",
     "POOL_DISPATCH_BATCH",
     "SERVICE_REQUEST", "SERVICE_RESPONSE", "SERVICE_REJECT",
     "SERVICE_QUOTA_REJECT", "SERVICE_BATCH",
@@ -176,37 +165,6 @@ BENCH_RECV_COMPLETE = SCHEMA.register(
     "bench.recv_complete", ("rank", "iteration"),
     doc="single-send phase: the reference receive completed "
         "(closes the iteration)")
-
-# -- fault injection (repro.faults) ---------------------------------------
-FAULT_DROP = SCHEMA.register(
-    "fault.drop", ("rank", "dst", "kind", "seq", "nbytes"),
-    doc="the fabric lost one injected frame (kind/seq identify it; "
-        "seq is -1 for untracked frames)")
-FAULT_STALL = SCHEMA.register(
-    "fault.nic_stall", ("rank", "duration"),
-    doc="the NIC stalled before injecting (periodic stall window)")
-FAULT_DEGRADE = SCHEMA.register(
-    "fault.link_degrade", ("rank", "dst", "bandwidth_scale",
-                           "latency_scale"),
-    doc="one transmission ran inside a link-degradation window")
-FAULT_DUPLICATE = SCHEMA.register(
-    "fault.duplicate", ("rank", "src", "seq"),
-    doc="receiver discarded an already-delivered frame (re-ACKed)")
-FAULT_FAILSTOP = SCHEMA.register(
-    "fault.fail_stop", ("rank",),
-    doc="rank failed-stop: NIC dead, inbound frames black-holed")
-
-# -- reliable transport (retry/backoff) -----------------------------------
-RETRY_RETRANSMIT = SCHEMA.register(
-    "retry.retransmit", ("rank", "dst", "seq", "attempt", "timeout"),
-    doc="ACK timeout expired; the frame is being re-injected "
-        "(timeout = the next backoff interval)")
-RETRY_ACK = SCHEMA.register(
-    "retry.ack", ("rank", "src", "seq"),
-    doc="an ACK cleared one pending frame at the sender")
-RETRY_ABANDONED = SCHEMA.register(
-    "retry.abandoned", ("rank", "dst", "seq", "attempts"),
-    doc="retry budget exhausted; the frame is given up for lost")
 
 # -- persistent worker pool (repro.core.pool; manager-side) ----------------
 POOL_DISPATCH_BATCH = SCHEMA.register(

@@ -65,16 +65,9 @@ class TimelineBuilder(Sink):
     #: The subscription this sink needs.
     PATTERNS = ("bench.*", "part.pready", "part.arrived")
 
-    def __init__(self, allow_partial: bool = False) -> None:
+    def __init__(self) -> None:
         self.timelines: List[Tuple[int, PartitionTimeline]] = []
         self._draft: Optional[_Draft] = None
-        #: Fault-tolerant mode (``repro.faults``): an abandoned trial
-        #: legitimately ends mid-iteration, so finalize() discards the
-        #: open draft instead of raising.  Completed iterations are
-        #: still validated strictly.
-        self.allow_partial = allow_partial
-        #: Iterations discarded by a partial finalize (for reporting).
-        self.discarded = 0
 
     def accept(self, record: EventRecord) -> None:
         """Fold one event into the current iteration's draft."""
@@ -111,10 +104,6 @@ class TimelineBuilder(Sink):
     def finalize(self) -> None:
         """Verify the stream closed its last iteration."""
         if self._draft is not None:
-            if self.allow_partial:
-                self.discarded += 1
-                self._draft = None
-                return
             raise SimulationError(
                 f"event stream ended with iteration "
                 f"{self._draft.iteration} still open (no "

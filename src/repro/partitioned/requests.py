@@ -23,7 +23,7 @@ the paper notes in §6.1); we verify it at bind time.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import PartitionError, RequestStateError
 from ..obs.kinds import (PART_ARRIVED, PART_BUFFER_READ, PART_BUFFER_WRITE,
@@ -183,7 +183,6 @@ class PartitionedSendRequest(_PartitionedBase):
                          impl, bufkey)
         self._ready: List[bool] = []
         self._injected = 0
-        self._injected_partitions: Set[int] = set()
 
     @property
     def dest(self) -> int:
@@ -202,7 +201,6 @@ class PartitionedSendRequest(_PartitionedBase):
         self.active = True
         self._ready = [False] * self.partitions
         self._injected = 0
-        self._injected_partitions.clear()
         self._epoch_done = Event(self.sim)
         cost = (self.proc.costs.start_cost
                 + self.partitions * self.proc.costs.start_cost_per_partition)
@@ -307,12 +305,6 @@ class PartitionedSendRequest(_PartitionedBase):
                             now: float) -> None:
         if epoch != self.epoch:
             return  # stale completion from an abandoned epoch
-        if partition in self._injected_partitions:
-            # Retransmission path (lossy mode): a rendezvous partition's
-            # data frame can be re-injected after an ACK loss — the
-            # epoch completes on distinct partitions, not raw injections.
-            return
-        self._injected_partitions.add(partition)
         self._injected += 1
         self.proc.obs.emit(PART_SEND_INJECTED, now, self.proc.rank,
                            partition, epoch)

@@ -3,8 +3,8 @@
 A service request is a plain JSON object describing one
 :class:`~repro.core.config.PtpBenchmarkConfig` (or a grid of them) in
 the same vocabulary the CLI flags use — ``message_bytes``,
-``partitions``, ``noise``/``noise_percent`` by name, ``faults`` as a
-spec string.  This module owns both directions of that boundary:
+``partitions``, ``noise``/``noise_percent`` by name.  This module owns
+both directions of that boundary:
 
 * :func:`config_from_payload` validates a request dict *strictly*
   (unknown keys, wrong types, numbers past the float range, and
@@ -35,7 +35,6 @@ from ..core.parallel import config_fingerprint, plan_cells
 from ..core.runner import PtpResult, PtpSample
 from ..core.runner import METRIC_NAMES
 from ..errors import ConfigurationError, ReproError
-from ..faults import parse_fault_spec
 from ..noise import NOISE_MODELS, noise_model_from_name
 
 __all__ = ["PROTOCOL_VERSION", "ProtocolError", "QuotaError",
@@ -44,7 +43,7 @@ __all__ = ["PROTOCOL_VERSION", "ProtocolError", "QuotaError",
            "result_to_payload", "error_payload"]
 
 #: Bumped on any incompatible change to the request/response JSON shape.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Config fields a request may carry, with the type(s) each accepts.
 #: ``bool`` is deliberately excluded from the int fields (it is an int
@@ -52,7 +51,7 @@ PROTOCOL_VERSION = 1
 _INT_FIELDS = ("message_bytes", "partitions", "partitions_per_thread",
                "iterations", "warmup", "seed")
 _CONFIG_FIELDS = _INT_FIELDS + ("compute_seconds", "compute_ms", "noise",
-                                "noise_percent", "cache", "impl", "faults")
+                                "noise_percent", "cache", "impl")
 
 #: Top-level keys of a ``POST /trial`` and a ``POST /sweep`` body.
 _TRIAL_KEYS = ("config", "client", "priority", "format", "samples")
@@ -172,15 +171,8 @@ def config_from_payload(payload: Dict) -> PtpBenchmarkConfig:
                     f"config field {name!r} must be a string, got "
                     f"{payload[name]!r}")
             kwargs[name] = payload[name]
-    spec = payload.get("faults")
     try:
         kwargs["noise"] = noise_model_from_name(noise_name, percent)
-        if spec is not None:
-            if not isinstance(spec, str):
-                raise ProtocolError(
-                    f"config field 'faults' must be a spec string, got "
-                    f"{spec!r}")
-            kwargs["faults"] = parse_fault_spec(spec)
         return PtpBenchmarkConfig(**kwargs)
     except ConfigurationError as exc:
         raise ProtocolError(str(exc))
@@ -190,19 +182,14 @@ def payload_from_config(config: PtpBenchmarkConfig) -> Dict:
     """The request dict addressing ``config`` (the client-side inverse).
 
     Only protocol-expressible configs round-trip: custom substrate
-    presets are outside the wire vocabulary, an unknown noise model or
-    a fault plan (whose spec string is not recoverable from the live
-    object) raises :class:`ProtocolError`.
+    presets are outside the wire vocabulary, and an unknown noise model
+    raises :class:`ProtocolError`.
     """
     name = _NOISE_NAMES.get(type(config.noise))
     if name is None:
         raise ProtocolError(
             f"noise model {type(config.noise).__name__} has no protocol "
             f"name; use one of {sorted(_NOISE_NAMES.values())}")
-    if config.faults is not None:
-        raise ProtocolError(
-            "fault plans cannot be rebuilt into a request payload; send "
-            "the original spec string in the 'faults' field instead")
     payload: Dict = {
         "message_bytes": config.message_bytes,
         "partitions": config.partitions,
@@ -312,13 +299,9 @@ def result_to_payload(result: PtpResult,
         "trials": result.trials,
         "event_digest": result.event_digest,
         "n_samples": result.n_samples,
-        "metrics": {},
+        "metrics": {name: getattr(result, name).mean
+                    for name in METRIC_NAMES},
     }
-    if result.n_samples:
-        for name in METRIC_NAMES:
-            payload["metrics"][name] = getattr(result, name).mean
-    if result.fault_outcome is not None:
-        payload["fault_outcome"] = result.fault_outcome.to_dict()
     if include_samples:
         payload["samples"] = [_sample_to_dict(s) for s in result.samples]
     return payload

@@ -41,9 +41,6 @@ class ThreadContext:
         self.spec = rank_ctx.spec
         #: The MPI rank this thread belongs to.
         self.rank: int = rank_ctx.rank
-        #: Fault-plan per-rank slowdown (bare mock contexts in tests carry
-        #: no ``compute_scale`` and mean 1.0).
-        self.compute_scale = getattr(rank_ctx, "compute_scale", 1.0)
         self.thread_id = thread_id
         self.core = core
         #: How many team threads time-share this thread's core.
@@ -58,9 +55,6 @@ class ThreadContext:
         by inflating ``seconds`` with a sample from a noise model.
         """
         wall = scaled_compute_time(seconds, self.share, self.spec)
-        scale = self.compute_scale
-        if scale != 1.0:
-            wall *= scale
         sim = self.sim
         if wall > 0:
             yield sim.sleep(wall)

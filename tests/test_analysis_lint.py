@@ -23,7 +23,6 @@ STATIC_CASES = [
     ("static_bare_yield.py", "SIM105"),
     ("static_lock_block.py", "SIM106"),
     ("static_adhoc_instrumentation.py", "SIM107"),
-    ("static_cache_key_faults.py", "SIM108"),
 ]
 
 

@@ -1,5 +1,6 @@
 """CLI: argument parsing and end-to-end command output."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -68,6 +69,55 @@ class TestParser:
         assert args.format == "text"
 
 
+class TestHelp:
+    """``--help`` on the program and on every sub-command exits 0."""
+
+    @staticmethod
+    def _commands():
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return sorted(sub.choices)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"]], ids=" ".join)
+    def test_top_level_help(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        # Fig 8's blurb keeps its literal percent sign.
+        assert "% early-bird communication" in out
+
+    def test_every_sub_command_help(self, capsys):
+        commands = self._commands()
+        assert "fig8" in commands and "serve" in commands
+        for argv in [[c, "--help"] for c in commands] + \
+                [["trace", "export", "--help"]]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0, argv
+        capsys.readouterr()
+
+
+class TestRemovedFaultSurface:
+    """Fault injection is gone: its flag and command are usage errors."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--faults", "drop=0.1", "--sizes", "1024", "--counts",
+         "1", "--jobs", "1"],
+        ["metrics", "--message-bytes", "1024", "--partitions", "4",
+         "--faults", "drop=0.1"],
+        ["faults"],
+    ], ids=" ".join)
+    def test_is_a_usage_error_with_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert "Traceback" not in err
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -98,7 +148,6 @@ class TestCommands:
         ["sweep", "--sizes", "0", "--counts", "1", "--jobs", "1"],
         ["sweep", "--sizes", "0,16", "--counts", "1", "--jobs", "1"],
         ["sweep", "--sizes", "abc"],
-        ["sweep", "--faults", "bogus", "--jobs", "1"],
         ["fig4", "--jobs", "0"],
         ["metrics", "--message-bytes", "4096", "--partitions", "8192"],
         ["serve", "--jobs", "0"],

@@ -60,12 +60,14 @@ class TestRun:
         cluster = Cluster(nranks=4)
         assert cluster.run(program, ranks=[1, 3]) == [1, 3]
 
-    def test_until_cuts_off_and_reports_stuck(self):
+    def test_stuck_program_is_reported_as_a_deadlock(self):
         def program(ctx):
-            yield ctx.sim.timeout(10.0)
+            yield ctx.sim.timeout(1e-6)
+            if ctx.rank == 1:
+                yield ctx.sim.event()  # never triggered
 
-        with pytest.raises(DeadlockError, match="rank0"):
-            Cluster(nranks=1).run(program, until=1.0)
+        with pytest.raises(DeadlockError, match="rank1"):
+            Cluster(nranks=2).run(program)
 
     def test_program_exception_propagates(self):
         def program(ctx):

@@ -19,7 +19,6 @@ import pytest
 from repro.analysis import check_file
 from repro.core import COLD, PtpBenchmarkConfig
 from repro.core.runner import run_ptp_trial
-from repro.faults import parse_fault_spec
 from repro.mpi import Cluster
 from repro.noise import UniformNoise
 from repro.obs import MemorySink
@@ -71,14 +70,6 @@ TRIALS = {
     "native": _trial(impl="native"),
     "one_partition": _trial(partitions=1),
     "32_partitions": _trial(partitions=32),
-    "lossy": _trial(faults=parse_fault_spec("drop=0.2")),
-    "failstop_deadline": _trial(
-        faults=parse_fault_spec("failstop=1@0.0005,deadline=0.01")),
-    "drop_deadline": _trial(
-        faults=parse_fault_spec("drop=0.9,deadline=0.002")),
-    # The deadline lands while a NIC is still serializing a partition.
-    "deadline_mid_transmission": _trial(
-        message_bytes=1 << 20, faults=parse_fault_spec("deadline=0.00105")),
 }
 
 
@@ -146,6 +137,30 @@ def test_run_ended_by_a_program_error_leaves_no_cycles():
 
     assert_no_cycles(run)
     assert seen == [("rank 0 gives up", "run", "program")]
+
+
+def test_run_ended_mid_transmission_leaves_no_cycles():
+    """Rank 0 fails while its NIC is still serializing an eager send:
+    the abandoned transmission's completion hook, which refers back to
+    the rank's engine, must not keep the world."""
+    busy = []
+
+    def program(ctx):
+        if ctx.rank == 0:
+            yield from ctx.comm.isend(ctx.main, 1, 5, 8 * 1024)
+            yield ctx.sim.timeout(1e-7)
+            nic = ctx.proc.nic
+            busy.append(nic._current is not None
+                        and bool(nic._current.injected.callbacks))
+            raise ValueError("rank 0 gives up")
+        yield from ctx.comm.recv(ctx.main, 0, 5, 8 * 1024)
+
+    def run():
+        with pytest.raises(ValueError, match="gives up"):
+            Cluster(nranks=2).run(program)
+
+    assert_no_cycles(run)
+    assert busy == [True]
 
 
 @pytest.mark.parametrize("fixture", sorted(

@@ -212,6 +212,50 @@ class TestWarmReuse:
         # per cell.
         assert p_stats.pool.tasks == s_stats.trials
 
+    @FORK_ONLY
+    def test_growth_in_a_one_threaded_process_forks_again(self):
+        # A 1-cell run builds a 1-worker executor and a 4-cell run a
+        # 4-worker one.  The first must be wound down, threads and all,
+        # before the second is built, or the second starts from a fork
+        # server.  A fresh interpreter runs one thread; this one, which
+        # other tests have pooled in, may not.
+        code = (
+            "import threading\n"
+            "import repro.core.pool as pool_module\n"
+            "from repro.core import (PtpBenchmarkConfig, WorkerPool, "
+            "plan_cells, run_cells)\n"
+            "real, methods = pool_module._new_executor, []\n"
+            "def recording(workers):\n"
+            "    executor = real(workers)\n"
+            "    methods.append((workers, "
+            "executor._mp_context.get_start_method()))\n"
+            "    return executor\n"
+            "pool_module._new_executor = recording\n"
+            "assert threading.active_count() == 1\n"
+            "base = PtpBenchmarkConfig(message_bytes=64, partitions=1, "
+            "compute_seconds=1e-4, iterations=2, seed=21)\n"
+            "one = plan_cells(base, [1024], [1])\n"
+            "four = plan_cells(base, [1024, 65536], [1, 4])\n"
+            "pool = WorkerPool(4)\n"
+            "try:\n"
+            "    pooled = [run_cells(one, jobs=4, pool=pool)[0], "
+            "run_cells(four, jobs=4, pool=pool)[0]]\n"
+            "finally:\n"
+            "    pool.shutdown()\n"
+            "serial = [run_cells(one, jobs=1)[0], "
+            "run_cells(four, jobs=1)[0]]\n"
+            "digests = [[r.event_digest for r in rs] for rs in pooled]\n"
+            "print(methods, digests == "
+            "[[r.event_digest for r in rs] for rs in serial])\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(pool_module.__file__))]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert out.stdout.strip() == "[(1, 'fork'), (4, 'fork')] True"
+
     def test_shared_pool_is_process_wide_and_grows(self):
         shutdown_shared_pool()
         try:

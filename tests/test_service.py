@@ -243,9 +243,7 @@ _CONFIG = _body(
                                        "gaussian", "exponential"])),
      "noise_percent": _mostly(_NUMBER),
      "cache": _mostly(st.sampled_from(["hot", "cold"])),
-     "impl": _mostly(st.sampled_from(["mpipcl", "native"])),
-     "faults": _mostly(st.sampled_from(["drop=0.2", "deadline=0.01"])
-                       | st.text(max_size=12))},
+     "impl": _mostly(st.sampled_from(["mpipcl", "native"]))},
     _CONFIG_FIELDS)
 
 _ENVELOPE = {"client": _mostly(st.text(max_size=6)),
@@ -674,6 +672,23 @@ class TestDaemon:
             payload = json.loads(err.value.read())
         assert payload["error"]["status"] == 400
         assert "partitons" in payload["error"]["reason"]
+
+    def test_config_with_faults_is_a_structured_400(self, daemon):
+        """The protocol has no fault field: a request that still sends
+        one is refused by name, not run as a clean trial."""
+        service, _, _ = daemon
+        host, port = service.address
+        body = json.dumps({"config": _payload(faults="drop=0.2")}).encode()
+        request = urllib.request.Request(
+            f"http://{host}:{port}/trial", data=body,
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=30.0)
+        assert err.value.code == 400
+        with err.value:
+            payload = json.loads(err.value.read())
+        assert "unknown config field(s) ['faults']" in \
+            payload["error"]["reason"]
 
     def test_bad_request_does_not_fail_its_batch(self, tmp_path):
         """A config the engine cannot run is a 400 at parse time, so the

@@ -14,7 +14,6 @@ from repro.core.runner import METRIC_NAMES, PtpResult, PtpSample
 from repro.core.wire import (WIRE_MAGIC, WIRE_VERSION, WireError,
                              decode_result, encode_result)
 from repro.errors import ConfigurationError, ReproError
-from repro.faults import FaultOutcome
 from repro.metrics import PartitionTimeline, PtpMetrics
 from repro.noise import UniformNoise
 
@@ -35,7 +34,6 @@ def _assert_lossless(fresh, back):
     assert back.event_digest == fresh.event_digest
     assert back.source == fresh.source
     assert back.trials == fresh.trials
-    assert back.fault_outcome == fresh.fault_outcome
     assert [s.iteration for s in back.samples] == \
         [s.iteration for s in fresh.samples]
     assert [s.timeline for s in back.samples] == \
@@ -73,14 +71,6 @@ class TestRoundTrip:
         fresh.event_digest = None
         assert decode_result(config, encode_result(fresh)).event_digest \
             is None
-
-    def test_fault_outcome_round_trips(self):
-        config, fresh = _result()
-        fresh.fault_outcome = FaultOutcome(
-            delivered=False, drops=3, retransmits=2, duplicates=1,
-            acks=7, abandoned=1, stalls=4, fail_stops=1,
-            reason="retry budget exhausted")
-        _assert_lossless(fresh, decode_result(config, encode_result(fresh)))
 
     def test_interned_and_inline_sources(self):
         config, fresh = _result()
@@ -185,11 +175,9 @@ class TestEncodeRefusals:
             encode_result(fresh)
 
 
-#: One valid frame (a fault outcome and an inline source, so every
-#: optional block is present) to mutate.
+#: One valid frame (a digest and an inline source, so every optional
+#: block is present) to mutate.
 _CONFIG, _FRESH = _result(noise=UniformNoise(4.0))
-_FRESH.fault_outcome = FaultOutcome(delivered=False, drops=1,
-                                    reason="budget")
 _FRESH.source = "merged-exotic"
 _FRAME = encode_result(_FRESH)
 
@@ -243,9 +231,24 @@ class TestDecodeIsTotal:
         with pytest.raises(WireError, match="arrived"):
             decode_result(_CONFIG, bytes(frame))
 
+    def test_former_fault_flag_is_a_wire_error(self):
+        # Frames once carried an optional fault-outcome block after the
+        # digest, flagged 0x04.  Such a frame left in an old cache must
+        # be a miss: the decoder refuses the unknown flag.
+        config, fresh = _result()
+        frame = encode_result(fresh)
+        reason = b"retry budget exhausted"
+        block = struct.pack("<B7IH", 0, 3, 2, 1, 7, 1, 4, 1,
+                            len(reason)) + reason
+        header = bytearray(frame[:16])
+        header[5] |= 0x04
+        old = bytes(header) + frame[16:48] + block + frame[48:]
+        with pytest.raises(WireError, match="flags"):
+            decode_result(config, old)
+
 
 def _reference_frame(result) -> bytes:
-    """The frame of a plain result (no digest, no fault outcome, source
+    """The frame of a plain result (no digest, source
     ``"des"``) packed value by value with ``struct``: the reference the
     array codec must match byte for byte."""
     pieces = [struct.pack("<4sBBBxII", WIRE_MAGIC, WIRE_VERSION, 0, 0,
