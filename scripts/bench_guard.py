@@ -249,42 +249,6 @@ def analytic_eval():
     return result.source, result.n_samples
 
 
-#: The cell behind the planner-overhead pair: noisy, so the planner does
-#: not short-circuit, and 16 iterations (~20 ms).
-_PLANNER_CELL = dict(message_bytes=1 << 16, partitions=8,
-                     compute_seconds=1e-3, iterations=16, warmup=0)
-
-
-def _planner_run(planner):
-    """The noisy planner cell through ``run_cells(..., jobs=1)``:
-    ``(trials, samples)`` of its one result."""
-    from repro.core import run_cells
-    from repro.noise import UniformNoise
-    cfg = PtpBenchmarkConfig(noise=UniformNoise(4.0), **_PLANNER_CELL)
-    (result,), _ = run_cells([cfg], jobs=1, planner=planner)
-    return result.trials, result.n_samples
-
-
-@kernel((1, 16))
-def planner_reference():
-    """The planner pair's control: the same noisy cell, no planner."""
-    return _planner_run(None)
-
-
-@kernel((1, 16))
-def planner_overhead():
-    """A fixed-trial run through the adaptive planner's machinery.
-
-    ``min_trials == max_trials == 1`` forces exactly the simulation
-    ``planner_reference`` runs, through the same engine path; everything
-    else — per-trial task keys, the convergence check that never fires,
-    the sample merge, the digest rehash — is pure planner overhead,
-    budgeted at 1.05x the reference in the same run.
-    """
-    from repro.metrics import AdaptiveTrialPlanner
-    return _planner_run(AdaptiveTrialPlanner(min_trials=1, max_trials=1))
-
-
 @_fixture
 def _pool_cells():
     """The tiny grid behind the pool pair: four cells cheap enough that
@@ -592,9 +556,6 @@ THRESHOLDS = {
 #: the working tree, judged on the ratio of the two kernels' per-call
 #: times within each round.
 RATIO_CHECKS = (
-    # The adaptive planner's bookkeeping must be invisible (<= 5%) when
-    # it is forced to run exactly the trials a plain run would.
-    ("planner_overhead", "planner_reference", 1.05),
     # A warm re-sweep on a kept pool must cost at most half of the same
     # sweep paying spawn + boot + shutdown every time — the boot-once
     # promise of repro.core.pool.

@@ -48,28 +48,21 @@ from .core import (ANALYTIC_MODES, CACHE_SCHEMA_VERSION, METRIC_NAMES,
                    run_ptp_benchmark, sweep_ptp)
 from .core.suite import FIGURES, figure_sweeps
 from .errors import ConfigurationError
-from .metrics import AdaptiveTrialPlanner
 from .noise import NOISE_MODELS, noise_model_from_name
 
 __all__ = ["main", "build_parser"]
 
 
 def _engine_options(args) -> Dict:
-    """The engine kwargs a ptp figure driver understands.
+    """The engine kwargs a ptp figure driver understands: ``jobs``,
+    ``cache`` and ``analytic``.
 
-    ``jobs``/``cache`` as before, plus ``analytic`` dispatch and — when
-    ``--ci-target`` is given — an :class:`AdaptiveTrialPlanner` for the
-    nondeterministic cells.  ``--jobs`` above 1 runs on the process-wide
-    shared pool, whose warm workers survive from sweep to sweep (see
+    ``--jobs`` above 1 runs on the process-wide shared pool, whose warm
+    workers survive from sweep to sweep (see
     :func:`~repro.core.parallel.run_cells`).  An invalid ``--jobs``
     (anything below 1) raises :class:`~repro.errors.ConfigurationError`
     instead of silently falling back to one worker.
     """
-    planner = None
-    if args.ci_target is not None:
-        planner = AdaptiveTrialPlanner(
-            ci_target=args.ci_target, min_trials=args.ci_min_trials,
-            max_trials=args.ci_max_trials)
     jobs = args.jobs
     if jobs is None:  # --jobs default when os.cpu_count() is unknown
         jobs = os.cpu_count() or 1
@@ -77,7 +70,6 @@ def _engine_options(args) -> Dict:
         "jobs": jobs,
         "cache": ResultCache(args.cache_dir) if args.cache_dir else None,
         "analytic": args.analytic,
-        "planner": planner,
     }
 
 
@@ -370,17 +362,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="closed-form fast path for deterministic cells: 'auto' "
              "answers eligible cells without simulating (within the "
              "documented tolerance), 'only' refuses ineligible cells")
-    parser.add_argument(
-        "--ci-target", type=float, default=None, metavar="REL",
-        help="adaptive trials: stop each noisy cell once the "
-             "pruned-mean CI half-width is within REL (e.g. 0.05) of "
-             "the mean, instead of a fixed trial count")
-    parser.add_argument(
-        "--ci-min-trials", type=int, default=3, metavar="N",
-        help="adaptive trials: lower bound per cell (default 3)")
-    parser.add_argument(
-        "--ci-max-trials", type=int, default=20, metavar="N",
-        help="adaptive trials: upper bound per cell (default 20)")
 
 
 def _cmd_serve(args) -> int:

@@ -11,10 +11,7 @@ changing a single bit of any result.  This module exploits that twice:
   or inline in the calling thread for ``jobs=1`` — reassembling
   streamed results in the serial cell order, so a parallel sweep is
   bit-identical to ``jobs=1`` and a reused warm pool is bit-identical
-  to both.
-  Under an :class:`~repro.metrics.AdaptiveTrialPlanner` the unit of
-  pool work shrinks from a cell to a single trial, so CI-targeted
-  refinement of one noisy cell overlaps with every other cell's trials.
+  to both.  Each cell is one pool task.
 * :class:`ResultCache` is a content-addressed store keyed by
   :func:`config_fingerprint` — a stable hash of the *fully resolved*
   :class:`~repro.core.config.PtpBenchmarkConfig`, substrate presets
@@ -118,8 +115,7 @@ def _canonical(value):
     return {"__class__": type(value).__name__, **state}
 
 
-def config_fingerprint(config: PtpBenchmarkConfig,
-                       salt: Optional[str] = None) -> str:
+def config_fingerprint(config: PtpBenchmarkConfig) -> str:
     """Stable SHA-256 hex digest of a fully resolved benchmark config.
 
     Two configs share a fingerprint iff every field — sizes, counts, noise
@@ -127,13 +123,10 @@ def config_fingerprint(config: PtpBenchmarkConfig,
     the whole machine/network/cost substrate — is equal.  The digest is
     stable across processes and Python versions (no use of ``hash()``).
 
-    The base digest is memoized on the (frozen) config instance — a
-    sweep fingerprints each cell several times (cache get, cache put,
-    memory tier), and canonicalizing the whole substrate again each time
-    was pure waste.  ``salt`` mixes an execution-policy discriminator
-    into the digest (e.g. an adaptive planner's settings) so results
-    produced under different policies never alias; the memoized base is
-    unaffected.
+    The digest is memoized on the (frozen) config instance — a sweep
+    fingerprints each cell several times (cache get, cache put, memory
+    tier), and canonicalizing the whole substrate again each time was
+    pure waste.
     """
     fingerprint = config.__dict__.get("_fingerprint")
     if fingerprint is None:
@@ -147,28 +140,18 @@ def config_fingerprint(config: PtpBenchmarkConfig,
         # ``_canonical`` walks declared fields only, so the memo can
         # never leak into another config's digest.
         object.__setattr__(config, "_fingerprint", fingerprint)
-    if salt is not None:
-        fingerprint = hashlib.sha256(
-            f"{fingerprint}|{salt}".encode("utf-8")).hexdigest()
     return fingerprint
 
 
 def derive_cell_seed(base_seed: int, message_bytes: int,
-                     partitions: int, trial: int = 0) -> int:
+                     partitions: int) -> int:
     """Deterministic per-cell seed, independent of execution order.
 
     Mixes the sweep's base seed with the cell coordinates through SHA-256,
     so every cell gets a decorrelated noise stream and serial, parallel,
     and cached runs of the same grid all see identical draws.
-
-    ``trial`` decorrelates the extra repetitions an
-    :class:`~repro.metrics.AdaptiveTrialPlanner` appends to one cell.
-    Trial 0 reuses the cell's own seed blob (bit-compatible with every
-    seed derived before the planner existed).
     """
     blob = f"{base_seed}|{message_bytes}|{partitions}"
-    if trial:
-        blob += f"|t{trial}"
     return int.from_bytes(
         hashlib.sha256(blob.encode("utf-8")).digest()[:8], "little")
 
@@ -238,16 +221,14 @@ class ResultCache:
             while len(self._memory) > self._memory_entries:
                 self._memory.popitem(last=False)
 
-    def get(self, config: PtpBenchmarkConfig,
-            salt: Optional[str] = None) -> Optional[PtpResult]:
+    def get(self, config: PtpBenchmarkConfig) -> Optional[PtpResult]:
         """The cached result for ``config``, or None (counted as a miss).
 
         The returned result carries the *live* ``config`` object, so it is
         indistinguishable from a freshly computed one; metrics are
         recomputed from the stored timelines, which round-trip exactly.
-        ``salt`` must match the one the result was stored under.
         """
-        fingerprint = config_fingerprint(config, salt)
+        fingerprint = config_fingerprint(config)
         with self._lock:
             entry = self._memory.get(fingerprint)
             if entry is not None:
@@ -298,10 +279,9 @@ class ResultCache:
             os.unlink(tmp)
             raise
 
-    def put(self, config: PtpBenchmarkConfig, result: PtpResult,
-            salt: Optional[str] = None) -> None:
+    def put(self, config: PtpBenchmarkConfig, result: PtpResult) -> None:
         """Store ``result`` under ``config``'s fingerprint (atomic)."""
-        fingerprint = config_fingerprint(config, salt)
+        fingerprint = config_fingerprint(config)
         self._write(fingerprint, config.label(), encode_result(result))
         with self._lock:
             self.stores += 1
@@ -463,60 +443,6 @@ def plan_cells(base: PtpBenchmarkConfig,
     return cells
 
 
-def _run_pooled(run: PoolRun,
-                pending: List[Tuple[int, PtpBenchmarkConfig]],
-                results: Dict[int, PtpResult],
-                planner=None) -> None:
-    """Stream the pending cells through one :class:`PoolRun`.
-
-    Plain (or deterministic) cells are whole-cell tasks keyed
-    ``(cell, -1)``.  Under a planner, each nondeterministic cell is
-    decomposed into per-trial tasks keyed ``(cell, trial)``; follow-up
-    batches are submitted the moment a cell's scheduled trials have all
-    streamed back, decided by the planner's
-    :meth:`~repro.metrics.AdaptiveTrialPlanner.plan_next` on the
-    trial-ordered results — so trial counts and merged digests do not
-    depend on the pool, its size, or completion order, while one cell's
-    refinement overlaps every other cell's work.
-    """
-    configs = dict(pending)
-    #: (cell, trial) -> the reseeded config that trial runs.
-    trial_cfgs: Dict[Tuple[int, int], PtpBenchmarkConfig] = {}
-    trial_results: Dict[int, Dict[int, PtpResult]] = {}
-    scheduled: Dict[int, int] = {}
-
-    def submit_trials(i: int, count: int) -> None:
-        start = scheduled.get(i, 0)
-        for t, cfg in enumerate(
-                planner.trial_configs(configs[i], start, count), start):
-            trial_cfgs[i, t] = cfg
-            run.submit((i, t), cfg)
-        scheduled[i] = start + count
-
-    for i, config in pending:
-        if planner is not None and not config.is_deterministic:
-            trial_results[i] = {}
-            submit_trials(i, planner.plan_next(config, []))
-        else:
-            run.submit((i, -1), config)
-
-    for (i, t), frame in run.results():
-        config = configs[i]
-        if t < 0:
-            results[i] = decode_result(config, frame)
-            continue
-        done = trial_results[i]
-        done[t] = decode_result(trial_cfgs.pop((i, t)), frame)
-        if len(done) < scheduled[i]:
-            continue
-        ordered = [done[trial] for trial in range(len(done))]
-        more = planner.plan_next(config, ordered)
-        if more:
-            submit_trials(i, more)
-        else:
-            results[i] = planner.merge_trials(config, ordered)
-
-
 #: ``analytic`` dispatch modes accepted by :func:`run_cells`.
 ANALYTIC_MODES = ("off", "auto", "only")
 
@@ -526,7 +452,6 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
               cache: Optional[Union[ResultCache, str, pathlib.Path]] = None,
               progress: Optional[Callable[[PtpBenchmarkConfig], None]] = None,
               analytic: str = "off",
-              planner=None,
               pool: Optional[WorkerPool] = None,
               ) -> Tuple[List[PtpResult], SweepStats]:
     """Produce one result per cell, in order; the engine behind sweeps.
@@ -556,12 +481,6 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
         raises on any cell the evaluator cannot answer.  Analytic
         results carry ``source="analytic"`` and are *not* written to the
         cache — the evaluator is already faster than a disk read.
-    planner:
-        An :class:`~repro.metrics.AdaptiveTrialPlanner`; nondeterministic
-        DES cells then run trials until their CI target is met.  Planned
-        results are cached under a planner-salted fingerprint so they
-        never alias fixed-trial entries.  Each trial is its own task, so
-        on a pool one cell's refinement overlaps other cells.
     pool:
         A live :class:`~repro.core.pool.WorkerPool` to execute on — its
         warm workers are reused and left running (the sweep-service
@@ -585,13 +504,6 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
     if analytic != "off":
         from ..analytic import analytic_supported, evaluate_analytic
 
-    def cell_salt(config: PtpBenchmarkConfig) -> Optional[str]:
-        # The planner only changes what runs for nondeterministic cells;
-        # deterministic ones stay bit-compatible with unplanned entries.
-        if planner is not None and not config.is_deterministic:
-            return planner.cache_salt()
-        return None
-
     stats = SweepStats(jobs=jobs, total_cells=len(cells))
     results: Dict[int, PtpResult] = {}
     pending: List[Tuple[int, PtpBenchmarkConfig]] = []
@@ -602,8 +514,7 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
     for i, config in enumerate(cells):
         if progress is not None:
             progress(config)
-        cached = (cache.get(config, salt=cell_salt(config))
-                  if cache is not None else None)
+        cached = cache.get(config) if cache is not None else None
         if cached is not None:
             results[i] = cached
             stats.cache_hits += 1
@@ -619,7 +530,7 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
                     f"analytic=only, but cell {config.label()} needs the "
                     f"simulator: {reason}")
         # Single-flight: identical uncached cells execute exactly once.
-        fingerprint = config_fingerprint(config, cell_salt(config))
+        fingerprint = config_fingerprint(config)
         if fingerprint in leaders:
             followers.append((i, fingerprint))
             stats.singleflight_hits += 1
@@ -633,14 +544,18 @@ def run_cells(cells: Sequence[PtpBenchmarkConfig],
         if engine is None and jobs > 1:
             engine = shared_pool(jobs)
         run = PoolRun(engine, len(pending))
-        _run_pooled(run, pending, results, planner)
+        for i, config in pending:
+            run.submit(i, config)
+        # Frames stream back in completion order, keyed by cell index.
+        for i, frame in run.results():
+            results[i] = decode_result(cells[i], frame)
         if engine is not None:
             # Worker counters describe a pool; the inline path has none.
             stats.pool = run.stats
         for i, config in pending:
             stats.trials += results[i].trials
             if cache is not None:
-                cache.put(config, results[i], salt=cell_salt(config))
+                cache.put(config, results[i])
 
     for i, fingerprint in followers:
         # Duplicate configs are bit-identical by construction, so the

@@ -16,11 +16,11 @@ imports, the process-wide interned :data:`repro.obs.SCHEMA`, and every
 memoized machine/network model survive across sweeps.  Workers start by
 fork where the platform has it and the manager runs one thread (they
 inherit its imports), from a fork server when it runs more, and by
-spawn on platforms without fork.  Each task — a whole cell, or one
-adaptive-planner trial — is one future whose result is the cell's
-binary :mod:`~repro.core.wire` frame.  A :class:`PoolRun` streams one
-sweep's frames back as they complete; runs sharing a pool (the
-service's dispatchers, a figure sweep) each see only their own futures.
+spawn on platforms without fork.  Each task is one whole cell: one
+future whose result is the cell's binary :mod:`~repro.core.wire` frame.
+A :class:`PoolRun` streams one sweep's frames back as they complete;
+runs sharing a pool (the service's dispatchers, a figure sweep) each see
+only their own futures.
 
 Determinism is untouched: a task is a fully resolved, self-seeded
 :class:`~repro.core.config.PtpBenchmarkConfig`, so *which* worker runs
@@ -41,6 +41,7 @@ inline ``jobs=1`` runs never pay for them.
 from __future__ import annotations
 
 import atexit
+import os
 import threading
 import time
 from collections import deque
@@ -81,8 +82,8 @@ def _new_executor(workers: int):
     broken executor's threads still live, or a server — must not fork:
     the child would copy locks other threads hold.  It starts them from
     a fork server instead, which imports this package once so that the
-    workers it forks start with it imported too.  Platforms without fork
-    spawn.
+    workers it forks start with it imported too (see
+    :func:`_start_forkserver`).  Platforms without fork spawn.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -96,7 +97,33 @@ def _new_executor(workers: int):
     context = multiprocessing.get_context(method)
     if method == "forkserver":
         context.set_forkserver_preload([__name__])
+        _start_forkserver()
     return ProcessPoolExecutor(workers, mp_context=context)
+
+
+def _start_forkserver() -> None:
+    """Start the fork server, if it is not running, so that it preloads
+    this package.
+
+    The server is a fresh interpreter.  CPython hands it this process's
+    ``sys.path`` but does not apply it before preloading, and it skips a
+    preload that fails to import.  So a process that found this package
+    through its own ``sys.path`` would get workers that import it on
+    their first task.  The directory the package was imported from goes
+    on the server's ``PYTHONPATH`` while the server starts.
+    """
+    from multiprocessing import forkserver
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    saved = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (root, saved)))
+    try:
+        forkserver.ensure_running()
+    finally:
+        if saved is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = saved
 
 
 @dataclass
@@ -130,12 +157,12 @@ class PoolRunStats:
 class PoolRun:
     """One streaming run: :meth:`submit` tasks, iterate :meth:`results`.
 
-    ``submit()`` may be called while ``results()`` is being consumed —
-    that is how the adaptive planner schedules follow-up trials as
-    earlier ones stream in.  With ``pool=None`` every task runs inline in
-    the draining thread: the ``jobs=1`` engine, with no process, queue
-    or pipe.  ``expected`` is how many tasks the run will have in flight
-    at once; it sizes the pool's executor when this run builds it.
+    ``submit()`` may be called while ``results()`` is being consumed;
+    a task lost to a broken executor is resubmitted that way.  With
+    ``pool=None`` every task runs inline in the draining thread: the
+    ``jobs=1`` engine, with no process, queue or pipe.  ``expected`` is
+    how many tasks the run will have in flight at once; it sizes the
+    pool's executor when this run builds it.
     """
 
     def __init__(self, pool: Optional["WorkerPool"], expected: int = 1):

@@ -110,18 +110,16 @@ def provenance_line(sweep: SweepResult) -> Optional[str]:
     Mixed-provenance sweeps (some cells closed-form, some simulated —
     the ``--analytic auto`` steady state) get one line of source counts
     so a reader of the tables knows which engine stands behind them.
-    Returns ``None`` for all-DES single-trial sweeps, the historical
-    default, so existing reports stay byte-identical.
+    Returns ``None`` for all-DES sweeps, the historical default, so
+    existing reports stay byte-identical.
     """
     analytic = sum(1 for p in sweep.points if p.result.source == "analytic")
-    des = len(sweep.points) - analytic
-    trials = sum(p.result.trials for p in sweep.points)
-    if analytic == 0 and trials == des:
+    if not analytic:
         return None
-    parts = []
-    if analytic:
-        parts.append(f"{analytic} cell(s) closed-form")
+    parts = [f"{analytic} cell(s) closed-form"]
+    des = len(sweep.points) - analytic
     if des:
+        trials = sum(p.result.trials for p in sweep.points)
         parts.append(f"{des} cell(s) simulated ({trials} trials)")
     return "sources: " + ", ".join(parts)
 

@@ -117,9 +117,8 @@ class PtpResult:
     ``source`` records how the samples were produced: ``"des"`` for
     simulated trials, ``"analytic"`` for closed-form evaluations (see
     :mod:`repro.analytic`).  ``trials`` is how many simulations fed the
-    samples — 1 for a plain trial, more when an
-    :class:`~repro.metrics.AdaptiveTrialPlanner` merged repetitions, and
-    0 for analytic results (nothing was simulated).
+    samples: 1 for a simulated result, 0 for an analytic one (nothing
+    was simulated).
 
     The measured iterations live in one packed record, in sample order
     (DESIGN.md, section 10): an ``array('Q')`` of ``iteration``,

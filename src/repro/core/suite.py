@@ -54,13 +54,12 @@ def fig4_overhead(quick: bool = True,
                   sizes: Optional[Sequence[int]] = None,
                   counts: Optional[Sequence[int]] = None,
                   jobs: int = 1, cache=None,
-                  analytic: str = "off", planner=None, pool=None,
+                  analytic: str = "off", pool=None,
                   **overrides) -> Dict[str, SweepResult]:
     """Figure 4: overhead vs message size, hot and cold cache, no noise,
     10 ms compute.  Returns ``{"hot": sweep, "cold": sweep}``."""
     sizes, counts = _grid(quick, sizes, counts)
-    engine = dict(jobs=jobs, cache=cache, analytic=analytic,
-                  planner=planner, pool=pool)
+    engine = dict(jobs=jobs, cache=cache, analytic=analytic, pool=pool)
     out: Dict[str, SweepResult] = {}
     for cache_mode in (HOT, COLD):
         base = PtpBenchmarkConfig(
@@ -75,7 +74,7 @@ def fig5_perceived_bandwidth(quick: bool = True,
                              sizes: Optional[Sequence[int]] = None,
                              counts: Optional[Sequence[int]] = None,
                              jobs: int = 1, cache=None,
-                             analytic: str = "off", planner=None, pool=None,
+                             analytic: str = "off", pool=None,
                              **overrides
                              ) -> Dict[Tuple[float, float], SweepResult]:
     """Figure 5: perceived bandwidth under uniform noise, hot cache.
@@ -84,8 +83,7 @@ def fig5_perceived_bandwidth(quick: bool = True,
     paper's panels: 0%/10 ms, 4%/10 ms, 0%/100 ms, 4%/100 ms.
     """
     sizes, counts = _grid(quick, sizes, counts)
-    engine = dict(jobs=jobs, cache=cache, analytic=analytic,
-                  planner=planner, pool=pool)
+    engine = dict(jobs=jobs, cache=cache, analytic=analytic, pool=pool)
     panels = [(0.0, 0.010), (4.0, 0.010), (0.0, 0.100), (4.0, 0.100)]
     if quick:
         panels = [(0.0, 0.010), (4.0, 0.010), (4.0, 0.100)]
@@ -105,13 +103,12 @@ def fig6_availability(quick: bool = True,
                       counts: Optional[Sequence[int]] = None,
                       noise_percent: float = 4.0,
                       jobs: int = 1, cache=None,
-                      analytic: str = "off", planner=None, pool=None,
+                      analytic: str = "off", pool=None,
                       **overrides) -> Dict[float, SweepResult]:
     """Figure 6: application availability, single-thread delay model,
     4% noise, hot cache; panels keyed by compute seconds (10 ms, 100 ms)."""
     sizes, counts = _grid(quick, sizes, counts)
-    engine = dict(jobs=jobs, cache=cache, analytic=analytic,
-                  planner=planner, pool=pool)
+    engine = dict(jobs=jobs, cache=cache, analytic=analytic, pool=pool)
     counts = [n for n in counts if n >= 2]  # availability needs >= 2 threads
     out: Dict[float, SweepResult] = {}
     for comp in (0.010, 0.100):
@@ -128,7 +125,7 @@ def fig7_noise_models(quick: bool = True,
                       partitions: int = 16,
                       noise_percent: float = 4.0,
                       jobs: int = 1, cache=None,
-                      analytic: str = "off", planner=None, pool=None,
+                      analytic: str = "off", pool=None,
                       **overrides) -> Dict[float, Dict[str, SweepResult]]:
     """Figure 7: availability per noise model at 16 partitions, 4% noise.
 
@@ -136,8 +133,7 @@ def fig7_noise_models(quick: bool = True,
     the single partition count 16.
     """
     sizes, _ = _grid(quick, sizes, None)
-    engine = dict(jobs=jobs, cache=cache, analytic=analytic,
-                  planner=planner, pool=pool)
+    engine = dict(jobs=jobs, cache=cache, analytic=analytic, pool=pool)
     models = {
         "single": SingleThreadNoise(noise_percent),
         "uniform": UniformNoise(noise_percent),
@@ -161,7 +157,7 @@ def fig8_early_bird(quick: bool = True,
                     counts: Optional[Sequence[int]] = None,
                     noise_percent: float = 4.0,
                     jobs: int = 1, cache=None,
-                    analytic: str = "off", planner=None, pool=None,
+                    analytic: str = "off", pool=None,
                     **overrides) -> Dict[float, SweepResult]:
     """Figure 8: % early-bird communication under uniform noise; panels
     keyed by compute seconds (10 ms, 100 ms).
@@ -170,8 +166,7 @@ def fig8_early_bird(quick: bool = True,
     so the partition grid starts at 2 and noise defaults to 4%.
     """
     sizes, counts = _grid(quick, sizes, counts)
-    engine = dict(jobs=jobs, cache=cache, analytic=analytic,
-                  planner=planner, pool=pool)
+    engine = dict(jobs=jobs, cache=cache, analytic=analytic, pool=pool)
     counts = [n for n in counts if n >= 2]
     out: Dict[float, SweepResult] = {}
     for comp in (0.010, 0.100):
@@ -301,7 +296,7 @@ class Figure:
     @property
     def on_engine(self) -> bool:
         """Whether the driver runs on the sweep engine and so accepts
-        ``jobs``, ``cache``, ``analytic``, ``planner`` and ``pool``."""
+        ``jobs``, ``cache``, ``analytic`` and ``pool``."""
         return "jobs" in inspect.signature(self.driver).parameters
 
 

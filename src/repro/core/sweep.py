@@ -123,7 +123,6 @@ def sweep_ptp(base: PtpBenchmarkConfig,
               jobs: int = 1,
               cache=None,
               analytic: str = "off",
-              planner=None,
               pool=None,
               ) -> SweepResult:
     """Run the grid ``message_sizes`` × ``partition_counts`` from ``base``.
@@ -138,16 +137,15 @@ def sweep_ptp(base: PtpBenchmarkConfig,
     previously computed cells.  Neither changes any result bit: see
     :mod:`repro.core.parallel`.  Each cell's noise stream is seeded from
     the base seed and the cell coordinates, decorrelating cells.
-    ``analytic``/``planner`` select the closed-form fast path and
-    CI-targeted trial allocation, and ``pool`` executes on a live
-    :class:`~repro.core.pool.WorkerPool` whose warm workers are reused
-    across sweeps — see :func:`~repro.core.parallel.run_cells`.
+    ``analytic`` selects the closed-form fast path, and ``pool`` executes
+    on a live :class:`~repro.core.pool.WorkerPool` whose warm workers are
+    reused across sweeps — see :func:`~repro.core.parallel.run_cells`.
     """
     from .parallel import plan_cells, run_cells
     cells = plan_cells(base, message_sizes, partition_counts)
     results, stats = run_cells(cells, jobs=jobs, cache=cache,
                                progress=progress, analytic=analytic,
-                               planner=planner, pool=pool)
+                               pool=pool)
     sweep = SweepResult(stats=stats)
     for config, result in zip(cells, results):
         sweep.add(SweepPoint(config=config, result=result))

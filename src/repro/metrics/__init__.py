@@ -7,7 +7,6 @@ from .definitions import (
     overhead,
     perceived_bandwidth,
 )
-from .planner import DEFAULT_PLANNER_METRICS, AdaptiveTrialPlanner
 from .statistics import (SampleSummary, ci_halfwidth, pruned_mean, summarize,
                          trim_outliers)
 from .timeline import PartitionTimeline
@@ -24,6 +23,4 @@ __all__ = [
     "summarize",
     "trim_outliers",
     "PartitionTimeline",
-    "AdaptiveTrialPlanner",
-    "DEFAULT_PLANNER_METRICS",
 ]

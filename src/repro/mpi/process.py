@@ -76,7 +76,6 @@ class MPIProcess:
         self.costs = costs
         self.mode = mode
         self.obs = obs
-        self._router = router
 
         self.cache = CacheModel(spec)
         self.numa = NUMAModel(spec)

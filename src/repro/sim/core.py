@@ -70,7 +70,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from ..errors import ConfigurationError, DeadlockError, SimulationError
+from ..errors import SimulationError
 
 __all__ = [
     "Event",
@@ -603,32 +603,11 @@ class Simulator:
         self._ring.clear()
         self._init_ring.clear()
 
-    def run(self, until: Optional[float] = None,
-            detect_deadlock: bool = False) -> None:
-        """Run until the queue drains or simulated time passes ``until``.
-
-        With ``detect_deadlock=True`` a drained queue before ``until`` raises
-        :class:`~repro.errors.DeadlockError` — useful when simulating MPI
-        programs that must terminate on their own.  Deadlock detection is
-        defined *relative to the horizon*: it needs an explicit ``until``,
-        so passing ``detect_deadlock=True`` without one raises
-        :class:`~repro.errors.ConfigurationError` (it used to be silently
-        ignored).
-        """
-        if detect_deadlock and until is None:
-            raise ConfigurationError(
-                "detect_deadlock=True needs an explicit until= horizon: a "
-                "drained queue is only a deadlock if it happens before a "
-                "time the simulation was expected to reach")
-        if until is not None and until < self._now:
-            raise SimulationError(
-                f"until={until} is in the past (now={self._now})")
+    def run(self) -> None:
+        """Run until the event queue drains."""
         # The event selection and dispatch run inline with everything hot
         # in locals: at thousands of events per trial a per-event method
-        # call and the repeated attribute loads are measurable.  An
-        # ``until`` of None becomes an infinite horizon — timeout delays
-        # are validated finite, so the horizon check can never fire in
-        # that case.
+        # call and the repeated attribute loads are measurable.
         queue = self._queue
         buckets = self._buckets
         ring = self._ring
@@ -638,7 +617,6 @@ class Simulator:
         no_waiters = _NO_WAITERS
         sleep_cls = _Sleep
         list_cls = list
-        horizon = _INF if until is None else until
         # ``events_processed`` accumulates in a local and is flushed in
         # the finally block (nothing observes the counter mid-run; tests
         # and benchmarks read it after run() returns).
@@ -670,9 +648,6 @@ class Simulator:
                         event = ring.popleft()[1]
                 else:
                     when = queue[0]
-                    if when > horizon:
-                        self._now = until
-                        return
                     bucket = buckets[when]
                     if bucket.__class__ is tuple:
                         event = bucket[1]
@@ -710,9 +685,6 @@ class Simulator:
             raise
         finally:
             self.events_processed += processed
-        if detect_deadlock and self._now < until:
-            raise DeadlockError(
-                f"event queue drained at t={self._now} before until={until}")
 
     # -- internals ------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0,

@@ -1,5 +1,5 @@
-"""The analytic fast path: closed-form evaluator, prune planner,
-adaptive trial planner, and the engine dispatch that ties them together.
+"""The analytic fast path: closed-form evaluator, prune planner, and
+the engine dispatch that ties them together.
 
 The cross-validation tests are the contract behind ``ANALYTIC_RTOL``:
 every analytic-eligible cell of the paper grid (plus the eager/rendezvous
@@ -20,8 +20,7 @@ from repro.core import (COLD, PAPER_MESSAGE_SIZES, PAPER_PARTITION_COUNTS,
 from repro.core.runner import EXECUTIONS
 from repro.errors import ConfigurationError
 from repro.machine import MachineSpec
-from repro.metrics import (AdaptiveTrialPlanner, DEFAULT_PLANNER_METRICS,
-                           ci_halfwidth)
+from repro.metrics import ci_halfwidth
 from repro.mpi import ThreadingMode
 from repro.noise import UniformNoise
 from repro.partitioned import IMPL_NATIVE
@@ -122,7 +121,8 @@ class TestCrossValidation:
         counts = [1, 4]
         des = sweep_ptp(base, sizes, counts, analytic="off")
         ana = sweep_ptp(base, sizes, counts, analytic="only")
-        for metric in DEFAULT_PLANNER_METRICS:
+        for metric in ("overhead", "perceived_bandwidth",
+                       "application_availability"):
             _assert_sweeps_agree(des, ana, metric)
         # The early-bird fraction is a ratio of counts; the two engines
         # must agree on the counts themselves.
@@ -269,108 +269,3 @@ class TestCiHalfwidth:
     def test_invalid_z_rejected(self):
         with pytest.raises(ConfigurationError):
             ci_halfwidth([1.0, 2.0], confidence_z=0.0)
-
-
-# ---------------------------------------------------------------------------
-# The adaptive trial planner
-# ---------------------------------------------------------------------------
-
-def _planned(planner, config):
-    """One cell through the sweep engine's inline path under ``planner``."""
-    results, _ = run_cells([config], jobs=1, planner=planner)
-    return results[0]
-
-
-class TestAdaptivePlanner:
-    def _noisy(self, **overrides):
-        defaults = dict(message_bytes=1024, partitions=2,
-                        compute_seconds=1e-4, iterations=2, warmup=0,
-                        noise=UniformNoise(8.0), seed=11)
-        defaults.update(overrides)
-        return PtpBenchmarkConfig(**defaults)
-
-    def test_deterministic_cell_short_circuits(self):
-        planner = AdaptiveTrialPlanner()
-        EXECUTIONS.reset()
-        result = _planned(planner, _cfg())
-        assert EXECUTIONS.value == 1
-        assert result.trials == 1
-
-    def test_bounds_respected(self):
-        # An impossibly tight target pins the count at max_trials; a
-        # loose one stops at min_trials.
-        tight = AdaptiveTrialPlanner(ci_target=1e-12, min_trials=2,
-                                     max_trials=4, batch=1)
-        # Availability can straddle zero, where a relative target never
-        # converges; judge the loose planner on overhead alone.
-        loose = AdaptiveTrialPlanner(ci_target=100.0, min_trials=2,
-                                     max_trials=4, batch=1,
-                                     metrics=("overhead",))
-        assert _planned(tight, self._noisy()).trials == 4
-        assert _planned(loose, self._noisy()).trials == 2
-
-    def test_deterministic_replay(self):
-        """Same configuration => same trial count, samples, and digest."""
-        planner = AdaptiveTrialPlanner(min_trials=2, max_trials=5)
-        a = _planned(planner, self._noisy())
-        b = _planned(planner, self._noisy())
-        assert a.trials == b.trials
-        assert a.event_digest is not None
-        assert a.event_digest == b.event_digest
-        assert [s.timeline for s in a.samples] == \
-            [s.timeline for s in b.samples]
-
-    def test_merged_result_renumbers_iterations(self):
-        planner = AdaptiveTrialPlanner(ci_target=1e-12, min_trials=2,
-                                       max_trials=3, batch=1)
-        result = _planned(planner, self._noisy())
-        assert result.trials == 3
-        assert len(result.samples) == 3 * 2  # trials x iterations
-        assert [s.iteration for s in result.samples] == list(range(6))
-
-    def test_trials_decorrelated(self):
-        """Trial reseeding must actually change the noise stream."""
-        planner = AdaptiveTrialPlanner(ci_target=1e-12, min_trials=2,
-                                       max_trials=2)
-        result = _planned(planner, self._noisy())
-        t0, t1 = result.samples[1].timeline, result.samples[3].timeline
-        assert t0.join_time != t1.join_time
-
-    def test_cache_salt_distinguishes_settings(self):
-        salts = {AdaptiveTrialPlanner().cache_salt(),
-                 AdaptiveTrialPlanner(ci_target=0.01).cache_salt(),
-                 AdaptiveTrialPlanner(max_trials=30).cache_salt(),
-                 AdaptiveTrialPlanner(metrics=("overhead",)).cache_salt()}
-        assert len(salts) == 4
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveTrialPlanner(ci_target=0.0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveTrialPlanner(min_trials=0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveTrialPlanner(min_trials=5, max_trials=4)
-        with pytest.raises(ConfigurationError):
-            AdaptiveTrialPlanner(batch=0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveTrialPlanner(metrics=())
-
-    def test_planner_results_cacheable_and_salted(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        planner = AdaptiveTrialPlanner(min_trials=2, max_trials=3)
-        base = self._noisy()
-        cells = plan_cells(base, [1024], [2])
-        first, stats1 = run_cells(cells, jobs=1, cache=cache,
-                                  planner=planner)
-        assert stats1.executed == 1
-        assert stats1.trials == first[0].trials >= 2
-        second, stats2 = run_cells(cells, jobs=1, cache=cache,
-                                   planner=planner)
-        assert stats2.cache_hits == 1
-        assert second[0].event_digest == first[0].event_digest
-        assert second[0].trials == first[0].trials
-        # An unplanned run of the same cell must not alias the planner
-        # entry (different trial counts, different samples).
-        plain, stats3 = run_cells(cells, jobs=1, cache=cache)
-        assert stats3.cache_hits == 0
-        assert plain[0].trials == 1

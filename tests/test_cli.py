@@ -118,6 +118,29 @@ class TestRemovedFaultSurface:
         assert "Traceback" not in err
 
 
+class TestRemovedPlannerSurface:
+    """The adaptive trial planner is gone: its flags are usage errors."""
+
+    @pytest.mark.parametrize("command", ["sweep", "fig5"])
+    @pytest.mark.parametrize("flag", [
+        ["--ci-target", "0.05"],
+        ["--ci-min-trials", "3"],
+        ["--ci-max-trials", "20"],
+    ], ids=lambda flag: flag[0])
+    def test_is_one_error_line_with_exit_two(self, command, flag, capsys):
+        argv = [command, *flag, "--jobs", "1"]
+        if command == "sweep":
+            argv += ["--sizes", "1024", "--counts", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert flag[0] in errors[0]
+        assert "Traceback" not in err
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0

@@ -160,3 +160,11 @@ class TestStatistics:
         # Mean 0 with nonzero spread: infinite relative dispersion, not
         # a ZeroDivisionError and not a silent 0.
         assert summarize([-1.0, 1.0]).relative_std == float("inf")
+
+
+class TestExports:
+    def test_the_trial_planner_is_gone(self):
+        import repro.metrics as metrics
+        for name in ("AdaptiveTrialPlanner", "DEFAULT_PLANNER_METRICS"):
+            assert not hasattr(metrics, name)
+            assert name not in metrics.__all__

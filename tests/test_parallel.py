@@ -412,47 +412,27 @@ class TestFingerprintMemoization:
         assert config.__dict__["_fingerprint"] == fp
         assert config_fingerprint(config) == fp
 
-    def test_salt_does_not_pollute_the_memo(self):
-        config = _base()
-        plain = config_fingerprint(config)
-        salted = config_fingerprint(config, salt="planner|x")
-        assert salted != plain
-        assert config.__dict__["_fingerprint"] == plain
-        assert config_fingerprint(config) == plain
-
-    def test_salted_fingerprints_distinct(self):
-        config = _base()
-        assert config_fingerprint(config, salt="a") != \
-            config_fingerprint(config, salt="b")
-
 
 class TestProvenanceRoundTrip:
     def test_trials_and_source_survive_the_cache(self, tmp_path):
-        from repro.metrics import AdaptiveTrialPlanner
         cache = ResultCache(tmp_path / "cache")
-        planner = AdaptiveTrialPlanner(ci_target=1e-12, min_trials=2,
-                                       max_trials=3, batch=1)
         config = plan_cells(_base(noise=UniformNoise(4.0)), [1024], [4])[0]
-        salt = planner.cache_salt()
-        (merged,), _ = run_cells([config], jobs=1, planner=planner)
-        assert merged.trials == 3
-        cache.put(config, merged, salt=salt)
-        loaded = cache.get(config, salt=salt)
+        (result,), _ = run_cells([config], jobs=1)
+        assert result.trials == 1
+        cache.put(config, result)
+        loaded = cache.get(config)
         assert loaded is not None
         assert loaded.source == "des"
-        assert loaded.trials == 3
-        assert loaded.event_digest == merged.event_digest
+        assert loaded.trials == 1
+        assert loaded.event_digest == result.event_digest
 
     def test_trials_aggregate_across_worker_processes(self):
         """--jobs N must report the same trial total as a serial run."""
-        from repro.metrics import AdaptiveTrialPlanner
         base = _base(noise=UniformNoise(4.0), seed=11)
-        planner = AdaptiveTrialPlanner(ci_target=1e-12, min_trials=2,
-                                       max_trials=3, batch=1)
         cells = plan_cells(base, SIZES, COUNTS)
-        serial, s_stats = run_cells(cells, jobs=1, planner=planner)
-        parallel, p_stats = run_cells(cells, jobs=2, planner=planner)
-        assert s_stats.trials == sum(r.trials for r in serial) > 4
+        serial, s_stats = run_cells(cells, jobs=1)
+        parallel, p_stats = run_cells(cells, jobs=2)
+        assert s_stats.trials == sum(r.trials for r in serial) == len(cells)
         assert p_stats.trials == s_stats.trials
         for s, p in zip(serial, parallel):
             assert s.trials == p.trials

@@ -19,7 +19,6 @@ from repro.core.pool import (PoolRun, PoolRunStats, PoolTaskError,
                              shared_pool, shutdown_shared_pool)
 from repro.core.wire import decode_result, encode_result
 from repro.errors import ConfigurationError
-from repro.metrics import AdaptiveTrialPlanner
 from repro.noise import UniformNoise
 
 SIZES = [1024, 65536]
@@ -68,6 +67,9 @@ def no_fork_under_threads(monkeypatch):
 FORK_ONLY = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="workers are killed with POSIX signals")
+
+#: The directory this suite imports the package from.
+SRC = os.path.dirname(os.path.dirname(os.path.dirname(pool_module.__file__)))
 
 _REAL_EXECUTE = pool_module._execute
 _REAL_PROCESS_WORKER = cf_process._process_worker
@@ -197,21 +199,6 @@ class TestWarmReuse:
         assert second.pool.warm_tasks == len(cells)
         assert pool.stats.tasks == 2 * len(cells)
 
-    def test_planner_trials_on_pool_match_serial(self, pool):
-        base = _base(noise=UniformNoise(4.0), seed=11)
-        planner = AdaptiveTrialPlanner(ci_target=1e-12, min_trials=2,
-                                       max_trials=3, batch=1)
-        cells = plan_cells(base, SIZES, COUNTS)
-        serial, s_stats = run_cells(cells, jobs=1, planner=planner)
-        pooled, p_stats = run_cells(cells, jobs=2, planner=planner,
-                                    pool=pool)
-        assert _digests(serial) == _digests(pooled)
-        assert [r.trials for r in serial] == [r.trials for r in pooled]
-        assert p_stats.trials == s_stats.trials
-        # Trial decomposition: the pool saw one task per trial, not one
-        # per cell.
-        assert p_stats.pool.tasks == s_stats.trials
-
     @FORK_ONLY
     def test_growth_in_a_one_threaded_process_forks_again(self):
         # A 1-cell run builds a 1-worker executor and a 4-cell run a
@@ -249,12 +236,47 @@ class TestWarmReuse:
             "[[r.event_digest for r in rs] for rs in serial])\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.dirname(os.path.dirname(pool_module.__file__))]
-            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+            [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                     if p])
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True,
                              timeout=120)
         assert out.stdout.strip() == "[(1, 'fork'), (4, 'fork')] True"
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="no fork server on this platform")
+    def test_fork_server_preloads_a_package_found_through_sys_path(
+            self, tmp_path):
+        # A fresh interpreter that reaches the package only because it
+        # put ``src`` on its own sys.path, and runs a second thread so
+        # that its executor starts from a fork server.  The task is a
+        # builtin, so unpickling it imports nothing: the package can
+        # only be in the worker's modules if the server preloaded it.
+        code = (
+            "import sys, threading\n"
+            f"sys.path.insert(0, {SRC!r})\n"
+            "import repro.core.pool as pool_module\n"
+            "stop = threading.Event()\n"
+            "thread = threading.Thread(target=stop.wait)\n"
+            "thread.start()\n"
+            "try:\n"
+            "    executor = pool_module._new_executor(1)\n"
+            "    try:\n"
+            "        method = executor._mp_context.get_start_method()\n"
+            "        loaded = executor.submit(eval, \"'repro.core.pool' "
+            "in __import__('sys').modules\").result()\n"
+            "    finally:\n"
+            "        executor.shutdown()\n"
+            "finally:\n"
+            "    stop.set()\n"
+            "    thread.join()\n"
+            "print(method, loaded)\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             cwd=tmp_path, capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.strip() == "forkserver True"
 
     def test_shared_pool_is_process_wide_and_grows(self):
         shutdown_shared_pool()
@@ -627,8 +649,8 @@ class TestSessionOwnership:
             "('concurrent', 'multiprocessing'))))\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.dirname(os.path.dirname(pool_module.__file__))]
-            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+            [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                     if p])
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"

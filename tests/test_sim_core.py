@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.errors import (ConfigurationError, DeadlockError,
-                          SimulationError)
+from repro.errors import SimulationError
 from repro.sim import AllOf, Event, Process, Timeout
 
 
@@ -251,32 +250,6 @@ class TestConditions:
 
 
 class TestRun:
-    def test_run_until_stops_mid_simulation(self, sim):
-        sim.timeout(10.0)
-        sim.run(until=5.0)
-        assert sim.now == 5.0
-
-    def test_run_until_in_past_raises(self, sim):
-        sim.timeout(1.0)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.run(until=0.5)
-
-    def test_deadlock_detection(self, sim):
-        def stuck():
-            yield sim.event()  # never triggered
-
-        sim.process(stuck())
-        with pytest.raises(DeadlockError):
-            sim.run(until=100.0, detect_deadlock=True)
-
-    def test_deadlock_detection_requires_until(self, sim):
-        # With until=None an empty queue is the normal way runs end, so
-        # "queue drained" cannot be distinguished from a deadlock; the
-        # kernel rejects the combination instead of silently ignoring it.
-        with pytest.raises(ConfigurationError):
-            sim.run(detect_deadlock=True)
-
     def test_events_processed_counter(self, sim):
         sim.timeout(1.0)
         sim.timeout(2.0)
@@ -367,11 +340,14 @@ class TestSleepRecycling:
             yield sim.sleep(delay)
             order.append((name, sim.now))
 
+        def at_half():
+            yield sim.sleep(0.5)
+            sim.call_in(0.5, lambda ev: order.append((ev.value, sim.now)),
+                        "callback")
+            sim.process(proc("after", 0.5))
+
         sim.process(proc("before", 1.0))
-        sim.run(until=0.5)
-        sim.call_in(0.5, lambda ev: order.append((ev.value, sim.now)),
-                    "callback")
-        sim.process(proc("after", 0.5))
+        sim.process(at_half())
         sim.run()
         # One instant, so sequence order decides: the callback's event was
         # scheduled between the two sleeps.
