@@ -1,9 +1,8 @@
 """The common currency of the analyzer: :class:`Finding`.
 
-Both halves of :mod:`repro.analysis` report problems the same way — the
-static linter attaches a file, line and column, the dynamic checker
-attaches a rank and a simulated time — so the CLI, the diagnostics report
-and the tests can treat every verdict uniformly.
+Every rule reports a problem the same way — a rule id, a message and a
+file, line and column — so the CLI and the tests treat every verdict
+uniformly.
 
 This module also owns the interchange format that lets findings travel
 beyond the terminal: :func:`to_sarif` / :func:`sarif_json`, SARIF 2.1.0
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 __all__ = [
     "Finding",
@@ -33,22 +32,18 @@ SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation, from either the static or the dynamic pass.
+    """One rule violation.
 
     Attributes
     ----------
     rule:
-        The rule identifier (``SIM1xx`` static, ``PART/RES/FINxxx``
-        dynamic); see ``docs/analysis.md`` for the reference table.
+        The rule identifier (``SIM1xx``); see ``docs/analysis.md`` for the
+        reference table.
     message:
         Human-readable description of what went wrong and where.
     file / line / col:
-        Source location (static findings; ``line`` is 0 when unknown,
-        ``col`` is a 0-based column offset).
-    rank:
-        The simulated rank that violated the rule (dynamic findings).
-    time:
-        Simulated time of the violation in seconds (dynamic findings).
+        Source location (``line`` is 0 when unknown, ``col`` is a 0-based
+        column offset).
     severity:
         ``"error"`` for definite misuse, ``"warning"`` for hazards.
     """
@@ -58,20 +53,13 @@ class Finding:
     file: str = ""
     line: int = 0
     col: int = 0
-    rank: Optional[int] = None
-    time: Optional[float] = None
     severity: str = "error"
 
     def format(self) -> str:
         """Render as a one-line ``location: RULE message`` diagnostic."""
-        if self.file:
-            where = f"{self.file}:{self.line}"
-            if self.col:
-                where += f":{self.col + 1}"
-        elif self.rank is not None:
-            where = f"rank {self.rank} @ t={self.time or 0.0:.6f}s"
-        else:
-            where = "finalize"
+        where = f"{self.file}:{self.line}"
+        if self.col:
+            where += f":{self.col + 1}"
         return f"{where}: {self.rule} [{self.severity}] {self.message}"
 
     def to_dict(self) -> Dict:
@@ -123,15 +111,11 @@ def _sarif_result(finding: Finding) -> Dict:
                 "region": region,
             },
         }]
-    elif finding.rank is not None:
-        result["properties"] = {"rank": finding.rank}
-        if finding.time is not None:
-            result["properties"]["simTime"] = finding.time
     return result
 
 
 def to_sarif(findings: Iterable[Finding]) -> Dict:
-    """A SARIF 2.1.0 log dict for one lint/check run.
+    """A SARIF 2.1.0 log dict for one lint run.
 
     Rule metadata for every registered rule rides along in the tool
     descriptor, so SARIF viewers can show names and summaries even for
@@ -142,7 +126,6 @@ def to_sarif(findings: Iterable[Finding]) -> Dict:
         "id": info.id,
         "name": info.name,
         "shortDescription": {"text": info.summary},
-        "properties": {"category": info.category},
     } for info in all_rule_infos()]
     return {
         "$schema": SARIF_SCHEMA,

@@ -1,11 +1,11 @@
-"""``simlint`` — the static half of :mod:`repro.analysis`.
+"""``simlint`` — the static linter of :mod:`repro.analysis`.
 
 An AST-based linter for programs written against the simulated substrate
 (:mod:`repro.sim`, :mod:`repro.mpi`, :mod:`repro.partitioned`): one
 pattern pass of per-node rules for determinism hazards and
 simulation-API misuse (SIM101–SIM107) over every module.  Misuse of the
 partitioned-request lifecycle is left to the runtime, which raises on
-it, and to the dynamic checker (:mod:`repro.analysis.checker`).
+it.
 
 Usage::
 
@@ -77,7 +77,7 @@ def _parse_suppressions(source: str, filename: str
             warnings.append(Finding(
                 rule=UNKNOWN_SUPPRESSION_RULE,
                 message=f"suppression comment names unknown rule id "
-                        f"{rule_id!r} (known ids: SIM1xx/PART/RES/FIN; "
+                        f"{rule_id!r} (known ids: SIM1xx; "
                         f"see docs/analysis.md)",
                 file=filename, line=lineno,
                 col=max(line.find("#"), 0), severity="warning"))

@@ -1,11 +1,9 @@
-"""Rule registry for the ``simlint`` static pass and the dynamic checker.
+"""Rule registry for the ``simlint`` static pass.
 
-Static rules are classes with a :meth:`Rule.check` method running over a
-parsed AST; they self-register on import via :func:`register`.  Dynamic
-rules are enforced by :mod:`repro.analysis.checker` at simulation time, so
-here they are represented only by :class:`RuleInfo` descriptors — one
-registry drives the documentation table, the CLI and per-rule disabling
-for both passes.
+Rules are classes with a :meth:`Rule.check` method running over a parsed
+AST; they self-register on import via :func:`register`.  One registry
+drives the documentation table, the SARIF metadata, the CLI and per-rule
+disabling.
 """
 
 from __future__ import annotations
@@ -23,17 +21,15 @@ __all__ = [
     "static_rules",
     "all_rule_infos",
     "known_rule_ids",
-    "DYNAMIC_RULES",
 ]
 
 
 @dataclass(frozen=True)
 class RuleInfo:
-    """Descriptor of one rule: identifier, pass, and one-line summary."""
+    """Descriptor of one rule: identifier, name, and one-line summary."""
 
     id: str
     name: str
-    category: str  # "static" | "dynamic"
     summary: str
 
 
@@ -56,7 +52,7 @@ class Rule:
 
     def info(self) -> RuleInfo:
         """This rule's registry descriptor."""
-        return RuleInfo(self.id, self.name, "static", self.summary)
+        return RuleInfo(self.id, self.name, self.summary)
 
     def finding(self, filename: str, node: ast.AST, message: str,
                 severity: str = "error") -> Finding:
@@ -66,26 +62,6 @@ class Rule:
 
 
 _STATIC: Dict[str, Rule] = {}
-
-#: Descriptors of the rules enforced at simulation time by
-#: :class:`repro.analysis.checker.Checker`.  Misuse of the request state
-#: machine needs no rule here: the runtime raises on it.
-DYNAMIC_RULES = (
-    RuleInfo("PART004", "write-after-pready", "dynamic",
-             "send buffer written after the partition was marked ready "
-             "(happens-before race with the transfer)"),
-    RuleInfo("PART005", "read-before-parrived", "dynamic",
-             "receive buffer read before the partition arrived "
-             "(happens-before race with the transfer)"),
-    RuleInfo("RES001", "resource-deadlock", "dynamic",
-             "cycle in the wait-for graph over simulated resources"),
-    RuleInfo("FIN001", "request-leak", "dynamic",
-             "partitioned request with an epoch started but never waited "
-             "at finalize"),
-    RuleInfo("FIN002", "unmatched-partitioned-init", "dynamic",
-             "psend_init/precv_init never matched by its peer half at "
-             "finalize"),
-)
 
 
 def register(cls: Type[Rule]) -> Type[Rule]:
@@ -105,8 +81,8 @@ def static_rules() -> List[Rule]:
 
 
 def all_rule_infos() -> List[RuleInfo]:
-    """Descriptors for every rule, static first, then dynamic."""
-    return [r.info() for r in static_rules()] + list(DYNAMIC_RULES)
+    """Descriptors for every rule, in id order."""
+    return [r.info() for r in static_rules()]
 
 
 def known_rule_ids() -> List[str]:

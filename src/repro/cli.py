@@ -12,15 +12,14 @@ Usage::
     python -m repro advisor --message-bytes 1048576 --compute-ms 10 \\
         --noise single --noise-percent 4
     python -m repro lint src/repro benchmarks examples
-    python -m repro check path/to/program.py
     python -m repro trace export --message-bytes 1048576 --partitions 8 \\
         --format chrome --kinds 'part.*,bench.*' -o trace.json
     python -m repro report --message-bytes 1048576 --partitions 8
 
 Tables match the ``benchmarks/`` harness output; the CLI exists so the
 suite is usable without pytest, the way the paper's artifact is driven
-from a shell.  ``lint`` and ``check`` expose the
-:mod:`repro.analysis` correctness analyzer (exit code 1 on findings).
+from a shell.  ``lint`` exposes the :mod:`repro.analysis` static
+linter (exit code 1 on findings).
 ``trace export`` and ``report`` observe one instrumented trial through
 :mod:`repro.obs` sinks.  Bad input to any command (a
 :class:`~repro.errors.ConfigurationError`) prints ``error: <reason>`` on
@@ -204,24 +203,29 @@ def _findings_json(findings) -> str:
     }, indent=2)
 
 
-def _reject_unknown_rules(ids) -> None:
-    """Raise naming the ``--disable`` ids no rule has."""
-    from .analysis.rules import known_rule_ids
-    known = set(known_rule_ids())
-    unknown = [rule_id for rule_id in ids if rule_id not in known]
-    if unknown:
-        raise ConfigurationError(f"unknown rule id {', '.join(unknown)}")
+def _open_output(path: str):
+    """Open ``--output PATH`` for writing; a path that cannot be opened
+    is bad input, not a crash."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write {path}: {exc.strerror}") from None
 
 
 def _cmd_lint(args) -> int:
     from .analysis import format_findings, lint_paths
     from .analysis.findings import sarif_json
-    _reject_unknown_rules(args.disable)
+    from .analysis.rules import known_rule_ids
+    known = set(known_rule_ids())
+    unknown = [rule_id for rule_id in args.disable if rule_id not in known]
+    if unknown:
+        raise ConfigurationError(f"unknown rule id {', '.join(unknown)}")
     findings = lint_paths(args.paths, disabled=args.disable)
     if args.format == "sarif":
         output = sarif_json(findings)
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as stream:
+            with _open_output(args.output) as stream:
                 stream.write(output)
             print(f"wrote SARIF log with {len(findings)} result(s) to "
                   f"{args.output}")
@@ -256,7 +260,7 @@ def _cmd_trace(args) -> int:
                               sinks=[(mem, patterns)])
     writer = write_chrome_trace if args.format == "chrome" else write_jsonl
     if args.output:
-        with open(args.output, "w") as stream:
+        with _open_output(args.output) as stream:
             n = writer(mem, stream)
         print(f"wrote {n} {args.format} event(s) to {args.output} "
               f"(stream digest {result.event_digest[:12]}…)")
@@ -303,17 +307,6 @@ def _cmd_report(args) -> int:
     print(cluster_report(cluster, counters=counters))
     print(f"\nevent stream digest: {result.event_digest}")
     return 0
-
-
-def _cmd_check(args) -> int:
-    from .analysis.checker import check_file
-    _reject_unknown_rules(args.disable)
-    # A cluster the program cannot run on (nranks < 1, a CLUSTER_KWARGS
-    # key or value it rejects) raises: a bad input, not a violation.
-    report = check_file(args.program, disabled=args.disable,
-                        nranks=args.nranks)
-    print(report.to_json() if args.format == "json" else report.format())
-    return 0 if report.ok else 1
 
 
 def _add_compute_args(parser: argparse.ArgumentParser,
@@ -530,18 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--disable", action="append", default=[],
                       metavar="RULE", help="rule id to skip "
                       "(repeatable, e.g. --disable SIM103)")
-
-    chk = sub.add_parser(
-        "check", help="run a program under the dynamic checker")
-    chk.add_argument("program",
-                     help="python file defining program(ctx)")
-    chk.add_argument("--nranks", type=int, default=None,
-                     help="override the program's NRANKS")
-    chk.add_argument("--format", default="text",
-                     choices=["text", "json"])
-    chk.add_argument("--disable", action="append", default=[],
-                     metavar="RULE", help="rule id to skip "
-                     "(repeatable, e.g. --disable FIN001)")
     return parser
 
 
@@ -574,8 +555,6 @@ def _dispatch(args) -> int:
         return _cmd_serve(args)
     elif args.command == "lint":
         return _cmd_lint(args)
-    elif args.command == "check":
-        return _cmd_check(args)
     elif args.command == "trace":
         return _cmd_trace(args)
     elif args.command == "report":

@@ -32,7 +32,7 @@ import hashlib
 import json
 import os
 import pathlib
-import shutil
+import re
 import struct
 import tempfile
 import threading
@@ -160,6 +160,14 @@ def derive_cell_seed(base_seed: int, message_bytes: int,
 # The content-addressed result cache
 # ---------------------------------------------------------------------------
 
+#: The names :class:`ResultCache` writes: shard directories named by a
+#: fingerprint's first two hex digits, and in them an entry
+#: ``<fingerprint>.bin`` or a writer's ``<fingerprint>.bin.*.tmp`` staging
+#: file.  :meth:`ResultCache.clear` deletes nothing else.
+_SHARD_NAME = re.compile(r"[0-9a-f]{2}")
+_ENTRY_NAME = re.compile(r"([0-9a-f]{64})\.bin(\..+\.tmp)?")
+
+
 class ResultCache:
     """Content-addressed store of :class:`PtpResult` objects on disk.
 
@@ -191,6 +199,15 @@ class ResultCache:
             raise ConfigurationError(
                 f"memory_entries must be >= 0: {memory_entries}")
         self.root = pathlib.Path(root)
+        # Fail before any cell is simulated: a root that is, or lies
+        # under, a non-directory could never store an entry.
+        for path in (self.root, *self.root.parents):
+            if path.exists():
+                if not path.is_dir():
+                    raise ConfigurationError(
+                        f"cache directory {self.root}: {path} is not a "
+                        f"directory")
+                break
         #: The root as a string: gets build their path by formatting,
         #: which costs a fraction of two pathlib joins.
         self._root = os.fspath(self.root)
@@ -331,13 +348,28 @@ class ResultCache:
     def clear(self) -> int:
         """Delete every entry and reset *all* counters with the store.
 
-        Returns how many entries were on disk.  Counters are part of the
+        Only files in the cache's own layout go (entries and writers'
+        staging files, see :data:`_ENTRY_NAME`), then the shard
+        directories that leaves empty, then the root if nothing else is
+        in it: a cache directory may hold files that are not the cache's.
+        Returns how many entries were removed.  Counters are part of the
         cleared state: a cleared cache reports like a fresh one instead
         of carrying hit/miss history for entries that no longer exist.
         """
-        removed = len(self)
-        if self.root.exists():
-            shutil.rmtree(self.root)
+        removed = 0
+        if self.root.is_dir():
+            for shard in self.root.iterdir():
+                if not (_SHARD_NAME.fullmatch(shard.name)
+                        and shard.is_dir()):
+                    continue
+                for path in shard.iterdir():
+                    match = _ENTRY_NAME.fullmatch(path.name)
+                    if (match and match.group(1)[:2] == shard.name
+                            and path.is_file()):
+                        path.unlink()
+                        removed += match.group(2) is None
+                _remove_if_empty(shard)
+            _remove_if_empty(self.root)
         with self._lock:
             self._memory.clear()
             self.hits = 0
@@ -345,6 +377,14 @@ class ResultCache:
             self.stores = 0
             self.memory_hits = 0
         return removed
+
+
+def _remove_if_empty(directory: pathlib.Path) -> None:
+    """Remove ``directory`` unless something is still in it."""
+    try:
+        directory.rmdir()
+    except OSError:
+        pass
 
 
 # ---------------------------------------------------------------------------

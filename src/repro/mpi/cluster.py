@@ -208,9 +208,6 @@ class Cluster:
                                  Dict[str, deque]] = {}
         #: ``(nthreads, policy)`` -> ThreadBinding (pure, so shared).
         self._bindings: Dict[Tuple[int, BindPolicy], ThreadBinding] = {}
-        #: Dynamic-correctness checker attached by
-        #: :func:`repro.analysis.enable_checking`; ``None`` when disabled.
-        self.checker: Optional[Any] = None
 
     def __del__(self):
         # A progress loop waits on its rank's inbox for good, and a blocked
@@ -233,7 +230,7 @@ class Cluster:
         """Init-time matching of partitioned halves, in posting order."""
         self.obs.emit(PART_INIT, self.sim.now, req.proc.rank,
                       "send" if is_send else "recv", req.peer_rank, req.tag,
-                      req.nbytes, req.partitions, req)
+                      req.nbytes, req.partitions)
         if is_send:
             key = (req.proc.rank, req.peer_rank, req.tag, req.comm_id)
         else:

@@ -5,10 +5,7 @@ designs".  This module turns the substrate's built-in accounting — library
 lock contention, matching-queue depths and scan counts, NIC utilization,
 cache behaviour — into one per-rank report, so a design change (say, a
 different pready cost or binding policy) can be judged by *why* it moved
-the metrics, not just by how much.  When the run was made under
-:func:`repro.analysis.enable_checking`, each rank's row also carries its
-dynamic-checker verdict (a ``checks`` column: ``ok`` or the finding
-count).
+the metrics, not just by how much.
 """
 
 from __future__ import annotations
@@ -42,9 +39,6 @@ class RankDiagnostics:
     nic_max_queue: int
     cache_hit_ratio: float
     cache_invalidations: int
-    #: Findings the dynamic checker attributed to this rank (0 when the
-    #: cluster ran without :func:`repro.analysis.enable_checking`).
-    checker_findings: int = 0
     #: Instrumentation events attributed to this rank by a
     #: :class:`repro.obs.CounterSink` (0 when none was subscribed).
     events_observed: int = 0
@@ -65,14 +59,11 @@ def collect_diagnostics(
     fold per-rank event totals into the snapshot.
     """
     out: List[RankDiagnostics] = []
-    checker = getattr(cluster, "checker", None)
     for proc in cluster.procs:
         lock: MutexStats = proc.lock.stats
         match = proc.matching.stats
         nic = proc.nic.stats
         cache = proc.cache.stats
-        n_findings = (len(checker.findings_for_rank(proc.rank))
-                      if checker is not None else 0)
         out.append(RankDiagnostics(
             rank=proc.rank,
             lock_acquisitions=lock.acquisitions,
@@ -90,7 +81,6 @@ def collect_diagnostics(
             nic_max_queue=nic.max_queue,
             cache_hit_ratio=cache.hit_ratio,
             cache_invalidations=cache.invalidations,
-            checker_findings=n_findings,
             events_observed=(sum(counters.rank_counts(proc.rank).values())
                              if counters is not None else 0),
         ))
@@ -110,7 +100,7 @@ def cluster_report(cluster,
     diags = collect_diagnostics(cluster, counters=counters)
     headers = ["rank", "lock acq", "contended", "lock wait",
                "matches (p/u)", "scan avg", "q depth (p/u)",
-               "nic msgs", "nic MiB", "nic busy", "cache hit", "checks"]
+               "nic msgs", "nic MiB", "nic busy", "cache hit"]
     if counters is not None:
         headers.append("events")
     rows = []
@@ -127,7 +117,6 @@ def cluster_report(cluster,
             f"{d.nic_bytes / (1 << 20):.1f}",
             f"{d.nic_busy_time * 1e3:.2f}ms",
             f"{d.cache_hit_ratio * 100:.0f}%",
-            "ok" if d.checker_findings == 0 else f"{d.checker_findings}!",
         ]
         if counters is not None:
             row.append(str(d.events_observed))

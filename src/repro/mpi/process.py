@@ -123,7 +123,7 @@ class MPIProcess:
             if mode is ThreadingMode.MULTIPLE and locked:
                 lock = self.lock
                 resource = lock._resource
-                if resource._in_use or sim.monitor is not None:
+                if resource._in_use:
                     yield from lock.acquire()
                 else:
                     # Mutex.acquire's uncontended grant, inlined: the same

@@ -127,9 +127,9 @@ class EventBus:
     def finalize(self) -> None:
         """Tell every attached sink the stream is complete, then detach all.
 
-        A finished stream's bus holds no sink, so a sink that keeps
-        records (whose internal fields may hold live requests, and through
-        them this bus) forms no reference cycle with the run it watched.
+        A finished stream's bus holds no sink, so a sink that refers
+        back to the run it watched (and through it to this bus) forms no
+        reference cycle with it.
         """
         seen = []
         for sink, _ in self._subs:

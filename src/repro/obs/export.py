@@ -1,7 +1,6 @@
 """Event-stream exporters: JSONL and Chrome ``about://tracing``.
 
-Both exporters see only *wire* fields (internal fields such as live
-request objects never leave the process) and preserve emission order.
+Both exporters write every declared field and preserve emission order.
 The Chrome format follows the Trace Event Format's JSON-object flavour:
 a top-level ``traceEvents`` list of instant events, timestamps in
 microseconds, one ``tid`` lane per rank — load the file at
@@ -20,9 +19,9 @@ __all__ = ["event_to_dict", "write_jsonl", "to_chrome_trace",
 
 
 def event_to_dict(record: EventRecord) -> Dict[str, Any]:
-    """One record as a flat JSON-able dict (wire fields only)."""
+    """One record as a flat JSON-able dict."""
     out: Dict[str, Any] = {"t": record.time, "kind": record.kind.name}
-    out.update(record.wire())
+    out.update(record.data)
     return out
 
 
@@ -47,8 +46,8 @@ def to_chrome_trace(records: Iterable[EventRecord]) -> Dict[str, Any]:
     events: List[Dict[str, Any]] = []
     ranks = set()
     for record in records:
-        wire = record.wire()
-        rank = wire.get("rank", 0)
+        data = record.data
+        rank = data.get("rank", 0)
         if not isinstance(rank, int):
             rank = 0
         ranks.add(rank)
@@ -61,7 +60,7 @@ def to_chrome_trace(records: Iterable[EventRecord]) -> Dict[str, Any]:
             "ts": record.time * 1e6,
             "pid": 0,
             "tid": rank,
-            "args": wire,
+            "args": data,
         })
     metadata = [
         {"name": "process_name", "ph": "M", "pid": 0,

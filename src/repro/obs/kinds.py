@@ -10,11 +10,11 @@ Categories
 ``part.*``
     Partitioned-request lifecycle.  The *entry* kinds (``part.init``,
     ``part.start``, ``part.wait``, ``part.pready``, ``part.parrived``,
-    ``part.buffer_write``, ``part.buffer_read``, ``part.arrived``) fire
-    where the old checker shadow hooks did — before argument validation —
-    and carry the live request object in the internal ``req`` field so
-    the dynamic checker can shadow the state machine.  The remaining
-    kinds mark post-cost runtime milestones.
+    ``part.arrived``) fire on entry, before argument validation, so a
+    call the runtime rejects is still in the stream.  They stay there
+    because moving an emit after validation would change the stream,
+    and with it every pinned event digest.  The remaining kinds mark
+    post-cost runtime milestones.
 ``send.* / recv.*``
     Ordinary point-to-point milestones.
 ``thread.* / team.*``
@@ -49,7 +49,7 @@ from .schema import SCHEMA
 
 __all__ = [
     "PART_INIT", "PART_START", "PART_WAIT", "PART_PREADY", "PART_PARRIVED",
-    "PART_BUFFER_WRITE", "PART_BUFFER_READ", "PART_ARRIVED",
+    "PART_ARRIVED",
     "PART_SEND_START", "PART_RECV_START", "PART_SEND_INJECTED",
     "PART_SEND_EPOCH_COMPLETE", "PART_RECV_EPOCH_COMPLETE",
     "SEND_START", "SEND_COMPLETE", "RECV_POST", "RECV_COMPLETE",
@@ -62,41 +62,29 @@ __all__ = [
     "SERVICE_QUOTA_REJECT", "SERVICE_BATCH",
 ]
 
-# -- partitioned lifecycle (entry events; req is in-process only) ----------
+# -- partitioned lifecycle (entry events, pre-validation) -----------------
 PART_INIT = SCHEMA.register(
-    "part.init", ("rank", "side", "peer", "tag", "nbytes", "partitions",
-                  "req"), internal=("req",),
+    "part.init", ("rank", "side", "peer", "tag", "nbytes", "partitions"),
     doc="psend_init/precv_init registered a partitioned request")
 PART_START = SCHEMA.register(
-    "part.start", ("rank", "side", "epoch", "req"), internal=("req",),
+    "part.start", ("rank", "side", "epoch"),
     doc="start() called to arm a new epoch (pre-validation)")
 PART_WAIT = SCHEMA.register(
-    "part.wait", ("rank", "side", "epoch", "req"), internal=("req",),
+    "part.wait", ("rank", "side", "epoch"),
     doc="wait() entered to complete the current epoch")
 PART_PREADY = SCHEMA.register(
-    "part.pready", ("rank", "partition", "epoch", "req"),
-    internal=("req",),
+    "part.pready", ("rank", "partition", "epoch"),
     doc="MPI_Pready call time for one partition (pre-cost, the paper's "
         "sender-side timestamp)")
 PART_PARRIVED = SCHEMA.register(
-    "part.parrived", ("rank", "partition", "epoch", "req"),
-    internal=("req",),
+    "part.parrived", ("rank", "partition", "epoch"),
     doc="MPI_Parrived poll of one partition")
-PART_BUFFER_WRITE = SCHEMA.register(
-    "part.buffer_write", ("rank", "partition", "epoch", "req"),
-    internal=("req",),
-    doc="application annotated a send-buffer write")
-PART_BUFFER_READ = SCHEMA.register(
-    "part.buffer_read", ("rank", "partition", "epoch", "req"),
-    internal=("req",),
-    doc="application annotated a receive-buffer read")
 PART_ARRIVED = SCHEMA.register(
-    "part.arrived", ("rank", "partition", "epoch", "nbytes", "req"),
-    internal=("req",),
+    "part.arrived", ("rank", "partition", "epoch", "nbytes"),
     doc="one partition landed in the receive buffer (the paper's "
         "receiver-side timestamp)")
 
-# -- partitioned runtime milestones (post-cost, wire-only) -----------------
+# -- partitioned runtime milestones (post-cost) ---------------------------
 PART_SEND_START = SCHEMA.register(
     "part.send_start", ("rank", "epoch"),
     doc="send-side start() completed (costs charged)")

@@ -68,8 +68,3 @@ class EventRecord:
             return self.values[self.kind.fields.index(field)]
         except ValueError:
             return default
-
-    def wire(self) -> Dict[str, Any]:
-        """Exportable payload: declared fields minus internal ones."""
-        return dict(zip(self.kind.wire_fields,
-                        self.kind.wire_values(self.values)))

@@ -7,15 +7,13 @@ the bus dispatches on its small integer :attr:`~EventKind.id`, so the
 disabled-emission fast path is an index into a list, not a dict lookup on
 a string.
 
-Fields may be declared *internal* (e.g. the live request object handed to
-the dynamic checker); internal fields never leave the process — exporters
-and digests see only the *wire* fields, which are required to be
-JSON-primitive values.
+Payload values are JSON-primitive: exporters and digests render every
+declared field.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from ..errors import ConfigurationError
 
@@ -33,46 +31,31 @@ class EventKind:
         Dotted category string, e.g. ``"part.pready"``.
     fields:
         Declared payload field names, in emission order.
-    internal:
-        Subset of ``fields`` that never leaves the process (live objects
-        for in-process sinks such as the dynamic checker).
     doc:
         One-line description for the kinds reference table.
     """
 
-    __slots__ = ("id", "name", "fields", "internal", "doc", "wire_fields",
-                 "_canon_name", "_canon_prefixes", "_wire_index")
+    __slots__ = ("id", "name", "fields", "doc", "_canon_name",
+                 "_canon_prefixes")
 
     def __init__(self, kind_id: int, name: str, fields: Sequence[str],
-                 internal: Sequence[str], doc: str):
+                 doc: str):
         object.__setattr__(self, "id", kind_id)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "fields", tuple(fields))
-        object.__setattr__(self, "internal", frozenset(internal))
         object.__setattr__(self, "doc", doc)
-        object.__setattr__(self, "wire_fields", tuple(
-            f for f in fields if f not in self.internal))
         # Precomputed separator-carrying fragments of the canonical wire
         # format ("|<name>", "|<field>="), so serialization concatenates
         # instead of re-formatting per record.
         object.__setattr__(self, "_canon_name", "|" + name)
         object.__setattr__(self, "_canon_prefixes", tuple(
-            "|" + f + "=" for f in self.wire_fields))
-        object.__setattr__(self, "_wire_index", tuple(
-            i for i, f in enumerate(fields) if f not in self.internal))
+            "|" + f + "=" for f in self.fields))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError(f"EventKind is immutable; cannot set {name}")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<EventKind {self.name} #{self.id} {self.fields}>"
-
-    def wire_values(self, values: Tuple) -> Tuple:
-        """The exportable subset of one record's values, in field order."""
-        idx = self._wire_index
-        if len(idx) == len(values):
-            return values
-        return tuple(values[i] for i in idx)
 
 
 class EventSchema:
@@ -87,7 +70,7 @@ class EventSchema:
         self._kinds: List[EventKind] = []
 
     def register(self, name: str, fields: Sequence[str] = (),
-                 internal: Sequence[str] = (), doc: str = "") -> EventKind:
+                 doc: str = "") -> EventKind:
         """Register a new kind; returns the interned :class:`EventKind`.
 
         Re-registering a name is an error — kind ids must stay stable for
@@ -96,12 +79,7 @@ class EventSchema:
         if name in self._by_name:
             raise ConfigurationError(f"event kind {name!r} already "
                                      f"registered")
-        unknown = set(internal) - set(fields)
-        if unknown:
-            raise ConfigurationError(
-                f"event kind {name!r}: internal fields {sorted(unknown)} "
-                f"not in declared fields {tuple(fields)}")
-        kind = EventKind(len(self._kinds), name, fields, internal, doc)
+        kind = EventKind(len(self._kinds), name, fields, doc)
         self._by_name[name] = kind
         self._kinds.append(kind)
         return kind

@@ -2,9 +2,8 @@
 
 A sink is anything with ``accept(record)`` (called once per subscribed
 event, in emission order) and ``finalize()`` (called when the stream
-ends).  The streaming :class:`~repro.obs.timeline.TimelineBuilder` and
-the dynamic checker (:class:`repro.analysis.checker.Checker`) are sinks
-too; this module holds the generic ones.
+ends).  The streaming :class:`~repro.obs.timeline.TimelineBuilder` is a
+sink too; this module holds the generic ones.
 """
 
 from __future__ import annotations
@@ -191,9 +190,6 @@ def _serialize_block(triples, frags: Dict[Tuple[str, Any], str]) -> str:
                               else float(time).hex()))
             append(last_hex)
         append(kind._canon_name)
-        idx = kind._wire_index
-        if len(values) != len(idx):
-            values = [values[i] for i in idx]
         # Exact-class checks first, most common type (int payloads:
         # ranks, byte counts, partition indices) leading; the isinstance
         # chain keeps subclasses such as numpy scalars rendering exactly
@@ -221,7 +217,7 @@ def _serialize_block(triples, frags: Dict[Tuple[str, Any], str]) -> str:
 
 
 def canonical_line(record: EventRecord) -> str:
-    """Bit-stable one-line serialization of a record's wire fields.
+    """Bit-stable one-line serialization of a record's fields.
 
     ``<time>|<kind>|<field>=<value>|...`` — floats render via
     ``float.hex()`` so the representation is exact; the digest over these
@@ -236,7 +232,7 @@ class DigestSink(Sink):
     """SHA-256 digest over the canonical event stream.
 
     Equal digests mean bit-identical streams: same kinds, same order,
-    same timestamps, same wire payloads.  Used by the runner to prove
+    same timestamps, same payloads.  Used by the runner to prove
     serial, parallel, and cached sweeps observe the same events.
     """
 

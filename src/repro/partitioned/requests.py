@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import PartitionError, RequestStateError
-from ..obs.kinds import (PART_ARRIVED, PART_BUFFER_READ, PART_BUFFER_WRITE,
-                         PART_PARRIVED, PART_PREADY,
+from ..obs.kinds import (PART_ARRIVED, PART_PARRIVED, PART_PREADY,
                          PART_RECV_EPOCH_COMPLETE, PART_RECV_START,
                          PART_SEND_EPOCH_COMPLETE, PART_SEND_INJECTED,
                          PART_SEND_START, PART_START, PART_WAIT)
@@ -154,7 +153,7 @@ class _PartitionedBase:
         epoch has been transferred; returns the completion time.
         """
         self.proc.obs.emit(PART_WAIT, self.sim.now, self.proc.rank,
-                           self.side, self.epoch, self)
+                           self.side, self.epoch)
         if self._epoch_done is None:
             raise RequestStateError("wait() before start()")
         yield from self.proc._mpi_entry(tc, self.proc.costs.call_overhead)
@@ -192,7 +191,7 @@ class PartitionedSendRequest(_PartitionedBase):
     def start(self, tc):
         """Generator: arm a new send epoch."""
         self.proc.obs.emit(PART_START, self.sim.now, self.proc.rank,
-                           self.side, self.epoch, self)
+                           self.side, self.epoch)
         yield from self._await_bound()
         self._require_inactive()
         if self._epoch_done is not None and not self._epoch_done.triggered:
@@ -218,7 +217,7 @@ class PartitionedSendRequest(_PartitionedBase):
         buffer-read (hot/cold cache) cost for its partition.
         """
         self.proc.obs.emit(PART_PREADY, self.sim.now, self.proc.rank,
-                           partition, self.epoch, self)
+                           partition, self.epoch)
         self._check_partition(partition)
         if self._ready[partition]:
             raise RequestStateError(
@@ -284,22 +283,6 @@ class PartitionedSendRequest(_PartitionedBase):
         for p in partitions:
             yield from self.pready(tc, p)
 
-    def note_buffer_write(self, partition: int) -> None:
-        """Annotate an application write into ``partition``'s send buffer.
-
-        Zero-cost instrumentation: real partitioned programs fill each
-        partition before marking it ready, and writing after ``pready`` is a
-        data race with the transfer.  Programs that want that race caught
-        call this where the write happens; under
-        :func:`repro.analysis.enable_checking` a write into a
-        partition already marked ready this epoch is reported
-        (rule ``PART004``).  Without a subscriber the emit is a no-op.
-        A partition outside ``[0, partitions)`` raises ``PartitionError``.
-        """
-        self.proc.obs.emit(PART_BUFFER_WRITE, self.sim.now, self.proc.rank,
-                           partition, self.epoch, self)
-        self._check_index(partition)
-
     # -- runtime hooks ----------------------------------------------------
     def _partition_injected(self, epoch: int, partition: int,
                             now: float) -> None:
@@ -339,7 +322,7 @@ class PartitionedRecvRequest(_PartitionedBase):
     def start(self, tc):
         """Generator: arm a new receive epoch (posts internal receives)."""
         self.proc.obs.emit(PART_START, self.sim.now, self.proc.rank,
-                           self.side, self.epoch, self)
+                           self.side, self.epoch)
         yield from self._await_bound()
         self._require_inactive()
         if self._epoch_done is not None and not self._epoch_done.triggered:
@@ -367,7 +350,7 @@ class PartitionedRecvRequest(_PartitionedBase):
         the flag is then true).
         """
         self.proc.obs.emit(PART_PARRIVED, self.sim.now, self.proc.rank,
-                           partition, self.epoch, self)
+                           partition, self.epoch)
         self._check_index(partition)
         if not self._arrived_events:
             raise RequestStateError("parrived() before the first start()")
@@ -392,21 +375,6 @@ class PartitionedRecvRequest(_PartitionedBase):
         """Partitions received so far in the current epoch."""
         return self._arrived
 
-    def note_buffer_read(self, partition: int) -> None:
-        """Annotate an application read of ``partition``'s receive buffer.
-
-        Zero-cost instrumentation, the receive-side mirror of
-        :meth:`PartitionedSendRequest.note_buffer_write`: consuming a
-        partition before it has actually arrived reads garbage.  Under
-        :func:`repro.analysis.enable_checking` a read of a
-        partition that has not landed this epoch is reported
-        (rule ``PART005``).  Without a subscriber the emit is a no-op.
-        A partition outside ``[0, partitions)`` raises ``PartitionError``.
-        """
-        self.proc.obs.emit(PART_BUFFER_READ, self.sim.now, self.proc.rank,
-                           partition, self.epoch, self)
-        self._check_index(partition)
-
     # -- runtime hooks ----------------------------------------------------
     def _partition_arrived(self, epoch: int, partition: int, now: float,
                            payload: Any = None) -> None:
@@ -426,7 +394,7 @@ class PartitionedRecvRequest(_PartitionedBase):
         # carry timestamps behind the clock; sinks order by emission, not
         # by time.
         self.proc.obs.emit(PART_ARRIVED, now, self.proc.rank, partition,
-                           self.epoch, self.sizes[partition], self)
+                           self.epoch, self.sizes[partition])
         ev = self._arrived_events[partition]
         if ev.triggered:
             raise RequestStateError(

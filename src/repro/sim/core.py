@@ -487,11 +487,6 @@ class Simulator:
         self._active_proc: Optional[Process] = None
         #: Number of events processed so far (monotone counter, useful in tests).
         self.events_processed = 0
-        #: Optional resource observer (see :mod:`repro.analysis.deadlock`).
-        #: When set, :class:`~repro.sim.resources.Resource` notifies it of
-        #: every request/grant/release so wait-for graphs can be built.
-        #: ``None`` (the default) keeps the hot path free of any overhead.
-        self.monitor: Optional[Any] = None
 
     # -- public API -----------------------------------------------------
     @property

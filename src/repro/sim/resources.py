@@ -66,29 +66,19 @@ class Resource:
         if self._in_use < self.capacity:
             self._in_use += 1
             ev.succeed(self)
-            granted = True
         else:
             self._waiters.append(ev)
-            granted = False
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_resource_request(self, ev, granted)
         return ev
 
     def release(self) -> None:
         """Return one unit, waking the longest-waiting requester if any."""
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
-        handed: Optional[Event] = None
         if self._waiters:
             # Hand the unit directly to the next waiter (count unchanged).
-            handed = self._waiters.popleft()
-            handed.succeed(self)
+            self._waiters.popleft().succeed(self)
         else:
             self._in_use -= 1
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_resource_release(self, handed)
 
 
 @dataclass
@@ -157,10 +147,9 @@ class Mutex:
     def acquire(self) -> Generator[Event, Any, None]:
         """Generator-style acquisition (``yield from mutex.acquire()``).
 
-        An uncontended grant with no resource monitor installed skips the
-        request event: it waits on the recycled ``sim.sleep(0.0)``, which
-        takes the same sequence number and ring slot the request's
-        ``succeed`` would have.
+        An uncontended grant skips the request event: it waits on the
+        recycled ``sim.sleep(0.0)``, which takes the same sequence number
+        and ring slot the request's ``succeed`` would have.
         """
         sim = self.sim
         start = sim.now
@@ -169,7 +158,7 @@ class Mutex:
         queue_len = len(resource._waiters) + (1 if contended else 0)
         if queue_len > self.stats.max_queue_length:
             self.stats.max_queue_length = queue_len
-        if contended or sim.monitor is not None:
+        if contended:
             yield resource.request()
         else:
             resource._in_use = 1

@@ -11,6 +11,8 @@ from repro.core.suite import FIGURES
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 ARCHIVES = Path(__file__).parent.parent / "benchmarks" / "output"
+#: A path whose parent is a regular file: no directory can be made there.
+UNDER_A_FILE = str(Path(__file__) / "x")
 
 
 def _assert_prints_archive(capsys, argv, archive):
@@ -60,13 +62,6 @@ class TestParser:
         assert args.paths == ["src", "tests"]
         assert args.format == "json"
         assert args.disable == ["SIM103", "SIM104"]
-
-    def test_check_args(self):
-        args = build_parser().parse_args(
-            ["check", "prog.py", "--nranks", "4"])
-        assert args.program == "prog.py"
-        assert args.nranks == 4
-        assert args.format == "text"
 
 
 class TestHelp:
@@ -176,6 +171,15 @@ class TestCommands:
         ["serve", "--jobs", "0"],
         ["serve", "--quota", "-1"],
         ["serve", "--port", "70000"],
+        ["sweep", "--sizes", "64", "--counts", "1", "--jobs", "1",
+         "--cache-dir", UNDER_A_FILE],
+        ["fig7", "--jobs", "1", "--cache-dir", UNDER_A_FILE],
+        ["serve", "--jobs", "1", "--port", "0", "--cache-dir", UNDER_A_FILE],
+        ["cache", "clear", "--cache-dir", UNDER_A_FILE],
+        ["trace", "export", "--message-bytes", "64", "--partitions", "2",
+         "--output", "no/such/dir/t.json"],
+        ["lint", "--format", "sarif", "--output", "no/such/dir/o.sarif",
+         str(Path(__file__))],
     ], ids=" ".join)
     def test_bad_input_is_an_error_line_and_exit_two(self, argv, capsys):
         assert main(argv) == 2
@@ -244,79 +248,29 @@ class TestAnalysisCommands:
         assert code == 0
         capsys.readouterr()
 
-    def test_check_clean_program(self, capsys):
-        assert main(["check", str(FIXTURES / "clean.py")]) == 0
-        assert "CLEAN" in capsys.readouterr().out
-
-    def test_check_violating_program_exits_one(self, capsys):
-        code = main(["check", str(FIXTURES / "double_pready.py")])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert ("runtime error: RequestStateError: pready called twice"
-                in out)
-        assert "VIOLATIONS" in out
-
-    def test_check_json_output(self, capsys):
-        code = main(["check", str(FIXTURES / "leaked_request.py"),
-                     "--format", "json"])
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is False
-        assert [f["rule"] for f in payload["findings"]] == ["FIN001"]
-
-    def test_check_disable_silences_rule(self, capsys):
-        code = main(["check", str(FIXTURES / "leaked_request.py"),
-                     "--disable", "FIN001"])
-        assert code == 0
-        capsys.readouterr()
-
     def test_lint_missing_path_exits_two(self, capsys):
         code = main(["lint", "no/such/dir"])
         assert code == 2
         assert "no such file or directory" in capsys.readouterr().err
 
-    def test_check_missing_program_exits_two(self, capsys):
-        code = main(["check", "no/such/program.py"])
-        assert code == 2
-        assert "no such program file" in capsys.readouterr().err
-
-    def test_check_bad_rank_count_exits_two(self, capsys):
-        code = main(["check", str(FIXTURES / "clean.py"), "--nranks", "0"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: nranks must be >= 1, got 0\n"
-        assert captured.out == ""
-
-    def test_check_python_error_is_a_runtime_error(self, capsys, tmp_path):
-        program = tmp_path / "typo.py"
-        program.write_text("def program(ctx):\n"
-                           "    yield from ctx.elapse(0.0)\n"
-                           "    return ctx.nope\n")
-        assert main(["check", str(program)]) == 1
-        captured = capsys.readouterr()
-        assert ("runtime error: AttributeError: 'RankContext' object has "
-                "no attribute 'nope'") in captured.out
-        assert "Traceback" not in captured.out + captured.err
-
     @pytest.mark.parametrize("argv", [
         ["lint", str(FIXTURES / "static_clean.py"), "--disable", "SIM999"],
-        ["check", str(FIXTURES / "clean.py"), "--disable", "SIM110"],
-    ], ids=["lint", "check"])
+        ["lint", str(FIXTURES / "static_clean.py"), "--disable", "PART004"],
+    ], ids=["lint", "lint-dynamic-rule"])
     def test_unknown_disabled_rule_exits_two(self, capsys, argv):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: unknown rule id {argv[-1]}\n"
         assert captured.out == ""
 
-    def test_check_unknown_cluster_kwarg_exits_two(self, capsys, tmp_path):
-        program = tmp_path / "bogus.py"
-        program.write_text((FIXTURES / "clean.py").read_text()
-                           + "\nCLUSTER_KWARGS = {\"bogus\": 1}\n")
-        assert main(["check", str(program)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: invalid cluster arguments: ")
-        assert "'bogus'" in captured.err
-        assert captured.out == ""
+    def test_check_command_is_gone(self, capsys, tmp_path):
+        # The dynamic checker was removed; its command is a usage error.
+        program = tmp_path / "prog.py"
+        program.write_text("def program(ctx):\n    return None\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(program)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'check'" in capsys.readouterr().err
 
 
 _TRACE_ARGS = ["--message-bytes", "4096", "--partitions", "2",

@@ -12,11 +12,9 @@ from __future__ import annotations
 import gc
 import traceback
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-from repro.analysis import check_file
 from repro.core import COLD, PtpBenchmarkConfig
 from repro.core.runner import run_ptp_trial
 from repro.mpi import Cluster
@@ -25,8 +23,6 @@ from repro.obs import MemorySink
 from repro.patterns import CommMode, PatternConfig, run_motif
 from repro.proxy.snap import SnapConfig, run_snap
 from repro.service import SweepScheduler
-
-FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 
 
 def _cyclic_garbage(run) -> Counter:
@@ -161,32 +157,3 @@ def test_run_ended_mid_transmission_leaves_no_cycles():
 
     assert_no_cycles(run)
     assert busy == [True]
-
-
-@pytest.mark.parametrize("fixture", sorted(
-    p.name for p in FIXTURES.glob("*.py")
-    if not p.name.startswith("static_")))
-def test_checked_run_leaves_no_cycles(fixture):
-    """``check_file``: the checker, its resource monitor, the cluster
-    and the simulator let go of each other once the verdict is in, and
-    so does the program module it loaded (whose functions and globals
-    refer to each other as any module's do)."""
-    reports = []
-    assert_no_cycles(lambda: reports.append(check_file(FIXTURES / fixture)))
-    assert reports[0].ok == (fixture == "clean.py")
-
-
-@pytest.mark.parametrize("fixture", sorted(
-    p.name for p in FIXTURES.glob("*.py")
-    if not p.name.startswith("static_")))
-def test_check_command_leaves_no_cycles(fixture, capsys):
-    """``repro check`` runs the same path as ``check_file``, the rank
-    count override included, and frees its program module too.  (The
-    arguments are parsed first: argparse's parser is cyclic itself.)"""
-    from repro.cli import _cmd_check, build_parser
-    args = build_parser().parse_args(
-        ["check", str(FIXTURES / fixture), "--nranks", "2"])
-    codes = []
-    assert_no_cycles(lambda: codes.append(_cmd_check(args)))
-    assert codes == [0 if fixture == "clean.py" else 1]
-    capsys.readouterr()

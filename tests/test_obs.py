@@ -26,14 +26,13 @@ def _schema():
     s.register("part.pready", ("rank", "partition"), doc="x")
     s.register("part.arrived", ("rank", "partition", "nbytes"), doc="x")
     s.register("nic.tx_start", ("rank", "dst"), doc="x")
-    s.register("internal.ev", ("rank", "req"), internal=("req",), doc="x")
     return s
 
 
 class TestSchema:
     def test_register_interns_dense_ids(self):
         s = _schema()
-        assert [k.id for k in s.kinds()] == [0, 1, 2, 3]
+        assert [k.id for k in s.kinds()] == [0, 1, 2]
         assert s.kind("part.arrived").fields == ("rank", "partition",
                                                  "nbytes")
 
@@ -42,18 +41,13 @@ class TestSchema:
         with pytest.raises(ConfigurationError):
             s.register("part.pready", ("rank",))
 
-    def test_internal_must_be_declared(self):
-        s = EventSchema()
-        with pytest.raises(ConfigurationError):
-            s.register("x", ("a",), internal=("b",))
-
     def test_resolve_exact_wildcard_star(self):
         s = _schema()
         assert [k.name for k in s.resolve(["part.pready"])] == \
             ["part.pready"]
         assert [k.name for k in s.resolve(["part.*"])] == \
             ["part.pready", "part.arrived"]
-        assert len(s.resolve(["*"])) == 4
+        assert len(s.resolve(["*"])) == 3
 
     def test_resolve_dedupes_and_orders_by_id(self):
         s = _schema()
@@ -72,11 +66,6 @@ class TestSchema:
         kind = _schema().kind("part.pready")
         with pytest.raises(AttributeError):
             kind.name = "other"
-
-    def test_wire_fields_exclude_internal(self):
-        kind = _schema().kind("internal.ev")
-        assert kind.wire_fields == ("rank",)
-        assert kind.wire_values((3, object())) == (3,)
 
     def test_global_schema_has_part_and_bench_kinds(self):
         for name in ("part.init", "part.pready", "part.arrived",
@@ -97,13 +86,9 @@ class TestSchema:
         rows = {}
         for line in doc.read_text().splitlines():
             cells = line.split("|")
-            if len(cells) > 4 and cells[1].strip().startswith("`"):
-                rows[cells[1].strip().strip("`")] = (names(cells[2]),
-                                                     names(cells[3]))
-        assert rows == {
-            kind.name: (kind.wire_fields, tuple(
-                f for f in kind.fields if f in kind.internal))
-            for kind in SCHEMA.kinds()}
+            if len(cells) > 3 and cells[1].strip().startswith("`"):
+                rows[cells[1].strip().strip("`")] = names(cells[2])
+        assert rows == {kind.name: kind.fields for kind in SCHEMA.kinds()}
 
 
 class TestEventRecord:
@@ -119,11 +104,6 @@ class TestEventRecord:
         assert rec.get("partition") == 2
         assert rec.get("missing", "d") == "d"
         assert rec.data == {"rank": 1, "partition": 2, "nbytes": 64}
-
-    def test_wire_drops_internal_fields(self):
-        req = object()
-        rec = EventRecord(1.0, _schema().kind("internal.ev"), (7, req))
-        assert rec.wire() == {"rank": 7}
 
 
 class TestEventBus:
@@ -253,13 +233,11 @@ class TestDigest:
         self._stream(bus2, s, [0.1 + 1e-15])
         assert a.hexdigest() != b.hexdigest()
 
-    def test_canonical_line_is_exact_and_wire_only(self):
+    def test_canonical_line_is_exact(self):
         s = _schema()
-        rec = EventRecord(0.1, s.kind("internal.ev"), (3, object()))
-        line = canonical_line(rec)
-        assert line.startswith((0.1).hex())
-        assert "req" not in line
-        assert "rank=3" in line
+        rec = EventRecord(0.1, s.kind("part.arrived"), (3, 1, 64))
+        assert canonical_line(rec) == \
+            f"{(0.1).hex()}|part.arrived|rank=3|partition=1|nbytes=64"
 
 
 def _emit_iteration(bus, s=SCHEMA, iteration=0, partitions=2, t0=0.0):
@@ -267,8 +245,8 @@ def _emit_iteration(bus, s=SCHEMA, iteration=0, partitions=2, t0=0.0):
     e = bus.emit
     e(s.kind("bench.part_begin"), t0, 0, iteration, 128, partitions)
     for p in range(partitions):
-        e(s.kind("part.pready"), t0 + 0.01 * (p + 1), 0, p, 0, None)
-        e(s.kind("part.arrived"), t0 + 0.02 * (p + 1), 1, p, 0, 64, None)
+        e(s.kind("part.pready"), t0 + 0.01 * (p + 1), 0, p, 0)
+        e(s.kind("part.arrived"), t0 + 0.02 * (p + 1), 1, p, 0, 64)
     e(s.kind("bench.single_begin"), t0 + 0.1, 0, iteration)
     e(s.kind("bench.join"), t0 + 0.12, 0, iteration)
     e(s.kind("bench.send_begin"), t0 + 0.13, 0, iteration)
@@ -300,16 +278,16 @@ class TestTimelineBuilder:
         bus = EventBus()
         bus.attach(TimelineBuilder(), TimelineBuilder.PATTERNS)
         bus.emit(SCHEMA.kind("bench.part_begin"), 0.0, 0, 0, 128, 2)
-        bus.emit(SCHEMA.kind("part.pready"), 0.1, 0, 1, 0, None)
+        bus.emit(SCHEMA.kind("part.pready"), 0.1, 0, 1, 0)
         with pytest.raises(SimulationError, match="duplicate"):
-            bus.emit(SCHEMA.kind("part.pready"), 0.2, 0, 1, 0, None)
+            bus.emit(SCHEMA.kind("part.pready"), 0.2, 0, 1, 0)
 
     def test_partition_out_of_range_raises(self):
         bus = EventBus()
         bus.attach(TimelineBuilder(), TimelineBuilder.PATTERNS)
         bus.emit(SCHEMA.kind("bench.part_begin"), 0.0, 0, 0, 128, 2)
         with pytest.raises(SimulationError, match="outside"):
-            bus.emit(SCHEMA.kind("part.pready"), 0.1, 0, 5, 0, None)
+            bus.emit(SCHEMA.kind("part.pready"), 0.1, 0, 5, 0)
 
     def test_incomplete_iteration_close_raises(self):
         bus = EventBus()

@@ -228,6 +228,49 @@ class TestResultCache:
         assert cache.clear() == 2
         assert len(cache) == 0
 
+    def test_clear_removes_only_cache_entries(self, tmp_path):
+        """``clear`` deletes entries, staging files and the shards they
+        leave empty; what else the directory holds stays, and the root
+        goes only once nothing is left in it."""
+        root = tmp_path / "cache"
+        (root / "notes").mkdir(parents=True)
+        (root / "notes" / "thesis.tex").write_text("draft")
+        (root / "README").write_text("mine")
+        cache = ResultCache(root)
+        configs = plan_cells(_base(), [1024], [1, 4])
+        run_cells(configs, jobs=1, cache=cache)
+        staging = cache._path(config_fingerprint(configs[0]))
+        staging = staging.with_name(staging.name + ".x1y2z3.tmp")
+        staging.write_bytes(b"partial")
+        assert cache.get(configs[0]) is not None
+        assert cache.clear() == 2
+        assert sorted(p.name for p in root.iterdir()) == ["README", "notes"]
+        assert (root / "notes" / "thesis.tex").read_text() == "draft"
+        assert (root / "README").read_text() == "mine"
+        assert cache.stats() == {"hits": 0, "misses": 0, "stores": 0,
+                                 "memory_hits": 0, "memory_entries": 0,
+                                 "entries": 0}
+        (root / "README").unlink()
+        (root / "notes" / "thesis.tex").unlink()
+        (root / "notes").rmdir()
+        run_cells(configs, jobs=1, cache=cache)
+        assert cache.clear() == 2
+        assert not root.exists()
+
+    def test_root_under_a_file_is_rejected(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for root in (blocker, blocker / "cache"):
+            with pytest.raises(ConfigurationError, match="not a directory"):
+                ResultCache(root)
+
+    def test_info_on_a_missing_directory_creates_nothing(self, tmp_path,
+                                                        capsys):
+        root = tmp_path / "absent"
+        assert main(["cache", "info", "--cache-dir", str(root)]) == 0
+        assert "0 entry(ies) on disk" in capsys.readouterr().out
+        assert not root.exists()
+
     def test_path_argument_coerced(self, tmp_path):
         cells = plan_cells(_base(), [1024], [1])
         run_cells(cells, jobs=1, cache=str(tmp_path / "cache"))

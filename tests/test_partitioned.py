@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import MPIError, PartitionError, RequestStateError
+from repro.errors import (DeadlockError, MPIError, PartitionError,
+                          RequestStateError)
 from repro.mpi import Cluster, ANY_TAG
 from repro.partitioned import (IMPL_MPIPCL, IMPL_NATIVE, partition_sizes)
 
@@ -295,28 +296,22 @@ class TestStateErrors:
         with pytest.raises(RequestStateError, match="first start"):
             _run(program)
 
-    @pytest.mark.parametrize("side", ["send", "recv"])
-    def test_buffer_annotation_out_of_range_raises(self, side):
-        # The same error parrived raises, after the event was emitted.
+    def test_unreadied_partition_deadlocks(self):
+        # Partition 1 is never readied, so neither wait() can complete.
         def program(ctx):
             comm, main = ctx.comm, ctx.main
             if ctx.rank == 0:
                 ps = yield from comm.psend_init(main, 1, 5, 4096, 2)
-                if side == "send":
-                    ps.note_buffer_write(2)
+                yield from ps.start(main)
+                yield from ps.pready(main, 0)
+                yield from ps.wait(main)
             else:
                 pr = yield from comm.precv_init(main, 0, 5, 4096, 2)
-                if side == "recv":
-                    pr.note_buffer_read(-1)
+                yield from pr.start(main)
+                yield from pr.wait(main)
 
-        cluster = Cluster(nranks=2)
-        mem = cluster.obs.record("part.buffer_write", "part.buffer_read")
-        bad = 2 if side == "send" else -1
-        with pytest.raises(PartitionError) as info:
-            cluster.run(program)
-        assert str(info.value) == f"partition {bad} out of range [0, 2)"
-        (event,) = mem.records
-        assert event.get("partition") == bad
+        with pytest.raises(DeadlockError, match="never completed"):
+            _run(program)
 
 
 class TestImplementationDifferences:

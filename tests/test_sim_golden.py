@@ -15,11 +15,9 @@ and say so in the commit; a failure after a kernel-only change is a bug.
 
 import pytest
 
-from repro.analysis import ResourceMonitor, enable_checking
-from repro.core import PtpBenchmarkConfig, runner
+from repro.core import PtpBenchmarkConfig
 from repro.core.runner import run_ptp_benchmark, run_ptp_trial
 from repro.machine import BindPolicy, bind_threads
-from repro.mpi import Cluster
 
 #: (config kwargs, expected sha256 of the canonical event stream).
 GOLDEN = [
@@ -112,45 +110,3 @@ def test_golden_digests_via_worker_pool():
     assert [decode_result(configs[i], got[i]).event_digest
             for i in range(len(GOLDEN))] == \
         [expected for _, expected in GOLDEN]
-
-
-class _CountingMonitor(ResourceMonitor):
-    """A resource monitor that also counts lock grants."""
-
-    def __init__(self):
-        super().__init__()
-        self.grants = 0
-
-    def on_resource_request(self, resource, event, granted):
-        self.grants += granted
-        super().on_resource_request(resource, event, granted)
-
-    def on_resource_release(self, resource, handed):
-        self.grants += handed is not None
-        super().on_resource_release(resource, handed)
-
-
-class _CheckedCluster(Cluster):
-    """A cluster with the dynamic checker and a counting monitor on."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        checker = enable_checking(self)
-        checker.monitor = self.sim.monitor = _CountingMonitor()
-
-
-@pytest.mark.parametrize("name", ["ppt2", "scatter"])
-def test_fast_paths_step_aside_under_the_checker(name, monkeypatch):
-    """With a monitor installed every lock grant goes through the
-    resource, the stream is the unchecked one, and a clean trial stays
-    clean."""
-    config = PtpBenchmarkConfig(**WIDE[name][0])
-    monkeypatch.setattr(runner, "Cluster", _CheckedCluster)
-    result, cluster = run_ptp_trial(config)
-    monitor = cluster.sim.monitor
-    acquisitions = sum(p.lock.stats.acquisitions for p in cluster.procs)
-    assert acquisitions > 0
-    assert monitor.grants == acquisitions
-    assert result.event_digest == WIDE[name][1]
-    cluster.checker.finalize()
-    assert cluster.checker.findings == []
