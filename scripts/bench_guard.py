@@ -479,7 +479,7 @@ def obs_emission_disabled():
     bus = EventBus()
     emit = bus.emit
     for _ in range(100_000):
-        emit(PART_PREADY, 1.0, 0, 0, 0, None)
+        emit(PART_PREADY, 1.0, 0, 0, 0)
     return bus.subscribed(PART_PREADY)
 
 
@@ -490,7 +490,7 @@ def obs_emission_counted():
     counters = bus.attach(CounterSink(), ("part.pready",))
     emit = bus.emit
     for _ in range(10_000):
-        emit(PART_PREADY, 1.0, 0, 0, 0, None)
+        emit(PART_PREADY, 1.0, 0, 0, 0)
     return counters.total
 
 

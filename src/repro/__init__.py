@@ -28,7 +28,7 @@ Package map
     Niagara-calibrated node and EDR-InfiniBand path models.
 ``repro.mpi`` / ``repro.partitioned``
     The simulated MPI runtime and the MPI 4.0 partitioned API
-    (MPIPCL-layered and idealized-native implementations).
+    (layered over point-to-point, as MPIPCL is).
 ``repro.threadsim`` / ``repro.noise``
     OpenMP-style thread teams and the paper's §3.3 noise models.
 ``repro.metrics`` / ``repro.core``

@@ -36,7 +36,7 @@ from ..core.runner import PtpResult
 from ..machine import bind_threads, scaled_compute_time
 from ..metrics import PartitionTimeline
 from ..mpi.constants import ThreadingMode
-from ..partitioned.requests import IMPL_NATIVE, partition_sizes
+from ..partitioned.requests import partition_sizes
 from ..threadsim.openmp import DEFAULT_OPENMP_COSTS
 
 __all__ = ["ANALYTIC_RTOL", "analytic_supported", "evaluate_timeline",
@@ -44,7 +44,7 @@ __all__ = ["ANALYTIC_RTOL", "analytic_supported", "evaluate_timeline",
 
 #: Documented relative tolerance of the analytic model vs the DES.
 #: Measured worst-case disagreement over the paper grid (plus boundary,
-#: native, cold-cache, spillover, and oversubscription cells) is ~1e-10 —
+#: cold-cache, spillover, and oversubscription cells) is ~1e-10 —
 #: pure float round-off from composing the same costs in a different
 #: order.  The property tests gate at this bound with margin.
 ANALYTIC_RTOL = 1e-6
@@ -67,7 +67,6 @@ def _footprint_ok(config: PtpBenchmarkConfig) -> bool:
     params = config.inter_node
     llc = config.spec.llc_bytes - _LLC_MARGIN
     sizes = partition_sizes(config.message_bytes, config.partitions)
-    mpipcl = config.impl != IMPL_NATIVE
     msg_eager = params.is_eager(config.message_bytes)
 
     sender_timed: List[int] = []
@@ -75,7 +74,7 @@ def _footprint_ok(config: PtpBenchmarkConfig) -> bool:
     recv_timed: List[int] = []
     recv_all: List[int] = []
     for nb in sizes:
-        if mpipcl and params.is_eager(nb):
+        if params.is_eager(nb):
             sender_timed.append(nb)
             sender_all.append(nb)
             recv_timed.append(nb)
@@ -144,7 +143,6 @@ def evaluate_timeline(config: PtpBenchmarkConfig) -> PartitionTimeline:
     binding = bind_threads(nthreads, spec, config.bind_policy)
     sizes = partition_sizes(m, n)
     latency = params.path_latency(1)
-    native = config.impl == IMPL_NATIVE
     hot = config.cache != COLD
     copy_bw = spec.cache_bandwidth if hot else spec.memory_bandwidth
 
@@ -191,9 +189,7 @@ def evaluate_timeline(config: PtpBenchmarkConfig) -> PartitionTimeline:
     def emit_pready(tid: int, p: int, t: float) -> None:
         # MPI_Pready stamps its event at call time, before any cost.
         pready[p] = t
-        if native:
-            push(t, "native", (tid, p))
-        elif params.is_eager(sizes[p]):
+        if params.is_eager(sizes[p]):
             # Eager bounce-buffer copy runs outside the library lock.
             push(t + access(sizes[p]), "lock", (tid, p))
         else:
@@ -220,12 +216,6 @@ def evaluate_timeline(config: PtpBenchmarkConfig) -> PartitionTimeline:
             else:
                 push(comp, "snic", ("prts", p, False))
             chain_next(tid, p, comp)
-        elif kind == "native":
-            tid, p = payload
-            comp = t + costs.native_pready_cost + numa_pen(
-                binding.core_of(tid))
-            push(comp, "snic", ("pdata", p, False))
-            chain_next(tid, p, comp)
         elif kind == "snic":
             what, p, copied = payload
             wire = control if what == "prts" else params.wire_time(sizes[p])
@@ -236,7 +226,7 @@ def evaluate_timeline(config: PtpBenchmarkConfig) -> PartitionTimeline:
             what, p, copied = payload
             if what == "pdata":
                 cost = params.recv_overhead
-                if copied:   # eager MPIPCL partitions copy out of the
+                if copied:   # eager partitions copy out of the
                     cost += access(sizes[p])   # bounce buffer
                 comp = max(free["rprog"], t) + cost
                 free["rprog"] = comp

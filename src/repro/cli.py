@@ -115,7 +115,6 @@ def _benchmark_config(args, **cell) -> PtpBenchmarkConfig:
         compute_seconds=args.compute_ms / 1e3,
         noise=noise_model_from_name(args.noise, args.noise_percent),
         cache=args.cache,
-        impl=args.impl,
         iterations=args.iterations,
         seed=args.seed,
     )
@@ -272,18 +271,10 @@ def _cmd_trace(args) -> int:
 def _cmd_report(args) -> int:
     from .core import run_ptp_trial
     from .mpi.diagnostics import cluster_report, collect_diagnostics
-    from .obs import CounterSink, MemorySink, write_chrome_trace
-    patterns = _resolve_kinds(args.kinds)
+    from .obs import CounterSink
     counters = CounterSink()
-    sinks = [(counters, patterns)]
-    mem = None
-    if args.format == "chrome":
-        mem = MemorySink()
-        sinks.append((mem, patterns))
+    sinks = [(counters, _resolve_kinds(args.kinds))]
     result, cluster = run_ptp_trial(_benchmark_config(args), sinks=sinks)
-    if args.format == "chrome":
-        write_chrome_trace(mem, sys.stdout)
-        return 0
     if args.format == "json":
         diags = collect_diagnostics(cluster, counters=counters)
         print(json.dumps({
@@ -326,8 +317,6 @@ def _add_config_args(parser: argparse.ArgumentParser,
     (all but the one-cell size and partition count)."""
     _add_compute_args(parser, noise="none")
     parser.add_argument("--cache", default="hot", choices=["hot", "cold"])
-    parser.add_argument("--impl", default="mpipcl",
-                        choices=["mpipcl", "native"])
     parser.add_argument("--iterations", type=int, default=iterations)
     parser.add_argument("--seed", type=int, default=0)
 
@@ -467,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="per-rank diagnostics + event counters for one run")
     _add_measurement_args(rp, iterations=3)
     rp.add_argument("--format", default="text",
-                    choices=["text", "json", "chrome"])
+                    choices=["text", "json"])
     rp.add_argument("--kinds", default="*", metavar="PATTERNS",
                     help="comma-separated event-kind patterns to count "
                          "(exit 2 on unknown kinds)")

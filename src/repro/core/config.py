@@ -2,8 +2,7 @@
 
 One :class:`PtpBenchmarkConfig` describes a single cell of the paper's
 parameter space: message size × partition count × compute amount × noise
-model × cache mode × implementation, plus substrate overrides for the
-ablation benches.
+model × cache mode, plus substrate overrides for the ablation benches.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from ..machine import BindPolicy, MachineSpec, NIAGARA_NODE
 from ..mpi import DEFAULT_COSTS, MPICosts, ThreadingMode
 from ..network import INTRA_NODE, NIAGARA_EDR, NetworkParams
 from ..noise import NoNoise, NoiseModel
-from ..partitioned import IMPL_MPIPCL, IMPL_NATIVE
 
 __all__ = ["PtpBenchmarkConfig", "HOT", "COLD",
            "PAPER_MESSAGE_SIZES", "PAPER_PARTITION_COUNTS"]
@@ -62,9 +60,6 @@ class PtpBenchmarkConfig:
     cache:
         ``"hot"`` (buffers stay resident) or ``"cold"`` (invalidate every
         iteration, §3.4).
-    impl:
-        Partitioned implementation: ``"mpipcl"`` (paper) or ``"native"``
-        (idealized extension).
     iterations / warmup:
         Measured and discarded iteration counts.
     seed:
@@ -83,7 +78,6 @@ class PtpBenchmarkConfig:
     compute_seconds: float = 0.010
     noise: NoiseModel = field(default_factory=NoNoise)
     cache: str = HOT
-    impl: str = IMPL_MPIPCL
     iterations: int = 5
     warmup: int = 1
     seed: int = 0
@@ -113,8 +107,6 @@ class PtpBenchmarkConfig:
         if self.cache not in (HOT, COLD):
             raise ConfigurationError(
                 f"cache must be '{HOT}' or '{COLD}': {self.cache!r}")
-        if self.impl not in (IMPL_MPIPCL, IMPL_NATIVE):
-            raise ConfigurationError(f"unknown impl {self.impl!r}")
         if self.iterations < 1:
             raise ConfigurationError(
                 f"iterations must be >= 1: {self.iterations}")
@@ -150,11 +142,6 @@ class PtpBenchmarkConfig:
         return self.partitions // self.partitions_per_thread
 
     @property
-    def partition_bytes(self) -> int:
-        """Nominal bytes per partition (exact sizes may differ by 1 B)."""
-        return self.message_bytes // self.partitions
-
-    @property
     def total_iterations(self) -> int:
         """Warmup plus measured iterations."""
         return self.warmup + self.iterations
@@ -180,5 +167,4 @@ class PtpBenchmarkConfig:
         """Compact description used in reports."""
         return (f"m={self.message_bytes}B n={self.partitions} "
                 f"comp={self.compute_seconds * 1e3:g}ms "
-                f"noise={self.noise.describe()} cache={self.cache} "
-                f"impl={self.impl}")
+                f"noise={self.noise.describe()} cache={self.cache}")

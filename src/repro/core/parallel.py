@@ -66,7 +66,9 @@ CACHE_SCHEMA_VERSION = 5
 #: layout-only (the same timelines, digests, and provenance, packed
 #: differently), so fingerprints stayed at 4 then.
 #: 5: the config lost its ``faults`` field; no result changed.
-FINGERPRINT_VERSION = 5
+#: 6: the config lost ``impl`` and ``costs.native_pready_cost``; no
+#: result changed.
+FINGERPRINT_VERSION = 6
 
 #: Cache entry envelope: magic, schema, label length; the config label
 #: (debuggability only) and the wire frame follow.
@@ -119,7 +121,7 @@ def config_fingerprint(config: PtpBenchmarkConfig) -> str:
     """Stable SHA-256 hex digest of a fully resolved benchmark config.
 
     Two configs share a fingerprint iff every field — sizes, counts, noise
-    model and its parameters, cache mode, impl, iteration counts, seed, and
+    model and its parameters, cache mode, iteration counts, seed, and
     the whole machine/network/cost substrate — is equal.  The digest is
     stable across processes and Python versions (no use of ``hash()``).
 
@@ -310,17 +312,29 @@ class ResultCache:
 
     # -- maintenance ------------------------------------------------------
 
+    def _layout_files(self):
+        """``(path, is_entry)`` for every file in the cache's own layout:
+        entries and writers' staging files (see :data:`_ENTRY_NAME`)."""
+        if not self.root.is_dir():
+            return
+        for shard in self.root.iterdir():
+            if not (_SHARD_NAME.fullmatch(shard.name) and shard.is_dir()):
+                continue
+            for path in shard.iterdir():
+                match = _ENTRY_NAME.fullmatch(path.name)
+                if (match and match.group(1)[:2] == shard.name
+                        and path.is_file()):
+                    yield path, match.group(2) is None
+
     def __len__(self) -> int:
-        """Number of (current-schema) entries on disk."""
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.bin"))
+        """Number of entries on disk, in the cache's own layout only."""
+        return sum(is_entry for _, is_entry in self._layout_files())
 
     def stats(self) -> Dict[str, int]:
         """Snapshot of the counters plus the on-disk entry count.
 
         The counters are snapshotted atomically under the lock; the
-        on-disk entry count — a glob over the whole shard tree — is
+        on-disk entry count — a walk over the whole shard tree — is
         taken *after* the lock is released.  Holding the lock across
         that filesystem walk would stall every concurrent ``put`` and
         memory-tier ``get`` behind disk latency, which a
@@ -357,18 +371,13 @@ class ResultCache:
         of carrying hit/miss history for entries that no longer exist.
         """
         removed = 0
+        for path, is_entry in list(self._layout_files()):
+            path.unlink()
+            removed += is_entry
         if self.root.is_dir():
             for shard in self.root.iterdir():
-                if not (_SHARD_NAME.fullmatch(shard.name)
-                        and shard.is_dir()):
-                    continue
-                for path in shard.iterdir():
-                    match = _ENTRY_NAME.fullmatch(path.name)
-                    if (match and match.group(1)[:2] == shard.name
-                            and path.is_file()):
-                        path.unlink()
-                        removed += match.group(2) is None
-                _remove_if_empty(shard)
+                if _SHARD_NAME.fullmatch(shard.name) and shard.is_dir():
+                    _remove_if_empty(shard)
             _remove_if_empty(self.root)
         with self._lock:
             self._memory.clear()

@@ -295,8 +295,7 @@ def _sender_program(ctx, config: PtpBenchmarkConfig):
     comm, main = ctx.comm, ctx.main
     m, n = config.message_bytes, config.partitions
     rng = ctx.rng("noise")
-    ps = yield from comm.psend_init(main, 1, _PART_TAG, m, n,
-                                    impl=config.impl)
+    ps = yield from comm.psend_init(main, 1, _PART_TAG, m, n)
     nthreads = config.threads
     ppt = config.partitions_per_thread
     for it in range(config.total_iterations):
@@ -343,8 +342,7 @@ def _sender_program(ctx, config: PtpBenchmarkConfig):
 def _receiver_program(ctx, config: PtpBenchmarkConfig):
     comm, main = ctx.comm, ctx.main
     m, n = config.message_bytes, config.partitions
-    pr = yield from comm.precv_init(main, 0, _PART_TAG, m, n,
-                                    impl=config.impl)
+    pr = yield from comm.precv_init(main, 0, _PART_TAG, m, n)
     for it in range(config.total_iterations):
         yield from comm.barrier(main)
         if config.cache == COLD:

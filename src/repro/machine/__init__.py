@@ -5,14 +5,14 @@ This package is the simulated stand-in for the paper's Niagara nodes
 questions the timing model asks:
 
 * where does thread ``i`` run? (:func:`bind_threads`)
-* how long does its compute take there? (:class:`ComputeModel`)
+* how long does its compute take there? (:func:`scaled_compute_time`)
 * what does touching a buffer cost, hot vs cold? (:class:`CacheModel`)
 * what penalty applies for injecting from the far socket? (:class:`NUMAModel`)
 """
 
 from .binding import BindPolicy, ThreadBinding, bind_threads
 from .cache import CacheModel, CacheStats
-from .cpu import ComputeModel, scaled_compute_time
+from .cpu import scaled_compute_time
 from .memory import NUMAModel
 from .topology import NIAGARA_NODE, MachineSpec, validate_spec
 
@@ -22,7 +22,6 @@ __all__ = [
     "bind_threads",
     "CacheModel",
     "CacheStats",
-    "ComputeModel",
     "scaled_compute_time",
     "NUMAModel",
     "NIAGARA_NODE",

@@ -13,13 +13,10 @@ accounting for:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ConfigurationError
-from .binding import ThreadBinding
 from .topology import MachineSpec
 
-__all__ = ["ComputeModel", "scaled_compute_time"]
+__all__ = ["scaled_compute_time"]
 
 #: Scheduler quantum used to count context switches while oversubscribed.
 _QUANTUM = 0.004  # 4 ms, a typical CFS slice under load
@@ -44,21 +41,3 @@ def scaled_compute_time(compute_seconds: float, share: int,
     switches = int(wall / _QUANTUM)
     return wall + switches * spec.context_switch
 
-
-@dataclass
-class ComputeModel:
-    """Per-team compute scaling bound to a concrete thread binding."""
-
-    binding: ThreadBinding
-
-    def wall_time(self, thread: int, compute_seconds: float) -> float:
-        """Wall-clock seconds thread ``thread`` needs for the nominal work."""
-        share = self.binding.oversubscription_factor(thread)
-        return scaled_compute_time(compute_seconds, share, self.binding.spec)
-
-    def slowest_wall_time(self, compute_seconds: float) -> float:
-        """Wall time of the most-loaded thread (the fork-join critical path)."""
-        if self.binding.nthreads == 0:
-            return 0.0
-        return max(self.wall_time(t, compute_seconds)
-                   for t in range(self.binding.nthreads))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from operator import lt
-from typing import List, Sequence
+from typing import Sequence
 
 from ..errors import ConfigurationError
 
@@ -137,8 +137,3 @@ class PartitionTimeline:
         """
         return max(0.0, min(self.last_arrival, self.join_time)
                    - self.first_pready)
-
-    def transfer_durations(self) -> List[float]:
-        """Per-partition pready→arrival durations (diagnostics)."""
-        return [a - p for p, a in zip(self.pready_times,
-                                      self.arrival_times)]

@@ -12,8 +12,7 @@ from .cluster import Cluster, RankContext
 from .comm import Communicator
 from .diagnostics import (RankDiagnostics, cluster_report,
                           collect_diagnostics)
-from .constants import (ANY_SOURCE, ANY_TAG, DEFAULT_COSTS, MPICosts,
-                        ThreadingMode)
+from .constants import DEFAULT_COSTS, MPICosts, ThreadingMode
 from .matching import Envelope, MatchingEngine
 from .process import MPIProcess
 from .request import RecvRequest, Request, SendRequest, waitall
@@ -26,8 +25,6 @@ __all__ = [
     "RankDiagnostics",
     "cluster_report",
     "collect_diagnostics",
-    "ANY_SOURCE",
-    "ANY_TAG",
     "DEFAULT_COSTS",
     "MPICosts",
     "ThreadingMode",

@@ -118,10 +118,6 @@ class RankContext:
         cost = self.proc.cache.invalidate()
         yield self.sim.sleep(cost)
 
-    def elapse(self, seconds: float):
-        """Generator: idle this rank's main thread for ``seconds``."""
-        yield self.sim.sleep(seconds)
-
 
 def _weak_route(cluster: "Cluster") -> Callable[[int, Frame], None]:
     """``cluster._route`` through a weak reference.

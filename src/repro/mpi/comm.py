@@ -27,10 +27,8 @@ import weakref
 from typing import Any, Optional
 
 from ..errors import MPIError
-from ..partitioned import (IMPL_MPIPCL, PartitionedRecvRequest,
-                           PartitionedSendRequest)
+from ..partitioned import PartitionedRecvRequest, PartitionedSendRequest
 from . import collectives as _coll
-from .constants import ANY_SOURCE, ANY_TAG
 from .process import MPIProcess
 from .request import waitall
 from .status import Status
@@ -78,9 +76,7 @@ class Communicator:
         """The simulation kernel."""
         return self.proc.sim
 
-    def _check_peer(self, peer: int, wildcard_ok: bool = False) -> None:
-        if wildcard_ok and peer == ANY_SOURCE:
-            return
+    def _check_peer(self, peer: int) -> None:
         if not (0 <= peer < self.size):
             raise MPIError(f"peer rank {peer} out of range [0, {self.size})")
 
@@ -96,9 +92,9 @@ class Communicator:
 
     def irecv(self, tc, source: int, tag: int, nbytes: int,
               bufkey: Optional[str] = None):
-        """Generator: nonblocking receive (wildcards allowed); returns a
-        request."""
-        self._check_peer(source, wildcard_ok=True)
+        """Generator: nonblocking receive by exact source and tag; returns
+        a request."""
+        self._check_peer(source)
         return self.proc.irecv(tc, self.comm_id, source, tag, nbytes, bufkey)
 
     def send(self, tc, dest: int, tag: int, nbytes: int,
@@ -136,19 +132,17 @@ class Communicator:
     # partitioned point-to-point (MPI 4.0)
     # ------------------------------------------------------------------
     def psend_init(self, tc, dest: int, tag: int, nbytes: int,
-                   partitions: int, impl: str = IMPL_MPIPCL,
+                   partitions: int,
                    bufkey: Optional[str] = None) -> PartitionedSendRequest:
         """Generator: ``MPI_Psend_init``.
 
         Must be called from serial code (single thread per the standard);
         matching with the peer's ``precv_init`` happens here, through the
-        cluster registry, in posting order — no wildcards.
+        cluster registry, in posting order.
         """
         self._check_peer(dest)
-        if tag in (ANY_TAG,):
-            raise MPIError("partitioned communication forbids wildcards")
         req = PartitionedSendRequest(self.proc, self.comm_id, dest, tag,
-                                     nbytes, partitions, impl, bufkey)
+                                     nbytes, partitions, bufkey)
         cost = (self.proc.costs.partitioned_setup
                 + partitions * self.proc.costs.post_cost)
         yield from self.proc._mpi_entry(tc, cost)
@@ -156,14 +150,12 @@ class Communicator:
         return req
 
     def precv_init(self, tc, source: int, tag: int, nbytes: int,
-                   partitions: int, impl: str = IMPL_MPIPCL,
+                   partitions: int,
                    bufkey: Optional[str] = None) -> PartitionedRecvRequest:
         """Generator: ``MPI_Precv_init`` (see :meth:`psend_init`)."""
         self._check_peer(source)
-        if tag in (ANY_TAG,):
-            raise MPIError("partitioned communication forbids wildcards")
         req = PartitionedRecvRequest(self.proc, self.comm_id, source, tag,
-                                     nbytes, partitions, impl, bufkey)
+                                     nbytes, partitions, bufkey)
         cost = (self.proc.costs.partitioned_setup
                 + partitions * self.proc.costs.post_cost)
         yield from self.proc._mpi_entry(tc, cost)

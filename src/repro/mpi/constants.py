@@ -7,13 +7,7 @@ from dataclasses import dataclass, replace
 
 from ..errors import ConfigurationError
 
-__all__ = ["ANY_SOURCE", "ANY_TAG", "ThreadingMode", "MPICosts",
-           "DEFAULT_COSTS", "validate_costs"]
-
-#: Wildcard source for point-to-point receives (not allowed for partitioned).
-ANY_SOURCE = -1
-#: Wildcard tag for point-to-point receives (not allowed for partitioned).
-ANY_TAG = -1
+__all__ = ["ThreadingMode", "MPICosts", "DEFAULT_COSTS", "validate_costs"]
 
 
 class ThreadingMode(enum.Enum):
@@ -69,9 +63,6 @@ class MPICosts:
     start_cost_per_partition:
         Per-partition component of ``MPI_Start`` (MPIPCL re-posts one
         internal receive per partition).
-    native_pready_cost:
-        CPU cost of ``MPI_Pready`` in the idealized *native* implementation:
-        a lock-free flag set plus a hardware doorbell.
     progress_contention:
         Progress-engine slowdown per thread spin-waiting inside an MPI call
         under ``MULTIPLE``: frame handling costs are multiplied by
@@ -90,7 +81,6 @@ class MPICosts:
     partitioned_setup: float = 2.0e-6
     start_cost: float = 0.10e-6
     start_cost_per_partition: float = 0.05e-6
-    native_pready_cost: float = 0.08e-6
     progress_contention: float = 4.0
 
     def with_overrides(self, **kwargs) -> "MPICosts":

@@ -1,12 +1,13 @@
 """Tag matching: posted-receive and unexpected-message queues.
 
 MPI requires that messages between a (source, destination) pair on one
-communicator match receives in posting order, with ``ANY_SOURCE`` /
-``ANY_TAG`` wildcards.  Most implementations keep two linear lists — the
-*posted receive queue* and the *unexpected message queue* — and the cost of
-walking them under multi-threading is one of the documented pain points
-partitioned communication sidesteps (matching happens once at init; see the
-paper's §2.1 and Dosanjh et al.'s tail-queues work).
+communicator match receives in posting order.  Every program here receives
+by exact source and tag, so a match compares ``(source, tag, comm_id)`` for
+equality.  Most implementations keep two linear lists — the *posted receive
+queue* and the *unexpected message queue* — and the cost of walking them
+under multi-threading is one of the documented pain points partitioned
+communication sidesteps (matching happens once at init; see the paper's
+§2.1 and Dosanjh et al.'s tail-queues work).
 
 The engine therefore reports *how many elements were scanned* for every
 match attempt so the runtime can charge ``match_cost`` per element.
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
-
-from .constants import ANY_SOURCE, ANY_TAG
 
 __all__ = ["Envelope", "PostedRecv", "UnexpectedMessage", "MatchingEngine",
            "MatchingStats"]
@@ -30,18 +29,6 @@ class Envelope:
     source: int
     tag: int
     comm_id: int
-
-    def matches_pattern(self, want_source: int, want_tag: int,
-                        want_comm: int) -> bool:
-        """True when this concrete envelope satisfies a (possibly wildcard)
-        receive pattern."""
-        if self.comm_id != want_comm:
-            return False
-        if want_source != ANY_SOURCE and self.source != want_source:
-            return False
-        if want_tag != ANY_TAG and self.tag != want_tag:
-            return False
-        return True
 
 
 @dataclass(slots=True)
@@ -85,17 +72,6 @@ class MatchingEngine:
         self._seq = 0
         self.stats = MatchingStats()
 
-    # -- introspection ----------------------------------------------------
-    @property
-    def posted_depth(self) -> int:
-        """Current length of the posted-receive queue."""
-        return len(self._posted)
-
-    @property
-    def unexpected_depth(self) -> int:
-        """Current length of the unexpected-message queue."""
-        return len(self._unexpected)
-
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
@@ -112,7 +88,9 @@ class MatchingEngine:
         scanned = 0
         for i, entry in enumerate(self._unexpected):
             scanned += 1
-            if entry.envelope.matches_pattern(source, tag, comm_id):
+            env = entry.envelope
+            if (env.source == source and env.tag == tag
+                    and env.comm_id == comm_id):
                 self._unexpected.pop(i)
                 self.stats.unexpected_matches += 1
                 self.stats.elements_scanned += scanned
@@ -136,11 +114,12 @@ class MatchingEngine:
         Returns ``(entry_or_None, elements_scanned)``; on a hit the entry is
         removed.  FIFO over posting order.
         """
+        source, tag, comm_id = envelope.source, envelope.tag, envelope.comm_id
         scanned = 0
         for i, entry in enumerate(self._posted):
             scanned += 1
-            if envelope.matches_pattern(entry.source, entry.tag,
-                                        entry.comm_id):
+            if (entry.source == source and entry.tag == tag
+                    and entry.comm_id == comm_id):
                 self._posted.pop(i)
                 self.stats.posted_matches += 1
                 self.stats.elements_scanned += scanned

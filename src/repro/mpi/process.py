@@ -262,7 +262,6 @@ class MPIProcess:
         """Nonblocking receive; returns a :class:`RecvRequest`."""
         req = RecvRequest(self.sim, source, tag, nbytes)
         req.bufkey = bufkey or f"r{self.rank}.c{comm_id}.t{tag}.recv"
-        req._comm_id = comm_id
         yield from self._mpi_entry(
             tc, self.costs.call_overhead + self.costs.post_cost)
         entry, scanned = self.matching.find_unexpected(source, tag, comm_id)
@@ -282,11 +281,9 @@ class MPIProcess:
             cost += params.recv_overhead
             cost += self.cache.access_time(req.bufkey, frame.nbytes)
             yield self.sim.sleep(cost)
-            self._complete_recv(req, frame.envelope, frame.nbytes,
-                                frame.payload)
+            self._complete_recv(req, frame.nbytes, frame.payload)
         else:  # RTS waiting in the unexpected queue
             self._check_truncation(req, frame)
-            req._pending_envelope = frame.envelope
             yield self.sim.sleep(cost + self.costs.post_cost)
             cts = Frame(FrameKind.CTS, self.rank, frame.src_rank,
                         nbytes=frame.nbytes, sreq=frame.sreq, rreq=req)
@@ -342,10 +339,8 @@ class MPIProcess:
             delay = self._progress_delay(cost)
             if delay is not None:
                 yield delay
-            self._complete_recv(req, frame.envelope, frame.nbytes,
-                                frame.payload)
+            self._complete_recv(req, frame.nbytes, frame.payload)
         else:  # RTS matched a posted receive: grant the send
-            req._pending_envelope = frame.envelope
             delay = self._progress_delay(cost + self.costs.post_cost)
             if delay is not None:
                 yield delay
@@ -376,12 +371,7 @@ class MPIProcess:
         if delay is not None:
             yield delay
         self.cache.touch(req.bufkey, frame.nbytes)
-        env = getattr(req, "_pending_envelope", None)
-        source = env.source if env else frame.src_rank
-        tag = env.tag if env else req.tag
-        self._complete_recv(
-            req, Envelope(source, tag, getattr(req, "_comm_id", 0)),
-            frame.nbytes, frame.payload)
+        self._complete_recv(req, frame.nbytes, frame.payload)
 
     def _handle_pdata(self, frame: Frame):
         """A partition landed: no matching — direct hand-off to the bound
@@ -389,9 +379,9 @@ class MPIProcess:
         params = self.fabric.params_between(frame.src_rank, self.rank)
         preq = frame.preq
         cost = params.recv_overhead
-        if preq.impl == "mpipcl" and params.is_eager(frame.nbytes):
+        if params.is_eager(frame.nbytes):
             # Eager internal messages are copied out of the bounce buffer;
-            # rendezvous/native partitions land zero-copy.
+            # rendezvous partitions land zero-copy.
             cost += self.cache.access_time(
                 f"{preq.bufkey}.p{frame.partition}", frame.nbytes)
         else:
@@ -428,12 +418,14 @@ class MPIProcess:
         self.obs.emit(SEND_COMPLETE, self.sim.now, self.rank, req.dest,
                       req.tag, req.nbytes)
 
-    def _complete_recv(self, req: RecvRequest, envelope: Envelope,
-                       nbytes: int, payload: Any) -> None:
-        req._finish(self.sim.now, source=envelope.source, tag=envelope.tag,
+    def _complete_recv(self, req: RecvRequest, nbytes: int,
+                       payload: Any) -> None:
+        # Matching is exact, so the request's own source and tag are the
+        # matched envelope's.
+        req._finish(self.sim.now, source=req.source, tag=req.tag,
                     nbytes=nbytes, payload=payload)
         self.obs.emit(RECV_COMPLETE, self.sim.now, self.rank,
-                      envelope.source, envelope.tag, nbytes)
+                      req.source, req.tag, nbytes)
 
     @staticmethod
     def _check_truncation(req: RecvRequest, frame: Frame) -> None:

@@ -59,8 +59,3 @@ class Frame:
     preq: Any = None
     partition: int = -1
     epoch: int = -1
-
-    def control_size(self) -> int:
-        """Bytes this frame occupies on the wire when it is pure control."""
-        return 0 if self.kind in (FrameKind.EAGER, FrameKind.RDATA,
-                                  FrameKind.PDATA) else 1

@@ -15,7 +15,7 @@ class Status:
     Attributes
     ----------
     source / tag:
-        The actual envelope values (resolves wildcards).
+        The matched envelope's values.
     nbytes:
         Size of the received message (``MPI_Get_count`` analogue).
     payload:

@@ -105,14 +105,6 @@ class NetworkParams:
         """Protocol regime of an ``nbytes`` message: eager or rendezvous."""
         return "eager" if self.is_eager(nbytes) else "rendezvous"
 
-    def control_frame_time(self) -> float:
-        """NIC service time of a zero-payload control frame (RTS/CTS/PRTS).
-
-        Control frames carry no payload but still occupy the injection
-        port for one gap plus the minimum-frame serialization time.
-        """
-        return self.injection_gap + self.wire_time(0)
-
     def with_overrides(self, **kwargs) -> "NetworkParams":
         """Copy with fields replaced — used by protocol/lock ablations.
 

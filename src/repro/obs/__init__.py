@@ -11,7 +11,7 @@ MPI benchmarks.  The pieces:
 * :mod:`~repro.obs.bus` — :class:`EventBus` with per-kind dispatch; an
   emit with no subscriber costs one list index plus a falsy test.
 * :mod:`~repro.obs.sinks` — :class:`MemorySink` (capture + queries),
-  :class:`CounterSink` (per-rank counts and byte histograms for the
+  :class:`CounterSink` (per-rank event counts for the
   diagnostics report), :class:`DigestSink` (SHA-256 stream identity).
 * :mod:`~repro.obs.timeline` — the streaming :class:`TimelineBuilder`
   producing :class:`~repro.metrics.timeline.PartitionTimeline` objects.

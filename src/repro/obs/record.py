@@ -45,7 +45,8 @@ class EventRecord:
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{f}={v!r}"
-                          for f, v in zip(self.kind.fields, self.values))
+                          for f, v in zip(self.kind.fields, self.values,
+                                          strict=True))
         return f"<{self.kind.name} t={self.time:g} {pairs}>"
 
     def __eq__(self, other) -> bool:
@@ -60,7 +61,7 @@ class EventRecord:
     @property
     def data(self) -> Dict[str, Any]:
         """Field-name → value mapping for every declared field."""
-        return dict(zip(self.kind.fields, self.values))
+        return dict(zip(self.kind.fields, self.values, strict=True))
 
     def get(self, field: str, default: Any = None) -> Any:
         """The value of one named field (``default`` if not declared)."""

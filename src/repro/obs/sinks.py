@@ -1,4 +1,4 @@
-"""Built-in sinks: memory capture, counters/histograms, stream digests.
+"""Built-in sinks: memory capture, counters, stream digests.
 
 A sink is anything with ``accept(record)`` (called once per subscribed
 event, in emission order) and ``finalize()`` (called when the stream
@@ -92,39 +92,27 @@ class MemorySink(Sink):
 _MISSING = object()
 
 
-def _bucket(nbytes: int) -> int:
-    """Power-of-two histogram bucket index for a byte count."""
-    return max(0, int(nbytes).bit_length() - 1)
-
-
 class CounterSink(Sink):
-    """Aggregates per-``(kind, rank)`` event counts and byte histograms.
+    """Aggregates per-``(kind, rank)`` event counts.
 
     Feeds the diagnostics report: any record carrying a ``rank`` field is
-    counted under that rank (rank -1 otherwise), and records with an
-    ``nbytes`` field additionally land in a power-of-two size histogram.
+    counted under that rank (rank -1 otherwise).
     """
 
-    __slots__ = ("counts", "histograms", "total")
+    __slots__ = ("counts", "total")
 
     def __init__(self) -> None:
         self.counts: Dict[Tuple[str, int], int] = {}
-        self.histograms: Dict[str, Dict[int, int]] = {}
         self.total = 0
 
     def accept(self, record: EventRecord) -> None:
-        """Count the record and histogram its ``nbytes`` if present."""
+        """Count the record."""
         rank = record.get("rank", -1)
         if not isinstance(rank, int):
             rank = -1
         key = (record.kind.name, rank)
         self.counts[key] = self.counts.get(key, 0) + 1
         self.total += 1
-        nbytes = record.get("nbytes")
-        if isinstance(nbytes, int) and nbytes > 0:
-            hist = self.histograms.setdefault(record.kind.name, {})
-            bucket = _bucket(nbytes)
-            hist[bucket] = hist.get(bucket, 0) + 1
 
     def count(self, kind: str, rank: Optional[int] = None) -> int:
         """Total events of ``kind`` (for one rank, or all ranks)."""
@@ -140,12 +128,6 @@ class CounterSink(Sink):
     def rows(self) -> List[Tuple[str, int, int]]:
         """Sorted ``(kind, rank, count)`` rows for tabular reports."""
         return [(k, r, n) for (k, r), n in sorted(self.counts.items())]
-
-    def histogram_rows(self, kind: str) -> List[Tuple[str, int]]:
-        """Sorted ``(size-range, count)`` rows for one kind's histogram."""
-        hist = self.histograms.get(kind, {})
-        return [(f"[{1 << b}, {1 << (b + 1)})", n)
-                for b, n in sorted(hist.items())]
 
 
 #: Entry cap of a :class:`DigestSink`'s fragment cache.  A two-rank trial
@@ -194,7 +176,7 @@ def _serialize_block(triples, frags: Dict[Tuple[str, Any], str]) -> str:
         # ranks, byte counts, partition indices) leading; the isinstance
         # chain keeps subclasses such as numpy scalars rendering exactly
         # as plain repr()/hex() dispatch would.
-        for prefix, value in zip(kind._canon_prefixes, values):
+        for prefix, value in zip(kind._canon_prefixes, values, strict=True):
             cls = value.__class__
             if cls is int or cls is str:
                 key = (prefix, value)

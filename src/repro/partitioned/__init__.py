@@ -2,10 +2,8 @@
 
 Implements the partitioned API the paper benchmarks (``MPI_Psend_init``,
 ``MPI_Precv_init``, ``MPI_Start``, ``MPI_Pready``, ``MPI_Parrived``,
-``MPI_Wait``) over the simulated runtime, in two flavours:
-
-* :data:`IMPL_MPIPCL` — the layered implementation the paper evaluates;
-* :data:`IMPL_NATIVE` — an idealized native implementation (extension).
+``MPI_Wait``) over the simulated runtime, as MPIPCL, the layered
+implementation the paper evaluates, does.
 
 Access is normally through :class:`repro.mpi.comm.Communicator`
 (``comm.psend_init`` / ``comm.precv_init``); this package holds the request
@@ -13,16 +11,12 @@ state machines.
 """
 
 from .requests import (
-    IMPL_MPIPCL,
-    IMPL_NATIVE,
     PartitionedRecvRequest,
     PartitionedSendRequest,
     partition_sizes,
 )
 
 __all__ = [
-    "IMPL_MPIPCL",
-    "IMPL_NATIVE",
     "PartitionedRecvRequest",
     "PartitionedSendRequest",
     "partition_sizes",

@@ -7,15 +7,9 @@ The lifecycle mirrors the standard:
 ``parrived(i)`` → ``wait`` (complete the epoch) → ``start`` again (buffer
 reuse), exactly the flow of the paper's Figure 1.
 
-Two implementations share these state machines:
-
-* ``IMPL_MPIPCL`` — the layered library the paper evaluates: every
-  ``pready`` issues an internal point-to-point send (lock-protected under
-  ``MPI_THREAD_MULTIPLE``, eager or rendezvous by partition size).
-* ``IMPL_NATIVE`` — an idealized native implementation (our extension,
-  probing the paper's "what a well-optimized implementation could provide"
-  remarks): lock-free ``pready`` with a hardware-doorbell cost and
-  RDMA-write partitions that never need a rendezvous round trip.
+The implementation is MPIPCL, the layered library the paper evaluates:
+every ``pready`` issues an internal point-to-point send (lock-protected
+under ``MPI_THREAD_MULTIPLE``, eager or rendezvous by partition size).
 
 Partition counts must match between the two sides (an MPIPCL restriction
 the paper notes in §6.1); we verify it at bind time.
@@ -33,12 +27,8 @@ from ..obs.kinds import (PART_ARRIVED, PART_PARRIVED, PART_PREADY,
 from ..sim import Event
 from ..mpi.protocol import Frame, FrameKind
 
-__all__ = ["IMPL_MPIPCL", "IMPL_NATIVE", "PartitionedSendRequest",
-           "PartitionedRecvRequest", "partition_sizes"]
-
-IMPL_MPIPCL = "mpipcl"
-IMPL_NATIVE = "native"
-_IMPLS = (IMPL_MPIPCL, IMPL_NATIVE)
+__all__ = ["PartitionedSendRequest", "PartitionedRecvRequest",
+           "partition_sizes"]
 
 
 def partition_sizes(nbytes: int, partitions: int) -> List[int]:
@@ -67,11 +57,7 @@ class _PartitionedBase:
     side = ""
 
     def __init__(self, proc, comm_id: int, peer_rank: int, tag: int,
-                 nbytes: int, partitions: int, impl: str,
-                 bufkey: Optional[str]):
-        if impl not in _IMPLS:
-            raise PartitionError(f"unknown implementation {impl!r}; "
-                                 f"choose from {_IMPLS}")
+                 nbytes: int, partitions: int, bufkey: Optional[str]):
         self.proc = proc
         self.sim = proc.sim
         self.comm_id = comm_id
@@ -80,7 +66,6 @@ class _PartitionedBase:
         self.nbytes = nbytes
         self.partitions = partitions
         self.sizes = partition_sizes(nbytes, partitions)
-        self.impl = impl
         self.bufkey = bufkey or (f"r{proc.rank}.c{comm_id}.t{tag}."
                                  f"{type(self).__name__}")
         self.epoch = 0
@@ -112,9 +97,6 @@ class _PartitionedBase:
         if peer.nbytes != self.nbytes:
             raise PartitionError(
                 f"buffer size mismatch: {self.nbytes} vs {peer.nbytes}")
-        if peer.impl != self.impl:
-            raise PartitionError(
-                f"implementation mismatch: {self.impl} vs {peer.impl}")
         if self.side == "send":
             self.peer = peer
         self._bound_event.succeed()
@@ -176,10 +158,10 @@ class PartitionedSendRequest(_PartitionedBase):
     side = "send"
 
     def __init__(self, proc, comm_id: int, dest: int, tag: int,
-                 nbytes: int, partitions: int, impl: str = IMPL_MPIPCL,
+                 nbytes: int, partitions: int,
                  bufkey: Optional[str] = None):
         super().__init__(proc, comm_id, dest, tag, nbytes, partitions,
-                         impl, bufkey)
+                         bufkey)
         self._ready: List[bool] = []
         self._injected = 0
 
@@ -211,10 +193,9 @@ class PartitionedSendRequest(_PartitionedBase):
     def pready(self, tc, partition: int):
         """Generator: mark one partition ready for transfer (``MPI_Pready``).
 
-        The MPIPCL path is an internal isend: full call overhead plus the
-        library lock under ``MULTIPLE``.  The native path is a lock-free
-        flag-set plus doorbell.  Either way the calling thread pays the
-        buffer-read (hot/cold cache) cost for its partition.
+        An internal isend: full call overhead plus the library lock under
+        ``MULTIPLE``.  Eager partitions also pay the buffer-read (hot/cold
+        cache) cost of their bounce-buffer copy.
         """
         self.proc.obs.emit(PART_PREADY, self.sim.now, self.proc.rank,
                            partition, self.epoch)
@@ -228,26 +209,20 @@ class PartitionedSendRequest(_PartitionedBase):
         costs = self.proc.costs
         params = self.proc.fabric.params_between(self.proc.rank,
                                                  self.peer_rank)
-        if self.impl == IMPL_NATIVE:
-            # Lock-free flag set + doorbell; the NIC DMAs from user memory.
-            cost = costs.native_pready_cost
-            locked = False
-        else:
-            # MPIPCL: an internal MPI_Isend on a pre-matched request.
-            # Eager partitions pay the bounce-buffer copy *outside* the
-            # library lock (memcpy needs no lock), so concurrent threads
-            # overlap their copies — the cold-cache amortization the paper
-            # observes in §4.2.  Rendezvous partitions are zero-copy.
-            if params.is_eager(pbytes):
-                copy = self.proc.cache.access_time(
-                    f"{self.bufkey}.p{partition}", pbytes)
-                if copy > 0:
-                    yield self.sim.sleep(copy)
-            cost = (costs.pready_cost + costs.call_overhead
-                    + costs.post_cost + params.send_overhead)
-            locked = True
-        yield from self.proc._mpi_entry(tc, cost, locked=locked)
-        eager = self.impl == IMPL_NATIVE or params.is_eager(pbytes)
+        # An internal MPI_Isend on a pre-matched request.  Eager partitions
+        # pay the bounce-buffer copy *outside* the library lock (memcpy
+        # needs no lock), so concurrent threads overlap their copies — the
+        # cold-cache amortization the paper observes in §4.2.  Rendezvous
+        # partitions are zero-copy.
+        eager = params.is_eager(pbytes)
+        if eager:
+            copy = self.proc.cache.access_time(
+                f"{self.bufkey}.p{partition}", pbytes)
+            if copy > 0:
+                yield self.sim.sleep(copy)
+        yield from self.proc._mpi_entry(
+            tc, costs.pready_cost + costs.call_overhead + costs.post_cost
+            + params.send_overhead)
         if eager:
             frame = Frame(FrameKind.PDATA, self.proc.rank, self.peer_rank,
                           nbytes=pbytes, preq=self.peer,
@@ -303,10 +278,10 @@ class PartitionedRecvRequest(_PartitionedBase):
     side = "recv"
 
     def __init__(self, proc, comm_id: int, source: int, tag: int,
-                 nbytes: int, partitions: int, impl: str = IMPL_MPIPCL,
+                 nbytes: int, partitions: int,
                  bufkey: Optional[str] = None):
         super().__init__(proc, comm_id, source, tag, nbytes, partitions,
-                         impl, bufkey)
+                         bufkey)
         self._arrived_events: List[Event] = []
         self._arrived = 0
         #: Partitions that landed before our start() armed their epoch,

@@ -206,10 +206,9 @@ def _partitioned_program(ctx, config: PatternConfig, grid: Halo3DGrid,
         if nb is None:
             continue
         sends[f] = yield from comm.psend_init(
-            main, nb, _PTAG_BASE + f, m, parts, impl=config.impl)
+            main, nb, _PTAG_BASE + f, m, parts)
         recvs[f] = yield from comm.precv_init(
-            main, nb, _PTAG_BASE + opposite_face(f), m, parts,
-            impl=config.impl)
+            main, nb, _PTAG_BASE + opposite_face(f), m, parts)
     for it in range(config.total_iterations):
         yield from comm.barrier(main)
         if ctx.rank == 0:

@@ -27,7 +27,6 @@ from ..metrics import SampleSummary, summarize
 from ..mpi import DEFAULT_COSTS, MPICosts, ThreadingMode
 from ..network import INTRA_NODE, NIAGARA_EDR, NetworkParams
 from ..noise import NoiseModel, SingleThreadNoise
-from ..partitioned import IMPL_MPIPCL, IMPL_NATIVE
 
 __all__ = ["CommMode", "PatternConfig", "PatternRunResult"]
 
@@ -66,8 +65,6 @@ class PatternConfig:
         Motif steps (wavefront diagonals / halo iterations) per iteration.
     iterations / warmup:
         Measured and discarded repetitions of the whole motif.
-    impl:
-        Partitioned implementation for PARTITIONED mode.
     """
 
     mode: CommMode
@@ -79,7 +76,6 @@ class PatternConfig:
     iterations: int = 3
     warmup: int = 1
     seed: int = 0
-    impl: str = IMPL_MPIPCL
     threading_mode: ThreadingMode = ThreadingMode.MULTIPLE
     bind_policy: BindPolicy = BindPolicy.COMPACT
     spec: MachineSpec = NIAGARA_NODE
@@ -99,8 +95,6 @@ class PatternConfig:
         if self.steps < 1 or self.iterations < 1 or self.warmup < 0:
             raise ConfigurationError(
                 "steps/iterations must be >= 1, warmup >= 0")
-        if self.impl not in (IMPL_MPIPCL, IMPL_NATIVE):
-            raise ConfigurationError(f"unknown impl {self.impl!r}")
 
     @property
     def worker_threads(self) -> int:

@@ -189,20 +189,16 @@ def _partitioned_program(ctx, config: PatternConfig, grid: Sweep3DGrid,
     for phase in (0, 1):
         if nb["east"] is not None:
             sends[phase].append((yield from comm.psend_init(
-                main, nb["east"], _PTAG_EAST + 2 * phase, m, n,
-                impl=config.impl)))
+                main, nb["east"], _PTAG_EAST + 2 * phase, m, n)))
         if nb["south"] is not None:
             sends[phase].append((yield from comm.psend_init(
-                main, nb["south"], _PTAG_SOUTH + 2 * phase, m, n,
-                impl=config.impl)))
+                main, nb["south"], _PTAG_SOUTH + 2 * phase, m, n)))
         if nb["west"] is not None:
             recvs[phase].append((yield from comm.precv_init(
-                main, nb["west"], _PTAG_EAST + 2 * phase, m, n,
-                impl=config.impl)))
+                main, nb["west"], _PTAG_EAST + 2 * phase, m, n)))
         if nb["north"] is not None:
             recvs[phase].append((yield from comm.precv_init(
-                main, nb["north"], _PTAG_SOUTH + 2 * phase, m, n,
-                impl=config.impl)))
+                main, nb["north"], _PTAG_SOUTH + 2 * phase, m, n)))
     from ..sim import Event
     for it in range(config.total_iterations):
         yield from comm.barrier(main)

@@ -43,7 +43,7 @@ __all__ = ["PROTOCOL_VERSION", "ProtocolError", "QuotaError",
            "result_to_payload", "error_payload"]
 
 #: Bumped on any incompatible change to the request/response JSON shape.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Config fields a request may carry, with the type(s) each accepts.
 #: ``bool`` is deliberately excluded from the int fields (it is an int
@@ -51,7 +51,7 @@ PROTOCOL_VERSION = 2
 _INT_FIELDS = ("message_bytes", "partitions", "partitions_per_thread",
                "iterations", "warmup", "seed")
 _CONFIG_FIELDS = _INT_FIELDS + ("compute_seconds", "compute_ms", "noise",
-                                "noise_percent", "cache", "impl")
+                                "noise_percent", "cache")
 
 #: Top-level keys of a ``POST /trial`` and a ``POST /sweep`` body.
 _TRIAL_KEYS = ("config", "client", "priority", "format", "samples")
@@ -164,13 +164,12 @@ def config_from_payload(payload: Dict) -> PtpBenchmarkConfig:
     percent = payload.get("noise_percent")
     if percent is not None:
         percent = _number(percent, "config field 'noise_percent'")
-    for name in ("cache", "impl"):
-        if name in payload:
-            if not isinstance(payload[name], str):
-                raise ProtocolError(
-                    f"config field {name!r} must be a string, got "
-                    f"{payload[name]!r}")
-            kwargs[name] = payload[name]
+    if "cache" in payload:
+        if not isinstance(payload["cache"], str):
+            raise ProtocolError(
+                f"config field 'cache' must be a string, got "
+                f"{payload['cache']!r}")
+        kwargs["cache"] = payload["cache"]
     try:
         kwargs["noise"] = noise_model_from_name(noise_name, percent)
         return PtpBenchmarkConfig(**kwargs)
@@ -198,7 +197,6 @@ def payload_from_config(config: PtpBenchmarkConfig) -> Dict:
         "warmup": config.warmup,
         "seed": config.seed,
         "cache": config.cache,
-        "impl": config.impl,
     }
     if config.partitions_per_thread != 1:
         payload["partitions_per_thread"] = config.partitions_per_thread

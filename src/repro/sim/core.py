@@ -192,7 +192,7 @@ class Event:
         Waiting processes will have the exception thrown at their ``yield``
         statement.  If nothing waits on a failed event, the simulator raises
         the exception at the end of the step (mirroring SimPy's "unhandled
-        failure" behaviour) unless :meth:`defused` is set.
+        failure" behaviour) unless the kernel marked it handled.
         """
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
@@ -202,10 +202,6 @@ class Event:
         self._value = exception
         self.sim._schedule(self)
         return self
-
-    def defuse(self) -> None:
-        """Mark a failed event as handled even if no process waits on it."""
-        self._defused = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self.processed else (
@@ -326,7 +322,6 @@ class Process(Event):
 
     # -- kernel plumbing --------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self.sim._active_proc = self
         self._target = None
         gen = self.gen
         while True:
@@ -372,7 +367,6 @@ class Process(Event):
                 next_ev._callbacks = [cbs, resume]
             self._target = next_ev
             break
-        self.sim._active_proc = None
 
     def _end(self, ok: bool, value: Any) -> None:
         """The generator is done: trigger the process with its outcome.
@@ -484,7 +478,6 @@ class Simulator:
         #: Recycled :class:`_Sleep` events (see :meth:`sleep`).
         self._sleep_pool: list = []
         self._seq = 0
-        self._active_proc: Optional[Process] = None
         #: Number of events processed so far (monotone counter, useful in tests).
         self.events_processed = 0
 
@@ -493,11 +486,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_proc
 
     def event(self) -> Event:
         """Create a fresh untriggered event."""

@@ -107,13 +107,6 @@ class MutexStats:
     _acquire_times: List[float] = field(default_factory=list, repr=False)
 
     @property
-    def mean_wait_time(self) -> float:
-        """Average waiting time per acquisition (0 when never acquired)."""
-        if self.acquisitions == 0:
-            return 0.0
-        return self.total_wait_time / self.acquisitions
-
-    @property
     def contention_ratio(self) -> float:
         """Fraction of acquisitions that found the lock held."""
         if self.acquisitions == 0:

@@ -3,8 +3,8 @@ the engine dispatch that ties them together.
 
 The cross-validation tests are the contract behind ``ANALYTIC_RTOL``:
 every analytic-eligible cell of the paper grid (plus the eager/rendezvous
-boundary, the native implementation, cold caches, and multi-partition
-threads) must match the DES to round-off.  CI runs this file as its own
+boundary, cold caches, and multi-partition threads) must match the DES to
+round-off.  CI runs this file as its own
 step so a model/simulator divergence fails loudly, naming the cell.
 """
 
@@ -23,7 +23,6 @@ from repro.machine import MachineSpec
 from repro.metrics import ci_halfwidth
 from repro.mpi import ThreadingMode
 from repro.noise import UniformNoise
-from repro.partitioned import IMPL_NATIVE
 
 
 def _cfg(**overrides):
@@ -96,11 +95,6 @@ class TestCrossValidation:
         """The single-send phase's own eager/rendezvous switch."""
         _assert_timeline_matches(
             _cfg(message_bytes=message_bytes, partitions=1))
-
-    def test_native_implementation(self):
-        _assert_timeline_matches(_cfg(impl=IMPL_NATIVE))
-        _assert_timeline_matches(
-            _cfg(impl=IMPL_NATIVE, message_bytes=1 << 22, partitions=32))
 
     def test_cold_cache(self):
         _assert_timeline_matches(_cfg(cache=COLD, warmup=0))

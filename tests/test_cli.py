@@ -136,6 +136,33 @@ class TestRemovedPlannerSurface:
         assert "Traceback" not in err
 
 
+class TestRemovedImplSurface:
+    """One partitioned implementation: ``--impl`` and the duplicate
+    ``report --format chrome`` are usage errors."""
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--impl", "native"],
+        ["sweep", "--impl", "mpipcl", "--sizes", "1024", "--counts", "1",
+         "--jobs", "1"],
+        ["trace", "export", "--impl", "native"],
+        ["report", "--impl", "native"],
+        ["report", "--format", "chrome"],
+    ], ids=" ".join)
+    def test_is_one_usage_line_with_exit_two(self, argv, capsys):
+        cell = ["--message-bytes", "1024", "--partitions", "4"]
+        if argv[0] != "sweep":
+            argv = argv + cell
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert ("--impl" if "--impl" in argv else "chrome") in errors[0]
+        assert "Traceback" not in err
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -185,12 +212,6 @@ class TestCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-
-    def test_metrics_native_impl(self, capsys):
-        assert main(["metrics", "--message-bytes", "65536",
-                     "--partitions", "4", "--compute-ms", "1",
-                     "--impl", "native", "--iterations", "2"]) == 0
-        assert "native" in capsys.readouterr().out
 
     def test_advisor(self, capsys):
         code = main(["advisor", "--message-bytes", "262144",

@@ -7,14 +7,12 @@ from repro.core import (COLD, HOT, PAPER_MESSAGE_SIZES,
                         run_ptp_benchmark)
 from repro.errors import ConfigurationError
 from repro.noise import NoNoise, SingleThreadNoise, UniformNoise
-from repro.partitioned import IMPL_NATIVE
 
 
 class TestConfig:
     def test_defaults_are_sane(self):
         cfg = PtpBenchmarkConfig(message_bytes=4096, partitions=4)
         assert cfg.cache == HOT
-        assert cfg.partition_bytes == 1024
         assert cfg.total_iterations == cfg.warmup + cfg.iterations
 
     def test_paper_grids(self):
@@ -37,8 +35,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             PtpBenchmarkConfig(message_bytes=64, partitions=1,
                                compute_seconds=-1.0)
-        with pytest.raises(ConfigurationError):
-            PtpBenchmarkConfig(message_bytes=64, partitions=1, impl="x")
+
+    def test_has_no_impl_field(self):
+        """MPIPCL is the one partitioned implementation: there is no
+        field to choose another."""
+        with pytest.raises(TypeError):
+            PtpBenchmarkConfig(message_bytes=64, partitions=1,
+                               impl="mpipcl")
 
     def test_with_overrides(self):
         base = PtpBenchmarkConfig(message_bytes=64, partitions=1)
@@ -97,11 +100,6 @@ class TestRunner:
 
     def test_cold_cache_runs(self, quick_config):
         result = run_ptp_benchmark(quick_config.with_overrides(cache=COLD))
-        assert result.overhead.mean > 0
-
-    def test_native_impl_runs(self, quick_config):
-        result = run_ptp_benchmark(
-            quick_config.with_overrides(impl=IMPL_NATIVE))
         assert result.overhead.mean > 0
 
     def test_metric_summary_by_name(self, quick_config):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.machine import (BindPolicy, CacheModel, ComputeModel, NIAGARA_NODE,
+from repro.machine import (BindPolicy, CacheModel, NIAGARA_NODE,
                            NUMAModel, bind_threads,
                            scaled_compute_time, validate_spec)
 
@@ -157,13 +157,6 @@ class TestComputeScaling:
     def test_zero_share_rejected(self):
         with pytest.raises(ConfigurationError):
             scaled_compute_time(1.0, 0, NIAGARA_NODE)
-
-    def test_compute_model_slowest_thread(self):
-        binding = bind_threads(64, NIAGARA_NODE)
-        model = ComputeModel(binding)
-        slowest = model.slowest_wall_time(0.01)
-        assert slowest >= model.wall_time(39, 0.01)
-        assert slowest > 0.01
 
 
 class TestNUMA:

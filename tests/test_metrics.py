@@ -80,9 +80,6 @@ class TestTimeline:
                        arrival_times=[2.0, 2.5, 3.5, 4.5])
         assert tl.last_transfer_time == pytest.approx(0.1)
 
-    def test_transfer_durations(self):
-        assert _timeline().transfer_durations() == pytest.approx([0.5] * 4)
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             _timeline(pready_times=[1.0])  # length mismatch

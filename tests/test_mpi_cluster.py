@@ -109,15 +109,6 @@ class TestRankContextHelpers:
         b = cluster.contexts[1].rng("x").uniform(size=4)
         assert a != b
 
-    def test_elapse(self):
-        cluster = Cluster(nranks=1)
-
-        def program(ctx):
-            yield from ctx.elapse(2e-3)
-            return ctx.sim.now
-
-        assert cluster.run(program) == [pytest.approx(2e-3)]
-
     def test_invalidate_cache_charges_time(self):
         cluster = Cluster(nranks=1)
 

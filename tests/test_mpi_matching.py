@@ -1,25 +1,21 @@
 """Unit tests for the tag-matching engine."""
 
-from repro.mpi import ANY_SOURCE, ANY_TAG, Envelope, MatchingEngine
+from repro.mpi import Envelope, MatchingEngine
 
 
 class TestEnvelope:
     def test_exact_match(self):
-        env = Envelope(source=1, tag=5, comm_id=0)
-        assert env.matches_pattern(1, 5, 0)
-        assert not env.matches_pattern(2, 5, 0)
-        assert not env.matches_pattern(1, 6, 0)
-        assert not env.matches_pattern(1, 5, 1)
-
-    def test_wildcards(self):
-        env = Envelope(source=3, tag=9, comm_id=0)
-        assert env.matches_pattern(ANY_SOURCE, 9, 0)
-        assert env.matches_pattern(3, ANY_TAG, 0)
-        assert env.matches_pattern(ANY_SOURCE, ANY_TAG, 0)
-
-    def test_comm_id_never_wildcards(self):
-        env = Envelope(source=3, tag=9, comm_id=1)
-        assert not env.matches_pattern(ANY_SOURCE, ANY_TAG, 0)
+        """Source, tag and communicator must all be equal; a -1 is a
+        value like any other, not a wildcard."""
+        eng = MatchingEngine()
+        eng.post_recv("r", source=1, tag=5, comm_id=0)
+        for miss in (Envelope(2, 5, 0), Envelope(1, 6, 0), Envelope(1, 5, 1),
+                     Envelope(-1, 5, 0), Envelope(1, -1, 0)):
+            assert eng.match_arrival(miss) == (None, 1)
+        eng.store_unexpected("f", Envelope(1, 5, 0), now=0.0)
+        assert eng.find_unexpected(-1, -1, 0) == (None, 1)
+        entry, scanned = eng.match_arrival(Envelope(1, 5, 0))
+        assert (entry.request, scanned) == ("r", 1)
 
 
 class TestMatchingEngine:
@@ -59,20 +55,12 @@ class TestMatchingEngine:
         hit, _ = eng.find_unexpected(source=0, tag=1, comm_id=0)
         assert hit is None
 
-    def test_wildcard_posted_recv_matches_any_source(self):
-        eng = MatchingEngine()
-        eng.post_recv("wild", source=ANY_SOURCE, tag=ANY_TAG, comm_id=0)
-        entry, _ = eng.match_arrival(Envelope(7, 3, 0))
-        assert entry.request == "wild"
-
     def test_depth_tracking(self):
         eng = MatchingEngine()
         for i in range(3):
             eng.post_recv(f"r{i}", source=0, tag=i, comm_id=0)
-        assert eng.posted_depth == 3
         assert eng.stats.max_posted_depth == 3
         eng.store_unexpected("f", Envelope(0, 9, 0), now=0.0)
-        assert eng.unexpected_depth == 1
         assert eng.stats.max_unexpected_depth == 1
 
     def test_match_stats_counters(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, MPIError, TruncationError
-from repro.mpi import ANY_SOURCE, ANY_TAG, Cluster, waitall
+from repro.mpi import Cluster, waitall
 from repro.network import NIAGARA_EDR
 
 
@@ -148,33 +148,6 @@ class TestNonBlocking:
         assert results[1] == "R"
 
 
-class TestWildcards:
-    def test_any_source(self):
-        def program(ctx):
-            if ctx.rank == 2:
-                statuses = []
-                for _ in range(2):
-                    s = yield from ctx.comm.recv(ctx.main, ANY_SOURCE, 5,
-                                                 64)
-                    statuses.append(s.source)
-                return sorted(statuses)
-            yield from ctx.comm.send(ctx.main, 2, 5, 64)
-
-        _, results = _run(program, nranks=3)
-        assert results[2] == [0, 1]
-
-    def test_any_tag(self):
-        def program(ctx):
-            if ctx.rank == 0:
-                yield from ctx.comm.send(ctx.main, 1, 42, 64, payload="t")
-            else:
-                status = yield from ctx.comm.recv(ctx.main, 0, ANY_TAG, 64)
-                return status.tag
-
-        _, results = _run(program)
-        assert results[1] == 42
-
-
 class TestErrors:
     def test_truncation_raises(self):
         def program(ctx):
@@ -191,6 +164,15 @@ class TestErrors:
             yield from ctx.comm.send(ctx.main, 5, 1, 64)
 
         with pytest.raises(MPIError):
+            _run(program)
+
+    def test_negative_source_is_a_bad_rank_not_a_wildcard(self):
+        """Receives match by exact source: -1 (MPI's ``ANY_SOURCE``) is
+        out of range."""
+        def program(ctx):
+            yield from ctx.comm.irecv(ctx.main, -1, 5, 64)
+
+        with pytest.raises(MPIError, match="out of range"):
             _run(program)
 
     def test_unmatched_recv_deadlocks(self):

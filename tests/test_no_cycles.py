@@ -63,7 +63,6 @@ TRIALS = {
     "hot": _trial(),
     "cold": _trial(cache=COLD),
     "noisy": _trial(noise=UniformNoise(4.0)),
-    "native": _trial(impl="native"),
     "one_partition": _trial(partitions=1),
     "32_partitions": _trial(partitions=32),
 }

@@ -190,7 +190,7 @@ class TestMemorySink:
 
 
 class TestCounterSink:
-    def test_counts_and_histograms(self):
+    def test_counts(self):
         s = _schema()
         bus = EventBus(s)
         counters = bus.attach(CounterSink(), ("*",))
@@ -204,8 +204,6 @@ class TestCounterSink:
         assert counters.rank_counts(1) == {"part.pready": 1}
         assert counters.rows() == [("part.arrived", 0, 2),
                                    ("part.pready", 1, 1)]
-        hist = dict(counters.histogram_rows("part.arrived"))
-        assert hist == {"[64, 128)": 1, "[4096, 8192)": 1}
 
 
 class TestDigest:
@@ -238,6 +236,34 @@ class TestDigest:
         rec = EventRecord(0.1, s.kind("part.arrived"), (3, 1, 64))
         assert canonical_line(rec) == \
             f"{(0.1).hex()}|part.arrived|rank=3|partition=1|nbytes=64"
+
+
+#: ``part.pready`` declares three fields; these payloads carry two and four.
+_WRONG_LENGTH = [(0, 1), (0, 1, 0, None)]
+
+
+class TestWrongLengthPayload:
+    """A payload that does not match its kind's fields raises wherever it
+    is rendered, instead of rendering a shortened or truncated line."""
+
+    @pytest.mark.parametrize("values", _WRONG_LENGTH, ids=len)
+    def test_digest_raises(self, values):
+        bus = EventBus()
+        digest = bus.attach(DigestSink(), ("*",))
+        bus.emit(SCHEMA.kind("part.pready"), 0.1, *values)
+        with pytest.raises(ValueError):
+            digest.hexdigest()
+        with pytest.raises(ValueError):
+            canonical_line(
+                EventRecord(0.1, SCHEMA.kind("part.pready"), values))
+
+    @pytest.mark.parametrize("values", _WRONG_LENGTH, ids=len)
+    def test_exporters_raise(self, values):
+        records = [EventRecord(0.1, SCHEMA.kind("part.pready"), values)]
+        with pytest.raises(ValueError):
+            write_jsonl(records, io.StringIO())
+        with pytest.raises(ValueError):
+            write_chrome_trace(records, io.StringIO())
 
 
 def _emit_iteration(bus, s=SCHEMA, iteration=0, partitions=2, t0=0.0):

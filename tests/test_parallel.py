@@ -257,6 +257,26 @@ class TestResultCache:
         assert cache.clear() == 2
         assert not root.exists()
 
+    def test_len_counts_only_cache_entries(self, tmp_path, capsys):
+        """Foreign ``.bin`` files and staging files are not entries: the
+        count agrees with what ``clear`` would remove."""
+        root = tmp_path / "cache"
+        (root / "notes").mkdir(parents=True)
+        (root / "notes" / "data.bin").write_bytes(b"x")
+        (root / "ab").mkdir()
+        (root / "ab" / "data.bin").write_bytes(b"x")
+        cache = ResultCache(root)
+        staging = cache._path("ab" + "0" * 62)
+        staging.with_name(staging.name + ".x1y2z3.tmp").write_bytes(b"x")
+        assert len(cache) == 0
+        assert main(["cache", "info", "--cache-dir", str(root)]) == 0
+        assert "0 entry(ies) on disk" in capsys.readouterr().out
+        run_cells(plan_cells(_base(), [1024], [1, 4]), jobs=1, cache=cache)
+        assert len(cache) == 2
+        assert cache.clear() == 2
+        assert len(cache) == 0
+        assert (root / "notes" / "data.bin").exists()
+
     def test_root_under_a_file_is_rejected(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")

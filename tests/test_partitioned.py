@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.errors import (DeadlockError, MPIError, PartitionError,
-                          RequestStateError)
-from repro.mpi import Cluster, ANY_TAG
-from repro.partitioned import (IMPL_MPIPCL, IMPL_NATIVE, partition_sizes)
+from repro.errors import DeadlockError, PartitionError, RequestStateError
+from repro.mpi import Cluster
+from repro.partitioned import partition_sizes
 
 
 def _run(program, nranks=2, **kwargs):
@@ -35,13 +34,12 @@ class TestPartitionSizes:
             partition_sizes(-1, 1)
 
 
-def _basic_transfer(impl, nbytes=1 << 16, partitions=4, epochs=1):
+def _basic_transfer(nbytes=1 << 16, partitions=4, epochs=1):
     """One sender/receiver pair pushing `epochs` epochs of data."""
     def program(ctx):
         comm, main = ctx.comm, ctx.main
         if ctx.rank == 0:
-            ps = yield from comm.psend_init(main, 1, 5, nbytes, partitions,
-                                            impl=impl)
+            ps = yield from comm.psend_init(main, 1, 5, nbytes, partitions)
             for _ in range(epochs):
                 yield from ps.start(main)
 
@@ -53,8 +51,7 @@ def _basic_transfer(impl, nbytes=1 << 16, partitions=4, epochs=1):
                 yield from team.join()
                 yield from ps.wait(main)
             return ps.epoch
-        pr = yield from comm.precv_init(main, 0, 5, nbytes, partitions,
-                                        impl=impl)
+        pr = yield from comm.precv_init(main, 0, 5, nbytes, partitions)
         arrivals = []
         for _ in range(epochs):
             yield from pr.start(main)
@@ -66,25 +63,22 @@ def _basic_transfer(impl, nbytes=1 << 16, partitions=4, epochs=1):
 
 
 class TestLifecycle:
-    @pytest.mark.parametrize("impl", [IMPL_MPIPCL, IMPL_NATIVE])
-    def test_single_epoch_transfer(self, impl):
-        _, results = _run(_basic_transfer(impl))
+    def test_single_epoch_transfer(self):
+        _, results = _run(_basic_transfer())
         assert results[0] == 1
         assert results[1] == [4]
 
-    @pytest.mark.parametrize("impl", [IMPL_MPIPCL, IMPL_NATIVE])
-    def test_buffer_reuse_across_epochs(self, impl):
-        _, results = _run(_basic_transfer(impl, epochs=3))
+    def test_buffer_reuse_across_epochs(self):
+        _, results = _run(_basic_transfer(epochs=3))
         assert results[0] == 3
         assert results[1] == [4, 4, 4]
 
     def test_single_partition_degenerates_to_persistent(self):
-        _, results = _run(_basic_transfer(IMPL_MPIPCL, partitions=1))
+        _, results = _run(_basic_transfer(partitions=1))
         assert results[1] == [1]
 
     def test_large_rendezvous_partitions(self):
-        _, results = _run(_basic_transfer(IMPL_MPIPCL, nbytes=4 << 20,
-                                          partitions=4))
+        _, results = _run(_basic_transfer(nbytes=4 << 20, partitions=4))
         assert results[1] == [4]
 
     def test_parrived_polling(self):
@@ -194,28 +188,6 @@ class TestBindingValidation:
         with pytest.raises(PartitionError, match="size mismatch"):
             _run(program)
 
-    def test_impl_mismatch_raises(self):
-        program = self._init_pair(
-            dict(nbytes=4096, partitions=4, impl=IMPL_MPIPCL),
-            dict(nbytes=4096, partitions=4, impl=IMPL_NATIVE))
-        with pytest.raises(PartitionError, match="implementation"):
-            _run(program)
-
-    def test_wildcard_tag_rejected(self):
-        def program(ctx):
-            yield from ctx.comm.psend_init(ctx.main, 1, ANY_TAG, 4096, 4)
-
-        with pytest.raises(MPIError, match="wildcard"):
-            _run(program)
-
-    def test_unknown_impl_rejected(self):
-        def program(ctx):
-            yield from ctx.comm.psend_init(ctx.main, 1, 5, 4096, 4,
-                                           impl="bogus")
-
-        with pytest.raises(PartitionError, match="unknown implementation"):
-            _run(program)
-
 
 class TestStateErrors:
     def test_pready_before_start_raises(self):
@@ -315,40 +287,10 @@ class TestStateErrors:
 
 
 class TestImplementationDifferences:
-    def test_native_completes_faster_than_mpipcl(self):
-        times = {}
-
-        def make(impl):
-            def program(ctx):
-                comm, main = ctx.comm, ctx.main
-                if ctx.rank == 0:
-                    ps = yield from comm.psend_init(main, 1, 5, 1 << 16, 8,
-                                                    impl=impl)
-                    yield from ps.start(main)
-
-                    def worker(tc):
-                        yield from ps.pready(tc, tc.thread_id)
-
-                    team = yield from ctx.fork(8, worker)
-                    yield from team.join()
-                    yield from ps.wait(main)
-                else:
-                    pr = yield from comm.precv_init(main, 0, 5, 1 << 16, 8,
-                                                    impl=impl)
-                    yield from pr.start(main)
-                    yield from pr.wait(main)
-                    times[impl] = ctx.sim.now
-
-            return program
-
-        _run(make(IMPL_MPIPCL))
-        _run(make(IMPL_NATIVE))
-        assert times[IMPL_NATIVE] < times[IMPL_MPIPCL]
-
     def test_obs_events_emitted(self):
         cluster = Cluster(nranks=2)
         mem = cluster.obs.record("part.pready", "part.arrived")
-        cluster.run(_basic_transfer(IMPL_MPIPCL))
+        cluster.run(_basic_transfer())
         assert len(mem.filter("part.pready")) == 4
         assert len(mem.filter("part.arrived")) == 4
         assert mem.first("part.pready").time <= \

@@ -187,8 +187,6 @@ class TestRunnerHelpers:
             PatternConfig(mode=CommMode.SINGLE, message_bytes=0)
         with pytest.raises(ConfigurationError):
             PatternConfig(mode=CommMode.SINGLE, steps=0)
-        with pytest.raises(ConfigurationError):
-            PatternConfig(mode=CommMode.SINGLE, impl="bogus")
 
     def test_worker_threads_property(self):
         assert PatternConfig(mode=CommMode.SINGLE,

@@ -107,7 +107,8 @@ class TestMatchingProperties:
             assert hit is not None
             found += 1
         assert found == len(tags)
-        assert eng.unexpected_depth == 0
+        assert eng.find_unexpected(source=0, tag=tags[0], comm_id=0) == \
+            (None, 0)
 
 
 class TestNetworkProperties:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.mpi import Cluster, ThreadingMode
 from repro.network import Placement
-from repro.partitioned import IMPL_MPIPCL, IMPL_NATIVE
 
 
 class TestSelfSend:
@@ -66,21 +65,18 @@ class TestSmallAndOddSizes:
 
 
 class TestPartitionedPayloads:
-    @pytest.mark.parametrize("impl", [IMPL_MPIPCL, IMPL_NATIVE])
-    def test_arrival_events_carry_timestamps(self, impl):
+    def test_arrival_events_carry_timestamps(self):
         def program(ctx):
             comm, main = ctx.comm, ctx.main
             if ctx.rank == 0:
-                ps = yield from comm.psend_init(main, 1, 5, 4096, 2,
-                                                impl=impl)
+                ps = yield from comm.psend_init(main, 1, 5, 4096, 2)
                 yield from ps.start(main)
                 yield from ps.pready(main, 0)
                 yield ctx.sim.timeout(1e-3)
                 yield from ps.pready(main, 1)
                 yield from ps.wait(main)
             else:
-                pr = yield from comm.precv_init(main, 0, 5, 4096, 2,
-                                                impl=impl)
+                pr = yield from comm.precv_init(main, 0, 5, 4096, 2)
                 yield from pr.start(main)
                 yield from pr.wait(main)
                 t0 = pr.arrived_event(0).value[0]

@@ -242,8 +242,7 @@ _CONFIG = _body(
      "noise": _mostly(st.sampled_from(["none", "uniform", "single",
                                        "gaussian", "exponential"])),
      "noise_percent": _mostly(_NUMBER),
-     "cache": _mostly(st.sampled_from(["hot", "cold"])),
-     "impl": _mostly(st.sampled_from(["mpipcl", "native"]))},
+     "cache": _mostly(st.sampled_from(["hot", "cold"]))},
     _CONFIG_FIELDS)
 
 _ENVELOPE = {"client": _mostly(st.text(max_size=6)),
@@ -673,12 +672,12 @@ class TestDaemon:
         assert payload["error"]["status"] == 400
         assert "partitons" in payload["error"]["reason"]
 
-    def test_config_with_faults_is_a_structured_400(self, daemon):
-        """The protocol has no fault field: a request that still sends
-        one is refused by name, not run as a clean trial."""
+    @staticmethod
+    def _refused_field(daemon, **field):
+        """POST a trial whose config carries ``field``; the 400's reason."""
         service, _, _ = daemon
         host, port = service.address
-        body = json.dumps({"config": _payload(faults="drop=0.2")}).encode()
+        body = json.dumps({"config": _payload(**field)}).encode()
         request = urllib.request.Request(
             f"http://{host}:{port}/trial", data=body,
             headers={"Content-Type": "application/json"})
@@ -686,9 +685,19 @@ class TestDaemon:
             urllib.request.urlopen(request, timeout=30.0)
         assert err.value.code == 400
         with err.value:
-            payload = json.loads(err.value.read())
+            return json.loads(err.value.read())["error"]["reason"]
+
+    def test_config_with_faults_is_a_structured_400(self, daemon):
+        """The protocol has no fault field: a request that still sends
+        one is refused by name, not run as a clean trial."""
         assert "unknown config field(s) ['faults']" in \
-            payload["error"]["reason"]
+            self._refused_field(daemon, faults="drop=0.2")
+
+    def test_config_with_impl_is_a_structured_400(self, daemon):
+        """There is one partitioned implementation: a request that still
+        names one is refused by name (protocol 3)."""
+        assert "unknown config field(s) ['impl']" in \
+            self._refused_field(daemon, impl="mpipcl")
 
     def test_bad_request_does_not_fail_its_batch(self, tmp_path):
         """A config the engine cannot run is a 400 at parse time, so the

@@ -40,12 +40,6 @@ class TestEvent:
         with pytest.raises(ValueError, match="boom"):
             sim.run()
 
-    def test_defused_failure_does_not_raise(self, sim):
-        ev = sim.event()
-        ev.fail(ValueError("boom"))
-        ev.defuse()
-        sim.run()  # no exception
-
     def test_callbacks_run_at_processing(self, sim):
         seen = []
         ev = sim.event()

@@ -30,9 +30,6 @@ GOLDEN = [
     (dict(message_bytes=262144, partitions=16, iterations=1, warmup=0,
           seed=13, cache="cold"),
      "d892b2aaac77cc9dc8ffa2b25cb9acf2cb3e421050b560c0245566fb4d3a1c1a"),
-    (dict(message_bytes=16384, partitions=8, iterations=2, warmup=1,
-          seed=42, impl="native"),
-     "e6c6de576cdbd7594a85c6c1ee6a046b6d733cfe29f8500666d2cc3e85140374"),
 ]
 
 

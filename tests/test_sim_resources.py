@@ -97,9 +97,6 @@ class TestMutex:
         assert m.stats.contention_ratio == pytest.approx(0.75)
         assert m.stats.max_queue_length >= 1
 
-    def test_mean_wait_time_zero_when_unused(self, sim):
-        assert Mutex(sim).stats.mean_wait_time == 0.0
-
     def test_locked_property(self, sim):
         m = Mutex(sim)
         states = []
