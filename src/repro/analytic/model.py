@@ -140,9 +140,9 @@ def evaluate_timeline(config: PtpBenchmarkConfig) -> PartitionTimeline:
     m, n = config.message_bytes, config.partitions
     nthreads = config.threads
     ppt = config.partitions_per_thread
-    binding = bind_threads(nthreads, spec, config.bind_policy)
+    binding = bind_threads(nthreads, spec)
     sizes = partition_sizes(m, n)
-    latency = params.path_latency(1)
+    latency = params.path_latency()
     hot = config.cache != COLD
     copy_bw = spec.cache_bandwidth if hot else spec.memory_bandwidth
 
@@ -151,16 +151,12 @@ def evaluate_timeline(config: PtpBenchmarkConfig) -> PartitionTimeline:
         # cold: the per-iteration invalidation makes every copy a miss.
         return nbytes / copy_bw if nbytes else 0.0
 
-    def numa_pen(core: int) -> float:
-        return (spec.inter_socket_penalty
-                if spec.is_remote_to_nic(core) else 0.0)
-
     def lock_service(core: int) -> float:
         hold = costs.lock_hold
         if spec.is_remote_to_nic(core):
             hold += costs.lock_remote_penalty
         return (costs.pready_cost + costs.call_overhead + costs.post_cost
-                + params.send_overhead + numa_pen(core) + hold)
+                + params.send_overhead + spec.injection_penalty(core) + hold)
 
     fork = omp.fork_cost(nthreads)
     joinc = omp.join_cost(nthreads)

@@ -396,13 +396,27 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A sub-command's parser: it rejects an unknown argument itself,
+    under its own usage line, instead of handing it up to the root parser
+    (whose usage shows none of the command's options)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="MPI Partitioned micro-benchmark suite "
                     "(ICPP'22 reproduction)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Nested sub-parsers (``trace export``) inherit the class.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
 
     sub.add_parser("list", help="list the figure reproductions")
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field, replace
 from typing import Tuple
 
 from ..errors import ConfigurationError
-from ..machine import BindPolicy, MachineSpec, NIAGARA_NODE
+from ..machine import MachineSpec, NIAGARA_NODE
 from ..mpi import DEFAULT_COSTS, MPICosts, ThreadingMode
-from ..network import INTRA_NODE, NIAGARA_EDR, NetworkParams
+from ..network import NIAGARA_EDR, NetworkParams
 from ..noise import NoNoise, NoiseModel
 
 __all__ = ["PtpBenchmarkConfig", "HOT", "COLD",
@@ -64,7 +64,7 @@ class PtpBenchmarkConfig:
         Measured and discarded iteration counts.
     seed:
         Master seed for noise streams.
-    mode / bind_policy / spec / inter_node / intra_node / costs:
+    mode / spec / inter_node / costs:
         Substrate configuration, defaulting to the Niagara calibration.
     """
 
@@ -82,10 +82,8 @@ class PtpBenchmarkConfig:
     warmup: int = 1
     seed: int = 0
     mode: ThreadingMode = ThreadingMode.MULTIPLE
-    bind_policy: BindPolicy = BindPolicy.COMPACT
     spec: MachineSpec = NIAGARA_NODE
     inter_node: NetworkParams = NIAGARA_EDR
-    intra_node: NetworkParams = INTRA_NODE
     costs: MPICosts = DEFAULT_COSTS
 
     def __post_init__(self) -> None:

@@ -68,7 +68,10 @@ CACHE_SCHEMA_VERSION = 5
 #: 5: the config lost its ``faults`` field; no result changed.
 #: 6: the config lost ``impl`` and ``costs.native_pready_cost``; no
 #: result changed.
-FINGERPRINT_VERSION = 6
+#: 7: the config lost its thread-binding choice, its shared-memory path
+#: parameters and two machine-spec constants no simulation read; no
+#: result changed.
+FINGERPRINT_VERSION = 7
 
 #: Cache entry envelope: magic, schema, label length; the config label
 #: (debuggability only) and the wire frame follow.

@@ -384,10 +384,8 @@ def run_ptp_trial(config: PtpBenchmarkConfig,
         nranks=2,
         spec=config.spec,
         inter_node=config.inter_node,
-        intra_node=config.intra_node,
         costs=config.costs,
         mode=config.mode,
-        bind_policy=config.bind_policy,
         seed=config.seed,
     )
     builder = TimelineBuilder()

@@ -7,23 +7,21 @@ questions the timing model asks:
 * where does thread ``i`` run? (:func:`bind_threads`)
 * how long does its compute take there? (:func:`scaled_compute_time`)
 * what does touching a buffer cost, hot vs cold? (:class:`CacheModel`)
-* what penalty applies for injecting from the far socket? (:class:`NUMAModel`)
+* what penalty applies for injecting from the far socket?
+  (:meth:`MachineSpec.injection_penalty`)
 """
 
-from .binding import BindPolicy, ThreadBinding, bind_threads
+from .binding import ThreadBinding, bind_threads
 from .cache import CacheModel, CacheStats
 from .cpu import scaled_compute_time
-from .memory import NUMAModel
 from .topology import NIAGARA_NODE, MachineSpec, validate_spec
 
 __all__ = [
-    "BindPolicy",
     "ThreadBinding",
     "bind_threads",
     "CacheModel",
     "CacheStats",
     "scaled_compute_time",
-    "NUMAModel",
     "NIAGARA_NODE",
     "MachineSpec",
     "validate_spec",

@@ -25,8 +25,6 @@ class MachineSpec:
         CPU sockets (= NUMA domains on Niagara).
     cores_per_socket:
         Physical cores per socket.
-    clock_ghz:
-        Nominal core clock; only used for documentation/reporting.
     nic_socket:
         Socket the network adapter is attached to.  Threads on other sockets
         pay :attr:`inter_socket_penalty` per MPI injection.
@@ -34,9 +32,6 @@ class MachineSpec:
         Extra seconds for an MPI call whose issuing thread sits on a
         different socket than the NIC (remote doorbell + cache-line
         transfers).  This drives the paper's 32-partition "spillover" spike.
-    inter_socket_bandwidth_factor:
-        Multiplier (>1) applied to memory-copy time when source data lives
-        on the remote NUMA domain.
     context_switch:
         Cost of one context switch; used by the oversubscription model and
         mirrors the single-thread-delay noise rationale (Li et al. [21]).
@@ -51,10 +46,8 @@ class MachineSpec:
 
     sockets_per_node: int = 2
     cores_per_socket: int = 20
-    clock_ghz: float = 2.4
     nic_socket: int = 0
     inter_socket_penalty: float = 2.5e-6
-    inter_socket_bandwidth_factor: float = 1.6
     context_switch: float = 5.0e-6
     memory_bandwidth: float = 12.0e9
     cache_bandwidth: float = 80.0e9
@@ -74,6 +67,17 @@ class MachineSpec:
     def is_remote_to_nic(self, core: int) -> bool:
         """True if ``core`` is on a different socket than the NIC."""
         return self.socket_of(core) != self.nic_socket
+
+    def injection_penalty(self, core: int) -> float:
+        """Fixed extra cost for an MPI injection from ``core``.
+
+        Zero on the NIC's socket; :attr:`inter_socket_penalty` otherwise.
+        This is the knob behind the paper's 32-partition overhead spike
+        (§4.2) and the spillover ablation.
+        """
+        if self.is_remote_to_nic(core):
+            return self.inter_socket_penalty
+        return 0.0
 
     def with_overrides(self, **kwargs) -> "MachineSpec":
         """Return a copy with the given fields replaced (for ablations)."""

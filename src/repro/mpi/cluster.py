@@ -25,10 +25,9 @@ from collections import deque
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..errors import ConfigurationError, DeadlockError
-from ..machine import (BindPolicy, MachineSpec, NIAGARA_NODE, ThreadBinding,
+from ..machine import (MachineSpec, NIAGARA_NODE, ThreadBinding,
                        bind_threads, validate_spec)
-from ..network import (Fabric, INTRA_NODE, NIAGARA_EDR, NetworkParams,
-                       Placement, validate_params)
+from ..network import NIAGARA_EDR, NetworkParams, validate_params
 from ..obs import EventBus
 from ..obs.kinds import PART_INIT, TEAM_FORK
 from ..sim import Process, RandomStreams, Simulator
@@ -86,26 +85,24 @@ class RankContext:
         return self.cluster.streams.stream(f"rank{self.rank}/{name}")
 
     def fork(self, nthreads: int,
-             worker: Callable[[ThreadContext], Generator],
-             policy: Optional[BindPolicy] = None):
+             worker: Callable[[ThreadContext], Generator]):
         """Generator: open a parallel region of ``nthreads`` workers.
 
-        Charges the OpenMP fork cost, binds threads per ``policy`` (the
-        cluster default when omitted), starts the workers, and returns the
+        Charges the OpenMP fork cost, binds the threads compactly from the
+        NIC's socket, starts the workers, and returns the
         :class:`ThreadTeam`; callers later ``yield from team.join()``.
         """
         cluster = self.cluster
-        binding = cluster._binding(nthreads, policy or cluster.bind_policy)
+        binding = cluster._binding(nthreads)
         yield self.sim.sleep(cluster.omp_costs.fork_cost(nthreads))
         team = ThreadTeam(self, binding, worker, omp_costs=cluster.omp_costs)
         self.obs.emit(TEAM_FORK, self.sim.now, self.rank, nthreads)
         return team
 
     def parallel(self, nthreads: int,
-                 worker: Callable[[ThreadContext], Generator],
-                 policy: Optional[BindPolicy] = None):
+                 worker: Callable[[ThreadContext], Generator]):
         """Generator: fork + join in one call; returns the worker results."""
-        team = yield from self.fork(nthreads, worker, policy)
+        team = yield from self.fork(nthreads, worker)
         yield from team.join()
         return team.results()
 
@@ -135,19 +132,18 @@ def _weak_route(cluster: "Cluster") -> Callable[[int, Frame], None]:
 class Cluster:
     """A simulated cluster and its MPI world.
 
+    Every rank runs on a node of its own, and any two nodes are one
+    switch apart on one Dragonfly+ wing, as in the paper's runs, so every
+    rank pair talks over ``inter_node``.
+
     Parameters
     ----------
     nranks:
         World size.
-    spec / inter_node / intra_node / costs / omp_costs:
+    spec / inter_node / costs / omp_costs:
         Substrate parameter sets (Niagara-calibrated defaults).
     mode:
         MPI threading mode for every rank.
-    placement:
-        Rank→node placement; default one rank per node, matching the
-        paper's pattern benchmarks.
-    bind_policy:
-        Default thread binding for parallel regions.
     seed:
         Master seed for all RNG streams.
     """
@@ -155,38 +151,26 @@ class Cluster:
     def __init__(self, nranks: int, *,
                  spec: MachineSpec = NIAGARA_NODE,
                  inter_node: NetworkParams = NIAGARA_EDR,
-                 intra_node: NetworkParams = INTRA_NODE,
                  costs: MPICosts = DEFAULT_COSTS,
                  mode: ThreadingMode = ThreadingMode.MULTIPLE,
                  omp_costs: OpenMPCosts = DEFAULT_OPENMP_COSTS,
-                 placement: Optional[Placement] = None,
-                 bind_policy: BindPolicy = BindPolicy.COMPACT,
                  seed: int = 0):
         if nranks < 1:
             raise ConfigurationError(f"nranks must be >= 1, got {nranks}")
         validate_spec(spec)
         validate_params(inter_node)
-        validate_params(intra_node)
         validate_costs(costs)
-        if placement is None:
-            placement = Placement.one_per_node(nranks)
-        if placement.nranks != nranks:
-            raise ConfigurationError(
-                f"placement covers {placement.nranks} ranks, world has "
-                f"{nranks}")
         self.nranks = nranks
         self.spec = spec
         self.costs = costs
         self.mode = mode
         self.omp_costs = omp_costs
-        self.bind_policy = bind_policy
         self.sim = Simulator()
         self.obs = EventBus()
         self.streams = RandomStreams(seed)
-        self.fabric = Fabric(placement, inter_node, intra_node)
         route = _weak_route(self)
         self.procs: List[MPIProcess] = [
-            MPIProcess(self.sim, r, self.fabric, spec, costs, mode,
+            MPIProcess(self.sim, r, inter_node, spec, costs, mode,
                        self.obs, route)
             for r in range(nranks)
         ]
@@ -202,8 +186,8 @@ class Cluster:
         ]
         self._part_pending: Dict[Tuple[int, int, int, int],
                                  Dict[str, deque]] = {}
-        #: ``(nthreads, policy)`` -> ThreadBinding (pure, so shared).
-        self._bindings: Dict[Tuple[int, BindPolicy], ThreadBinding] = {}
+        #: nthreads -> ThreadBinding (pure, so shared).
+        self._bindings: Dict[int, ThreadBinding] = {}
 
     def __del__(self):
         # A progress loop waits on its rank's inbox for good, and a blocked
@@ -241,14 +225,14 @@ class Cluster:
         else:
             entry[mine].append(req)
 
-    def _binding(self, nthreads: int, policy: BindPolicy) -> ThreadBinding:
+    def _binding(self, nthreads: int) -> ThreadBinding:
         """:func:`~repro.machine.bind_threads` on this cluster's node,
         memoized (bindings are immutable, so teams can share one)."""
-        binding = self._bindings.get((nthreads, policy))
+        binding = self._bindings.get(nthreads)
         if binding is None:
-            binding = bind_threads(nthreads, self.spec, policy)
+            binding = bind_threads(nthreads, self.spec)
             if len(self._bindings) < MEMO_CAP:
-                self._bindings[nthreads, policy] = binding
+                self._bindings[nthreads] = binding
         return binding
 
     # ------------------------------------------------------------------

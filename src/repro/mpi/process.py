@@ -15,9 +15,9 @@ One :class:`MPIProcess` exists per simulated rank.  It owns:
 All application-facing verbs are **generators**: the calling simulated
 thread ``yield from``-s them so CPU costs land on the right actor.
 
-Pure per-rank lookups (path parameters per ``(peer, bytes)``, the NUMA
-penalty and lock hold per core) are memoized on the process, so a cluster
-computes each once; the tables are capped at :data:`MEMO_CAP` entries.
+Pure per-rank lookups (the wire time per message size, the NUMA penalty
+and lock hold per core) are memoized on the process, so a cluster computes
+each once; the tables are capped at :data:`MEMO_CAP` entries.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..errors import ThreadingModeError, TruncationError
-from ..machine import CacheModel, MachineSpec, NUMAModel
-from ..network import NIC, Fabric, Transmission
+from ..machine import CacheModel, MachineSpec
+from ..network import NIC, NetworkParams, Transmission
 from ..obs import EventBus
 from ..obs.kinds import RECV_COMPLETE, RECV_POST, SEND_COMPLETE, SEND_START
 from ..sim import Mutex, Simulator, Store
@@ -49,8 +49,9 @@ class MPIProcess:
     ----------
     sim, rank:
         Kernel handle and this rank's id in ``COMM_WORLD``.
-    fabric:
-        Path model (parameters + latency per peer).
+    params:
+        The one path every peer is reached over (each rank has a node
+        of its own, one switch from every other).
     spec:
         The node this rank runs on.
     costs:
@@ -65,27 +66,27 @@ class MPIProcess:
         rank's inbox (wired up by the cluster).
     """
 
-    def __init__(self, sim: Simulator, rank: int, fabric: Fabric,
+    def __init__(self, sim: Simulator, rank: int, params: NetworkParams,
                  spec: MachineSpec, costs: MPICosts, mode: ThreadingMode,
                  obs: EventBus,
                  router: Callable[[int, Frame], None]):
         self.sim = sim
         self.rank = rank
-        self.fabric = fabric
+        self.params = params
         self.spec = spec
         self.costs = costs
         self.mode = mode
         self.obs = obs
 
         self.cache = CacheModel(spec)
-        self.numa = NUMAModel(spec)
         self.lock = Mutex(sim, name=f"rank{rank}.liblock")
         self.matching = MatchingEngine()
         self.inbox: Store = Store(sim, name=f"rank{rank}.inbox")
         self.nic = NIC(sim, rank, router, obs=obs)
-        self._match_cost = fabric.inter_node.match_cost
-        #: ``(peer, wire_bytes)`` -> ``(wire_time, latency, gap)``.
-        self._paths: dict = {}
+        self._match_cost = params.match_cost
+        self._latency = params.path_latency()
+        #: wire_bytes -> wire_time.
+        self._wire_times: dict = {}
         #: core -> ``(injection penalty, lock hold)``.
         self._core_costs: dict = {}
         self._in_mpi = 0
@@ -148,7 +149,7 @@ class MPIProcess:
         hold = self.costs.lock_hold
         if self.spec.is_remote_to_nic(core):
             hold += self.costs.lock_remote_penalty
-        costs = (self.numa.injection_penalty(core), hold)
+        costs = (self.spec.injection_penalty(core), hold)
         if len(self._core_costs) < MEMO_CAP:
             self._core_costs[core] = costs
         return costs
@@ -201,21 +202,18 @@ class MPIProcess:
         ``wire_bytes`` is what occupies the link (0 for control frames,
         which are clamped to the path's minimum message size).
         """
-        path = self._paths.get((dst_rank, wire_bytes))
-        if path is None:
-            params = self.fabric.params_between(self.rank, dst_rank)
-            path = (params.wire_time(wire_bytes),
-                    self.fabric.delivery_latency(self.rank, dst_rank),
-                    params.injection_gap)
-            if len(self._paths) < MEMO_CAP:
-                self._paths[dst_rank, wire_bytes] = path
-        wire_time, latency, gap = path
-        tx = Transmission(dst_rank, wire_bytes, wire_time, latency, frame,
-                          gap)
+        wire_time = self._wire_times.get(wire_bytes)
+        if wire_time is None:
+            wire_time = self.params.wire_time(wire_bytes)
+            if len(self._wire_times) < MEMO_CAP:
+                self._wire_times[wire_bytes] = wire_time
+        tx = Transmission(dst_rank, wire_bytes, wire_time, self._latency,
+                          frame, self.params.injection_gap)
         return self.nic.enqueue(tx)
 
     def deliver(self, frame: Frame) -> None:
-        """Entry point used by the fabric: enqueue into our inbox."""
+        """Entry point used by the cluster's router: enqueue into our
+        inbox."""
         self.inbox.put(frame)
 
     # ------------------------------------------------------------------
@@ -231,7 +229,7 @@ class MPIProcess:
         """
         req = SendRequest(self.sim, dest, tag, nbytes)
         req._payload = payload
-        params = self.fabric.params_between(self.rank, dest)
+        params = self.params
         # Eager sends copy the user buffer into a bounce buffer (so hot/cold
         # cache state matters); the memcpy runs outside the library lock.
         # Rendezvous sends are zero-copy — the NIC DMAs from user memory.
@@ -274,11 +272,10 @@ class MPIProcess:
                 yield self.sim.sleep(scanned * self._match_cost)
             return req
         frame: Frame = entry.frame
-        params = self.fabric.params_between(frame.src_rank, self.rank)
         cost = scanned * self._match_cost
         if frame.kind is FrameKind.EAGER:
             self._check_truncation(req, frame)
-            cost += params.recv_overhead
+            cost += self.params.recv_overhead
             cost += self.cache.access_time(req.bufkey, frame.nbytes)
             yield self.sim.sleep(cost)
             self._complete_recv(req, frame.nbytes, frame.payload)
@@ -331,10 +328,9 @@ class MPIProcess:
                 yield delay
             return
         req: RecvRequest = entry.request
-        params = self.fabric.params_between(frame.src_rank, self.rank)
         self._check_truncation(req, frame)
         if frame.kind is FrameKind.EAGER:
-            cost += params.recv_overhead
+            cost += self.params.recv_overhead
             cost += self.cache.access_time(req.bufkey, frame.nbytes)
             delay = self._progress_delay(cost)
             if delay is not None:
@@ -351,9 +347,8 @@ class MPIProcess:
     def _handle_cts(self, frame: Frame):
         """Sender side: receiver granted the rendezvous — push the data."""
         sreq: SendRequest = frame.sreq
-        params = self.fabric.params_between(self.rank, frame.src_rank)
         delay = self._progress_delay(
-            self.costs.post_cost + params.rendezvous_overhead)
+            self.costs.post_cost + self.params.rendezvous_overhead)
         if delay is not None:
             yield delay
         data = Frame(FrameKind.RDATA, self.rank, frame.src_rank,
@@ -365,9 +360,8 @@ class MPIProcess:
 
     def _handle_rdata(self, frame: Frame):
         req: RecvRequest = frame.rreq
-        params = self.fabric.params_between(frame.src_rank, self.rank)
         # Rendezvous data lands directly in the user buffer (zero-copy).
-        delay = self._progress_delay(params.recv_overhead)
+        delay = self._progress_delay(self.params.recv_overhead)
         if delay is not None:
             yield delay
         self.cache.touch(req.bufkey, frame.nbytes)
@@ -376,7 +370,7 @@ class MPIProcess:
     def _handle_pdata(self, frame: Frame):
         """A partition landed: no matching — direct hand-off to the bound
         partitioned receive request."""
-        params = self.fabric.params_between(frame.src_rank, self.rank)
+        params = self.params
         preq = frame.preq
         cost = params.recv_overhead
         if params.is_eager(frame.nbytes):
@@ -395,9 +389,8 @@ class MPIProcess:
 
     def _handle_pcts(self, frame: Frame):
         """Sender side of a rendezvous partition: push the partition data."""
-        params = self.fabric.params_between(self.rank, frame.src_rank)
         delay = self._progress_delay(
-            self.costs.post_cost + params.rendezvous_overhead)
+            self.costs.post_cost + self.params.rendezvous_overhead)
         if delay is not None:
             yield delay
         data = Frame(FrameKind.PDATA, self.rank, frame.src_rank,

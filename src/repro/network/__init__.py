@@ -1,20 +1,17 @@
-"""Network substrate: LogGP-style parameters, fabric routing, and NICs.
+"""Network substrate: LogGP-style parameters and NICs.
 
 The model is deliberately first-order — per-message overheads, per-packet
 headers, a serializing injection engine, and a one-switch Dragonfly+ wing —
 because those are exactly the mechanisms the paper's analysis appeals to
 (latency-bound small messages, header cost of splitting, NIC serialization
-of partition trains, eager vs rendezvous knees).
+of partition trains, eager vs rendezvous knees).  Every rank has a node of
+its own, so every pair of ranks talks over the one inter-node path.
 """
 
-from .fabric import Fabric, Placement
-from .model import INTRA_NODE, NIAGARA_EDR, NetworkParams, validate_params
+from .model import NIAGARA_EDR, NetworkParams, validate_params
 from .nic import NIC, NICStats, Transmission
 
 __all__ = [
-    "Fabric",
-    "Placement",
-    "INTRA_NODE",
     "NIAGARA_EDR",
     "NetworkParams",
     "validate_params",

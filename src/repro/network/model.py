@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 from ..errors import ConfigurationError
 
-__all__ = ["NetworkParams", "NIAGARA_EDR", "INTRA_NODE", "validate_params"]
+__all__ = ["NetworkParams", "NIAGARA_EDR", "validate_params"]
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,9 @@ class NetworkParams:
         packets = max(1, math.ceil(payload / self.mtu))
         return (payload + packets * self.header_bytes) / self.bandwidth
 
-    def path_latency(self, hops: int = 1) -> float:
-        """One-way latency across ``hops`` switches."""
-        if hops < 0:
-            raise ConfigurationError(f"negative hop count: {hops}")
-        return self.latency + hops * self.switch_hop_latency
+    def path_latency(self) -> float:
+        """One-way latency across the wing's single switch."""
+        return self.latency + self.switch_hop_latency
 
     def is_eager(self, nbytes: int) -> bool:
         """True when a message of ``nbytes`` uses the eager protocol."""
@@ -138,17 +136,3 @@ def validate_params(params: NetworkParams) -> None:
 #: ~1 µs end-to-end, a single switch between any two endpoints.
 NIAGARA_EDR = NetworkParams()
 
-#: Shared-memory transport between ranks on the same node: lower latency,
-#: memory-copy bandwidth, no packet headers worth modelling.
-INTRA_NODE = NetworkParams(
-    latency=0.25e-6,
-    switch_hop_latency=0.0,
-    bandwidth=9.0e9,
-    mtu=1 << 30,
-    header_bytes=0,
-    send_overhead=0.25e-6,
-    recv_overhead=0.25e-6,
-    injection_gap=0.10e-6,
-    eager_threshold=8 * 1024,
-    rendezvous_overhead=0.3e-6,
-)

@@ -207,8 +207,7 @@ class PartitionedSendRequest(_PartitionedBase):
         self._ready[partition] = True
         pbytes = self.sizes[partition]
         costs = self.proc.costs
-        params = self.proc.fabric.params_between(self.proc.rank,
-                                                 self.peer_rank)
+        params = self.proc.params
         # An internal MPI_Isend on a pre-matched request.  Eager partitions
         # pay the bounce-buffer copy *outside* the library lock (memcpy
         # needs no lock), so concurrent threads overlap their copies — the

@@ -252,10 +252,7 @@ def run_halo3d(config: PatternConfig,
         nranks=grid.nranks,
         spec=config.spec,
         inter_node=config.inter_node,
-        intra_node=config.intra_node,
         costs=config.costs,
-        mode=config.threading_mode,
-        bind_policy=config.bind_policy,
         seed=config.seed,
     )
     record: Dict[int, Dict] = {}
@@ -277,8 +274,7 @@ def run_halo3d(config: PatternConfig,
     # Halo steps are bulk-synchronous: one compute slot per step, scaled
     # for oversubscription (64 threads on 40 cores compute ~2x longer).
     from ..machine import bind_threads, scaled_compute_time
-    binding = bind_threads(max(1, config.worker_threads), config.spec,
-                           config.bind_policy)
+    binding = bind_threads(max(1, config.worker_threads), config.spec)
     slot = max(scaled_compute_time(
         config.compute_seconds,
         binding.oversubscription_factor(t), config.spec)

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field, replace
 from typing import List
 
 from ..errors import ConfigurationError
-from ..machine import BindPolicy, MachineSpec, NIAGARA_NODE
+from ..machine import MachineSpec, NIAGARA_NODE
 from ..metrics import SampleSummary, summarize
-from ..mpi import DEFAULT_COSTS, MPICosts, ThreadingMode
-from ..network import INTRA_NODE, NIAGARA_EDR, NetworkParams
+from ..mpi import DEFAULT_COSTS, MPICosts
+from ..network import NIAGARA_EDR, NetworkParams
 from ..noise import NoiseModel, SingleThreadNoise
 
 __all__ = ["CommMode", "PatternConfig", "PatternRunResult"]
@@ -76,11 +76,8 @@ class PatternConfig:
     iterations: int = 3
     warmup: int = 1
     seed: int = 0
-    threading_mode: ThreadingMode = ThreadingMode.MULTIPLE
-    bind_policy: BindPolicy = BindPolicy.COMPACT
     spec: MachineSpec = NIAGARA_NODE
     inter_node: NetworkParams = NIAGARA_EDR
-    intra_node: NetworkParams = INTRA_NODE
     costs: MPICosts = DEFAULT_COSTS
 
     def __post_init__(self) -> None:

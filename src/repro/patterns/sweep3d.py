@@ -276,10 +276,7 @@ def run_sweep3d(config: PatternConfig,
         nranks=grid.nranks,
         spec=config.spec,
         inter_node=config.inter_node,
-        intra_node=config.intra_node,
         costs=config.costs,
-        mode=config.threading_mode,
-        bind_policy=config.bind_policy,
         seed=config.seed,
     )
     record: Dict[int, Dict] = {}

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import ConfigurationError
 from ..machine import MachineSpec, NIAGARA_NODE
 from ..mpi import Cluster, DEFAULT_COSTS, MPICosts, ThreadingMode
-from ..network import INTRA_NODE, NIAGARA_EDR, NetworkParams
+from ..network import NIAGARA_EDR, NetworkParams
 from .mpip import MPIPProfiler, MPIPReport
 
 __all__ = ["SnapConfig", "SnapRunResult", "run_snap", "process_grid"]
@@ -69,7 +69,6 @@ class SnapConfig:
     seed: int = 0
     spec: MachineSpec = NIAGARA_NODE
     inter_node: NetworkParams = NIAGARA_EDR
-    intra_node: NetworkParams = INTRA_NODE
     costs: MPICosts = DEFAULT_COSTS
 
     def __post_init__(self) -> None:
@@ -155,7 +154,6 @@ def run_snap(config: SnapConfig) -> SnapRunResult:
         nranks=config.nodes,
         spec=config.spec,
         inter_node=config.inter_node,
-        intra_node=config.intra_node,
         costs=config.costs,
         mode=ThreadingMode.FUNNELED,
         seed=config.seed,

@@ -1,18 +1,27 @@
-"""API quality gates: documentation and export hygiene.
+"""API quality gates: documentation, export hygiene and read model fields.
 
 These tests keep the library credible as an open-source release: every
 public module, class and function must carry a docstring, every name in an
-``__all__`` must resolve, and the package must not leak obviously private
-names through its public surfaces.
+``__all__`` must resolve, the package must not leak obviously private
+names through its public surfaces, and every field of a model preset must
+be read by some code path.
 """
 
+import ast
+import dataclasses
+import functools
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import repro
+from repro.machine import MachineSpec
+from repro.mpi import MPICosts
+from repro.network import NetworkParams
+from repro.threadsim import OpenMPCosts
 
 def _walk():
     """Every package and module under ``repro``, found by walking it."""
@@ -81,3 +90,36 @@ class TestExports:
         parts = repro.__version__.split(".")
         assert len(parts) >= 2
         assert all(p.isdigit() for p in parts[:2])
+
+
+@functools.cache
+def _attributes_read():
+    """Every ``<expr>.<name>`` load under ``src/repro``, except inside the
+    ``validate_*`` range checks (a check alone is no use of a value)."""
+    names = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        checks = {id(node)
+                  for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name.startswith("validate_")
+                  for node in ast.walk(fn)}
+        names.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load)
+                     and id(node) not in checks)
+    return names
+
+
+class TestModelFields:
+    """Every preset field is read by name somewhere in the package: a
+    constant no code reads is one no result depends on."""
+
+    @pytest.mark.parametrize("preset", [MachineSpec, NetworkParams,
+                                        MPICosts, OpenMPCosts],
+                             ids=lambda cls: cls.__name__)
+    def test_every_field_is_read(self, preset):
+        read = _attributes_read()
+        unread = [f.name for f in dataclasses.fields(preset)
+                  if f.name not in read]
+        assert not unread, f"{preset.__name__}: nothing reads {unread}"

@@ -94,6 +94,44 @@ class TestHelp:
         capsys.readouterr()
 
 
+#: What each sub-command needs besides an unknown option, so that the
+#: option is the only thing wrong with its command line.
+_CELL = ["--message-bytes", "1024", "--partitions", "4"]
+_REQUIRED = {
+    "advisor": ["--message-bytes", "1024"],
+    "cache": ["info", "--cache-dir", "x"],
+    "lint": ["src"],
+    "metrics": _CELL,
+    "report": _CELL,
+    "trace": ["export", *_CELL],
+}
+
+
+class TestUnknownOption:
+    """An unknown option is reported by the chosen sub-command's parser,
+    under that command's usage line, with exit code 2."""
+
+    @pytest.mark.parametrize("command", TestHelp._commands())
+    def test_is_reported_under_the_sub_command(self, command, capsys):
+        argv = [command, *_REQUIRED.get(command, []), "--no-such-option"]
+        # ``trace export`` is nested: its own parser answers.
+        path = "trace export" if command == "trace" else command
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {path} ")
+        assert err.splitlines()[-1] == (
+            f"repro {path}: error: unrecognized arguments: "
+            f"--no-such-option")
+
+    def test_root_option_keeps_the_root_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--no-such-option", "list"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: repro [-h]")
+
+
 class TestRemovedFaultSurface:
     """Fault injection is gone: its flag and command are usage errors."""
 

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.machine import (BindPolicy, CacheModel, NIAGARA_NODE,
-                           NUMAModel, bind_threads,
+from repro.machine import (CacheModel, NIAGARA_NODE, bind_threads,
                            scaled_compute_time, validate_spec)
 
 
@@ -13,7 +12,6 @@ class TestTopology:
         assert NIAGARA_NODE.sockets_per_node == 2
         assert NIAGARA_NODE.cores_per_socket == 20
         assert NIAGARA_NODE.cores_per_node == 40
-        assert NIAGARA_NODE.clock_ghz == 2.4
 
     def test_socket_of(self):
         assert NIAGARA_NODE.socket_of(0) == 0
@@ -49,31 +47,21 @@ class TestTopology:
 
 class TestBinding:
     def test_compact_fills_nic_socket_first(self):
-        b = bind_threads(20, NIAGARA_NODE, BindPolicy.COMPACT)
+        b = bind_threads(20, NIAGARA_NODE)
         assert all(not b.is_remote_to_nic(t) for t in range(20))
         assert b.spillover_threads() == []
 
     def test_compact_spillover_past_one_socket(self):
-        b = bind_threads(32, NIAGARA_NODE, BindPolicy.COMPACT)
+        b = bind_threads(32, NIAGARA_NODE)
         assert b.spillover_threads() == list(range(20, 32))
         assert not b.oversubscribed
 
     def test_compact_oversubscription_wraps(self):
-        b = bind_threads(64, NIAGARA_NODE, BindPolicy.COMPACT)
+        b = bind_threads(64, NIAGARA_NODE)
         assert b.oversubscribed
         occ = b.occupancy()
         assert max(occ.values()) == 2
         assert b.oversubscription_factor(0) == 2  # cores 0..23 doubled
-
-    def test_scatter_alternates_sockets(self):
-        b = bind_threads(4, NIAGARA_NODE, BindPolicy.SCATTER)
-        sockets = [b.socket_of(t) for t in range(4)]
-        assert sockets == [0, 1, 0, 1]
-
-    def test_single_socket_oversubscribes_early(self):
-        b = bind_threads(32, NIAGARA_NODE, BindPolicy.SINGLE_SOCKET)
-        assert b.spillover_threads() == []
-        assert b.oversubscribed
 
     def test_zero_threads_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -160,21 +148,7 @@ class TestComputeScaling:
 
 
 class TestNUMA:
-    def test_local_copy_at_full_bandwidth(self):
-        numa = NUMAModel(NIAGARA_NODE)
-        t = numa.copy_time(1 << 20, 0, 0)
-        assert t == pytest.approx((1 << 20) / NIAGARA_NODE.memory_bandwidth)
-
-    def test_cross_socket_copy_slower(self):
-        numa = NUMAModel(NIAGARA_NODE)
-        assert numa.copy_time(1 << 20, 0, 1) > numa.copy_time(1 << 20, 0, 0)
-
     def test_injection_penalty_only_off_nic_socket(self):
-        numa = NUMAModel(NIAGARA_NODE)
-        assert numa.injection_penalty(0) == 0.0
-        assert numa.injection_penalty(25) == \
+        assert NIAGARA_NODE.injection_penalty(0) == 0.0
+        assert NIAGARA_NODE.injection_penalty(25) == \
             NIAGARA_NODE.inter_socket_penalty
-
-    def test_bad_socket_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NUMAModel(NIAGARA_NODE).copy_time(10, 0, 7)

@@ -1,11 +1,11 @@
-"""Cluster driver: configuration validation, run semantics, placement."""
+"""Cluster driver: configuration validation and run semantics."""
 
 import pytest
 
 from repro.errors import ConfigurationError, DeadlockError
 from repro.machine import NIAGARA_NODE
 from repro.mpi import Cluster, DEFAULT_COSTS
-from repro.network import NIAGARA_EDR, Placement
+from repro.network import NIAGARA_EDR
 
 
 class TestConstruction:
@@ -27,10 +27,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             Cluster(nranks=1,
                     costs=DEFAULT_COSTS.with_overrides(lock_hold=-1.0))
-
-    def test_placement_size_must_match(self):
-        with pytest.raises(ConfigurationError, match="placement"):
-            Cluster(nranks=4, placement=Placement.one_per_node(2))
 
     def test_contexts_expose_rank_identity(self):
         cluster = Cluster(nranks=3)

@@ -195,23 +195,6 @@ class TestErrors:
             _run(program)
 
 
-class TestIntraNode:
-    def test_intra_node_faster_than_inter_node(self):
-        from repro.network import Placement
-        times = {}
-
-        def program(ctx):
-            if ctx.rank == 0:
-                yield from ctx.comm.send(ctx.main, 1, 1, 4096)
-            else:
-                yield from ctx.comm.recv(ctx.main, 0, 1, 4096)
-                times[ctx.cluster.fabric.placement.nnodes] = ctx.sim.now
-
-        _run(program)  # one rank per node
-        _run(program, placement=Placement.block(2, ranks_per_node=2))
-        assert times[1] < times[2]
-
-
 class TestDeterminism:
     def test_identical_runs_produce_identical_times(self):
         def run_once():

@@ -1,10 +1,10 @@
-"""Unit tests for the network model: params, fabric, NIC serialization."""
+"""Unit tests for the network model: params, the one path, NIC serialization."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.network import (Fabric, INTRA_NODE, NIAGARA_EDR, NIC,
-                           NetworkParams, Placement, Transmission,
+from repro.mpi import Cluster
+from repro.network import (NIAGARA_EDR, NIC, NetworkParams, Transmission,
                            validate_params)
 
 
@@ -23,9 +23,9 @@ class TestNetworkParams:
             NIAGARA_EDR.wire_time(-1)
 
     def test_path_latency_adds_hops(self):
+        # Any two nodes of the wing are one switch apart.
         p = NIAGARA_EDR
-        assert p.path_latency(2) == pytest.approx(
-            p.latency + 2 * p.switch_hop_latency)
+        assert p.path_latency() == p.latency + p.switch_hop_latency
 
     def test_eager_threshold(self):
         p = NIAGARA_EDR
@@ -56,44 +56,15 @@ class TestNetworkParams:
             NetworkParams(bandwidth=1e9, latency=-1)
 
 
-class TestPlacement:
-    def test_one_per_node(self):
-        p = Placement.one_per_node(4)
-        assert p.nodes_of_rank == (0, 1, 2, 3)
-        assert p.nnodes == 4
-
-    def test_block_placement(self):
-        p = Placement.block(4, ranks_per_node=2)
-        assert p.nodes_of_rank == (0, 0, 1, 1)
-        assert p.colocated(0, 1)
-        assert not p.colocated(1, 2)
-
-    def test_round_robin(self):
-        p = Placement.round_robin(5, nnodes=2)
-        assert p.nodes_of_rank == (0, 1, 0, 1, 0)
-
-    def test_invalid_counts_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Placement.block(0, 1)
-        with pytest.raises(ConfigurationError):
-            Placement.round_robin(4, 0)
-
-
 class TestFabric:
     def test_inter_node_path(self):
-        fabric = Fabric(Placement.one_per_node(2))
-        assert fabric.params_between(0, 1) is NIAGARA_EDR
-        assert fabric.hops_between(0, 1) == 1
-
-    def test_intra_node_path(self):
-        fabric = Fabric(Placement.block(2, ranks_per_node=2))
-        assert fabric.params_between(0, 1) is INTRA_NODE
-        assert fabric.hops_between(0, 1) == 0
-
-    def test_delivery_latency_orders(self):
-        inter = Fabric(Placement.one_per_node(2)).delivery_latency(0, 1)
-        intra = Fabric(Placement.block(2, 2)).delivery_latency(0, 1)
-        assert intra < inter
+        # One rank per node, one switch between any two: every rank
+        # reaches every peer over the inter-node path.
+        cluster = Cluster(nranks=3)
+        for proc in cluster.procs:
+            assert proc.params is NIAGARA_EDR
+            assert proc._latency == (NIAGARA_EDR.latency
+                                     + NIAGARA_EDR.switch_hop_latency)
 
 
 class TestNIC:

@@ -4,7 +4,6 @@ intra-node paths, ordering across protocols."""
 import pytest
 
 from repro.mpi import Cluster, ThreadingMode
-from repro.network import Placement
 
 
 class TestSelfSend:
@@ -85,41 +84,6 @@ class TestPartitionedPayloads:
 
         gap = Cluster(nranks=2).run(program)[1]
         assert gap == pytest.approx(1e-3, rel=0.2)
-
-
-class TestIntraNodePaths:
-    def test_partitioned_over_shared_memory(self):
-        def program(ctx):
-            comm, main = ctx.comm, ctx.main
-            if ctx.rank == 0:
-                ps = yield from comm.psend_init(main, 1, 1 << 16, 1 << 16,
-                                                4)
-                yield from ps.start(main)
-                yield from ps.pready_range(main, 0, 3)
-                yield from ps.wait(main)
-            else:
-                pr = yield from comm.precv_init(main, 0, 1 << 16, 1 << 16,
-                                                4)
-                yield from pr.start(main)
-                yield from pr.wait(main)
-                return ctx.sim.now
-
-        intra = Cluster(nranks=2,
-                        placement=Placement.block(2, 2)).run(program)[1]
-        inter = Cluster(nranks=2).run(program)[1]
-        assert intra < inter  # shm path is quicker end to end
-
-    def test_collectives_over_mixed_placement(self):
-        # 4 ranks on 2 nodes: barriers and reductions cross both paths.
-        def program(ctx):
-            yield from ctx.comm.barrier(ctx.main)
-            total = yield from ctx.comm.allreduce(ctx.main, 8,
-                                                  value=float(ctx.rank))
-            return total
-
-        results = Cluster(nranks=4,
-                          placement=Placement.block(4, 2)).run(program)
-        assert results == [6.0] * 4
 
 
 class TestCrossProtocolOrdering:

@@ -17,7 +17,6 @@ import pytest
 
 from repro.core import PtpBenchmarkConfig
 from repro.core.runner import run_ptp_benchmark, run_ptp_trial
-from repro.machine import BindPolicy, bind_threads
 
 #: (config kwargs, expected sha256 of the canonical event stream).
 GOLDEN = [
@@ -34,7 +33,7 @@ GOLDEN = [
 
 
 #: Trials off the default two-rank hot path: an oversubscribed
-#: cold-cache node, chained partitions and a scattered binding.
+#: cold-cache node and chained partitions.
 #: :func:`_exercises` checks that each case still reaches the branch it
 #: is named for, so it cannot pass vacuously.
 WIDE = {
@@ -45,10 +44,6 @@ WIDE = {
     "ppt2": (dict(message_bytes=32768, partitions=8, partitions_per_thread=2,
                   iterations=2, warmup=1, seed=17, compute_seconds=1e-3),
              "06691ac9105465e367015d8b278600d0ce97b560ca710058639df134e659ec8c"),
-    "scatter": (dict(message_bytes=131072, partitions=8, iterations=2,
-                     warmup=0, seed=19, compute_seconds=1e-3,
-                     bind_policy=BindPolicy.SCATTER),
-                "9aad28ee4f3095851642bf797681d3adef82af6d57f7aa7ef2c699cc390f1c7f"),
 }
 
 
@@ -56,12 +51,14 @@ def _exercises(name, result, cluster):
     """True when the trial reached the branch its case is named for."""
     config = result.config
     if name == "oversubscribed-cold":
+        # 64 threads on 40 cores: the compact binding fills the NIC's
+        # socket, spills over onto the other one, then wraps around.
+        binding = cluster._binding(config.threads)
         return (config.threads > cluster.spec.cores_per_node
+                and binding.oversubscribed
+                and bool(binding.spillover_threads())
                 and cluster.procs[0].cache.stats.invalidations > 0)
-    if name == "ppt2":
-        return config.threads == 4
-    return bool(bind_threads(config.threads, cluster.spec,
-                             cluster.bind_policy).spillover_threads())
+    return config.threads == 4
 
 
 @pytest.mark.parametrize("name", sorted(WIDE))

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.machine import BindPolicy
 from repro.mpi import Cluster
 from repro.threadsim import DEFAULT_OPENMP_COSTS, OpenMPCosts, SimBarrier
 from repro.sim import Simulator
@@ -121,8 +120,7 @@ class TestForkJoin:
                 yield from tc.compute(1e-5)
                 return tc.core
 
-            team = yield from ctx.fork(32, worker,
-                                       policy=BindPolicy.COMPACT)
+            team = yield from ctx.fork(32, worker)
             yield from team.join()
             return team.results()
 
