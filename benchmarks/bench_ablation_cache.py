@@ -20,14 +20,11 @@ def _overhead(m, n, cache):
     return run_ptp_benchmark(cfg).overhead.mean
 
 
-def test_ablation_cache(figure_bench):
+def test_ablation_cache():
     sizes = (1024, 4096, 16384, 65536, 1 << 20)
 
-    def run():
-        return {m: (_overhead(m, 16, HOT), _overhead(m, 16, COLD))
-                for m in sizes}
-
-    results = figure_bench(run)
+    results = {m: (_overhead(m, 16, HOT), _overhead(m, 16, COLD))
+               for m in sizes}
     rows = [[format_bytes(m), f"{hot:.2f}", f"{cold:.2f}",
              f"{cold / hot:.2f}"]
             for m, (hot, cold) in results.items()]

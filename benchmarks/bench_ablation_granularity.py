@@ -27,13 +27,10 @@ def _result(partitions):
     return run_ptp_benchmark(cfg)
 
 
-def test_ablation_granularity(figure_bench):
+def test_ablation_granularity():
     grid = (8, 16, 32, 64, 128)
 
-    def run():
-        return {n: _result(n) for n in grid}
-
-    results = figure_bench(run)
+    results = {n: _result(n) for n in grid}
     rows = []
     for n, res in results.items():
         rows.append([

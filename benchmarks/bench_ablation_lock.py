@@ -27,19 +27,15 @@ def _thpt(mode, costs):
     return run_sweep3d(cfg, GRID).mean_throughput
 
 
-def test_ablation_lock(figure_bench):
-    def run():
-        return {
-            ("multi", "baseline"): _thpt(CommMode.MULTI, DEFAULT_COSTS),
-            ("multi", "no locks"): _thpt(CommMode.MULTI, NOLOCK),
-            ("partitioned", "baseline"): _thpt(CommMode.PARTITIONED,
-                                               DEFAULT_COSTS),
-            ("partitioned", "no locks"): _thpt(CommMode.PARTITIONED,
-                                               NOLOCK),
-            ("single", "baseline"): _thpt(CommMode.SINGLE, DEFAULT_COSTS),
-        }
-
-    results = figure_bench(run)
+def test_ablation_lock():
+    results = {
+        ("multi", "baseline"): _thpt(CommMode.MULTI, DEFAULT_COSTS),
+        ("multi", "no locks"): _thpt(CommMode.MULTI, NOLOCK),
+        ("partitioned", "baseline"): _thpt(CommMode.PARTITIONED,
+                                           DEFAULT_COSTS),
+        ("partitioned", "no locks"): _thpt(CommMode.PARTITIONED, NOLOCK),
+        ("single", "baseline"): _thpt(CommMode.SINGLE, DEFAULT_COSTS),
+    }
     rows = [[f"{mode} / {variant}", f"{v / 1e9:.2f}"]
             for (mode, variant), v in results.items()]
     text = ascii_table(["configuration", "GB/s"], rows,

@@ -22,17 +22,12 @@ def _overhead(m, n, threshold):
     return run_ptp_benchmark(cfg).overhead.mean
 
 
-def test_ablation_protocol(figure_bench):
+def test_ablation_protocol():
     thresholds = (4 * 1024, 16 * 1024, 64 * 1024)
     sizes = (16384, 65536, 262144)
 
-    def run():
-        return {
-            t: {m: _overhead(m, 8, t) for m in sizes}
-            for t in thresholds
-        }
-
-    results = figure_bench(run)
+    results = {t: {m: _overhead(m, 8, t) for m in sizes}
+               for t in thresholds}
     rows = []
     for t, by_size in results.items():
         rows.append([format_bytes(t)]

@@ -20,27 +20,22 @@ def _overhead(m, n, spec=NIAGARA_NODE, costs=DEFAULT_COSTS):
     return run_ptp_benchmark(cfg).overhead.mean
 
 
-def test_ablation_spillover(figure_bench):
-    def run():
-        variants = {
-            "baseline": (NIAGARA_NODE, DEFAULT_COSTS),
-            "no NUMA injection penalty": (
-                NIAGARA_NODE.with_overrides(inter_socket_penalty=0.0),
-                DEFAULT_COSTS),
-            "no remote lock penalty": (
-                NIAGARA_NODE,
-                DEFAULT_COSTS.with_overrides(lock_remote_penalty=0.0)),
-            "neither penalty": (
-                NIAGARA_NODE.with_overrides(inter_socket_penalty=0.0),
-                DEFAULT_COSTS.with_overrides(lock_remote_penalty=0.0)),
-        }
-        out = {}
-        for name, (spec, costs) in variants.items():
-            out[name] = (_overhead(256, 16, spec, costs),
-                         _overhead(256, 32, spec, costs))
-        return out
-
-    results = figure_bench(run)
+def test_ablation_spillover():
+    variants = {
+        "baseline": (NIAGARA_NODE, DEFAULT_COSTS),
+        "no NUMA injection penalty": (
+            NIAGARA_NODE.with_overrides(inter_socket_penalty=0.0),
+            DEFAULT_COSTS),
+        "no remote lock penalty": (
+            NIAGARA_NODE,
+            DEFAULT_COSTS.with_overrides(lock_remote_penalty=0.0)),
+        "neither penalty": (
+            NIAGARA_NODE.with_overrides(inter_socket_penalty=0.0),
+            DEFAULT_COSTS.with_overrides(lock_remote_penalty=0.0)),
+    }
+    results = {name: (_overhead(256, 16, spec, costs),
+                      _overhead(256, 32, spec, costs))
+               for name, (spec, costs) in variants.items()}
     rows = [[name, f"{v16:.1f}", f"{v32:.1f}", f"{v32 / v16:.2f}"]
             for name, (v16, v32) in results.items()]
     text = ascii_table(

@@ -13,8 +13,8 @@ from repro.core.suite import FIGURES
 FIG = FIGURES["fig4"]
 
 
-def test_fig04_overhead(figure_bench):
-    panels = figure_bench(FIG.driver, quick=not full_mode())
+def test_fig04_overhead():
+    panels = FIG.driver(quick=not full_mode())
     emit("fig04_overhead", FIG.render(panels))
 
     hot = panels["hot"]

@@ -14,8 +14,8 @@ from repro.core.suite import FIGURES
 FIG = FIGURES["fig5"]
 
 
-def test_fig05_perceived_bandwidth(figure_bench):
-    panels = figure_bench(FIG.driver, quick=not full_mode())
+def test_fig05_perceived_bandwidth():
+    panels = FIG.driver(quick=not full_mode())
     emit("fig05_perceived_bw", FIG.render(panels))
 
     noisy = panels[(4.0, 0.010)]

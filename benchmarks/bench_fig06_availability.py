@@ -12,8 +12,8 @@ from repro.core.suite import FIGURES
 FIG = FIGURES["fig6"]
 
 
-def test_fig06_availability(figure_bench):
-    panels = figure_bench(FIG.driver, quick=not full_mode())
+def test_fig06_availability():
+    panels = FIG.driver(quick=not full_mode())
     emit("fig06_availability", FIG.render(panels))
 
     fast = panels[0.010]

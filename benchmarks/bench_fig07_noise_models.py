@@ -13,8 +13,8 @@ from repro.core.suite import FIGURES
 FIG = FIGURES["fig7"]
 
 
-def test_fig07_noise_models(figure_bench):
-    panels = figure_bench(FIG.driver, quick=not full_mode())
+def test_fig07_noise_models():
+    panels = FIG.driver(quick=not full_mode())
     emit("fig07_noise_models", FIG.render(panels))
 
     checks = {

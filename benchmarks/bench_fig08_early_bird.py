@@ -14,8 +14,8 @@ from repro.core.suite import FIGURES
 FIG = FIGURES["fig8"]
 
 
-def test_fig08_early_bird(figure_bench):
-    panels = figure_bench(FIG.driver, quick=not full_mode())
+def test_fig08_early_bird():
+    panels = FIG.driver(quick=not full_mode())
     emit("fig08_early_bird", FIG.render(panels))
 
     fast, slow = panels[0.010], panels[0.100]

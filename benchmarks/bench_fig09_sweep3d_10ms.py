@@ -15,8 +15,8 @@ from repro.core.suite import FIGURES
 FIG = FIGURES["fig9"]
 
 
-def test_fig09_sweep3d_10ms(figure_bench):
-    series = figure_bench(FIG.driver, quick=not full_mode())
+def test_fig09_sweep3d_10ms():
+    series = FIG.driver(quick=not full_mode())
     emit("fig09_sweep3d_10ms", FIG.render(series))
 
     single = dict(series["single"])

@@ -12,9 +12,9 @@ from repro.core.suite import FIGURES
 FIG = FIGURES["fig10"]
 
 
-def test_fig10_sweep3d_100ms(figure_bench):
+def test_fig10_sweep3d_100ms():
     fast = FIGURES["fig9"].driver(quick=not full_mode())
-    slow = figure_bench(FIG.driver, quick=not full_mode())
+    slow = FIG.driver(quick=not full_mode())
     emit("fig10_sweep3d_100ms", FIG.render(slow))
 
     single = dict(slow["single"])

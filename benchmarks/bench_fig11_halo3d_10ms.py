@@ -17,8 +17,8 @@ from repro.core.suite import FIGURES
 FIG = FIGURES["fig11"]
 
 
-def test_fig11_halo3d_10ms(figure_bench):
-    panels = figure_bench(FIG.driver, quick=not full_mode())
+def test_fig11_halo3d_10ms():
+    panels = FIG.driver(quick=not full_mode())
     emit("fig11_halo3d_10ms", FIG.render(panels))
     panel_a, panel_b = panels["a"], panels["b"]
 

@@ -11,8 +11,8 @@ from repro.core.suite import FIGURES
 FIG = FIGURES["fig12"]
 
 
-def test_fig12_halo3d_100ms(figure_bench):
-    panels = figure_bench(FIG.driver, quick=not full_mode())
+def test_fig12_halo3d_100ms():
+    panels = FIG.driver(quick=not full_mode())
     emit("fig12_halo3d_100ms", FIG.render(panels))
     panel_a, panel_b = panels["a"], panels["b"]
 

@@ -16,8 +16,8 @@ from repro.core.suite import FIGURES
 FIG = FIGURES["fig13"]
 
 
-def test_fig13_snap_projection(figure_bench):
-    proj = figure_bench(FIG.driver, quick=not full_mode())
+def test_fig13_snap_projection():
+    proj = FIG.driver(quick=not full_mode())
     emit("fig13_snap_projection", FIG.render(proj))
 
     rows = {r.nodes: r for r in proj.rows}

@@ -3,7 +3,7 @@
 Every bench regenerates one figure of the paper: it runs the experiment
 through the public API, prints the figure's series as a text table (the
 "same rows the paper reports"), archives the table under
-``benchmarks/output/``, and registers the wall time with pytest-benchmark.
+``benchmarks/output/``, and asserts the paper's shape on it.
 
 Set ``REPRO_FULL=1`` to run the paper's full grids instead of the quick
 ones (minutes instead of seconds).
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import os
 import pathlib
-
-import pytest
 
 #: Where rendered tables are archived for EXPERIMENTS.md.
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
@@ -33,17 +31,3 @@ def emit(name: str, text: str) -> None:
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / f"{name}.txt").write_text(text + "\n")
 
-
-@pytest.fixture
-def figure_bench(benchmark):
-    """Run a figure driver exactly once under pytest-benchmark timing.
-
-    The driver is expensive (a full simulated experiment), so we measure a
-    single round rather than letting pytest-benchmark loop it.
-    """
-
-    def run(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1)
-
-    return run

@@ -3,21 +3,18 @@
 
 :data:`KERNELS` is the one definition of every benchmark kernel that
 guards the simulator and the layers around it: its body, and the value
-it must return.  Two harnesses time the registry, and both check each
-kernel's value on its untimed warm-up call:
-
-* this script, which times the working tree against a baseline commit
-  (``--against REV``, default ``HEAD``).  Each tree runs its own
-  registry in its own runner process (``scripts/bench_runner.py``), and
-  the :data:`SOLO` kernels in a second one; a fixed-seed shuffle
-  interleaves every kernel of both trees in each of :data:`ROUNDS`
-  rounds, so host-speed drift lands on both sides of a ratio.  A kernel fails when the whole confidence interval of its
-  per-round candidate/baseline time ratio lies above its budget
-  (:data:`DEFAULT_LIMIT`, or its :data:`THRESHOLDS` entry), and a
-  :data:`RATIO_CHECKS` pair fails under the same rule on the per-round
-  ratio of its two kernels in the working tree;
-* ``benchmarks/bench_kernel.py``, one pytest-benchmark test
-  parametrized over :data:`KERNELS`.
+it must return.  This script times the working tree against a
+baseline commit (``--against REV``, default ``HEAD``).  Each tree runs
+its own registry in its own runner process (``scripts/bench_runner.py``),
+and the :data:`SOLO` kernels in a second one; each runner checks every
+kernel's value on its untimed warm-up call.  A fixed-seed shuffle
+interleaves every kernel of both trees in each of :data:`ROUNDS` rounds,
+so host-speed drift lands on both sides of a ratio.  A kernel fails when
+the whole confidence interval of its per-round candidate/baseline time
+ratio lies above its budget (:data:`DEFAULT_LIMIT`, or its
+:data:`THRESHOLDS` entry), and a :data:`RATIO_CHECKS` pair fails under
+the same rule on the per-round ratio of its two kernels in the working
+tree.
 
 Kernels build their fixtures (kept pools, a cache directory, a live
 daemon) on first use; :func:`teardown` stops and removes all of them.
@@ -48,7 +45,6 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis import lint_source  # noqa: E402
 from repro.core import (PtpBenchmarkConfig, PtpResult, SweepPoint,  # noqa: E402
                         SweepResult, run_ptp_benchmark)
 from repro.metrics.statistics import ci_halfwidth, pruned_mean  # noqa: E402
@@ -492,49 +488,6 @@ def obs_emission_counted():
     for _ in range(10_000):
         emit(PART_PREADY, 1.0, 0, 0, 0)
     return counters.total
-
-
-@_fixture
-def _lint_workload() -> str:
-    """A synthetic ~400-line module for the pattern pass to walk.
-
-    Each function carries a full partitioned epoch with loops and
-    branches, so every pattern rule visits a realistic AST.  Synthesized
-    (not read from the tree) so the score does not drift when unrelated
-    shipped code changes.
-    """
-    template = (
-        "def exchange_{i}(ctx, comm, tc):\n"
-        "    ps = yield from comm.psend_init(tc, 1, {i}, 4096, 8)\n"
-        "    pr = yield from comm.precv_init(tc, 1, {i}, 4096, 8)\n"
-        "    for epoch in range(4):\n"
-        "        yield from ps.start(tc)\n"
-        "        yield from pr.start(tc)\n"
-        "        for p in range(0, 4):\n"
-        "            ps.note_buffer_write(p)\n"
-        "            yield from ps.pready(tc, p)\n"
-        "        if epoch > 1:\n"
-        "            yield from ps.pready_range(tc, 4, 5)\n"
-        "            yield from ps.pready_range(tc, 6, 7)\n"
-        "        else:\n"
-        "            for p in range(4, 8):\n"
-        "                yield from ps.pready(tc, p)\n"
-        "        yield from ps.wait(tc)\n"
-        "        yield from pr.wait(tc)\n"
-        "    return ps, pr\n"
-    )
-    return "\n".join(template.format(i=i) for i in range(16))
-
-
-@kernel([])
-def lint_throughput():
-    """The simlint pattern pass over the synthetic module: no findings.
-
-    Keeps the per-module cost of the rules visible, so a rule change that
-    slows the ``lint src/repro benchmarks examples`` CI step is caught
-    here first.
-    """
-    return lint_source(_lint_workload(), "workload.py")
 
 
 #: The budget of every kernel without a :data:`THRESHOLDS` entry: a

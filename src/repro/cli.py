@@ -11,17 +11,14 @@ Usage::
         --compute-ms 10 --noise uniform --noise-percent 4
     python -m repro advisor --message-bytes 1048576 --compute-ms 10 \\
         --noise single --noise-percent 4
-    python -m repro lint src/repro benchmarks examples
     python -m repro trace export --message-bytes 1048576 --partitions 8 \\
         --format chrome --kinds 'part.*,bench.*' -o trace.json
     python -m repro report --message-bytes 1048576 --partitions 8
 
 Tables match the ``benchmarks/`` harness output; the CLI exists so the
 suite is usable without pytest, the way the paper's artifact is driven
-from a shell.  ``lint`` exposes the :mod:`repro.analysis` static
-linter (exit code 1 on findings).
-``trace export`` and ``report`` observe one instrumented trial through
-:mod:`repro.obs` sinks.  Bad input to any command (a
+from a shell.  ``trace export`` and ``report`` observe one instrumented
+trial through :mod:`repro.obs` sinks.  Bad input to any command (a
 :class:`~repro.errors.ConfigurationError`) prints ``error: <reason>`` on
 stderr and exits 2.
 The point-to-point figures and ``sweep`` run on the parallel engine
@@ -194,14 +191,6 @@ def _cmd_cache(args) -> str:
             f"disk, schema v{CACHE_SCHEMA_VERSION}")
 
 
-def _findings_json(findings) -> str:
-    return json.dumps({
-        "ok": not findings,
-        "count": len(findings),
-        "findings": [f.to_dict() for f in findings],
-    }, indent=2)
-
-
 def _open_output(path: str):
     """Open ``--output PATH`` for writing; a path that cannot be opened
     is bad input, not a crash."""
@@ -210,34 +199,6 @@ def _open_output(path: str):
     except OSError as exc:
         raise ConfigurationError(
             f"cannot write {path}: {exc.strerror}") from None
-
-
-def _cmd_lint(args) -> int:
-    from .analysis import format_findings, lint_paths
-    from .analysis.findings import sarif_json
-    from .analysis.rules import known_rule_ids
-    known = set(known_rule_ids())
-    unknown = [rule_id for rule_id in args.disable if rule_id not in known]
-    if unknown:
-        raise ConfigurationError(f"unknown rule id {', '.join(unknown)}")
-    findings = lint_paths(args.paths, disabled=args.disable)
-    if args.format == "sarif":
-        output = sarif_json(findings)
-        if args.output:
-            with _open_output(args.output) as stream:
-                stream.write(output)
-            print(f"wrote SARIF log with {len(findings)} result(s) to "
-                  f"{args.output}")
-        else:
-            print(output, end="")
-    elif args.format == "json":
-        print(_findings_json(findings))
-    elif findings:
-        print(format_findings(findings))
-        print(f"{len(findings)} finding(s)")
-    else:
-        print("clean: no findings")
-    return 1 if findings else 0
 
 
 def _resolve_kinds(kinds_arg: str):
@@ -514,18 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request wall-clock ceiling before a 504 (default 300)")
     sv.add_argument("--verbose", action="store_true",
                     help="log every HTTP request to stderr")
-
-    lint = sub.add_parser(
-        "lint", help="static determinism/sim-API linter (simlint)")
-    lint.add_argument("paths", nargs="+",
-                      help="files or directories to lint")
-    lint.add_argument("--format", default="text",
-                      choices=["text", "json", "sarif"])
-    lint.add_argument("--output", default=None, metavar="FILE",
-                      help="write SARIF output to FILE instead of stdout")
-    lint.add_argument("--disable", action="append", default=[],
-                      metavar="RULE", help="rule id to skip "
-                      "(repeatable, e.g. --disable SIM103)")
     return parser
 
 
@@ -556,8 +505,6 @@ def _dispatch(args) -> int:
         print(_cmd_advisor(args))
     elif args.command == "serve":
         return _cmd_serve(args)
-    elif args.command == "lint":
-        return _cmd_lint(args)
     elif args.command == "trace":
         return _cmd_trace(args)
     elif args.command == "report":

@@ -41,6 +41,7 @@ inline ``jobs=1`` runs never pay for them.
 from __future__ import annotations
 
 import atexit
+import gc
 import os
 import threading
 import time
@@ -84,6 +85,12 @@ def _new_executor(workers: int):
     a fork server instead, which imports this package once so that the
     workers it forks start with it imported too (see
     :func:`_start_forkserver`).  Platforms without fork spawn.
+
+    A forking executor forks every worker on its first submit, so one is
+    made here, of a no-op, with the garbage collector frozen: the workers
+    then inherit no pending collection of this process's young objects,
+    and what a cold pool costs does not depend on where this process's
+    collector counters stand.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -98,7 +105,14 @@ def _new_executor(workers: int):
     if method == "forkserver":
         context.set_forkserver_preload([__name__])
         _start_forkserver()
-    return ProcessPoolExecutor(workers, mp_context=context)
+    executor = ProcessPoolExecutor(workers, mp_context=context)
+    if method == "fork":
+        gc.freeze()
+        try:
+            executor.submit(int)
+        finally:
+            gc.unfreeze()
+    return executor
 
 
 def _start_forkserver() -> None:
@@ -329,8 +343,8 @@ class WorkerPool:
     def start(self) -> None:
         """Start all ``max_workers`` workers now.
 
-        An executor forks its workers when its first task is submitted,
-        which may be on any thread.  A process about to start threads
+        An executor forks its workers when it is built, which may be on
+        any thread that submits a task.  A process about to start threads
         (``repro serve``) calls this first, so it forks while it still
         has one thread.
         """

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from ..errors import ConfigurationError
 
-__all__ = ["MachineSpec", "NIAGARA_NODE", "core_socket", "validate_spec"]
+__all__ = ["MachineSpec", "NIAGARA_NODE", "validate_spec"]
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,6 @@ def validate_spec(spec: MachineSpec) -> None:
         raise ConfigurationError("time costs must be non-negative")
     if spec.llc_bytes <= 0:
         raise ConfigurationError("llc_bytes must be positive")
-
-
-def core_socket(spec: MachineSpec, core: int) -> int:
-    """Module-level convenience wrapper around :meth:`MachineSpec.socket_of`."""
-    return spec.socket_of(core)
 
 
 #: The paper's testbed node: 2 sockets x 20 Intel Skylake cores @ 2.4 GHz.

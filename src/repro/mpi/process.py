@@ -195,8 +195,8 @@ class MPIProcess:
             return self.sim.sleep(scaled)
         return None
 
-    def transmit(self, dst_rank: int, wire_bytes: int, frame: Frame,
-                 data: bool = True) -> Transmission:
+    def transmit(self, dst_rank: int, wire_bytes: int,
+                 frame: Frame) -> Transmission:
         """Queue a frame on this rank's NIC toward ``dst_rank``.
 
         ``wire_bytes`` is what occupies the link (0 for control frames,

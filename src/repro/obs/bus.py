@@ -3,9 +3,9 @@
 Each :class:`EventBus` keeps one sink list per registered kind, indexed
 by the kind's interned integer id.  :meth:`EventBus.emit` therefore costs
 one list index and one falsy test when nothing subscribes to that kind —
-the guarantee the ``obs_emission_disabled`` kernel in
-``benchmarks/bench_kernel.py`` measures and ``scripts/bench_guard.py``
-holds to 1.05x its time at the baseline commit.
+the guarantee the ``obs_emission_disabled`` kernel of
+``scripts/bench_guard.py`` holds to 1.05x its time at the baseline
+commit.
 
 Sinks subscribe with kind patterns (``"part.*"``, ``"*"``) resolved
 through the schema; records are delivered in emission order, which is the

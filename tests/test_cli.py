@@ -9,7 +9,6 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.suite import FIGURES
 
-FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 ARCHIVES = Path(__file__).parent.parent / "benchmarks" / "output"
 #: A path whose parent is a regular file: no directory can be made there.
 UNDER_A_FILE = str(Path(__file__) / "x")
@@ -55,14 +54,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
 
-    def test_lint_args(self):
-        args = build_parser().parse_args(
-            ["lint", "src", "tests", "--format", "json",
-             "--disable", "SIM103", "--disable", "SIM104"])
-        assert args.paths == ["src", "tests"]
-        assert args.format == "json"
-        assert args.disable == ["SIM103", "SIM104"]
-
 
 class TestHelp:
     """``--help`` on the program and on every sub-command exits 0."""
@@ -100,7 +91,6 @@ _CELL = ["--message-bytes", "1024", "--partitions", "4"]
 _REQUIRED = {
     "advisor": ["--message-bytes", "1024"],
     "cache": ["info", "--cache-dir", "x"],
-    "lint": ["src"],
     "metrics": _CELL,
     "report": _CELL,
     "trace": ["export", *_CELL],
@@ -243,8 +233,6 @@ class TestCommands:
         ["cache", "clear", "--cache-dir", UNDER_A_FILE],
         ["trace", "export", "--message-bytes", "64", "--partitions", "2",
          "--output", "no/such/dir/t.json"],
-        ["lint", "--format", "sarif", "--output", "no/such/dir/o.sarif",
-         str(Path(__file__))],
     ], ids=" ".join)
     def test_bad_input_is_an_error_line_and_exit_two(self, argv, capsys):
         assert main(argv) == 2
@@ -275,61 +263,16 @@ class TestCommands:
 
 
 class TestAnalysisCommands:
-    def test_lint_clean_path_exits_zero(self, capsys):
-        assert main(["lint", str(FIXTURES / "static_clean.py")]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_lint_findings_exit_one(self, capsys):
-        code = main(["lint", str(FIXTURES / "static_wall_clock.py")])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "SIM101" in out and "1 finding(s)" in out
-
-    def test_lint_disable_silences_rule(self, capsys):
-        code = main(["lint", str(FIXTURES / "static_wall_clock.py"),
-                     "--disable", "SIM101"])
-        assert code == 0
-        capsys.readouterr()
-
-    def test_lint_json_output(self, capsys):
-        code = main(["lint", str(FIXTURES / "static_global_random.py"),
-                     "--format", "json"])
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is False
-        assert payload["count"] == 1
-        assert payload["findings"][0]["rule"] == "SIM102"
-
-    def test_lint_shipped_tree_clean(self, capsys):
-        root = Path(__file__).parent.parent
-        code = main(["lint", str(root / "src" / "repro"),
-                     str(root / "benchmarks"), str(root / "examples")])
-        assert code == 0
-        capsys.readouterr()
-
-    def test_lint_missing_path_exits_two(self, capsys):
-        code = main(["lint", "no/such/dir"])
-        assert code == 2
-        assert "no such file or directory" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [
-        ["lint", str(FIXTURES / "static_clean.py"), "--disable", "SIM999"],
-        ["lint", str(FIXTURES / "static_clean.py"), "--disable", "PART004"],
-    ], ids=["lint", "lint-dynamic-rule"])
-    def test_unknown_disabled_rule_exits_two(self, capsys, argv):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: unknown rule id {argv[-1]}\n"
-        assert captured.out == ""
-
     def test_check_command_is_gone(self, capsys, tmp_path):
-        # The dynamic checker was removed; its command is a usage error.
+        # The dynamic checker and the linter are not commands: each is a
+        # usage error (the linter runs as tests/test_analysis_lint.py).
         program = tmp_path / "prog.py"
         program.write_text("def program(ctx):\n    return None\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["check", str(program)])
-        assert exc.value.code == 2
-        assert "invalid choice: 'check'" in capsys.readouterr().err
+        for command in ("check", "lint"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, str(program)])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 _TRACE_ARGS = ["--message-bytes", "4096", "--partitions", "2",

@@ -243,6 +243,39 @@ class TestWarmReuse:
                              timeout=120)
         assert out.stdout.strip() == "[(1, 'fork'), (4, 'fork')] True"
 
+    @FORK_ONLY
+    def test_workers_fork_with_the_collector_frozen(self):
+        # Every fork sees the collector frozen, so no worker inherits a
+        # pending collection, and the parent is left unfrozen after the
+        # first build and after the rebuild that grows the pool.  A
+        # fresh interpreter runs one thread, so both executors fork.
+        code = (
+            "import gc, os\n"
+            "from repro.core import PtpBenchmarkConfig, WorkerPool\n"
+            "real_fork, at_fork, after = os.fork, [], []\n"
+            "def fork():\n"
+            "    at_fork.append(gc.get_freeze_count() > 0)\n"
+            "    return real_fork()\n"
+            "os.fork = fork\n"
+            "pool = WorkerPool(2)\n"
+            "try:\n"
+            "    list(pool.run([PtpBenchmarkConfig(message_bytes=64, "
+            "partitions=1, compute_seconds=1e-4, iterations=2)]))\n"
+            "    after.append(gc.get_freeze_count())\n"
+            "    pool.start()\n"
+            "    after.append(gc.get_freeze_count())\n"
+            "finally:\n"
+            "    pool.shutdown()\n"
+            "print(at_fork, after)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                     if p])
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert out.stdout.strip() == "[True, True, True] [0, 0]"
+
     @pytest.mark.skipif(
         "forkserver" not in multiprocessing.get_all_start_methods(),
         reason="no fork server on this platform")
